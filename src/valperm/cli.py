@@ -221,7 +221,7 @@ def cmd_tropicalize(args, obj):
 def cmd_fan(args, _obj):
     if args.n not in FAN_SIZES:
         raise jsonio.InputError(f"fan enumeration supports n in {FAN_SIZES}, got {args.n}")
-    fan = enumerate_fan(args.n, processes=max(1, args.threads))
+    fan = enumerate_fan(args.n)
     payload = {
         "n": fan.n,
         "verdict": "pass",
@@ -269,8 +269,6 @@ def cmd_fan(args, _obj):
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", metavar="PATH", help="write the report here instead of stdout")
-    common.add_argument("--threads", type=int, default=1, metavar="K",
-                        help="internal data parallelism for fan enumeration")
     common.add_argument("--format", choices=("json",), default="json")
     common.add_argument("--timing", action="store_true",
                         help="include wall-clock timing (breaks byte determinism)")

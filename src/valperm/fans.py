@@ -3,9 +3,26 @@
 Height functions that induce subdivisions of the permutohedron into cells
 with root-parallel edges form a polyhedral fan in R^(n!): on every hexagonal
 2-face the two alternating sums agree and the maximal diagonal sum is
-attained at least twice, and every square 2-face is balanced.  Enumerating
-one closed cone per choice of attaining diagonal pair (3 per hexagon) covers
-the fan; deduplication and a containment sweep leave the maximal cones.
+attained at least twice, and every square 2-face is balanced.  One closed
+cone per choice of attaining diagonal pair (3 per hexagon) covers the fan.
+
+The enumeration does not solve all 3^H choices in R^(n!).  The base
+equations (sum zero, hexagon alternation, square balance) are the same for
+every choice, so their integer solution basis -- the 2-skeleton space, of
+dimension 4 for n = 3 and 11 for n = 4 -- is computed once, and each
+hexagon's diagonal rows are expressed in it.  A depth-first search over the
+hexagons then solves each partial choice in those reduced coordinates and
+drops a partial choice as soon as its cone has lower dimension than the best
+complete choice found so far: adding a hexagon only shrinks the cone, so no
+completion can do better (the pruned tree search for tropical prevarieties
+of Jensen, Sommars and Verschelde).  The surviving top-dimensional choices
+are solved once more in R^(n!), so the maximal cones carry their ambient
+defining systems; deduplication by canonical key and a containment sweep
+leave the maximal cones.
+
+The search finds only the top-dimensional cones, which are all the maximal
+ones exactly when the fan is pure.  For n in {3, 4} purity is certified by
+the exhaustive 3^H sweep kept as a test oracle (``tests/oracles.py``).
 
 Everything is exact.  Heights are normalized to sum zero over all vertices,
 which leaves a lineality space of dimension n - 1 (linear functionals modulo
@@ -13,8 +30,6 @@ the all-ones direction).
 """
 
 from dataclasses import dataclass
-from itertools import product
-from multiprocessing import Pool
 
 from valperm import kernels, linalg
 from valperm.permutahedra import (
@@ -66,7 +81,11 @@ def _diff(a, b):
 
 
 def _choice_system(base_eqs, diag_rows, choice):
-    """Equalities and inequalities for one attaining-pair choice per hexagon."""
+    """Equalities and inequalities for one attaining-pair choice per hexagon.
+
+    A partial choice (shorter than ``diag_rows``) constrains only the
+    leading hexagons.
+    """
     eqs = list(base_eqs)
     ineqs = []
     for rows, pair in zip(diag_rows, choice):
@@ -78,19 +97,40 @@ def _choice_system(base_eqs, diag_rows, choice):
     return eqs, ineqs
 
 
-_WORKER_CTX = {}
+_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
-def _init_worker(n):
-    _WORKER_CTX["data"] = _context(n)
-    _WORKER_CTX["n"] = n
+def _top_dimensional_choices(reduced_rows, dim):
+    """The complete choices with top-dimensional cones, one per distinct cone.
 
+    ``reduced_rows`` are the hexagons' diagonal rows in a basis of the
+    ``dim``-dimensional 2-skeleton space.  Depth-first over the hexagons in
+    the order of ``itertools.product(_PAIRS, repeat=H)``, a partial choice is
+    dropped when its cone has lower dimension than the best complete choice
+    with a ray so far, since every completion lies inside it.  Returns
+    ``[(choice, reduced cone)]``, keeping the first choice reaching each
+    cone.
+    """
+    best = {}  # reduced key -> (choice, cone) at dimension ``top``
+    top = -1
 
-def _solve_choice(choice):
-    _, base_eqs, diag_rows = _WORKER_CTX["data"]
-    eqs, ineqs = _choice_system(base_eqs, diag_rows, choice)
-    cone = cone_solve(eqs, ineqs, len(base_eqs[0]))
-    return cone if cone.rays else None
+    def search(choice):
+        nonlocal top
+        for pair in _PAIRS:
+            child = choice + (pair,)
+            cone = cone_solve(*_choice_system([], reduced_rows, child), dim)
+            if cone.dim < top:
+                continue
+            if len(child) < len(reduced_rows):
+                search(child)
+            elif cone.rays:
+                if cone.dim > top:
+                    top = cone.dim
+                    best.clear()
+                best.setdefault(cone.key, (child, cone))
+
+    search(())
+    return list(best.values())
 
 
 @dataclass(frozen=True)
@@ -144,28 +184,38 @@ def _pair_is_face(cone, i, j):
 def enumerate_fan(n, processes=1):
     """All maximal cones of the height fan, with faces, for n in {3, 4}.
 
-    One closed cone is solved per choice of attaining diagonal pair on each
-    hexagon (3^H systems); empty cones are dropped, duplicates are merged by
-    canonical key, and cones contained in another (checked against the
-    stored defining rows) are discarded.
+    The base equations are solved once; the pruned depth-first search of
+    :func:`_top_dimensional_choices` then finds, in the reduced coordinates
+    of the 2-skeleton space, one attaining-pair choice per distinct
+    top-dimensional cone.  Only those choices are solved again in R^(n!),
+    and each ambient cone must agree with its reduced one in dimension,
+    lineality dimension and ray count.  Duplicates are merged by canonical
+    key, and cones contained in another (checked against the stored
+    defining rows) are discarded.  The result is the full set of maximal
+    cones because the fan is pure for n in {3, 4}, which the exhaustive
+    oracle sweep of the test suite certifies.
+
+    ``processes`` must be 1: the search runs in this process.
     """
     if n not in FAN_SIZES:
         raise ValueError(f"fan enumeration supports n in {FAN_SIZES}, got {n}")
+    if processes != 1:
+        raise ValueError(f"fan enumeration runs in one process, got processes={processes}")
     verts, base_eqs, diag_rows = _context(n)
     ambient = len(verts)
-    choices = list(product(((0, 1), (0, 2), (1, 2)), repeat=len(diag_rows)))
+    basis = linalg.nullspace(base_eqs, ambient)
+    reduced_rows = [[[kernels.dot(r, b) for b in basis] for r in rows] for rows in diag_rows]
     by_key = {}
-    if processes > 1:
-        with Pool(processes, initializer=_init_worker, initargs=(n,)) as pool:
-            for cone in pool.imap_unordered(_solve_choice, choices, chunksize=64):
-                if cone is not None:
-                    by_key.setdefault(cone.key, cone)
-    else:
-        _init_worker(n)
-        for choice in choices:
-            cone = _solve_choice(choice)
-            if cone is not None:
-                by_key.setdefault(cone.key, cone)
+    for choice, reduced in _top_dimensional_choices(reduced_rows, len(basis)):
+        cone = cone_solve(*_choice_system(base_eqs, diag_rows, choice), ambient)
+        got = (cone.dim, cone.lineality_dim, len(cone.rays))
+        want = (reduced.dim, reduced.lineality_dim, len(reduced.rays))
+        if got != want:
+            raise RuntimeError(
+                f"enumerate_fan: ambient re-solve of choice {choice} gives "
+                f"(dim, lineality_dim, rays) {got}, its reduced cone {want}"
+            )
+        by_key.setdefault(cone.key, cone)
 
     cones = [by_key[k] for k in sorted(by_key)]
 
@@ -183,7 +233,8 @@ def enumerate_fan(n, processes=1):
     )
 
     lineality = maximal[0].lineality
-    assert all(c.lineality == lineality for c in maximal)
+    if any(c.lineality != lineality for c in maximal):
+        raise RuntimeError("enumerate_fan: maximal cones disagree on the lineality space")
 
     ray_index = {}
     for c in maximal:

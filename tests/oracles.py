@@ -2,10 +2,11 @@
 
 Everything in here deliberately avoids the code paths under test: Bruhat
 order is decided by subwords of a reduced word, hull membership by LP
-separation, lower cells by trying every support set.
+separation, lower cells by trying every support set, and the fan by solving
+every sign choice in full.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
 from valperm.permutahedra import (
     inversions,
@@ -116,3 +117,31 @@ def lower_cells_by_support_search(points, heights, labels):
         s for s in realized if not any(s < other for other in realized)
     ]
     return sorted(tuple(sorted(labels[i] for i in s)) for s in cells)
+
+
+def exhaustive_fan_cones(n):
+    """Every distinct nonempty cone of the height fan's sign-choice systems,
+    and the maximal ones among them, by the flat 3^H sweep.
+
+    Each complete choice of attaining diagonal pair per hexagon is solved in
+    all n! coordinates together with the base equations: no reduced basis,
+    no pruning.  Cones without a ray (the lineality space alone) are
+    dropped, the first choice reaching each canonical key is kept, and a
+    cone is maximal when no other cone contains all its rays.  Returns
+    ``(cones, maximal)``, both sorted by key.
+    """
+    from valperm.fans import _choice_system, _context
+    from valperm.polyhedra import cone_solve
+
+    verts, base_eqs, diag_rows = _context(n)
+    by_key = {}
+    for choice in product(((0, 1), (0, 2), (1, 2)), repeat=len(diag_rows)):
+        cone = cone_solve(*_choice_system(base_eqs, diag_rows, choice), len(verts))
+        if cone.rays:
+            by_key.setdefault(cone.key, cone)
+    cones = [by_key[k] for k in sorted(by_key)]
+    maximal = [
+        c for c in cones
+        if not any(o is not c and all(o.contains(r) for r in c.rays) for o in cones)
+    ]
+    return cones, maximal

@@ -12,6 +12,7 @@ from itertools import product
 
 import pytest
 
+from oracles import exhaustive_fan_cones
 from valperm.fans import (
     enumerate_fan,
     f_vector_census,
@@ -140,7 +141,17 @@ def test_criterion_5_full_fan_census(timed_fan4):
     assert census.ray_counts == {3: 72, 4: 3}
     assert census.lineality_dim == 3
     assert elapsed <= 600.0
-    _ok(5, f"f-vector (20,76,75), 72 simplicial + 3 four-ray, {elapsed:.1f}s")
+
+    # purity certificate: the exhaustive sweep's maximal cones are all
+    # top-dimensional, so the pruned search misses none of them
+    cones, maximal = exhaustive_fan_cones(4)
+    assert len(cones) == 171
+    assert len(maximal) == 75
+    assert all(fan.quotient_dim(c) == 3 for c in maximal)
+    assert [c.key for c in maximal] == [c.key for c in fan.maximal]
+    assert [(c.eqs, c.ineqs) for c in maximal] == [(c.eqs, c.ineqs) for c in fan.maximal]
+    _ok(5, f"f-vector (20,76,75), 72 simplicial + 3 four-ray, {elapsed:.1f}s; "
+           "pure: exhaustive sweep gives 171 cones, the same 75 maximal")
 
 
 def test_criterion_6_refinement_census(timed_fan4):

@@ -1,5 +1,6 @@
 """CLI surface: golden files, exit codes, byte determinism."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -206,6 +207,16 @@ def test_fan_cli(tmp_path):
     assert report["link_dot"].startswith("graph link_3 {")
     assert main(["fan", "5"]) == 2
     assert main(["fan", "3", "--homology"]) == 2
+
+
+# sha256 of the full n = 4 report as the flat 3^8 sign-choice sweep wrote it
+FAN4_REPORT_SHA256 = "e27b6972a0ae9183b6cfd88b0915d998fd7af86cb66d63ee30521874ce6e536b"
+
+
+def test_fan4_full_report_frozen(tmp_path):
+    code, out = run(tmp_path, "fan", "4", "--census", "--homology", "--refinement", "--patterns")
+    assert code == 0
+    assert hashlib.sha256(out).hexdigest() == FAN4_REPORT_SHA256
 
 
 def test_stdout_default(capsys):

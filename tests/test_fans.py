@@ -1,8 +1,12 @@
 """Fan enumeration: census, refinement, link homology, patterns, symmetry."""
 
+from dataclasses import replace
+
 import pytest
 
-from valperm import kernels
+from oracles import exhaustive_fan_cones
+from valperm import fans, kernels
+from valperm.cli import main
 from valperm.fans import (
     Fan,
     complex_betti,
@@ -65,10 +69,32 @@ def test_phi3_census_and_refinement():
     assert report.discrepancies == ()
 
 
-def test_phi3_pool_path_matches_serial():
-    serial = enumerate_fan(3)
-    pooled = enumerate_fan(3, processes=2)
-    assert [c.key for c in pooled.maximal] == [c.key for c in serial.maximal]
+def test_phi3_parallel_options_rejected():
+    with pytest.raises(ValueError):
+        enumerate_fan(3, processes=2)
+    with pytest.raises(SystemExit) as exc:
+        main(["fan", "3", "--threads", "2"])
+    assert exc.value.code == 2
+
+
+def test_phi3_ambient_resolve_disagreement_raises(monkeypatch):
+    search = fans._top_dimensional_choices
+
+    def skewed(rows, dim):
+        return [(choice, replace(cone, dim=cone.dim + 1)) for choice, cone in search(rows, dim)]
+
+    monkeypatch.setattr(fans, "_top_dimensional_choices", skewed)
+    with pytest.raises(RuntimeError, match="ambient re-solve"):
+        enumerate_fan(3)
+
+
+def test_phi3_matches_exhaustive_sweep():
+    cones, maximal = exhaustive_fan_cones(3)
+    fan = enumerate_fan(3)
+    assert len(cones) == len(maximal) == 3
+    assert [(c.key, c.eqs, c.ineqs) for c in maximal] == [
+        (c.key, c.eqs, c.ineqs) for c in fan.maximal
+    ]
 
 
 def test_phi3_symmetry_single_orbit():
