@@ -344,8 +344,12 @@ def main(argv=None) -> int:
         report["timing"] = {"seconds": round(time.monotonic() - started, 3)}
     text = jsonio.dumps(report)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"valperm: error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

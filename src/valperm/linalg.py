@@ -1,12 +1,15 @@
 """Small exact linear algebra layer on top of the integer kernels.
 
-Rows may contain ints or Fractions at the boundary; internally everything is
-scaled to primitive integer vectors (which preserves rank, nullspace, cone
-membership and rowspace — all scale-invariant notions used here).
+Everything here computes on Python ints.  Fractions are accepted only at the
+boundary: by :func:`scale_to_int` (and the ``rank``/``rref``/``nullspace``
+wrappers that call it on every row), by the vector ``v`` of
+:func:`project_off` and by the rows of :func:`orthogonalize`, which are
+scaled by a positive denominator lcm before any arithmetic.  Such scaling
+preserves rank, nullspace, cone membership and rowspace — all
+scale-invariant notions used here.  Outputs are primitive integer vectors.
 """
 
-from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from valperm import kernels
 
@@ -17,12 +20,21 @@ def scale_to_int(row):
     >>> scale_to_int([Fraction(1, 2), Fraction(-3, 4), 0])
     [2, -3, 0]
     """
+    return kernels.vec_gcd_reduce(_clear_denominators(row))
+
+
+def _clear_denominators(row):
+    """``row`` itself when every entry is an int, else its multiple by the lcm
+    of the entries' denominators, as a list of ints."""
+    for x in row:
+        if type(x) is not int:
+            break
+    else:
+        return row
     mult = 1
     for x in row:
-        if isinstance(x, Fraction):
-            mult = lcm(mult, x.denominator)
-    ints = [int(x * mult) if isinstance(x, Fraction) else x * mult for x in row]
-    return kernels.vec_gcd_reduce(ints)
+        mult = lcm(mult, x.denominator)
+    return [int(x * mult) for x in row]
 
 
 def to_int_rows(rows):
@@ -79,41 +91,54 @@ def inverse_columns_primitive(mat):
     red, pivots = kernels.rref(aug, 2 * n)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    cols = []
-    for j in range(n):
-        col = [Fraction(red[k][n + j], red[k][k]) for k in range(n)]
-        cols.append(scale_to_int(col))
-    return cols
+    # Row k reads red[k][k] * x_k = red[k][n + j]; the pivots are positive.
+    mult = 1
+    for k in range(n):
+        mult = lcm(mult, red[k][k])
+    scales = [mult // red[k][k] for k in range(n)]
+    return [kernels.vec_gcd_reduce([red[k][n + j] * scales[k] for k in range(n)]) for j in range(n)]
 
 
 def orthogonalize(rows, ncols):
-    """Gram-Schmidt without normalization; primitive integer output vectors."""
+    """Gram-Schmidt without normalization; primitive integer output vectors.
+
+    Each row is projected off the span of the vectors kept so far with
+    :func:`project_off` and kept when something remains, so the output is an
+    orthogonal basis of the rowspace.  Integer arithmetic throughout.
+    """
     basis = []
     for row in rows:
-        v = [Fraction(x) for x in row]
-        for u in basis:
-            uu = sum(Fraction(x) * x for x in u)
-            vu = sum(a * b for a, b in zip(v, u))
-            if vu:
-                coef = vu / uu
-                v = [a - coef * b for a, b in zip(v, u)]
+        v = project_off(row, basis)
         if any(v):
-            basis.append(scale_to_int(v))
+            basis.append(v)
     return basis
 
 
 def project_off(v, orth_basis):
     """Project v onto the orthogonal complement of span(orth_basis); primitive.
 
-    The basis must already be orthogonal (see :func:`orthogonalize`).
+    The basis must be pairwise orthogonal integer vectors (as returned by
+    :func:`orthogonalize`); ``v`` may be rational.  Orthogonality makes the
+    projection ``v - sum (v.u / u.u) u`` over the basis, and with ``L`` the
+    lcm of the ``u.u`` whose ``v.u`` is nonzero, ``L v - sum (v.u) (L / u.u) u``
+    is a positive integer multiple of it with the same primitive form.  The
+    zero vector comes back when v lies in the span.
     """
-    w = [Fraction(x) for x in v]
+    v = _clear_denominators(v)
+    terms = []
+    mult = 1
     for u in orth_basis:
-        uu = sum(Fraction(x) * x for x in u)
-        wu = sum(a * b for a, b in zip(w, u))
-        if wu:
-            coef = wu / uu
-            w = [a - coef * b for a, b in zip(w, u)]
-    if not any(w):
-        return [0] * len(v)
-    return scale_to_int(w)
+        vu = kernels.dot(v, u)
+        if vu:
+            uu = kernels.dot(u, u)
+            terms.append((vu, uu, u))
+            mult = lcm(mult, uu)
+    if not terms:
+        return kernels.vec_gcd_reduce(v)
+    w = [x * mult for x in v]
+    for vu, uu, u in terms:
+        c = vu * (mult // uu)
+        for j, x in enumerate(u):
+            if x:
+                w[j] -= c * x
+    return kernels.vec_gcd_reduce(w)

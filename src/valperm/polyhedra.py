@@ -73,10 +73,16 @@ def double_description(rows, dim):
     """Extremal rays of the pointed cone ``{z : row.z >= 0 for all rows}``.
 
     Requires the row matrix to have full column rank ``dim`` (which forces the
-    cone to be pointed).  Incremental insertion in sorted row order; adjacency
-    of a positive/negative ray pair is decided combinatorially from incidence
-    bitmasks over the rows processed so far.  Output rays are primitive and
-    sorted.
+    cone to be pointed).  Incremental insertion in sorted row order, seeded
+    with the simplicial cone of ``dim`` independent rows.  Every ray carries
+    the bitmask of the processed rows it is tight on: computed once for the
+    seed rays, then updated per inserted row, where a kept ray gains the
+    row's bit when it lies on the row's hyperplane and the ray combined from
+    an adjacent pair ``(p, q)`` gets ``mask(p) & mask(q)`` plus the row's bit,
+    which is exactly its tight set because both coefficients are positive.
+    Adjacency of a positive/negative pair is decided combinatorially from
+    these masks.  A final check against all rows certifies feasibility and
+    extremality of the output, which is primitive and sorted.
     """
     if dim == 0:
         return []
@@ -91,30 +97,25 @@ def double_description(rows, dim):
             seed.append(r)
         else:
             rest.append(r)
-    rays = [tuple(c) for c in linalg.inverse_columns_primitive(seed)]
-    rays.sort()
-    done = list(seed)
+    rays = sorted(tuple(c) for c in linalg.inverse_columns_primitive(seed))
+    masks = []
+    for r in rays:
+        m = 0
+        for i, h in enumerate(seed):
+            if kernels.dot(h, r) == 0:
+                m |= 1 << i
+        masks.append(m)
 
-    def tight_masks(ray_list):
-        masks = []
-        for r in ray_list:
-            m = 0
-            for i, h in enumerate(done):
-                if kernels.dot(h, r) == 0:
-                    m |= 1 << i
-            masks.append(m)
-        return masks
-
-    for h in rest:
+    for index, h in enumerate(rest, start=dim):
+        bit = 1 << index
         vals = [kernels.dot(h, r) for r in rays]
         if all(v >= 0 for v in vals):
-            done.append(h)
+            masks = [m | bit if v == 0 else m for m, v in zip(masks, vals)]
             continue
-        masks = tight_masks(rays)
         pos = [i for i, v in enumerate(vals) if v > 0]
         neg = [i for i, v in enumerate(vals) if v < 0]
-        keep = [rays[i] for i, v in enumerate(vals) if v >= 0]
-        new = []
+        table = {rays[i]: masks[i] | bit if v == 0 else masks[i]
+                 for i, v in enumerate(vals) if v >= 0}
         for p in pos:
             for q in neg:
                 common = masks[p] & masks[q]
@@ -124,14 +125,18 @@ def double_description(rows, dim):
                         adjacent = False
                         break
                 if adjacent:
-                    new.append(tuple(kernels.combine_ray(list(rays[p]), list(rays[q]), vals[p], vals[q])))
-        done.append(h)
-        rays = sorted(set(keep) | set(new))
+                    ray = tuple(kernels.combine_ray(list(rays[p]), list(rays[q]), vals[p], vals[q]))
+                    table[ray] = common | bit
+        rays = sorted(table)
+        masks = [table[r] for r in rays]
 
     for r in rays:
-        tight = [h for h in rows if kernels.dot(h, r) == 0]
-        assert all(kernels.dot(h, r) >= 0 for h in rows)
-        assert kernels.rank(tight, dim) == dim - 1, "non-extremal ray escaped the DD run"
+        vals = [kernels.dot(h, r) for h in rows]
+        if min(vals) < 0:
+            raise RuntimeError("double description: an output ray violates a row")
+        tight = [h for h, v in zip(rows, vals) if v == 0]
+        if kernels.rank(tight, dim) != dim - 1:
+            raise RuntimeError("double description: a non-extremal ray escaped the run")
     return [list(r) for r in rays]
 
 
@@ -179,10 +184,13 @@ def cone_solve(eqs, ineqs, ambient):
 
     cone = Cone(ambient, dim, lin_dim, tuple(tuple(r) for r in lin_rows), rays, **stored)
     for r in cone.rays:
-        assert cone.contains(r), "ray violates its own defining system"
+        if not cone.contains(r):
+            raise RuntimeError("cone_solve: a ray violates its own defining system")
     for v in cone.lineality:
-        assert all(kernels.dot(e, v) == 0 for e in cone.eqs)
-        assert all(kernels.dot(a, v) == 0 for a in cone.ineqs)
+        if any(kernels.dot(e, v) != 0 for e in cone.eqs):
+            raise RuntimeError("cone_solve: a lineality vector leaves the equations")
+        if any(kernels.dot(a, v) != 0 for a in cone.ineqs):
+            raise RuntimeError("cone_solve: a lineality vector is not tight on every inequality")
     return cone
 
 
@@ -270,11 +278,12 @@ def lower_cells(points, heights, labels):
         return [tuple(sorted(labels))]
 
     polar = cone_solve([], [[-x for x in g] for g in lifted], m + 2)
-    for v in polar.lineality:
-        assert v[m] == 0, "lineality carries height, but heights are not affine"
+    if any(v[m] != 0 for v in polar.lineality):
+        raise RuntimeError("lower_cells: lineality carries height, but heights are not affine")
     cells = set()
     for ray in polar.rays:
         if ray[m] < 0:
             cells.add(tuple(sorted(labels[i] for i, g in enumerate(lifted) if kernels.dot(ray, g) == 0)))
-    assert len(cells) >= 2
+    if len(cells) < 2:
+        raise RuntimeError("lower_cells: non-affine heights gave fewer than two cells")
     return sorted(cells)

@@ -2,11 +2,14 @@
 
 Everything in here deliberately avoids the code paths under test: Bruhat
 order is decided by subwords of a reduced word, hull membership by LP
-separation, lower cells by trying every support set, and the fan by solving
-every sign choice in full.
+separation, lower cells by trying every support set, the fan by solving
+every sign choice in full, Gram-Schmidt and projections in ``Fraction``
+arithmetic, and extremal rays by trying every row subset.
 """
 
+from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 
 from valperm.permutahedra import (
     inversions,
@@ -145,3 +148,96 @@ def exhaustive_fan_cones(n):
         if not any(o is not c and all(o.contains(r) for r in c.rays) for o in cones)
     ]
     return cones, maximal
+
+
+def _primitive(v):
+    """A nonzero rational vector scaled to a primitive integer one."""
+    mult = 1
+    for x in v:
+        d = Fraction(x).denominator
+        mult = mult * d // gcd(mult, d)
+    ints = [int(Fraction(x) * mult) for x in v]
+    g = 0
+    for x in ints:
+        g = gcd(g, x)
+    return [x // g for x in ints] if g > 1 else ints
+
+
+def orthogonalize_fraction(rows):
+    """Gram-Schmidt without normalization in Fraction arithmetic; primitive
+    integer output vectors."""
+    basis = []
+    for row in rows:
+        v = [Fraction(x) for x in row]
+        for u in basis:
+            uu = sum(Fraction(x) * x for x in u)
+            vu = sum(a * b for a, b in zip(v, u))
+            if vu:
+                coef = vu / uu
+                v = [a - coef * b for a, b in zip(v, u)]
+        if any(v):
+            basis.append(_primitive(v))
+    return basis
+
+
+def project_off_fraction(v, orth_basis):
+    """Projection of v off span(orth_basis) in Fraction arithmetic, primitive;
+    the zero vector when v lies in the span.  The basis must be orthogonal."""
+    w = [Fraction(x) for x in v]
+    for u in orth_basis:
+        uu = sum(Fraction(x) * x for x in u)
+        wu = sum(a * b for a, b in zip(w, u))
+        if wu:
+            coef = wu / uu
+            w = [a - coef * b for a, b in zip(w, u)]
+    if not any(w):
+        return [0] * len(v)
+    return _primitive(w)
+
+
+def _fraction_nullspace(rows, ncols):
+    """A basis of the right nullspace by Fraction Gauss-Jordan elimination."""
+    work = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, len(work)) if work[i][col]), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        work[r] = [x / work[r][col] for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][col]:
+                f = work[i][col]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(col)
+        r += 1
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for k, p in enumerate(pivots):
+            v[p] = -work[k][free]
+        basis.append(v)
+    return basis
+
+
+def extremal_rays_by_subsets(rows, dim):
+    """Extremal rays of the pointed cone ``{z : row.z >= 0}`` by brute force.
+
+    A ray is extremal iff it is feasible and tight on rows of rank dim - 1, so
+    every (dim - 1)-row subset whose nullspace is a line is tried with both
+    signs of that line.  Returns the sorted primitive rays.
+    """
+    found = set()
+    for subset in combinations(rows, dim - 1):
+        null = _fraction_nullspace(subset, dim)
+        if len(null) != 1:
+            continue
+        for sign in (1, -1):
+            z = [sign * x for x in null[0]]
+            if all(sum(Fraction(a) * b for a, b in zip(row, z)) >= 0 for row in rows):
+                found.add(tuple(_primitive(z)))
+    return [list(r) for r in sorted(found)]

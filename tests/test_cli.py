@@ -226,6 +226,12 @@ def test_stdout_default(capsys):
     assert json.loads(captured.out)["verdict"] == "pass"
 
 
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    assert main(["fan", "3", "--output", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("valperm: error: ")
+
+
 def test_timing_opt_in(tmp_path):
     code, out = run(tmp_path, "check", "plucker", str(GOLDEN / "flag_a.json"),
                     "--timing")

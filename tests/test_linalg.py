@@ -1,0 +1,96 @@
+"""The integer Gram-Schmidt, projection and double description against
+Fraction and brute-force oracles."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from valperm import linalg
+from valperm.polyhedra import double_description
+
+from oracles import extremal_rays_by_subsets, orthogonalize_fraction, project_off_fraction
+
+
+def test_scale_to_int():
+    assert linalg.scale_to_int([Fraction(1, 2), Fraction(-3, 4), 0]) == [2, -3, 0]
+    assert linalg.scale_to_int((4, -6, 0)) == [2, -3, 0]
+    assert linalg.scale_to_int([Fraction(4), 6]) == [2, 3]
+    assert linalg.scale_to_int([0, 0]) == [0, 0]
+    out = linalg.scale_to_int((1, 2))
+    assert out == [1, 2] and type(out) is list and all(type(x) is int for x in out)
+
+
+def random_entry(rng, rational):
+    num = rng.randint(-4, 4)
+    return Fraction(num, rng.randint(1, 5)) if rational and rng.random() < 0.5 else num
+
+
+def random_rows(rng, count, ncols, rational):
+    """Random rows mixed with zero rows and combinations of earlier rows."""
+    rows = []
+    for _ in range(count):
+        roll = rng.random()
+        if roll < 0.15:
+            rows.append([0] * ncols)
+        elif roll < 0.4 and rows:
+            a, b = rng.choice(rows), rng.choice(rows)
+            ca, cb = random_entry(rng, rational), random_entry(rng, rational)
+            rows.append([ca * x + cb * y for x, y in zip(a, b)])
+        else:
+            rows.append([random_entry(rng, rational) for _ in range(ncols)])
+    return rows
+
+
+@pytest.mark.parametrize("rational", [False, True])
+@pytest.mark.parametrize("seed", range(40))
+def test_orthogonalize_and_project_off_match_fraction_oracle(seed, rational):
+    rng = random.Random(seed)
+    ncols = rng.randint(1, 6)
+    rows = random_rows(rng, rng.randint(0, 5), ncols, rational)
+    basis = linalg.orthogonalize(rows, ncols)
+    assert basis == orthogonalize_fraction(rows)
+    for a in range(len(basis)):
+        for b in range(a + 1, len(basis)):
+            assert sum(x * y for x, y in zip(basis[a], basis[b])) == 0
+    for v in random_rows(rng, 6, ncols, rational) + rows:
+        for b in (basis, []):
+            got = linalg.project_off(v, b)
+            assert got == project_off_fraction(v, b)
+            assert all(type(x) is int for x in got)
+
+
+def test_project_off_inside_the_span_is_zero():
+    basis = linalg.orthogonalize([[1, 1, 0], [1, 0, 1]], 3)
+    assert linalg.project_off([3, 1, 2], basis) == [0, 0, 0]
+    assert linalg.project_off([0, 0, 0], []) == [0, 0, 0]
+    assert linalg.project_off([Fraction(1, 2), Fraction(-1, 2), Fraction(1, 2)], basis) == [1, -1, -1]
+
+
+def random_pointed_cone(rng):
+    """A full-rank row system in dim 3-5 with 6-12 rows, including repeated,
+    scaled and zero rows and rows through a common feasible point."""
+    dim = rng.randint(3, 5)
+    center = [rng.randint(-2, 2) for _ in range(dim)]
+    while True:
+        rows = []
+        for _ in range(rng.randint(6, 12)):
+            roll = rng.random()
+            if roll < 0.1:
+                rows.append([0] * dim)
+            elif roll < 0.3 and rows:
+                rows.append([rng.randint(1, 2) * x for x in rng.choice(rows)])
+            else:
+                row = [rng.randint(-3, 3) for _ in range(dim)]
+                if rng.random() < 0.7 and sum(a * b for a, b in zip(row, center)) < 0:
+                    row = [-x for x in row]
+                rows.append(row)
+        if linalg.rank(rows, dim) == dim:
+            return rows, dim
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_double_description_matches_subset_oracle(seed):
+    rng = random.Random(1000 + seed)
+    rows, dim = random_pointed_cone(rng)
+    assert double_description(rows, dim) == extremal_rays_by_subsets(rows, dim)

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from valperm import kernels
 from valperm.permutahedra import (
     enumerate_two_faces,
     hypersimplex_graph,
@@ -73,6 +74,18 @@ def test_cone_redundant_rows_same_key():
 def test_double_description_requires_full_rank():
     with pytest.raises(ValueError):
         double_description([[1, 0]], 2)
+
+
+def test_cone_solve_raises_on_a_wrong_ray(monkeypatch):
+    square_cone = [[1, 1, 0], [1, -1, 0], [1, 0, 1], [1, 0, -1]]
+    assert len(cone_solve([], square_cone, 3).rays) == 4
+
+    def wrong_combine_ray(pos_ray, neg_ray, wpos, wneg):
+        return [wneg * y - wpos * x for x, y in zip(pos_ray, neg_ray)]
+
+    monkeypatch.setattr(kernels, "combine_ray", wrong_combine_ray)
+    with pytest.raises(RuntimeError, match="violates a row"):
+        cone_solve([], square_cone, 3)
 
 
 @pytest.mark.parametrize("seed", range(6))
