@@ -2,7 +2,8 @@
 
 Exit codes: 0 when the requested check or computation succeeds, 1 when a
 mathematical failure is found (a violated relation, a failing certificate, a
-vanishing minor block), 2 on malformed input or unmet preconditions.  Every
+vanishing minor block), 2 on malformed input or unmet preconditions, 3 when an
+internal consistency check fails (a bug, never a verdict on the input).  Every
 report carries the package version and the sha256 digest of its input (for
 ``fan``, of the canonical parameter encoding).  Reports are deterministic
 unless ``--timing`` is given.
@@ -338,6 +339,9 @@ def main(argv=None) -> int:
     except (jsonio.InputError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"valperm: error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"valperm: internal error: {exc}", file=sys.stderr)
+        return 3
     report = {"version": __version__, "command": args.command, "input_sha256": digest}
     report.update(payload)
     if args.timing:

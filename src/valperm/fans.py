@@ -474,7 +474,8 @@ def link_homology(fan):
         walks.append(_cell_walk(ridx, [fan.two_faces[f] for f in fidx]))
     b0, b1, b2 = complex_betti(len(fan.rays), list(fan.two_faces), walks)
     euler = len(fan.rays) - len(fan.two_faces) + len(fan.maximal)
-    assert euler == b0 - b1 + b2
+    if euler != b0 - b1 + b2:
+        raise RuntimeError("link_homology: Euler characteristic does not match the Betti numbers")
     return HomologyReport((b0, b1, b2), euler)
 
 
@@ -510,7 +511,8 @@ def symmetry_orbits(fan):
     for perm in gens:
         for key, i in cone_of.items():
             image = act(perm, key)
-            assert image in cone_of, "symmetry does not preserve the fan"
+            if image not in cone_of:
+                raise RuntimeError("symmetry_orbits: a symmetry does not preserve the fan")
             adjacency[i].add(cone_of[image])
     seen, orbits = set(), []
     for i in range(len(fan.maximal)):

@@ -192,11 +192,3 @@ def matrix_from_obj(obj, where="matrix"):
         out.append(poly_row)
     return out
 
-
-def matrix_to_obj(rows):
-    return {
-        "entries": [
-            [[[e, frac_str(c)] for e, c in sorted(p.terms.items())] for p in row]
-            for row in rows
-        ]
-    }

@@ -60,12 +60,6 @@ def nullspace(rows, ncols):
     return kernels.nullspace(to_int_rows(rows), ncols)
 
 
-def subspace_key(rows, ncols):
-    """Canonical key for the rowspace: tuple form of the integer RREF."""
-    red, _ = rref(rows, ncols)
-    return tuple(tuple(r) for r in red)
-
-
 def mat_mul(a, b_rows):
     """Product a * b for row-lists (len(a[0]) == len(b_rows))."""
     ncols = len(b_rows[0]) if b_rows else 0

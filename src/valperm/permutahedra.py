@@ -18,7 +18,6 @@ computations, not asymptotics.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations, permutations
 
 N_MAX = 7
@@ -477,21 +476,6 @@ def reverse_complement(v) -> tuple[int, ...]:
     """
     n = len(v)
     return tuple(n + 1 - v[n - 1 - i] for i in range(n))
-
-
-def reflection_normal_image(v):
-    """Image of a point under the reflection with normal e1 - e2 - e_{n-1} + e_n.
-
-    Exact rational output; only lands on vertices for n <= 4 (used in tests to
-    pin down where the linear-reflection picture applies).
-    """
-    n = len(v)
-    normal = [Fraction(0)] * n
-    for idx, sgn in ((0, 1), (1, -1), (n - 2, -1), (n - 1, 1)):
-        normal[idx] += sgn
-    norm_sq = sum(a * a for a in normal)
-    lam = sum(a * x for a, x in zip(normal, v))
-    return tuple(Fraction(x) - 2 * lam * a / norm_sq for a, x in zip(normal, v))
 
 
 def _extra_reflection_map(n):

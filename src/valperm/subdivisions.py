@@ -415,9 +415,11 @@ def reconstruct_potential(graph, values, root, f0):
             if v not in f:
                 f[v] = f[u] - values.get(u, v)
                 queue.append(v)
-    assert len(f) == len(graph.vertices), f"{graph.name} is not connected"
+    if len(f) != len(graph.vertices):
+        raise RuntimeError(f"reconstruct_potential: {graph.name} is not connected")
     for u, v in graph.edges:
-        assert f[u] - f[v] == values.get(u, v), "non-tree edge value inconsistent"
+        if f[u] - f[v] != values.get(u, v):
+            raise RuntimeError("reconstruct_potential: a non-tree edge value is inconsistent")
     return f
 
 
@@ -532,8 +534,9 @@ def check_positive_flag(w):
     cells = tuple(subdivide(w))
     by_skeleton = report.passes_positive
     by_cells = all(c.is_bruhat_interval for c in cells)
-    assert by_skeleton == by_cells, (
-        f"2-face conditions say {by_skeleton} but the cell certificates say "
-        f"{by_cells}; one of the routes is wrong"
-    )
+    if by_skeleton != by_cells:
+        raise RuntimeError(
+            f"check_positive_flag: the 2-face conditions say {by_skeleton} "
+            f"but the cell certificates say {by_cells}"
+        )
     return PositiveFlagResult(by_skeleton, report, cells)

@@ -233,7 +233,7 @@ def check_positive_incidence(lower, upper):
 
     Requires lower(Sj)+upper(Sik) = min(lower(Si)+upper(Sjk),
     lower(Sk)+upper(Sij)) for i<j<k; a pass implies both constituents pass
-    :func:`check_positive_plucker` (asserted).
+    :func:`check_positive_plucker` (checked; a failure raises ``RuntimeError``).
     """
     _require_consecutive(lower, upper)
     if not (lower.is_uniform and upper.is_uniform):
@@ -248,8 +248,10 @@ def check_positive_incidence(lower, upper):
             t2 = lo(s | bk) + hi(s | bi | bj)
             if lhs != min(t1, t2):
                 return Violation("positive-incidence", s, (i, j, k), (lhs, t1, t2))
-    assert check_positive_plucker(lower) is None
-    assert check_positive_plucker(upper) is None
+    if check_positive_plucker(lower) is not None:
+        raise RuntimeError("check_positive_incidence: the lower constituent is not positive")
+    if check_positive_plucker(upper) is not None:
+        raise RuntimeError("check_positive_incidence: the upper constituent is not positive")
     return None
 
 

@@ -8,7 +8,8 @@ optimum is positive.  Bland's rule guarantees termination, and the capped
 objective rules out unboundedness.
 
 This solver is deliberately independent of the double-description machinery
-in ``polyhedra`` so the two can serve as cross-checking oracles.
+in ``polyhedra`` so the two can serve as cross-checking oracles; it is a test
+oracle only and is not part of the package.
 """
 
 from fractions import Fraction

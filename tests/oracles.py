@@ -11,6 +11,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
+from lp import lp_feasible
 from valperm.permutahedra import (
     inversions,
     permutohedron_vertices,
@@ -69,8 +70,6 @@ def hull_vertices_and_edges_by_lp(points, labels):
     pair is an edge iff some affine functional is tight exactly on the pair.
     Assumes pairwise distinct points (0/1 test configurations guarantee it).
     """
-    from valperm.lp import lp_feasible
-
     m = len(points[0])
     idx = list(range(len(points)))
 
@@ -102,8 +101,6 @@ def lower_cells_by_support_search(points, heights, labels):
     faces of the lower hull (the full set when the heights are affine), and
     the cells of the induced subdivision are the maximal ones.
     """
-    from valperm.lp import lp_feasible
-
     m = len(points[0])
     idx = list(range(len(points)))
     realized = []

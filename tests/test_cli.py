@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from valperm import kernels
 from valperm.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -230,6 +231,18 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     assert main(["fan", "3", "--output", str(tmp_path)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("valperm: error: ")
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    def wrong_combine_ray(pos_ray, neg_ray, wpos, wneg):
+        return [wneg * y - wpos * x for x, y in zip(pos_ray, neg_ray)]
+
+    monkeypatch.setattr(kernels, "combine_ray", wrong_combine_ray)
+    assert main(["subdivide", str(GOLDEN / "compress_a.json")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("valperm: internal error: ")
 
 
 def test_timing_opt_in(tmp_path):

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from lp import lp_feasible
 from oracles import exhaustive_fan_cones
 from valperm import fans, kernels
 from valperm.cli import main
@@ -20,7 +21,6 @@ from valperm.fans import (
     symmetry_orbits,
     _subdivision_key,
 )
-from valperm.lp import lp_feasible
 from valperm.permutahedra import permutohedron_vertices
 from valperm.subdivisions import (
     HeightFunction,

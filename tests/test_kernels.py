@@ -1,24 +1,9 @@
-"""Kernel equivalence and correctness: pure Python vs compiled speedups."""
+"""Integer kernels against a Fraction Gauss-Jordan oracle and their invariants."""
 
 import random
 from fractions import Fraction
 
-import pytest
-
-from valperm import _kernels_py
-
-IMPLS = [_kernels_py]
-try:
-    from valperm import _speedups
-
-    IMPLS.append(_speedups)
-except ImportError:
-    pass
-
-
-@pytest.fixture(params=IMPLS, ids=lambda m: m.IMPL)
-def impl(request):
-    return request.param
+from valperm import kernels
 
 
 def rref_oracle(rows, ncols):
@@ -61,78 +46,63 @@ def random_matrix(rng, nrows, ncols, lo=-6, hi=6):
     return [[rng.randint(lo, hi) for _ in range(ncols)] for _ in range(nrows)]
 
 
-def test_vec_gcd_reduce(impl):
-    assert impl.vec_gcd_reduce([6, -9, 0]) == [2, -3, 0]
-    assert impl.vec_gcd_reduce([0, 0]) == [0, 0]
-    assert impl.vec_gcd_reduce([-4]) == [-1]
-    assert impl.vec_gcd_reduce([3, 5]) == [3, 5]
+def test_vec_gcd_reduce():
+    assert kernels.vec_gcd_reduce([6, -9, 0]) == [2, -3, 0]
+    assert kernels.vec_gcd_reduce([0, 0]) == [0, 0]
+    assert kernels.vec_gcd_reduce([-4]) == [-1]
+    assert kernels.vec_gcd_reduce([3, 5]) == [3, 5]
 
 
-def test_dot(impl):
-    assert impl.dot([1, 2, 3], [4, -5, 6]) == 12
+def test_dot():
+    assert kernels.dot([1, 2, 3], [4, -5, 6]) == 12
 
 
-def test_rref_matches_fraction_oracle(impl):
+def test_rref_matches_fraction_oracle():
     rng = random.Random(20240)
     for _ in range(200):
         nrows = rng.randint(1, 6)
         ncols = rng.randint(1, 7)
         mat = random_matrix(rng, nrows, ncols)
-        got_rows, got_piv = impl.rref([list(r) for r in mat], ncols)
+        got_rows, got_piv = kernels.rref([list(r) for r in mat], ncols)
         exp_rows, exp_piv = rref_oracle(mat, ncols)
         assert got_piv == exp_piv
         assert got_rows == exp_rows
 
 
-def test_rref_canonical_under_row_ops(impl):
+def test_rref_canonical_under_row_ops():
     rng = random.Random(7)
     for _ in range(50):
         mat = random_matrix(rng, 4, 5)
-        base = impl.rref([list(r) for r in mat], 5)
+        base = kernels.rref([list(r) for r in mat], 5)
         shuffled = [list(r) for r in mat]
         rng.shuffle(shuffled)
         factors = [rng.choice([1, 2, -3, 5]) for _ in shuffled]
         scaled = [[x * f for x in r] for f, r in zip(factors, shuffled)]
-        assert impl.rref(scaled, 5) == base
+        assert kernels.rref(scaled, 5) == base
 
 
-def test_nullspace(impl):
+def test_nullspace():
     rng = random.Random(99)
     for _ in range(100):
         nrows = rng.randint(1, 5)
         ncols = rng.randint(1, 6)
         mat = random_matrix(rng, nrows, ncols)
-        ns = impl.nullspace([list(r) for r in mat], ncols)
-        assert len(ns) == ncols - impl.rank([list(r) for r in mat], ncols)
+        ns = kernels.nullspace([list(r) for r in mat], ncols)
+        assert len(ns) == ncols - kernels.rank([list(r) for r in mat], ncols)
         for v in ns:
             for row in mat:
-                assert impl.dot(row, v) == 0
+                assert kernels.dot(row, v) == 0
         # basis vectors are primitive and nonzero
         for v in ns:
             assert any(v)
-            assert impl.vec_gcd_reduce(v) == v
+            assert kernels.vec_gcd_reduce(v) == v
 
 
-def test_combine_ray(impl):
+def test_combine_ray():
     b = [3, -2, 5]
     p, n = [1, 1, 1], [1, 4, 0]
-    wp, wn = impl.dot(b, p), impl.dot(b, n)
+    wp, wn = kernels.dot(b, p), kernels.dot(b, n)
     assert wp > 0 and wn < 0
-    c = impl.combine_ray(p, n, wp, wn)
-    assert impl.dot(b, c) == 0
+    c = kernels.combine_ray(p, n, wp, wn)
+    assert kernels.dot(b, c) == 0
     assert any(c)
-
-
-def test_impls_agree_on_random_inputs():
-    if len(IMPLS) < 2:
-        pytest.skip("compiled kernels not built")
-    a, b = IMPLS
-    rng = random.Random(4242)
-    for _ in range(100):
-        mat = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 7), -20, 20)
-        assert a.rref([list(r) for r in mat], len(mat[0])) == b.rref(
-            [list(r) for r in mat], len(mat[0])
-        )
-        assert a.nullspace([list(r) for r in mat], len(mat[0])) == b.nullspace(
-            [list(r) for r in mat], len(mat[0])
-        )

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from valperm.lp import lp_feasible
+from lp import lp_feasible
 
 
 def test_plain_equations():

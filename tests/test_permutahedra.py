@@ -1,5 +1,6 @@
 """Permutohedron combinatorics: flags, Bruhat order, 2-faces, graphs, symmetry."""
 
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -22,6 +23,7 @@ from valperm.permutahedra import (
     permutohedron_graph,
     permutohedron_vertices,
     reduced_word,
+    reverse_complement,
     subset_str,
     subsets_of_size,
     symmetry_generators,
@@ -267,11 +269,22 @@ def test_symmetry_generators_are_vertex_bijections():
             assert set(g.values()) == verts
 
 
+def reflection_normal_image(v):
+    """Image of a point under the reflection with normal e1 - e2 - e_{n-1} + e_n.
+
+    Exact rational output; only lands on vertices for n <= 4, which pins down
+    where the linear-reflection picture of ``reverse_complement`` applies.
+    """
+    n = len(v)
+    normal = [Fraction(0)] * n
+    for idx, sgn in ((0, 1), (1, -1), (n - 2, -1), (n - 1, 1)):
+        normal[idx] += sgn
+    norm_sq = sum(a * a for a in normal)
+    lam = sum(a * x for a, x in zip(normal, v))
+    return tuple(Fraction(x) - 2 * lam * a / norm_sq for a, x in zip(normal, v))
+
+
 def test_extra_symmetry_fixes_base_vertex_and_matches_reflection():
-    from fractions import Fraction
-
-    from valperm.permutahedra import reflection_normal_image, reverse_complement
-
     for n in (3, 4, 5):
         base = tuple(range(1, n + 1))
         assert reverse_complement(base) == base

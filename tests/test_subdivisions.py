@@ -1,8 +1,10 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from valperm import subdivisions
 from valperm.permutahedra import (
     mask_from,
     permutohedron_vertices,
@@ -456,6 +458,18 @@ def test_positive_flag_example_heights():
 def test_positive_flag_zero(n):
     result = check_positive_flag(HeightFunction.zero(n))
     assert result.positive and len(result.cells) == 1
+
+
+def test_positive_flag_raises_when_the_routes_disagree(monkeypatch):
+    real_subdivide = subdivisions.subdivide
+
+    def flipped_subdivide(w):
+        first, *rest = real_subdivide(w)
+        return [replace(first, is_bruhat_interval=not first.is_bruhat_interval), *rest]
+
+    monkeypatch.setattr(subdivisions, "subdivide", flipped_subdivide)
+    with pytest.raises(RuntimeError, match="check_positive_flag"):
+        check_positive_flag(HeightFunction(3, EXAMPLE_HEIGHTS))
 
 
 # ---------------------------------------------------------------------------
