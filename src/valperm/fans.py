@@ -30,6 +30,7 @@ the all-ones direction).
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from valperm import kernels, linalg
 from valperm.permutahedra import (
@@ -171,7 +172,8 @@ def _pair_is_face(cone, i, j):
     fixed = list(cone.lineality) + [cone.rays[i], cone.rays[j]]
     coeff = [[kernels.dot(b, f) for b in basis] for f in fixed]
     kernel = linalg.nullspace(coeff, len(basis))
-    assert len(kernel) == 1, "ray pair does not span a hyperplane in its cone"
+    if len(kernel) != 1:
+        raise RuntimeError("_pair_is_face: a ray pair does not span a hyperplane in its cone")
     nu = linalg.mat_mul(kernel, basis)[0]
     signs = {
         (kernels.dot(nu, r) > 0) - (kernels.dot(nu, r) < 0)
@@ -218,18 +220,10 @@ def enumerate_fan(n, processes=1):
         by_key.setdefault(cone.key, cone)
 
     cones = [by_key[k] for k in sorted(by_key)]
-
-    def contained(small, big):
-        return all(
-            all(kernels.dot(e, r) == 0 for e in big.eqs)
-            and all(kernels.dot(q, r) >= 0 for q in big.ineqs)
-            for r in small.rays
-        )
-
     maximal = tuple(
         c
         for c in cones
-        if not any(o is not c and contained(c, o) for o in cones)
+        if not any(o is not c and all(o.contains(r) for r in c.rays) for o in cones)
     )
 
     lineality = maximal[0].lineality
@@ -244,25 +238,17 @@ def enumerate_fan(n, processes=1):
     ray_index = {r: k for k, r in enumerate(rays)}
     maximal_rays = tuple(tuple(sorted(ray_index[r] for r in c.rays)) for c in maximal)
 
-    face_index = {}
-    maximal_two_faces = []
+    pairs_of = []
     for c, ridx in zip(maximal, maximal_rays):
-        mine = []
+        pairs = set()
         if c.dim - c.lineality_dim >= 3:
-            for a in range(len(c.rays)):
-                for b in range(a + 1, len(c.rays)):
-                    if _pair_is_face(c, a, b):
-                        pair = tuple(sorted((ridx[a], ridx[b])))
-                        mine.append(face_index.setdefault(pair, len(face_index)))
-        maximal_two_faces.append(tuple(sorted(mine)))
-    two_faces = tuple(sorted(face_index, key=face_index.get))
-    # reindex two-faces into sorted order for determinism
-    order = sorted(range(len(two_faces)), key=lambda k: two_faces[k])
-    rank_of = {old: new for new, old in enumerate(order)}
-    two_faces = tuple(two_faces[k] for k in order)
-    maximal_two_faces = tuple(
-        tuple(sorted(rank_of[f] for f in mine)) for mine in maximal_two_faces
-    )
+            for a, b in combinations(range(len(c.rays)), 2):
+                if _pair_is_face(c, a, b):
+                    pairs.add(tuple(sorted((ridx[a], ridx[b]))))
+        pairs_of.append(pairs)
+    two_faces = tuple(sorted(set().union(*pairs_of)))
+    face_index = {pair: k for k, pair in enumerate(two_faces)}
+    maximal_two_faces = tuple(tuple(sorted(face_index[p] for p in pairs)) for pairs in pairs_of)
 
     return Fan(
         n=n,
@@ -272,7 +258,7 @@ def enumerate_fan(n, processes=1):
         rays=rays,
         maximal_rays=maximal_rays,
         two_faces=two_faces,
-        maximal_two_faces=tuple(maximal_two_faces),
+        maximal_two_faces=maximal_two_faces,
     )
 
 
@@ -314,7 +300,8 @@ def sample_height(fan, cone_index, weights=None):
     ridx = fan.maximal_rays[cone_index]
     if weights is None:
         weights = [1] * len(ridx)
-    assert len(weights) == len(ridx) and all(x > 0 for x in weights)
+    if len(weights) != len(ridx) or not all(x > 0 for x in weights):
+        raise ValueError("sample_height needs one positive weight per ray of the cone")
     verts = permutohedron_vertices(fan.n)
     total = [0] * fan.ambient
     for x, k in zip(weights, ridx):
@@ -412,13 +399,16 @@ def complex_betti(nvertices, edges, walks):
     """Rational Betti numbers (b0, b1, b2) of a 2-complex.
 
     ``edges`` are index pairs; ``walks`` are closed vertex walks bounding the
-    2-cells.  Every consecutive walk pair must be an edge.
+    2-cells.  Every consecutive walk pair must be an edge; a malformed
+    complex raises ``ValueError``.
     """
     edge_index = {}
     for a, b in edges:
-        assert a != b
+        if a == b:
+            raise ValueError(f"complex_betti: loop edge at vertex {a}")
         edge_index[tuple(sorted((a, b)))] = len(edge_index)
-    assert len(edge_index) == len(edges), "duplicate edges"
+    if len(edge_index) != len(edges):
+        raise ValueError("complex_betti: duplicate edges")
     d1 = []
     for a, b in sorted(edge_index, key=edge_index.get):
         r = [0] * nvertices
@@ -429,9 +419,11 @@ def complex_betti(nvertices, edges, walks):
         r = [0] * len(edge_index)
         for a, b in zip(walk, walk[1:] + walk[:1]):
             key = tuple(sorted((a, b)))
-            assert key in edge_index, f"walk step {a}-{b} is not an edge"
+            if key not in edge_index:
+                raise ValueError(f"complex_betti: walk step {a}-{b} is not an edge")
             r[edge_index[key]] += 1 if a < b else -1
-        assert any(r), "degenerate boundary walk"
+        if not any(r):
+            raise ValueError("complex_betti: degenerate boundary walk")
         d2.append(r)
     rank1 = linalg.rank(d1, nvertices) if d1 else 0
     rank2 = linalg.rank(d2, len(edge_index)) if d2 else 0
@@ -453,13 +445,15 @@ def _cell_walk(ray_ids, face_pairs):
     for a, b in face_pairs:
         neighbors[a].append(b)
         neighbors[b].append(a)
-    assert all(len(v) == 2 for v in neighbors.values()), "cell boundary is not a cycle"
+    if any(len(v) != 2 for v in neighbors.values()):
+        raise RuntimeError("_cell_walk: a cell boundary is not a cycle")
     start = min(ray_ids)
     walk = [start, min(neighbors[start])]
     while len(walk) < len(ray_ids):
         nxt = [x for x in neighbors[walk[-1]] if x != walk[-2]]
         walk.append(nxt[0])
-    assert walk[0] in neighbors[walk[-1]], "cell boundary does not close"
+    if walk[0] not in neighbors[walk[-1]]:
+        raise RuntimeError("_cell_walk: a cell boundary does not close")
     return walk
 
 
@@ -472,7 +466,11 @@ def link_homology(fan):
     walks = []
     for ridx, fidx in zip(fan.maximal_rays, fan.maximal_two_faces):
         walks.append(_cell_walk(ridx, [fan.two_faces[f] for f in fidx]))
-    b0, b1, b2 = complex_betti(len(fan.rays), list(fan.two_faces), walks)
+    try:
+        b0, b1, b2 = complex_betti(len(fan.rays), list(fan.two_faces), walks)
+    except ValueError as exc:
+        # the complex is built from the fan, not from input
+        raise RuntimeError(f"link_homology: {exc}") from exc
     euler = len(fan.rays) - len(fan.two_faces) + len(fan.maximal)
     if euler != b0 - b1 + b2:
         raise RuntimeError("link_homology: Euler characteristic does not match the Betti numbers")

@@ -12,13 +12,21 @@ Conventions used everywhere in this package:
   multiplications (swap of two consecutive *positions*), read left to right.
   With that convention the word (2, 1) applied to the identity yields
   (3, 1, 2) and (1, 2) yields (2, 3, 1).
+* An edge exchanges two consecutive *values*; a 2-face is the orbit of a
+  vertex under two such value swaps (a hexagon when the values overlap, a
+  square otherwise), walked by alternating the swaps.  The 2-faces and the
+  edge graph do not change for a given n, so :func:`enumerate_two_faces`
+  and :func:`permutohedron_graph` build them once per n and return the same
+  immutable object on every later call.
 
 Everything is capped at n <= 7; the library is meant for exact desk-scale
 computations, not asymptotics.
 """
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations, permutations
+from types import MappingProxyType
 
 N_MAX = 7
 
@@ -215,6 +223,11 @@ def bruhat_interval(lo, hi, n: int) -> list[tuple[int, ...]]:
 # two-dimensional faces
 
 
+def _swap_values(v, c) -> tuple[int, ...]:
+    """The neighbour of v across the edge that exchanges the values c, c + 1."""
+    return tuple(c + 1 if x == c else c if x == c + 1 else x for x in v)
+
+
 @dataclass(frozen=True)
 class TwoFace:
     """A 2-face of the permutohedron, with its vertices in cyclic order.
@@ -236,114 +249,48 @@ class TwoFace:
         return tuple((vs[i], vs[i + half]) for i in range(half))
 
 
-def _ordered_partitions(n, sizes):
-    """Ordered set partitions of {1..n} with the given block sizes."""
-    if not sizes:
-        yield ()
-        return
-    rest = list(range(1, n + 1))
+@cache
+def enumerate_two_faces(n: int) -> tuple[TwoFace, ...]:
+    """All 2-faces of the permutohedron, built once per n.
 
-    def rec(avail, idx):
-        if idx == len(sizes):
-            yield ()
-            return
-        for block in combinations(avail, sizes[idx]):
-            remaining = [x for x in avail if x not in block]
-            for tail in rec(remaining, idx + 1):
-                yield (block,) + tail
+    A 2-face is the orbit of a vertex under two value swaps c <-> c+1 and
+    d <-> d+1 with c < d: a hexagon when d = c + 1, a square otherwise.
+    Alternating the two swaps walks its boundary in cyclic order.  Each face
+    is taken from its smallest vertex, the one where every swapped value
+    group increases along the positions, which is exactly the vertex smaller
+    than both of its neighbours in the face.
 
-    yield from rec(rest, 0)
-
-
-def _chain_of(blocks) -> tuple[int, ...]:
-    chain = []
-    m = 0
-    for b in blocks[:-1]:
-        m |= mask_from(b)
-        chain.append(m)
-    return tuple(chain)
-
-
-def _face_vertices_cyclic(full_flags):
-    """Cyclic walk through full flags that pairwise differ in one constituent."""
-    verts = sorted(flag_to_vertex(f) for f in full_flags)
-    flags = {v: vertex_to_flag(v) for v in verts}
-
-    def adjacent(u, w):
-        return sum(1 for a, b in zip(flags[u], flags[w]) if a != b) == 1
-
-    start = verts[0]
-    nbrs = sorted(w for w in verts if w != start and adjacent(start, w))
-    if len(nbrs) != 2:
-        raise RuntimeError("face walk: start vertex degree != 2")
-    walk = [start, nbrs[0]]
-    while len(walk) < len(verts):
-        cur, prev = walk[-1], walk[-2]
-        (nxt,) = [w for w in verts if w not in (cur, prev) and adjacent(cur, w)] or [None]
-        if nxt is None:
-            raise RuntimeError("face walk: dead end")
-        walk.append(nxt)
-    if not adjacent(walk[-1], walk[0]):
-        raise RuntimeError("face walk: not closed")
-    return tuple(walk)
-
-
-def enumerate_two_faces(n: int) -> list[TwoFace]:
-    """All 2-faces of the permutohedron: hexagons (one size-3 gap) and squares
-    (two size-2 gaps).  Deterministic order, keyed by the face's flag chain.
+    Hexagons come first, then squares, each sorted by ``flag_data`` and then
+    by the ordered set partition of the positions (blocks from the largest
+    values down, each swapped value group one block).  Given the
+    ``flag_data`` the group blocks are fixed, so the partitions compare as
+    the positions of n, n-1, ..., 1 at the smallest vertex.
     """
     _check_n(n)
-    if n < 3:
-        return []
-    faces = []
-
-    # hexagons: block sizes are a permutation of (3, 1, ..., 1)
-    nblocks = n - 2
-    for pos3 in range(nblocks):
-        sizes = [1] * nblocks
-        sizes[pos3] = 3
-        for blocks in _ordered_partitions(n, tuple(sizes)):
-            triple = blocks[pos3]
-            below = mask_from(e for b in blocks[:pos3] for e in b)
-            flag_data = (below, below | mask_from(triple))
-            refinements = []
-            for order in permutations(triple):
-                expanded = blocks[:pos3] + tuple((x,) for x in order) + blocks[pos3 + 1 :]
-                refinements.append(_chain_of(expanded + ((),))[: n - 1])
-            full = [_full_from_chain(ch, n) for ch in refinements]
-            faces.append(TwoFace("hexagon", _face_vertices_cyclic(full), flag_data))
-
-    # squares: block sizes are a permutation of (2, 2, 1, ..., 1)
-    if n >= 4:
-        for posa in range(nblocks):
-            for posb in range(posa + 1, nblocks):
-                sizes = [1] * nblocks
-                sizes[posa] = sizes[posb] = 2
-                for blocks in _ordered_partitions(n, tuple(sizes)):
-                    gaps = []
-                    for pos in (posa, posb):
-                        below = mask_from(e for b in blocks[:pos] for e in b)
-                        gaps.append((below, below | mask_from(blocks[pos])))
-                    refinements = []
-                    for ord_a in permutations(blocks[posa]):
-                        for ord_b in permutations(blocks[posb]):
-                            expanded = list(blocks)
-                            expanded[posa : posa + 1] = [(x,) for x in ord_a]
-                            # posb shifted by the expansion of posa
-                            pb = posb + 1
-                            expanded[pb : pb + 1] = [(x,) for x in ord_b]
-                            refinements.append(_chain_of(tuple(expanded) + ((),))[: n - 1])
-                    full = [_full_from_chain(ch, n) for ch in refinements]
-                    faces.append(TwoFace("square", _face_vertices_cyclic(full), tuple(gaps)))
-
-    faces.sort(key=lambda f: (f.kind != "hexagon", f.flag_data))
-    return faces
-
-
-def _full_from_chain(chain, n):
-    if len(chain) != n - 1:
-        raise RuntimeError("refinement did not produce a complete chain")
-    return tuple(chain) + (mask_from(range(1, n + 1)),)
+    keyed = []
+    for v in permutohedron_vertices(n):
+        pos = sorted(range(n), key=lambda p: -v[p])  # positions of n, ..., 1
+        above = [0] * (n + 2)  # above[x]: mask of the positions of values >= x
+        for x in range(n, 0, -1):
+            above[x] = above[x + 1] | 1 << pos[n - x]
+        for c, d in combinations(range(1, n), 2):
+            a, b = _swap_values(v, c), _swap_values(v, d)
+            if a < v or b < v:
+                continue
+            swaps = (c, d) if a < b else (d, c)
+            walk = [v]
+            u = _swap_values(v, swaps[0])
+            while u != v:
+                walk.append(u)
+                u = _swap_values(u, swaps[(len(walk) + 1) % 2])
+            if d == c + 1:
+                face = TwoFace("hexagon", tuple(walk), (above[c + 3], above[c]))
+            else:
+                gaps = ((above[d + 2], above[d]), (above[c + 2], above[c]))
+                face = TwoFace("square", tuple(walk), gaps)
+            keyed.append(((face.kind != "hexagon", face.flag_data, pos), face))
+    keyed.sort(key=lambda item: item[0])
+    return tuple(face for _, face in keyed)
 
 
 # ---------------------------------------------------------------------------
@@ -372,13 +319,14 @@ class EdgeValues:
         return len(self._data) // 2
 
 
-@dataclass
+@dataclass(frozen=True)
 class SkeletonGraph:
     """Vertex-edge graph of a polytope together with its 2-face cycles.
 
     ``edge_tags`` (permutohedron only) maps a directed edge (u, v) to
     (level, A, B): the level-d constituents in which the two endpoint flags
-    differ.
+    differ.  Both mappings are read-only, because the permutohedron's graph
+    is shared by every caller of :func:`permutohedron_graph`.
     """
 
     name: str
@@ -389,27 +337,29 @@ class SkeletonGraph:
     neighbors: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.neighbors:
+        neighbors = self.neighbors
+        if not neighbors:
             nb = {v: [] for v in self.vertices}
             for u, v in self.edges:
                 nb[u].append(v)
                 nb[v].append(u)
-            self.neighbors = {v: tuple(sorted(ws)) for v, ws in nb.items()}
+            neighbors = {v: tuple(sorted(ws)) for v, ws in nb.items()}
+        object.__setattr__(self, "neighbors", MappingProxyType(neighbors))
+        object.__setattr__(self, "edge_tags", MappingProxyType(self.edge_tags))
 
 
+@cache
 def permutohedron_graph(n: int) -> SkeletonGraph:
-    """Edge graph of the permutohedron; edges swap two consecutive values."""
+    """Edge graph of the permutohedron, built once per n; edges swap two
+    consecutive values."""
     _check_n(n)
     verts = permutohedron_vertices(n)
     edges = set()
     tags = {}
     for v in verts:
         flag_v = vertex_to_flag(v)
-        pos = {val: p for p, val in enumerate(v)}
         for c in range(1, n):
-            w = list(v)
-            w[pos[c]], w[pos[c + 1]] = w[pos[c + 1]], w[pos[c]]
-            w = tuple(w)
+            w = _swap_values(v, c)
             edges.add((min(v, w), max(v, w)))
             d = n - c
             tags[(v, w)] = (d, flag_v[d - 1], vertex_to_flag(w)[d - 1])

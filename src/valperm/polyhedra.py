@@ -22,7 +22,6 @@ affected by that normalization.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from valperm import kernels, linalg
 
@@ -202,7 +201,7 @@ def _homogenize(points, extra=None):
     gens = []
     for i, p in enumerate(points):
         row = list(p) + ([extra[i]] if extra is not None else []) + [1]
-        gens.append(linalg.scale_to_int([Fraction(x) for x in row]))
+        gens.append(linalg.scale_to_int(row))
     return gens
 
 
@@ -230,10 +229,11 @@ def hull_edges(points, labels):
     only itself; an edge is a pair of vertices whose minimal common face has
     exactly those two points as vertices.
     """
-    assert len(points) == len(labels) and len(set(labels)) == len(labels)
+    if len(points) != len(labels) or len(set(labels)) != len(labels):
+        raise ValueError("hull_edges needs one unique label per point")
     uniq = {}
     for p, lab in zip(points, labels):
-        key = tuple(Fraction(x) for x in p)
+        key = tuple(p)
         if key not in uniq or lab < uniq[key]:
             uniq[key] = lab
     upts = sorted(uniq)
@@ -269,8 +269,10 @@ def lower_cells(points, heights, labels):
     themselves; affine height functions give the single trivial cell.  Points
     must be distinct.
     """
-    assert len(points) == len(heights) == len(labels)
-    assert len(set(tuple(map(Fraction, p)) for p in points)) == len(points), "points must be distinct"
+    if not len(points) == len(heights) == len(labels):
+        raise ValueError("lower_cells needs one height and one label per point")
+    if len(set(tuple(p) for p in points)) != len(points):
+        raise ValueError("lower_cells: points must be distinct")
     flat = _homogenize(points)
     lifted = _homogenize(points, extra=list(heights))
     m = len(points[0])

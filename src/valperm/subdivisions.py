@@ -20,6 +20,7 @@ from valperm.permutahedra import (
     bruhat_leq,
     enumerate_two_faces,
     hypersimplex_graph,
+    inversions,
     mask_elems,
     mask_from,
     mask_size,
@@ -237,7 +238,7 @@ def compress_on_vertices(flag):
 def is_generalized_permutahedron(vertices):
     """Whether every edge of conv(vertices) is parallel to a difference of
     two coordinate directions."""
-    pts = [tuple(Fraction(c) for c in v) for v in vertices]
+    pts = [tuple(v) for v in vertices]
     if not pts:
         raise ValueError("empty vertex set")
     _, edges = hull_edges(pts, list(range(len(pts))))
@@ -371,9 +372,9 @@ def check_two_skeleton(w):
         sums = [w[a] + w[b] for a, b in diagonals]
         top = max(sums)
         attaining = tuple(pair for pair, s in zip(diagonals, sums) if s == top)
-        minimal = [v for v in vs if not any(bruhat_leq(u, v) for u in vs if u != v)]
-        assert len(minimal) == 1, "hexagon without a unique Bruhat-minimal vertex"
-        b = minimal[0]
+        # a hexagon is a coset of a rank-2 parabolic subgroup, so its unique
+        # Bruhat-minimal vertex is its shortest element
+        b = min(vs, key=inversions)
         mine = vs.index(b) % 3
         others = [s for k, s in enumerate(sums) if k != mine]
         hexagons.append(

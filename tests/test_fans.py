@@ -6,10 +6,9 @@ import pytest
 
 from lp import lp_feasible
 from oracles import exhaustive_fan_cones
-from valperm import fans, kernels
+from valperm import cli, fans, kernels
 from valperm.cli import main
 from valperm.fans import (
-    Fan,
     complex_betti,
     enumerate_fan,
     f_vector_census,
@@ -338,8 +337,20 @@ def test_betti_sphere_octahedron():
 
 
 def test_betti_rejects_walk_off_complex():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="not an edge"):
         complex_betti(3, [(0, 1), (1, 2)], [[0, 1, 2]])
+
+
+def test_link_homology_fault_is_internal(fan4, monkeypatch, capsys):
+    # a walk step off the complex built from the fan is an internal error
+    # (exit 3), not an input error (exit 2)
+    monkeypatch.setattr(fans, "_cell_walk", lambda ridx, pairs: [ridx[0], ridx[0], ridx[1]])
+    with pytest.raises(RuntimeError, match="link_homology: complex_betti: walk step"):
+        link_homology(fan4)
+    monkeypatch.setattr(cli, "enumerate_fan", lambda n: fan4)
+    assert main(["fan", "4", "--homology"]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("valperm: internal error: link_homology")
 
 
 def test_link_dot_phi4(fan4):

@@ -1,7 +1,8 @@
 """Permutohedron combinatorics: flags, Bruhat order, 2-faces, graphs, symmetry."""
 
+import hashlib
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
-from itertools import permutations
 
 import pytest
 
@@ -31,6 +32,7 @@ from valperm.permutahedra import (
     vertex_to_flag,
     word_to_perm,
 )
+from valperm.subdivisions import HeightFunction, check_two_skeleton
 
 
 def test_mask_helpers():
@@ -183,6 +185,46 @@ def test_two_faces_are_closed_walks(n):
         # tie-break: second vertex is the smaller neighbour of the start
         nbrs = sorted(w for w in vs if is_edge(vs[0], w))
         assert vs[1] == nbrs[0]
+
+
+# sha256 of repr([(kind, vertices, flag_data), ...]) in the order
+# enumerate_two_faces returns them: the fan's base equations, the skeleton
+# reports and the CLI outputs all follow this order and orientation
+TWO_FACE_DIGESTS = {
+    3: "45d02ad1470a9a3f1b857df73c51e1bc6ef4bd1d370d4c5c1135249fc004567c",
+    4: "4be05a905717cee3f1757b2e4b48b57a7c5fb5a666d97611635ef3d9b8d89f2c",
+    5: "2df8bfb4a1984326e4556e069e86a279c788c554fabcdacc8efddfb1e84b8a6a",
+    6: "22a0c79803d6d2f50b7240ffd6a053f5f4178ee4fbff29e01f0fafc92386a636",
+}
+
+
+@pytest.mark.parametrize("n", sorted(TWO_FACE_DIGESTS))
+def test_two_faces_frozen_digest(n):
+    text = repr([(f.kind, f.vertices, f.flag_data) for f in enumerate_two_faces(n)])
+    assert hashlib.sha256(text.encode()).hexdigest() == TWO_FACE_DIGESTS[n]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_hexagon_min_vertex_is_below_its_face(n):
+    report = check_two_skeleton(HeightFunction.zero(n))
+    assert len(report.hexagons) == sum(f.kind == "hexagon" for f in enumerate_two_faces(n))
+    for hx in report.hexagons:
+        assert hx.min_vertex in hx.face.vertices
+        assert all(bruhat_leq_subword(hx.min_vertex, v) for v in hx.face.vertices)
+
+
+def test_two_faces_and_graph_are_built_once_and_immutable():
+    faces = enumerate_two_faces(4)
+    assert faces is enumerate_two_faces(4)
+    assert isinstance(faces, tuple)
+    graph = permutohedron_graph(4)
+    assert graph is permutohedron_graph(4)
+    with pytest.raises(FrozenInstanceError):
+        graph.name = "changed"
+    with pytest.raises(TypeError):
+        graph.neighbors[graph.vertices[0]] = ()
+    with pytest.raises(FrozenInstanceError):
+        faces[0].kind = "square"
 
 
 def test_two_faces_n5_census():

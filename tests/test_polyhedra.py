@@ -312,5 +312,5 @@ def test_lower_vs_support_search(seed):
 
 
 def test_lower_rejects_duplicate_points():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="distinct"):
         lower_cells([(0, 0), (0, 0)], [0, 1], ["a", "b"])

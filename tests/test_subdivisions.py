@@ -12,7 +12,6 @@ from valperm.permutahedra import (
     vertex_to_flag,
 )
 from valperm.subdivisions import (
-    Cell,
     HeightFunction,
     ValuatedFlagMatroid,
     check_positive_flag,
