@@ -84,7 +84,35 @@ def rref(rows, ncols):
 
 
 def rank(rows, ncols):
-    return len(rref(rows, ncols)[0])
+    """Rank of an integer matrix, by fraction-free forward elimination.
+
+    Only the rows below each pivot are cleared: there is no back-substitution
+    and no normalization of the output, which :func:`rref` needs for its
+    canonical form but a rank does not.
+    """
+    work = [r for r in rows if any(r)]
+    nrows = len(work)
+    row_i = 0
+    for col in range(ncols):
+        if row_i == nrows:
+            break
+        piv = -1
+        for i in range(row_i, nrows):
+            if work[i][col] != 0:
+                piv = i
+                break
+        if piv < 0:
+            continue
+        work[row_i], work[piv] = work[piv], work[row_i]
+        prow = work[row_i]
+        a = prow[col]
+        for i in range(row_i + 1, nrows):
+            q = work[i]
+            b = q[col]
+            if b != 0:
+                work[i] = vec_gcd_reduce([x * a - y * b for x, y in zip(q, prow)])
+        row_i += 1
+    return row_i
 
 
 def nullspace(rows, ncols):

@@ -23,6 +23,7 @@ Everything is capped at n <= 7; the library is meant for exact desk-scale
 computations, not asymptotics.
 """
 
+from bisect import insort
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations, permutations
@@ -198,19 +199,22 @@ def reduced_word(v) -> tuple[int, ...]:
 
 
 def bruhat_leq(a, b) -> bool:
-    """Strong Bruhat order via the dominance criterion.
+    """Strong Bruhat order via the tableau criterion.
 
-    a <= b iff for all i, k:  #{j <= i : a(j) >= k}  <=  #{j <= i : b(j) >= k}.
-    The identity is the minimum and (n, ..., 2, 1) the maximum.
+    a <= b iff for every i < n the first i entries of a, sorted increasingly,
+    are entrywise at most the first i entries of b, sorted (Björner and
+    Brenti, *Combinatorics of Coxeter Groups*, Thm 2.6.3).  The identity is
+    the minimum and (n, ..., 2, 1) the maximum.
     """
     n = len(a)
     if n != len(b):
         raise ValueError("length mismatch")
-    for i in range(1, n + 1):
-        for k in range(2, n + 1):
-            ca = sum(1 for j in range(i) if a[j] >= k)
-            cb = sum(1 for j in range(i) if b[j] >= k)
-            if ca > cb:
+    sa, sb = [], []
+    for i in range(n - 1):
+        insort(sa, a[i])
+        insort(sb, b[i])
+        for x, y in zip(sa, sb):
+            if x > y:
                 return False
     return True
 

@@ -73,7 +73,11 @@ def double_description(rows, dim):
 
     Requires the row matrix to have full column rank ``dim`` (which forces the
     cone to be pointed).  Incremental insertion in sorted row order, seeded
-    with the simplicial cone of ``dim`` independent rows.  Every ray carries
+    with the simplicial cone of ``dim`` independent rows: the first rows, in
+    that order, that are independent of the rows taken before them, found in
+    one pass that reduces each row fraction-free against the echelon basis of
+    the rows taken so far and takes it when something remains.  Fewer than
+    ``dim`` such rows means the rows are rank-deficient.  Every ray carries
     the bitmask of the processed rows it is tight on: computed once for the
     seed rays, then updated per inserted row, where a kept ray gains the
     row's bit when it lies on the row's hyperplane and the ray combined from
@@ -87,15 +91,25 @@ def double_description(rows, dim):
         return []
     rows = sorted(set(tuple(r) for r in rows))
     rows = [list(r) for r in rows]
-    if kernels.rank(rows, dim) != dim:
-        raise ValueError("double_description needs a pointed cone (full rank rows)")
 
     seed, rest = [], []
+    echelon = []
     for r in rows:
-        if len(seed) < dim and kernels.rank(seed + [r], dim) > len(seed):
-            seed.append(r)
-        else:
-            rest.append(r)
+        if len(seed) < dim:
+            v = r
+            for col, e in echelon:
+                b = v[col]
+                if b != 0:
+                    a = e[col]
+                    v = kernels.vec_gcd_reduce([x * a - y * b for x, y in zip(v, e)])
+            lead = next((j for j, x in enumerate(v) if x != 0), None)
+            if lead is not None:
+                echelon.append((lead, v))
+                seed.append(r)
+                continue
+        rest.append(r)
+    if len(seed) != dim:
+        raise ValueError("double_description needs a pointed cone (full rank rows)")
     rays = sorted(tuple(c) for c in linalg.inverse_columns_primitive(seed))
     masks = []
     for r in rays:

@@ -17,7 +17,6 @@ from math import ceil
 from valperm.permutahedra import (
     EdgeValues,
     bruhat_interval,
-    bruhat_leq,
     enumerate_two_faces,
     hypersimplex_graph,
     inversions,
@@ -256,11 +255,18 @@ def is_bruhat_interval_polytope(vertices):
     if not perms:
         raise ValueError("empty vertex set")
     n = len(perms[0])
-    minimal = [v for v in perms if not any(bruhat_leq(u, v) for u in perms if u != v)]
-    maximal = [v for v in perms if not any(bruhat_leq(v, u) for u in perms if u != v)]
-    if len(minimal) != 1 or len(maximal) != 1:
+    if any(len(v) != n for v in perms):
+        raise ValueError("length mismatch")
+    # The Bruhat order is graded by length: every other element of an
+    # interval [lo, hi] is strictly longer than lo and strictly shorter than
+    # hi, so only a unique shortest and a unique longest element can be ends.
+    lengths = [inversions(v) for v in perms]
+    least, most = min(lengths), max(lengths)
+    shortest = [v for v, k in zip(perms, lengths) if k == least]
+    longest = [v for v, k in zip(perms, lengths) if k == most]
+    if len(shortest) != 1 or len(longest) != 1:
         return False, None
-    lo, hi = minimal[0], maximal[0]
+    lo, hi = shortest[0], longest[0]
     if set(bruhat_interval(lo, hi, n)) != set(perms):
         return False, None
     return True, (lo, hi)

@@ -1,13 +1,15 @@
 """Independent brute-force oracles used to pin down expected test values.
 
 Everything in here deliberately avoids the code paths under test: Bruhat
-order is decided by subwords of a reduced word, hull membership by LP
-separation, lower cells by trying every support set, the fan by solving
-every sign choice in full, Gram-Schmidt and projections in ``Fraction``
-arithmetic, and extremal rays by trying every row subset.
+order is decided by subwords of a reduced word, Bruhat intervals by a
+pairwise scan for the minimal and maximal elements in that order, hull
+membership by LP separation, lower cells by trying every support set, the
+fan by solving every sign choice in full, Gram-Schmidt and projections in
+``Fraction`` arithmetic, and extremal rays by trying every row subset.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 from math import gcd
 
@@ -41,6 +43,30 @@ def bruhat_lower_set(v):
 
 def bruhat_leq_subword(a, b):
     return a in bruhat_lower_set(b)
+
+
+@cache
+def _lower_frozenset(v):
+    return frozenset(bruhat_lower_set(v))
+
+
+def bruhat_interval_by_scan(vertices):
+    """(verdict, endpoints) of ``is_bruhat_interval_polytope`` by the pairwise
+    scan: the set is an interval iff it has one minimal and one maximal
+    element and holds every permutation between them, all in the subword
+    order."""
+    perms = sorted(set(vertices))
+    n = len(perms[0])
+    lower = {v: _lower_frozenset(v) for v in perms}
+    minimal = [v for v in perms if not any(u in lower[v] for u in perms if u != v)]
+    maximal = [v for v in perms if not any(v in lower[u] for u in perms if u != v)]
+    if len(minimal) != 1 or len(maximal) != 1:
+        return False, None
+    lo, hi = minimal[0], maximal[0]
+    between = {v for v in permutohedron_vertices(n) if v in lower[hi] and lo in _lower_frozenset(v)}
+    if between != set(perms):
+        return False, None
+    return True, (lo, hi)
 
 
 def argmax_vertex_for_flag(flag, n):

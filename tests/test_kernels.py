@@ -106,3 +106,31 @@ def test_combine_ray():
     c = kernels.combine_ray(p, n, wp, wn)
     assert kernels.dot(b, c) == 0
     assert any(c)
+
+
+def test_rank_matches_rref():
+    """The forward-only rank against the length of the canonical RREF."""
+    rng = random.Random(4242)
+    cases = [([], 0), ([], 3), ([[0, 0, 0]], 3), ([[0, 0], [0, 0]], 2)]
+    for _ in range(300):
+        nrows = rng.randint(1, 8)
+        ncols = rng.randint(1, 8)
+        mat = random_matrix(rng, nrows, ncols, rng.choice([-1, -3, -9]), rng.choice([1, 3, 9]))
+        for _ in range(rng.randint(0, 3)):
+            roll = rng.random()
+            if roll < 0.3:
+                mat.append([0] * ncols)
+            elif roll < 0.6:
+                mat.append(list(rng.choice(mat)))
+            else:
+                mat.append([rng.choice([-4, 2, 7]) * x for x in rng.choice(mat)])
+        rng.shuffle(mat)
+        cases.append((mat, ncols))
+    shapes = set()
+    for mat, ncols in cases:
+        expected = len(kernels.rref([list(r) for r in mat], ncols)[0])
+        copy = [list(r) for r in mat]
+        assert kernels.rank(copy, ncols) == expected, (mat, ncols)
+        assert copy == mat
+        shapes.add((len(mat) > ncols, len(mat) < ncols, expected < min(len(mat), ncols)))
+    assert {(True, False, False), (False, True, False), (True, False, True), (False, True, True)} <= shapes

@@ -94,3 +94,23 @@ def test_double_description_matches_subset_oracle(seed):
     rng = random.Random(1000 + seed)
     rows, dim = random_pointed_cone(rng)
     assert double_description(rows, dim) == extremal_rays_by_subsets(rows, dim)
+
+
+def test_double_description_rank_deficient_after_many_rows():
+    """Rows in the hyperplane z4 = 0 fill three seed slots early; every later
+    candidate fails to extend the seed, and the full-rank error is raised."""
+    rng = random.Random(8)
+    rows = []
+    while len(rows) < 16:
+        row = [rng.randint(-5, 5) for _ in range(3)]
+        if sum(row) < 0:
+            row = [-x for x in row]
+        rows.append(row + [0])
+    assert linalg.rank(rows, 4) == 3
+    with pytest.raises(ValueError, match="full rank"):
+        double_description(rows, 4)
+    # a row off the hyperplane, last in sorted order, completes the rank
+    full = rows + [[6, 0, 0, 1]]
+    assert max(map(tuple, full)) == (6, 0, 0, 1)
+    rays = double_description(full, 4)
+    assert rays == extremal_rays_by_subsets(full, 4) and len(rays) > 1

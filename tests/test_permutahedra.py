@@ -113,7 +113,7 @@ def test_bruhat_examples():
         assert bruhat_leq(v, (3, 2, 1))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_bruhat_matches_subword_oracle(n):
     verts = permutohedron_vertices(n)
     for b in verts:

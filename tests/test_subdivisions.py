@@ -6,11 +6,13 @@ import pytest
 
 from valperm import subdivisions
 from valperm.permutahedra import (
+    bruhat_interval,
     mask_from,
     permutohedron_vertices,
     subsets_of_size,
     vertex_to_flag,
 )
+from valperm.polyhedra import lower_cells
 from valperm.subdivisions import (
     HeightFunction,
     ValuatedFlagMatroid,
@@ -37,6 +39,8 @@ from valperm.valuated import (
     tropicalize_matrix,
     uniform_matroid,
 )
+
+from oracles import bruhat_interval_by_scan
 
 V = ValuatedMatroid.from_lex_values
 
@@ -214,6 +218,48 @@ def test_bruhat_interval_examples():
     assert not ok
 
 
+def test_bruhat_interval_input_contract():
+    with pytest.raises(ValueError, match="empty vertex set"):
+        is_bruhat_interval_polytope([])
+    with pytest.raises(ValueError, match="not a permutation"):
+        is_bruhat_interval_polytope([(1, 2, 3), (1, 1, 3)])
+    with pytest.raises(ValueError, match="length mismatch"):
+        is_bruhat_interval_polytope([(1, 2, 3), (2, 1)])
+    with pytest.raises(ValueError, match="length mismatch"):
+        is_bruhat_interval_polytope(["21", "123"])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_bruhat_interval_matches_scan_oracle(n):
+    """Ends by length against the pairwise scan in the subword order, on
+    seeded random subsets, on intervals (also with one inner element dropped
+    or one stranger added) and on the cells of seeded random heights."""
+    rng = random.Random(800 + n)
+    verts = permutohedron_vertices(n)
+    top = verts[-1]
+    subsets = [rng.sample(verts, rng.randint(1, min(8, len(verts)))) for _ in range(100)]
+    for _ in range(40):
+        lo = rng.choice(verts)
+        hi = rng.choice(bruhat_interval(lo, top, n))
+        interval = bruhat_interval(lo, hi, n)
+        subsets.append(interval)
+        inner = [v for v in interval if v not in (lo, hi)]
+        if inner:
+            dropped = rng.choice(inner)
+            subsets.append([v for v in interval if v != dropped])
+        if len(interval) < len(verts):
+            subsets.append(interval + [rng.choice([v for v in verts if v not in interval])])
+    for _ in range({3: 20, 4: 8, 5: 2}[n]):
+        heights = [rng.randint(0, 4) for _ in verts]
+        subsets.extend(lower_cells(verts, heights, verts))
+    verdicts = set()
+    for vs in subsets:
+        got = is_bruhat_interval_polytope(vs)
+        assert got == bruhat_interval_by_scan(vs), vs
+        verdicts.add(got[0])
+    assert verdicts == {True, False}
+
+
 def test_subdivide_example_heights():
     cells = subdivide(HeightFunction(3, EXAMPLE_HEIGHTS))
     assert [c.vertices for c in cells] == [
@@ -225,13 +271,19 @@ def test_subdivide_example_heights():
     assert (cells[1].bruhat_min, cells[1].bruhat_max) == ((1, 3, 2), (3, 2, 1))
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_subdivide_zero_heights(n):
-    (cell,) = subdivide(HeightFunction.zero(n))
-    assert cell.vertices == tuple(permutohedron_vertices(n))
-    assert cell.is_generalized_permutahedron and cell.is_bruhat_interval
-    assert cell.bruhat_min == tuple(range(1, n + 1))
-    assert cell.bruhat_max == tuple(range(n, 0, -1))
+    """Zero heights and a non-zero affine height give the single trivial cell."""
+    affine = HeightFunction(
+        n,
+        {v: Fraction(5, 2) + sum((i * i - n) * x for i, x in enumerate(v)) for v in permutohedron_vertices(n)},
+    )
+    for w in (HeightFunction.zero(n), affine):
+        (cell,) = subdivide(w)
+        assert cell.vertices == tuple(permutohedron_vertices(n))
+        assert cell.is_generalized_permutahedron and cell.is_bruhat_interval
+        assert cell.bruhat_min == tuple(range(1, n + 1))
+        assert cell.bruhat_max == tuple(range(n, 0, -1))
 
 
 def test_subdivide_spiked_heights():
