@@ -334,9 +334,12 @@ def main(argv=None) -> int:
             digest = jsonio.sha256_hex(jsonio.dumps(request).encode("utf-8"))
             obj = None
         else:
-            obj, digest = jsonio.load_path(args.file)
+            try:
+                obj, digest = jsonio.load_path(args.file)
+            except OSError as exc:
+                raise jsonio.InputError(str(exc)) from None
         payload, code = _HANDLERS[args.command](args, obj)
-    except (jsonio.InputError, FileNotFoundError, IsADirectoryError) as exc:
+    except jsonio.InputError as exc:
         print(f"valperm: error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

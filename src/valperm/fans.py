@@ -30,7 +30,6 @@ the all-ones direction).
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from valperm import kernels, linalg
 from valperm.permutahedra import (
@@ -38,7 +37,7 @@ from valperm.permutahedra import (
     permutohedron_vertices,
     symmetry_generators,
 )
-from valperm.polyhedra import cone_solve
+from valperm.polyhedra import cone_solve, incidence_edges
 from valperm.subdivisions import HeightFunction, check_two_skeleton, subdivide
 
 FAN_SIZES = (3, 4)
@@ -162,27 +161,6 @@ class Fan:
         return cone.dim - cone.lineality_dim
 
 
-def _pair_is_face(cone, i, j):
-    """Whether rays i and j of a 3-dimensional (mod lineality) cone span a
-    2-face: all other rays lie strictly on one side of the hyperplane the
-    pair spans inside the cone."""
-    ambient = cone.ambient
-    span_rows = list(cone.lineality) + list(cone.rays)
-    basis = linalg.rref(span_rows, ambient)[0]
-    fixed = list(cone.lineality) + [cone.rays[i], cone.rays[j]]
-    coeff = [[kernels.dot(b, f) for b in basis] for f in fixed]
-    kernel = linalg.nullspace(coeff, len(basis))
-    if len(kernel) != 1:
-        raise RuntimeError("_pair_is_face: a ray pair does not span a hyperplane in its cone")
-    nu = linalg.mat_mul(kernel, basis)[0]
-    signs = {
-        (kernels.dot(nu, r) > 0) - (kernels.dot(nu, r) < 0)
-        for k, r in enumerate(cone.rays)
-        if k not in (i, j)
-    }
-    return 0 not in signs and len(signs) == 1
-
-
 def enumerate_fan(n, processes=1):
     """All maximal cones of the height fan, with faces, for n in {3, 4}.
 
@@ -193,9 +171,11 @@ def enumerate_fan(n, processes=1):
     and each ambient cone must agree with its reduced one in dimension,
     lineality dimension and ray count.  Duplicates are merged by canonical
     key, and cones contained in another (checked against the stored
-    defining rows) are discarded.  The result is the full set of maximal
-    cones because the fan is pure for n in {3, 4}, which the exhaustive
-    oracle sweep of the test suite certifies.
+    defining rows) are discarded.  The 2-faces of a maximal cone are the ray
+    pairs that :func:`~valperm.polyhedra.incidence_edges` accepts, with each
+    ray's tight set taken against the cone's inequalities.  The result is
+    the full set of maximal cones because the fan is pure for n in {3, 4},
+    which the exhaustive oracle sweep of the test suite certifies.
 
     ``processes`` must be 1: the search runs in this process.
     """
@@ -205,7 +185,7 @@ def enumerate_fan(n, processes=1):
         raise ValueError(f"fan enumeration runs in one process, got processes={processes}")
     verts, base_eqs, diag_rows = _context(n)
     ambient = len(verts)
-    basis = linalg.nullspace(base_eqs, ambient)
+    basis = kernels.nullspace(base_eqs, ambient)
     reduced_rows = [[[kernels.dot(r, b) for b in basis] for r in rows] for rows in diag_rows]
     by_key = {}
     for choice, reduced in _top_dimensional_choices(reduced_rows, len(basis)):
@@ -242,9 +222,9 @@ def enumerate_fan(n, processes=1):
     for c, ridx in zip(maximal, maximal_rays):
         pairs = set()
         if c.dim - c.lineality_dim >= 3:
-            for a, b in combinations(range(len(c.rays)), 2):
-                if _pair_is_face(c, a, b):
-                    pairs.add(tuple(sorted((ridx[a], ridx[b]))))
+            # each ray's tight set against the cone's own inequalities
+            tight = [sum(1 << h for h, a in enumerate(c.ineqs) if kernels.dot(a, r) == 0) for r in c.rays]
+            pairs = {(ridx[a], ridx[b]) for a, b in incidence_edges(tight)}
         pairs_of.append(pairs)
     two_faces = tuple(sorted(set().union(*pairs_of)))
     face_index = {pair: k for k, pair in enumerate(two_faces)}
@@ -425,8 +405,8 @@ def complex_betti(nvertices, edges, walks):
         if not any(r):
             raise ValueError("complex_betti: degenerate boundary walk")
         d2.append(r)
-    rank1 = linalg.rank(d1, nvertices) if d1 else 0
-    rank2 = linalg.rank(d2, len(edge_index)) if d2 else 0
+    rank1 = kernels.rank(d1, nvertices)
+    rank2 = kernels.rank(d2, len(edge_index))
     b0 = nvertices - rank1
     b1 = len(edge_index) - rank1 - rank2
     b2 = len(walks) - rank2

@@ -119,9 +119,14 @@ def nullspace(rows, ncols):
     """Primitive integer basis of the rational nullspace, in canonical form.
 
     One basis vector per free column of the RREF; deterministic given the
-    rowspace.
+    rowspace.  With no rows it is the identity basis.
     """
-    red, pivots = rref(rows, ncols)
+    return nullspace_of_rref(*rref(rows, ncols), ncols)
+
+
+def nullspace_of_rref(red, pivots, ncols):
+    """The :func:`nullspace` basis read off an :func:`rref` output, for
+    callers that need the echelon form too."""
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):

@@ -1,11 +1,12 @@
 """Small exact linear algebra layer on top of the integer kernels.
 
-Everything here computes on Python ints.  Fractions are accepted only at the
-boundary: by :func:`scale_to_int` (and the ``rank``/``rref``/``nullspace``
-wrappers that call it on every row), by the vector ``v`` of
-:func:`project_off` and by the rows of :func:`orthogonalize`, which are
-scaled by a positive denominator lcm before any arithmetic.  Such scaling
-preserves rank, nullspace, cone membership and rowspace — all
+Everything here computes on Python ints.  Row reduction, rank and nullspace
+are :mod:`valperm.kernels` functions, called directly on integer rows.
+Fractions are accepted only at the boundary: by :func:`scale_to_int`, which
+callers apply to every rational row before it reaches a kernel, by the
+vector ``v`` of :func:`project_off` and by the rows of :func:`orthogonalize`,
+which are scaled by a positive denominator lcm before any arithmetic.  Such
+scaling preserves rank, nullspace, cone membership and rowspace, all
 scale-invariant notions used here.  Outputs are primitive integer vectors.
 """
 
@@ -35,29 +36,6 @@ def _clear_denominators(row):
     for x in row:
         mult = lcm(mult, x.denominator)
     return [int(x * mult) for x in row]
-
-
-def to_int_rows(rows):
-    return [scale_to_int(r) for r in rows]
-
-
-def rank(rows, ncols):
-    if not rows:
-        return 0
-    return kernels.rank(to_int_rows(rows), ncols)
-
-
-def rref(rows, ncols):
-    if not rows:
-        return [], []
-    return kernels.rref(to_int_rows(rows), ncols)
-
-
-def nullspace(rows, ncols):
-    """Primitive integer basis of the right nullspace; the full space if no rows."""
-    if not rows:
-        return [[1 if j == i else 0 for j in range(ncols)] for i in range(ncols)]
-    return kernels.nullspace(to_int_rows(rows), ncols)
 
 
 def mat_mul(a, b_rows):

@@ -453,9 +453,6 @@ def symmetry_group_order(n: int) -> int:
     verts = permutohedron_vertices(n)
     ident = tuple(verts)
 
-    def as_tuple(m):
-        return tuple(m[v] for v in verts)
-
     def compose(t, m):
         # apply map m after the permutation encoded by t
         return tuple(m[v] for v in t)

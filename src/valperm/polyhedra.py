@@ -5,7 +5,8 @@ turns a system of linear equations and weak inequalities into a canonical
 V-description: a lineality basis plus extremal rays.  The pipeline is
 
 1. restrict to the nullspace of the equations,
-2. split off the lineality space of the restricted inequality system,
+2. row-reduce the restricted inequality system once: its rowspace holds the
+   pointed part and its nullspace is the lineality space,
 3. run double description on the remaining pointed cone,
 4. map rays back, project them off the lineality space and normalize.
 
@@ -18,10 +19,15 @@ conv(points) are the extremal rays of the polar of the cone spanned by the
 homogenized points, and vertex/edge/cell questions reduce to intersecting
 facet incidence sets.  Rays of the polar are reported modulo its lineality
 space, which is orthogonal to every generator, so incidence sets are not
-affected by that normalization.
+affected by that normalization.  One incidence rule,
+:func:`incidence_edges`, decides every edge question: the edges of a hull
+here, and the 2-faces of the height fan's maximal cones in
+:mod:`valperm.fans`, whose rays are matched against the cone's own
+inequalities.
 """
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from valperm import kernels, linalg
 
@@ -162,7 +168,7 @@ def cone_solve(eqs, ineqs, ambient):
         ineqs=tuple(tuple(r) for r in ineqs_n),
     )
 
-    null = linalg.nullspace(eqs_n, ambient)
+    null = kernels.nullspace(eqs_n, ambient)
     k = len(null)
     if k == 0:
         return Cone(ambient, 0, 0, (), (), **stored)
@@ -173,11 +179,12 @@ def cone_solve(eqs, ineqs, ambient):
         if any(row):
             restricted.append(kernels.vec_gcd_reduce(row))
 
-    lin_restricted = linalg.nullspace(restricted, k)
-    lin_rows, _ = linalg.rref(linalg.mat_mul(lin_restricted, null), ambient) if lin_restricted else ([], [])
+    # one reduction of the restricted system: its rowspace and its lineality
+    wspace, pivots = kernels.rref(restricted, k)
+    lin_restricted = kernels.nullspace_of_rref(wspace, pivots, k)
+    lin_rows, _ = kernels.rref(linalg.mat_mul(lin_restricted, null), ambient) if lin_restricted else ([], [])
     lin_dim = len(lin_rows)
 
-    wspace, _ = linalg.rref(restricted, k)
     q = len(wspace)
     if q == 0:
         lineality = tuple(tuple(r) for r in lin_rows)
@@ -235,13 +242,29 @@ def hull_facet_sets(points):
     return sorted(facets, key=sorted)
 
 
+def incidence_edges(tight):
+    """Index pairs ``(i, j)``, ``i < j``, that span an edge of the face lattice.
+
+    ``tight[i]`` is the bitmask of the facets element ``i`` lies on; the
+    elements are the vertices of a polytope or the rays of a cone pointed
+    modulo its lineality.  The smallest face holding ``i`` and ``j`` is cut
+    out by the facets they share, so the pair is an edge exactly when no
+    other element lies on every facet in ``tight[i] & tight[j]``.
+    """
+    edges = []
+    for i, j in combinations(range(len(tight)), 2):
+        common = tight[i] & tight[j]
+        if not any(t & common == common for k, t in enumerate(tight) if k != i and k != j):
+            edges.append((i, j))
+    return edges
+
+
 def hull_edges(points, labels):
     """Vertices and edges of conv(points), named by the given unique labels.
 
-    Returns ``(sorted vertex labels, sorted edge label pairs)``.  The vertex
-    test is that a point's minimal face (intersection of its facets) contains
-    only itself; an edge is a pair of vertices whose minimal common face has
-    exactly those two points as vertices.
+    Returns ``(sorted vertex labels, sorted edge label pairs)``.  A point is
+    a vertex when no other point lies on all of its facets; the edges are the
+    :func:`incidence_edges` of the vertices.
     """
     if len(points) != len(labels) or len(set(labels)) != len(labels):
         raise ValueError("hull_edges needs one unique label per point")
@@ -255,24 +278,14 @@ def hull_edges(points, labels):
     if len(upts) == 1:
         return [ulabs[0]], []
 
-    facets = hull_facet_sets(upts)
-    allpts = frozenset(range(len(upts)))
-    verts = []
-    for i in range(len(upts)):
-        mine = [f for f in facets if i in f]
-        face = frozenset.intersection(*mine) if mine else allpts
-        if face == {i}:
-            verts.append(i)
-    vset = set(verts)
-
-    edges = []
-    for a in range(len(verts)):
-        for b in range(a + 1, len(verts)):
-            u, v = verts[a], verts[b]
-            both = [f for f in facets if u in f and v in f]
-            face = frozenset.intersection(*both) if both else allpts
-            if face & vset == {u, v}:
-                edges.append(tuple(sorted((ulabs[u], ulabs[v]))))
+    tight = [0] * len(upts)
+    for f, members in enumerate(hull_facet_sets(upts)):
+        for i in members:
+            tight[i] |= 1 << f
+    verts = [i for i, t in enumerate(tight)
+             if not any(s & t == t for k, s in enumerate(tight) if k != i)]
+    edges = [tuple(sorted((ulabs[verts[a]], ulabs[verts[b]])))
+             for a, b in incidence_edges([tight[i] for i in verts])]
     return sorted(ulabs[v] for v in verts), sorted(edges)
 
 
@@ -290,7 +303,7 @@ def lower_cells(points, heights, labels):
     flat = _homogenize(points)
     lifted = _homogenize(points, extra=list(heights))
     m = len(points[0])
-    if linalg.rank(flat, m + 1) == linalg.rank(lifted, m + 2):
+    if kernels.rank(flat, m + 1) == kernels.rank(lifted, m + 2):
         return [tuple(sorted(labels))]
 
     polar = cone_solve([], [[-x for x in g] for g in lifted], m + 2)

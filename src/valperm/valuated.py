@@ -114,9 +114,6 @@ class ValuatedMatroid:
     def is_uniform(self):
         return len(self.values) == comb(self.n, self.d)
 
-    def support_matroid(self):
-        return Matroid(self.n, frozenset(self.values))
-
     def value(self, mask):
         return self.values.get(mask)
 

@@ -4,8 +4,10 @@ Everything in here deliberately avoids the code paths under test: Bruhat
 order is decided by subwords of a reduced word, Bruhat intervals by a
 pairwise scan for the minimal and maximal elements in that order, hull
 membership by LP separation, lower cells by trying every support set, the
-fan by solving every sign choice in full, Gram-Schmidt and projections in
-``Fraction`` arithmetic, and extremal rays by trying every row subset.
+fan by solving every sign choice in full, 2-faces of a cone by the sign of
+the other rays against the hyperplane a ray pair spans, Gram-Schmidt and
+projections in ``Fraction`` arithmetic, and extremal rays by trying every
+row subset.
 """
 
 from fractions import Fraction
@@ -14,6 +16,7 @@ from itertools import combinations, product
 from math import gcd
 
 from lp import lp_feasible
+from valperm import kernels
 from valperm.permutahedra import (
     inversions,
     permutohedron_vertices,
@@ -171,6 +174,26 @@ def exhaustive_fan_cones(n):
         if not any(o is not c and all(o.contains(r) for r in c.rays) for o in cones)
     ]
     return cones, maximal
+
+
+def pair_is_face(cone, i, j):
+    """Whether rays i and j of a cone of dimension 3 modulo its lineality
+    span a 2-face, by linear algebra: all other rays lie strictly on one side
+    of the hyperplane that the pair and the lineality span inside the cone."""
+    span_rows = list(cone.lineality) + list(cone.rays)
+    basis = kernels.rref(span_rows, cone.ambient)[0]
+    fixed = list(cone.lineality) + [cone.rays[i], cone.rays[j]]
+    coeff = [[kernels.dot(b, f) for b in basis] for f in fixed]
+    kernel = kernels.nullspace(coeff, len(basis))
+    if len(kernel) != 1:
+        raise ValueError("pair_is_face: the ray pair does not span a hyperplane in its cone")
+    nu = [sum(c * b[t] for c, b in zip(kernel[0], basis)) for t in range(cone.ambient)]
+    signs = {
+        (kernels.dot(nu, r) > 0) - (kernels.dot(nu, r) < 0)
+        for k, r in enumerate(cone.rays)
+        if k not in (i, j)
+    }
+    return 0 not in signs and len(signs) == 1
 
 
 def _primitive(v):

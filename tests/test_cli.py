@@ -89,7 +89,7 @@ def test_check_incidence_violation(tmp_path):
     assert report["violations"][0]["terms"] == ["2", "1", "0"]
 
 
-def test_check_input_errors(tmp_path):
+def test_check_input_errors(tmp_path, capsys):
     single = [{"n": 3, "d": 1, "values": {"1": "0", "2": "0", "3": "0"}}]
     assert main(["check", "incidence", write(tmp_path, single, "one.json")]) == 2
     assert main(["check", "flag", write(tmp_path, single, "one2.json")]) == 2
@@ -100,6 +100,11 @@ def test_check_input_errors(tmp_path):
                                           "24": "0"}}
     assert main(["check", "positive", write(tmp_path, partial, "partial.json")]) == 2
     assert main(["check", "plucker", str(tmp_path / "does-not-exist.json")]) == 2
+    capsys.readouterr()
+    # reading a path below a regular file raises NotADirectoryError
+    assert main(["check", "plucker", str(GOLDEN / "flag_a.json" / "x")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("valperm: error: ")
 
 
 def test_schema_errors(tmp_path):

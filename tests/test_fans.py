@@ -1,11 +1,12 @@
 """Fan enumeration: census, refinement, link homology, patterns, symmetry."""
 
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
 from lp import lp_feasible
-from oracles import exhaustive_fan_cones
+from oracles import exhaustive_fan_cones, pair_is_face
 from valperm import cli, fans, kernels
 from valperm.cli import main
 from valperm.fans import (
@@ -21,6 +22,7 @@ from valperm.fans import (
     _subdivision_key,
 )
 from valperm.permutahedra import permutohedron_vertices
+from valperm.polyhedra import incidence_edges
 from valperm.subdivisions import (
     HeightFunction,
     check_two_skeleton,
@@ -189,6 +191,18 @@ def test_phi4_face_structure(fan4):
                     degree[r] = degree.get(r, 0) + 1
             assert degree == {r: 2 for r in ridx}
     assert seen == set(range(76))
+
+
+def test_phi4_two_faces_match_pair_oracle(fan4):
+    """The incidence rule on every maximal cone, with its rays' tight sets
+    taken against the cone's inequalities, gives the pairs the linear-algebra
+    oracle accepts, and those are the fan's 2-faces of the cone."""
+    for cone, ridx, fidx in zip(fan4.maximal, fan4.maximal_rays, fan4.maximal_two_faces):
+        tight = [sum(1 << h for h, a in enumerate(cone.ineqs) if kernels.dot(a, r) == 0)
+                 for r in cone.rays]
+        want = [(i, j) for i, j in combinations(range(len(cone.rays)), 2) if pair_is_face(cone, i, j)]
+        assert incidence_edges(tight) == want
+        assert {fan4.two_faces[f] for f in fidx} == {(ridx[i], ridx[j]) for i, j in want}
 
 
 def test_phi4_homology(fan4):

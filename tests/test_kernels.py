@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from valperm import kernels
 
 
@@ -108,8 +110,9 @@ def test_combine_ray():
     assert any(c)
 
 
-def test_rank_matches_rref():
-    """The forward-only rank against the length of the canonical RREF."""
+def random_cases():
+    """Seeded int matrices with zero, repeated and scaled rows, wider and
+    taller shapes, and the empty matrix, as ``(rows, ncols)`` pairs."""
     rng = random.Random(4242)
     cases = [([], 0), ([], 3), ([[0, 0, 0]], 3), ([[0, 0], [0, 0]], 2)]
     for _ in range(300):
@@ -126,11 +129,34 @@ def test_rank_matches_rref():
                 mat.append([rng.choice([-4, 2, 7]) * x for x in rng.choice(mat)])
         rng.shuffle(mat)
         cases.append((mat, ncols))
+    return cases
+
+
+def test_rank_matches_rref():
+    """The forward-only rank against the length of the canonical RREF."""
     shapes = set()
-    for mat, ncols in cases:
+    for mat, ncols in random_cases():
         expected = len(kernels.rref([list(r) for r in mat], ncols)[0])
         copy = [list(r) for r in mat]
         assert kernels.rank(copy, ncols) == expected, (mat, ncols)
         assert copy == mat
         shapes.add((len(mat) > ncols, len(mat) < ncols, expected < min(len(mat), ncols)))
     assert {(True, False, False), (False, True, False), (True, False, True), (False, True, True)} <= shapes
+
+
+@pytest.mark.parametrize("ncols", range(5))
+def test_empty_rows(ncols):
+    """No rows: rank 0, an empty echelon form and the identity nullspace
+    basis, which ``cone_solve`` relies on for a system without equations."""
+    assert kernels.rank([], ncols) == 0
+    assert kernels.rref([], ncols) == ([], [])
+    identity = [[1 if j == i else 0 for j in range(ncols)] for i in range(ncols)]
+    assert kernels.nullspace([], ncols) == identity
+    assert kernels.nullspace_of_rref([], [], ncols) == identity
+
+
+def test_nullspace_of_rref_matches_nullspace():
+    for mat, ncols in random_cases():
+        rows = [list(r) for r in mat]
+        assert kernels.nullspace_of_rref(*kernels.rref(rows, ncols), ncols) == kernels.nullspace(rows, ncols)
+        assert rows == mat

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from valperm import linalg
+from valperm import kernels, linalg
 from valperm.polyhedra import double_description
 
 from oracles import extremal_rays_by_subsets, orthogonalize_fraction, project_off_fraction
@@ -85,7 +85,7 @@ def random_pointed_cone(rng):
                 if rng.random() < 0.7 and sum(a * b for a, b in zip(row, center)) < 0:
                     row = [-x for x in row]
                 rows.append(row)
-        if linalg.rank(rows, dim) == dim:
+        if kernels.rank(rows, dim) == dim:
             return rows, dim
 
 
@@ -106,7 +106,7 @@ def test_double_description_rank_deficient_after_many_rows():
         if sum(row) < 0:
             row = [-x for x in row]
         rows.append(row + [0])
-    assert linalg.rank(rows, 4) == 3
+    assert kernels.rank(rows, 4) == 3
     with pytest.raises(ValueError, match="full rank"):
         double_description(rows, 4)
     # a row off the hyperplane, last in sorted order, completes the rank

@@ -18,10 +18,11 @@ from valperm.polyhedra import (
     double_description,
     hull_edges,
     hull_facet_sets,
+    incidence_edges,
     lower_cells,
 )
 
-from oracles import hull_vertices_and_edges_by_lp, lower_cells_by_support_search
+from oracles import hull_vertices_and_edges_by_lp, lower_cells_by_support_search, pair_is_face
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +124,60 @@ def test_cone_contains_generated_points(seed):
             c = rng.randint(-2, 2)
             pt = [p + c * x for p, x in zip(pt, l)]
         assert cone.contains(pt)
+
+
+def ray_tight_masks(cone):
+    """Bitmask per ray of the cone's inequalities it is tight on."""
+    return [sum(1 << h for h, a in enumerate(cone.ineqs) if kernels.dot(a, r) == 0) for r in cone.rays]
+
+
+def random_three_dim_cone(rng):
+    """A ``cone_solve`` cone of dimension 3 modulo its lineality, in ambient
+    dimension 3-6, with 0-3 equations and 3-9 inequalities oriented toward a
+    random point of the equations' nullspace; the inequalities leave the last
+    ``lin`` coordinates free, which gives a lineality space of dimension up
+    to ``lin``."""
+    while True:
+        ambient = rng.randint(3, 6)
+        lin = rng.randint(0, ambient - 3)
+        used = ambient - lin
+        eqs = [[rng.randint(-2, 2) for _ in range(ambient)] for _ in range(rng.randint(0, used - 3))]
+        null = kernels.nullspace(eqs, ambient)
+        center = [sum(rng.randint(-2, 2) * v[t] for v in null) for t in range(ambient)]
+        ineqs = []
+        for _ in range(rng.randint(3, 9)):
+            row = [rng.randint(-3, 3) for _ in range(used)] + [0] * lin
+            if kernels.dot(row, center) < 0:
+                row = [-x for x in row]
+            ineqs.append(row)
+        cone = cone_solve(eqs, ineqs, ambient)
+        if cone.dim - cone.lineality_dim == 3:
+            return cone
+
+
+def test_incidence_edges_match_pair_oracle_on_random_cones():
+    rng = random.Random(909)
+    shapes = set()
+    for _ in range(80):
+        cone = random_three_dim_cone(rng)
+        want = [(i, j) for i, j in combinations(range(len(cone.rays)), 2) if pair_is_face(cone, i, j)]
+        assert incidence_edges(ray_tight_masks(cone)) == want
+        # the 2-faces of a 3-dimensional pointed cone form one cycle
+        assert len(want) == len(cone.rays)
+        shapes.add((cone.lineality_dim > 0, len(cone.rays) > 3, bool(cone.eqs)))
+    assert {(False, False, False), (True, False, False), (False, True, False),
+            (True, True, False), (False, True, True)} <= shapes
+
+
+def test_incidence_edges_small_cases():
+    assert incidence_edges([]) == []
+    assert incidence_edges([0, 0]) == [(0, 1)]
+    assert incidence_edges([0, 0, 0]) == []
+    # a square: vertex k lies on facets k and k - 1 (mod 4)
+    square = [0b1001, 0b0011, 0b0110, 0b1100]
+    assert incidence_edges(square) == [(0, 1), (0, 3), (1, 2), (2, 3)]
+    # a point inside the square lies on no facet and blocks no edge
+    assert incidence_edges(square + [0]) == [(0, 1), (0, 3), (1, 2), (2, 3)]
 
 
 def _hexagon_rows():
