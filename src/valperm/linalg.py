@@ -18,6 +18,7 @@ from valperm import kernels
 def scale_to_int(row):
     """Scale a rational vector to a primitive integer one (same direction).
 
+    >>> from fractions import Fraction
     >>> scale_to_int([Fraction(1, 2), Fraction(-3, 4), 0])
     [2, -3, 0]
     """

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import ceil
+from types import MappingProxyType
 
 from valperm.permutahedra import (
     EdgeValues,
@@ -90,9 +91,15 @@ class HeightFunction:
 
     Keys may be permutation tuples or compact strings ("213"); they must
     cover all n! vertices exactly.
+
+    A height function is immutable: ``heights`` is a read-only mapping and
+    no attribute can be reassigned.  That lets it hold what is derived from
+    it: :func:`subdivide` stores its cells and :func:`check_two_skeleton`
+    its report on the height function, so each is computed at most once
+    and lives exactly as long as the height function does.
     """
 
-    __slots__ = ("n", "heights")
+    __slots__ = ("n", "heights", "_cells", "_report")
 
     def __init__(self, n, heights):
         hs = {}
@@ -104,8 +111,13 @@ class HeightFunction:
         missing = [v for v in permutohedron_vertices(n) if v not in hs]
         if missing:
             raise ValueError(f"missing height at vertex {perm_str(missing[0])}")
-        self.n = n
-        self.heights = hs
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "heights", MappingProxyType(hs))
+        object.__setattr__(self, "_cells", None)
+        object.__setattr__(self, "_report", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"HeightFunction is immutable: cannot set {name}")
 
     @classmethod
     def zero(cls, n):
@@ -286,16 +298,20 @@ class Cell:
 
 def subdivide(w):
     """Cells of the regular subdivision of the permutohedron induced by w,
-    each certified by edge directions and by the Bruhat-interval test."""
-    verts = permutohedron_vertices(w.n)
-    cells = lower_cells(verts, [w[v] for v in verts], verts)
-    out = []
-    for cell in cells:
-        gp = is_generalized_permutahedron(cell)
-        interval, endpoints = is_bruhat_interval_polytope(cell)
-        lo, hi = endpoints if endpoints else (None, None)
-        out.append(Cell(cell, gp, interval, lo, hi))
-    return out
+    each certified by edge directions and by the Bruhat-interval test.
+
+    The cells are computed once per height function and stored on it;
+    every call returns a fresh list of the same frozen cells."""
+    if w._cells is None:
+        verts = permutohedron_vertices(w.n)
+        out = []
+        for cell in lower_cells(verts, [w[v] for v in verts], verts):
+            gp = is_generalized_permutahedron(cell)
+            interval, endpoints = is_bruhat_interval_polytope(cell)
+            lo, hi = endpoints if endpoints else (None, None)
+            out.append(Cell(cell, gp, interval, lo, hi))
+        object.__setattr__(w, "_cells", tuple(out))
+    return list(w._cells)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +380,12 @@ class SkeletonReport:
 
 
 def check_two_skeleton(w):
-    """Evaluate the 2-face conditions of the height function w."""
+    """Evaluate the 2-face conditions of the height function w.
+
+    The report is computed once per height function and stored on it;
+    later calls return the same frozen report."""
+    if w._report is not None:
+        return w._report
     hexagons, squares = [], []
     for face in enumerate_two_faces(w.n):
         vs = face.vertices
@@ -393,7 +414,8 @@ def check_two_skeleton(w):
                 b,
             )
         )
-    return SkeletonReport(tuple(hexagons), tuple(squares))
+    object.__setattr__(w, "_report", SkeletonReport(tuple(hexagons), tuple(squares)))
+    return w._report
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +558,12 @@ def check_positive_flag(w):
     """Decide whether w subdivides the permutohedron into Bruhat interval
     polytopes, computing both routes: the 2-face conditions (alternating +
     squares + min-diagonal) and the per-cell interval certificates.  The two
-    must agree; a mismatch is an internal failure and raises."""
+    must agree; a mismatch is an internal failure and raises.
+
+    Both routes are read through :func:`check_two_skeleton` and
+    :func:`subdivide`, so a height function whose report and cells are
+    already computed is not subdivided again; the two verdicts are still
+    compared on every call."""
     report = check_two_skeleton(w)
     cells = tuple(subdivide(w))
     by_skeleton = report.passes_positive

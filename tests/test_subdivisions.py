@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from valperm import subdivisions
 from valperm.permutahedra import (
     bruhat_interval,
     mask_from,
+    parse_perm,
     permutohedron_vertices,
     subsets_of_size,
     vertex_to_flag,
@@ -521,6 +523,69 @@ def test_positive_flag_raises_when_the_routes_disagree(monkeypatch):
     monkeypatch.setattr(subdivisions, "subdivide", flipped_subdivide)
     with pytest.raises(RuntimeError, match="check_positive_flag"):
         check_positive_flag(HeightFunction(3, EXAMPLE_HEIGHTS))
+
+
+# ---------------------------------------------------------------------------
+# results stored on the height function
+
+
+def test_height_function_computes_its_subdivision_and_report_once(monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(subdivisions, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(subdivisions, name, wrapper)
+
+    counted("lower_cells")
+    counted("enumerate_two_faces")
+    w = HeightFunction(3, EXAMPLE_HEIGHTS)
+    first = subdivide(w)
+    assert check_positive_flag(w).cells == tuple(first)
+    assert subdivide(w) == first
+    decompose_height(w)
+    assert calls == {"lower_cells": 1, "enumerate_two_faces": 1}
+
+
+def test_subdivide_returns_a_fresh_list():
+    w = HeightFunction(3, EXAMPLE_HEIGHTS)
+    cells = subdivide(w)
+    expected = list(cells)
+    cells.append(cells[0])
+    assert subdivide(w) == expected
+    subdivide(w).clear()
+    assert subdivide(w) == expected
+
+
+def test_height_function_is_immutable():
+    w = HeightFunction(3, EXAMPLE_HEIGHTS)
+    with pytest.raises(TypeError):
+        w.heights[(1, 2, 3)] = 0
+    with pytest.raises(AttributeError):
+        w.n = 4
+    subdivide(w)
+    check_two_skeleton(w)
+    fresh = HeightFunction(3, EXAMPLE_HEIGHTS)
+    assert w == fresh
+    assert w.heights == {parse_perm(k): Fraction(v) for k, v in EXAMPLE_HEIGHTS.items()}
+    assert subdivide(w) == subdivide(fresh)
+
+
+@pytest.mark.parametrize("n,trials", [(3, 40), (4, 8)])
+def test_stored_results_match_a_fresh_copy(n, trials):
+    rng = random.Random(17 * n)
+    for _ in range(trials):
+        w = HeightFunction(n, {v: rng.randint(-2, 2) for v in permutohedron_vertices(n)})
+        subdivide(w)
+        check_two_skeleton(w)
+        fresh = HeightFunction(n, w.heights)
+        assert check_positive_flag(w).cells == tuple(subdivide(fresh))
+        assert subdivide(w) == subdivide(fresh)
+        assert check_two_skeleton(w) == check_two_skeleton(fresh)
 
 
 # ---------------------------------------------------------------------------
