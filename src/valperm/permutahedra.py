@@ -141,21 +141,6 @@ def vertex_to_flag(v) -> tuple[int, ...]:
     return tuple(flag)
 
 
-def flag_to_vertex(flag) -> tuple[int, ...]:
-    """Inverse of vertex_to_flag for a complete flag (sizes 1..n)."""
-    n = len(flag)
-    v = [0] * n
-    prev = 0
-    for d, m in enumerate(flag, start=1):
-        if mask_size(m) != d or (prev & m) != prev:
-            raise ValueError("not a complete flag")
-        new = m & ~prev
-        (p,) = mask_elems(new)
-        v[p - 1] = n - d + 1
-        prev = m
-    return tuple(v)
-
-
 # ---------------------------------------------------------------------------
 # words and Bruhat order
 
@@ -165,13 +150,6 @@ def apply_right(v, i: int) -> tuple[int, ...]:
     w = list(v)
     w[i - 1], w[i] = w[i], w[i - 1]
     return tuple(w)
-
-
-def word_to_perm(word, n: int) -> tuple[int, ...]:
-    v = tuple(range(1, n + 1))
-    for i in word:
-        v = apply_right(v, i)
-    return v
 
 
 def inversions(v) -> int:
@@ -445,27 +423,3 @@ def symmetry_generators(n: int) -> list[dict]:
     gens = [_coordinate_transposition_map(n, i) for i in range(1, n)]
     gens.append(_extra_reflection_map(n))
     return gens
-
-
-def symmetry_group_order(n: int) -> int:
-    """Order of the group generated by symmetry_generators (BFS closure)."""
-    gens = symmetry_generators(n)
-    verts = permutohedron_vertices(n)
-    ident = tuple(verts)
-
-    def compose(t, m):
-        # apply map m after the permutation encoded by t
-        return tuple(m[v] for v in t)
-
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for t in frontier:
-            for g in gens:
-                u = compose(t, g)
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    return len(seen)

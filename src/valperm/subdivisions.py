@@ -7,12 +7,17 @@ one potential per hypersimplex level.  This module provides the compression,
 the subdivision with per-cell certificates (edge directions, Bruhat
 intervals), the 2-face condition report, the decomposition, and the embedding
 of a full flag into a single valuated matroid on twice the ground set.
+
+Heights and flag values are Fractions in public, and every computation here
+reads their integer views instead (numerators over one positive common
+denominator, taken once per object).  Subdivisions and the 2-face conditions
+do not change when all heights are scaled by the same positive number, and
+every value that comes back out is divided back into true units.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import ceil
 from types import MappingProxyType
 
 from valperm.permutahedra import (
@@ -33,7 +38,7 @@ from valperm.permutahedra import (
     vertex_to_flag,
 )
 from valperm.polyhedra import hull_edges, lower_cells
-from valperm.valuated import ValuatedMatroid, check_incidence
+from valperm.valuated import ValuatedMatroid, check_incidence, common_view, exact, integer_view
 
 
 class ValuatedFlagMatroid:
@@ -41,10 +46,12 @@ class ValuatedFlagMatroid:
 
     Consecutive components must pass :func:`valperm.valuated.check_incidence`;
     pass ``check=False`` to skip that validation (used when the caller will
-    establish or test the property itself).
+    establish or test the property itself).  The components' integer views
+    are brought to one denominator once, here (``_ints[d - 1]`` over
+    ``_den`` for rank d).
     """
 
-    __slots__ = ("n", "components")
+    __slots__ = ("n", "components", "_ints", "_den")
 
     def __init__(self, components, check=True):
         comps = tuple(components)
@@ -65,6 +72,7 @@ class ValuatedFlagMatroid:
                     raise ValueError(f"ranks ({lo.d},{hi.d}) are not incident: {violation}")
         self.n = n
         self.components = comps
+        self._ints, self._den = common_view(comps)
 
     def component(self, d):
         """The rank-d component."""
@@ -90,16 +98,18 @@ class HeightFunction:
     """A rational height for every vertex of the permutohedron.
 
     Keys may be permutation tuples or compact strings ("213"); they must
-    cover all n! vertices exactly.
+    cover all n! vertices exactly, each once.  Heights are Fractions; floats
+    raise TypeError.
 
     A height function is immutable: ``heights`` is a read-only mapping and
     no attribute can be reassigned.  That lets it hold what is derived from
-    it: :func:`subdivide` stores its cells and :func:`check_two_skeleton`
-    its report on the height function, so each is computed at most once
-    and lives exactly as long as the height function does.
+    it: its integer view (``_ints`` over ``_den``), taken here, and the
+    cells that :func:`subdivide` and the report that
+    :func:`check_two_skeleton` store on it, so each is computed at most
+    once and lives exactly as long as the height function does.
     """
 
-    __slots__ = ("n", "heights", "_cells", "_report")
+    __slots__ = ("n", "heights", "_ints", "_den", "_cells", "_report")
 
     def __init__(self, n, heights):
         hs = {}
@@ -107,12 +117,17 @@ class HeightFunction:
             v = parse_perm(key)
             if len(v) != n:
                 raise ValueError(f"vertex {perm_str(v)} does not match n={n}")
-            hs[v] = Fraction(value)
+            if v in hs:
+                raise ValueError(f"vertex {perm_str(v)} is given twice (key {key!r})")
+            hs[v] = exact(value)
         missing = [v for v in permutohedron_vertices(n) if v not in hs]
         if missing:
             raise ValueError(f"missing height at vertex {perm_str(missing[0])}")
+        ints, den = integer_view(hs)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "heights", MappingProxyType(hs))
+        object.__setattr__(self, "_ints", ints)
+        object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_cells", None)
         object.__setattr__(self, "_report", None)
 
@@ -163,20 +178,19 @@ def is_lattice_point(n, x):
 
 
 def _decompositions_minimum(flag, x):
-    """(minimal total value, number of attaining decompositions) for
-    x = sum over d of the indicator of a rank-d support subset; (None, 0)
-    when no decomposition stays inside the supports."""
-    values = {c.d: c.values for c in flag}
+    """The minimal total value, in units of ``1 / flag._den``, over
+    x = sum over d of the indicator of a rank-d support subset; None when no
+    decomposition stays inside the supports."""
     cache = {}
 
     def rec(level, residual):
         if level == 0:
-            return (Fraction(0), 1) if not any(residual) else (None, 0)
+            return None if any(residual) else 0
         state = (level, residual)
         if state in cache:
             return cache[state]
-        best, count = None, 0
-        for mask, val in values[level].items():
+        best = None
+        for mask, val in flag._ints[level - 1].items():
             nxt = list(residual)
             feasible = True
             for p in mask_elems(mask):
@@ -187,16 +201,11 @@ def _decompositions_minimum(flag, x):
             # each coordinate can be hit at most once per remaining level
             if not feasible or any(c > level - 1 for c in nxt):
                 continue
-            sub, subcount = rec(level - 1, tuple(nxt))
-            if sub is None:
-                continue
-            total = val + sub
-            if best is None or total < best:
-                best, count = total, subcount
-            elif total == best:
-                count += subcount
-        cache[state] = (best, count)
-        return best, count
+            sub = rec(level - 1, tuple(nxt))
+            if sub is not None and (best is None or val + sub < best):
+                best = val + sub
+        cache[state] = best
+        return best
 
     return rec(flag.n, tuple(int(c) for c in x))
 
@@ -207,15 +216,8 @@ def compress(flag, x):
     leaves some support."""
     if not is_lattice_point(flag.n, x):
         raise ValueError(f"{tuple(x)} is not a lattice point of the permutohedron")
-    best, _ = _decompositions_minimum(flag, x)
-    return best
-
-
-def compress_attainers(flag, x):
-    """(minimum, multiplicity): how many decompositions attain :func:`compress`."""
-    if not is_lattice_point(flag.n, x):
-        raise ValueError(f"{tuple(x)} is not a lattice point of the permutohedron")
-    return _decompositions_minimum(flag, x)
+    best = _decompositions_minimum(flag, x)
+    return None if best is None else Fraction(best, flag._den)
 
 
 def compress_on_vertices(flag):
@@ -229,16 +231,16 @@ def compress_on_vertices(flag):
     """
     heights = {}
     for v in permutohedron_vertices(flag.n):
-        total = Fraction(0)
+        total = 0
         for d, mask in enumerate(vertex_to_flag(v), start=1):
-            val = flag.component(d).value(mask)
+            val = flag._ints[d - 1].get(mask)
             if val is None:
                 raise ValueError(
                     f"height is not finite at vertex {perm_str(v)}: "
                     f"{subset_str(mask)} is outside the rank-{d} support"
                 )
             total += val
-        heights[v] = total
+        heights[v] = Fraction(total, flag._den)
     return HeightFunction(flag.n, heights)
 
 
@@ -301,11 +303,13 @@ def subdivide(w):
     each certified by edge directions and by the Bruhat-interval test.
 
     The cells are computed once per height function and stored on it;
-    every call returns a fresh list of the same frozen cells."""
+    every call returns a fresh list of the same frozen cells.  The hull is
+    lifted by the integer view of the heights, which has the same lower
+    faces."""
     if w._cells is None:
         verts = permutohedron_vertices(w.n)
         out = []
-        for cell in lower_cells(verts, [w[v] for v in verts], verts):
+        for cell in lower_cells(verts, [w._ints[v] for v in verts], verts):
             gp = is_generalized_permutahedron(cell)
             interval, endpoints = is_bruhat_interval_polytope(cell)
             lo, hi = endpoints if endpoints else (None, None)
@@ -383,20 +387,22 @@ def check_two_skeleton(w):
     """Evaluate the 2-face conditions of the height function w.
 
     The report is computed once per height function and stored on it;
-    later calls return the same frozen report."""
+    later calls return the same frozen report.  It compares sums of the
+    integer view, which order and tie exactly as the heights' sums do."""
     if w._report is not None:
         return w._report
+    h = w._ints
     hexagons, squares = [], []
     for face in enumerate_two_faces(w.n):
         vs = face.vertices
         if face.kind == "square":
             squares.append(
-                SquareCheck(face, w[vs[0]] + w[vs[2]] == w[vs[1]] + w[vs[3]])
+                SquareCheck(face, h[vs[0]] + h[vs[2]] == h[vs[1]] + h[vs[3]])
             )
             continue
-        alternating = sum(w[v] for v in vs[0::2]) == sum(w[v] for v in vs[1::2])
+        alternating = sum(h[v] for v in vs[0::2]) == sum(h[v] for v in vs[1::2])
         diagonals = face.diagonals()
-        sums = [w[a] + w[b] for a, b in diagonals]
+        sums = [h[a] + h[b] for a, b in diagonals]
         top = max(sums)
         attaining = tuple(pair for pair, s in zip(diagonals, sums) if s == top)
         # a hexagon is a coset of a rank-2 parabolic subgroup, so its unique
@@ -425,6 +431,9 @@ def check_two_skeleton(w):
 def reconstruct_potential(graph, values, root, f0):
     """The vertex map f with f(v) - f(u) = values(v, u) on edges, f(root) = f0.
 
+    f is computed in the arithmetic of ``f0`` and the values: integers in
+    give integers out.
+
     Requires the value of every directed cycle bounding a 2-face to vanish;
     a nonzero one is rejected with the offending face.  f is built along a
     breadth-first tree and every non-tree edge is checked afterwards (the
@@ -437,7 +446,7 @@ def reconstruct_potential(graph, values, root, f0):
         )
         if total != 0:
             raise ValueError(f"cycle sum {total} on 2-face {cycle} of {graph.name}")
-    f = {root: Fraction(f0)}
+    f = {root: f0}
     queue = [root]
     for u in queue:
         for v in graph.neighbors[u]:
@@ -481,6 +490,7 @@ def decompose_height(w):
                 f"alternating sums differ on the hexagon over "
                 f"{subset_str(lo) or '{}'} < {subset_str(hi)}"
             )
+    h, den = w._ints, w._den
     graph = permutohedron_graph(n)
     transfers = {d: EdgeValues() for d in range(1, n)}
     for u, v in graph.edges:
@@ -488,14 +498,15 @@ def decompose_height(w):
         # parallel edges carry the same difference once the square condition
         # holds (same-tag edges are connected through squares), so no
         # conflicting .set can occur here
-        transfers[d].set(a, b, w[u] - w[v])
+        transfers[d].set(a, b, h[u] - h[v])
     components = []
     identity_flag = vertex_to_flag(tuple(range(1, n + 1)))
     for d in range(1, n):
         potential = reconstruct_potential(
             hypersimplex_graph(d, n), transfers[d], identity_flag[d - 1], 0
         )
-        components.append(ValuatedMatroid(n, d, potential))
+        values = {m: Fraction(t, den) for m, t in potential.items()}
+        components.append(ValuatedMatroid(n, d, values))
     full = mask_from(range(1, n + 1))
     components.append(ValuatedMatroid(n, n, {full: w[tuple(range(1, n + 1))]}))
     return ValuatedFlagMatroid(components, check=False)
@@ -513,15 +524,17 @@ def lift_to_grassmannian(flag):
     The correction makes the three-term relations hold: a = max(0, ceil(V/2))
     where V is the largest violation of supermodularity-in-rank across
     consecutive components (the empty set reads as value 0).  Requires
-    uniform supports.
+    uniform supports.  The gaps and the lifted values are computed on the
+    flag's integer view, in units of ``1 / flag._den``.
     """
     n = flag.n
     for c in flag:
         if not c.is_uniform:
             raise ValueError("the lift needs uniform supports in every rank")
-    w = {0: {0: Fraction(0)}}
-    for c in flag:
-        w[c.d] = c.values
+    den = flag._den
+    w = {0: {0: 0}}
+    for d, ints in enumerate(flag._ints, start=1):
+        w[d] = ints
     worst = None
     for m in range(n - 1):
         for t in subsets_of_size(n, m):
@@ -531,13 +544,14 @@ def lift_to_grassmannian(flag):
                 gap = w[m + 1][t | bi] + w[m + 1][t | bj] - w[m + 2][t | bi | bj] - w[m][t]
                 if worst is None or gap > worst:
                     worst = gap
-    alpha = max(0, ceil(worst / 2)) if worst is not None else 0
+    # alpha = ceil(V / 2) in true units, V = worst / den
+    alpha = max(0, -(-worst // (2 * den))) if worst is not None else 0
     low = (1 << n) - 1
     values = {}
     for b in subsets_of_size(2 * n, n):
         t = b & low
         d = mask_size(t)
-        values[b] = w[d][t] + alpha * d * d
+        values[b] = Fraction(w[d][t] + alpha * d * d * den, den)
     return ValuatedMatroid(2 * n, n, values)
 
 

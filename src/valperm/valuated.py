@@ -8,15 +8,21 @@ truncation / elongation / full-flag embedding, corank valuations of ordinary
 matroids, the geometric quotient test for supports, and tropicalization of
 polynomial matrices into sequences of such value maps.
 
-Value maps use ``None`` for +infinity in all internal arithmetic; rationals
-are ``fractions.Fraction`` throughout.
+Value maps use ``None`` for +infinity in all internal arithmetic.  Public
+values are ``fractions.Fraction``s; floats are refused.  Each valuated
+matroid also keeps an integer view of its values, taken once when it is
+built: the numerators over their least positive common denominator.  The
+three-term relations only compare sums of values, which a common positive
+scaling does not change, so every check runs on that view and divides the
+sums it reports back into true units.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, lcm
+from types import MappingProxyType
 
 from valperm import polyhedra
 from valperm.permutahedra import (
@@ -75,22 +81,62 @@ def uniform_matroid(n, d):
     return Matroid(n, frozenset(subsets_of_size(n, d)))
 
 
-class ValuatedMatroid:
-    """Finite rational values on d-subset masks; support must be a matroid."""
+def exact(value):
+    """``value`` as a Fraction: ints, Fractions and rational strings pass,
+    floats raise TypeError, so no binary fraction enters an exact object."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, float):
+        raise TypeError(f"float {value!r} is not exact: give an int, a Fraction or a string")
+    return Fraction(value)
 
-    __slots__ = ("n", "d", "values")
+
+def integer_view(values):
+    """``(ints, den)``: the Fraction values of a map as integer numerators
+    over their least positive common denominator ``den``."""
+    den = lcm(*(x.denominator for x in values.values()))
+    return {k: x.numerator * (den // x.denominator) for k, x in values.items()}, den
+
+
+def common_view(vms):
+    """``(ints, den)``: the integer views of several valuated matroids
+    brought to one denominator, the lcm of theirs; ``ints`` is a list."""
+    den = lcm(*(vm._den for vm in vms))
+    return [
+        vm._ints if vm._den == den else {m: t * (den // vm._den) for m, t in vm._ints.items()}
+        for vm in vms
+    ], den
+
+
+def _true_terms(terms, den):
+    """Sums of an integer view divided back into true units."""
+    return tuple(None if t is None else Fraction(t, den) for t in terms)
+
+
+class ValuatedMatroid:
+    """Finite rational values on d-subset masks; support must be a matroid.
+
+    ``values`` is a read-only mapping from each mask of the support to a
+    Fraction, because the integer view of those values (``_ints`` over
+    ``_den``) is taken once, here, and every check reads the view.
+    """
+
+    __slots__ = ("n", "d", "values", "_ints", "_den")
 
     def __init__(self, n, d, values):
         vals = {}
-        for mask, v in values.items():
-            mask = int(mask)
+        for key, v in values.items():
+            mask = int(key)
             if mask_size(mask) != d or mask < 0 or mask >= 1 << n:
                 raise ValueError(f"subset {subset_str(mask)} is not a {d}-subset of [{n}]")
-            vals[mask] = Fraction(v)
+            if mask in vals:
+                raise ValueError(f"subset {subset_str(mask)} is given twice (key {key!r})")
+            vals[mask] = exact(v)
         _validate_bases(n, frozenset(vals))
         self.n = n
         self.d = d
-        self.values = vals
+        self.values = MappingProxyType(vals)
+        self._ints, self._den = integer_view(vals)
 
     @classmethod
     def from_lex_values(cls, n, d, seq):
@@ -158,18 +204,17 @@ def check_plucker(vm):
     v(Sij)+v(Skl), v(Sik)+v(Sjl), v(Sil)+v(Sjk) must be attained at least
     twice (absent values read as +infinity).
     """
-    v = vm.values.get
+    v = vm._ints.get
     for s in subsets_of_size(vm.n, vm.d - 2):
-        outside = [e for e in range(1, vm.n + 1) if not s >> (e - 1) & 1]
-        for i, j, k, l in combinations(outside, 4):
-            bi, bj, bk, bl = (1 << (x - 1) for x in (i, j, k, l))
+        outside = [(e, 1 << (e - 1)) for e in range(1, vm.n + 1) if not s >> (e - 1) & 1]
+        for (i, bi), (j, bj), (k, bk), (l, bl) in combinations(outside, 4):
             terms = (
                 _add(v(s | bi | bj), v(s | bk | bl)),
                 _add(v(s | bi | bk), v(s | bj | bl)),
                 _add(v(s | bi | bl), v(s | bj | bk)),
             )
             if not _min_twice(terms):
-                return Violation("plucker", s, (i, j, k, l), terms)
+                return Violation("plucker", s, (i, j, k, l), _true_terms(terms, vm._den))
     return None
 
 
@@ -188,18 +233,18 @@ def check_incidence(lower, upper):
     form a quotient (see :func:`is_quotient`).
     """
     _require_consecutive(lower, upper)
-    lo, hi = lower.values.get, upper.values.get
+    (lo_ints, hi_ints), den = common_view((lower, upper))
+    lo, hi = lo_ints.get, hi_ints.get
     for s in subsets_of_size(lower.n, lower.d - 1):
-        outside = [e for e in range(1, lower.n + 1) if not s >> (e - 1) & 1]
-        for i, j, k in combinations(outside, 3):
-            bi, bj, bk = (1 << (x - 1) for x in (i, j, k))
+        outside = [(e, 1 << (e - 1)) for e in range(1, lower.n + 1) if not s >> (e - 1) & 1]
+        for (i, bi), (j, bj), (k, bk) in combinations(outside, 3):
             terms = (
                 _add(lo(s | bi), hi(s | bj | bk)),
                 _add(lo(s | bj), hi(s | bi | bk)),
                 _add(lo(s | bk), hi(s | bi | bj)),
             )
             if not _min_twice(terms):
-                return Violation("incidence", s, (i, j, k), terms)
+                return Violation("incidence", s, (i, j, k), _true_terms(terms, den))
     if not _support_quotient(lower.n, lower.support, upper.support):
         return Violation("support-quotient")
     return None
@@ -212,16 +257,17 @@ def check_positive_plucker(vm):
     """
     if not vm.is_uniform:
         raise ValueError("positivity is only defined on uniform support")
-    v = vm.values.get
+    v = vm._ints.get
     for s in subsets_of_size(vm.n, vm.d - 2):
-        outside = [e for e in range(1, vm.n + 1) if not s >> (e - 1) & 1]
-        for i, j, k, l in combinations(outside, 4):
-            bi, bj, bk, bl = (1 << (x - 1) for x in (i, j, k, l))
+        outside = [(e, 1 << (e - 1)) for e in range(1, vm.n + 1) if not s >> (e - 1) & 1]
+        for (i, bi), (j, bj), (k, bk), (l, bl) in combinations(outside, 4):
             lhs = v(s | bi | bk) + v(s | bj | bl)
             t1 = v(s | bi | bj) + v(s | bk | bl)
             t2 = v(s | bi | bl) + v(s | bj | bk)
             if lhs != min(t1, t2):
-                return Violation("positive-plucker", s, (i, j, k, l), (lhs, t1, t2))
+                return Violation(
+                    "positive-plucker", s, (i, j, k, l), _true_terms((lhs, t1, t2), vm._den)
+                )
     return None
 
 
@@ -235,16 +281,18 @@ def check_positive_incidence(lower, upper):
     _require_consecutive(lower, upper)
     if not (lower.is_uniform and upper.is_uniform):
         raise ValueError("positivity is only defined on uniform support")
-    lo, hi = lower.values.get, upper.values.get
+    (lo_ints, hi_ints), den = common_view((lower, upper))
+    lo, hi = lo_ints.get, hi_ints.get
     for s in subsets_of_size(lower.n, lower.d - 1):
-        outside = [e for e in range(1, lower.n + 1) if not s >> (e - 1) & 1]
-        for i, j, k in combinations(outside, 3):
-            bi, bj, bk = (1 << (x - 1) for x in (i, j, k))
+        outside = [(e, 1 << (e - 1)) for e in range(1, lower.n + 1) if not s >> (e - 1) & 1]
+        for (i, bi), (j, bj), (k, bk) in combinations(outside, 3):
             lhs = lo(s | bj) + hi(s | bi | bk)
             t1 = lo(s | bi) + hi(s | bj | bk)
             t2 = lo(s | bk) + hi(s | bi | bj)
             if lhs != min(t1, t2):
-                return Violation("positive-incidence", s, (i, j, k), (lhs, t1, t2))
+                return Violation(
+                    "positive-incidence", s, (i, j, k), _true_terms((lhs, t1, t2), den)
+                )
     if check_positive_plucker(lower) is not None:
         raise RuntimeError("check_positive_incidence: the lower constituent is not positive")
     if check_positive_plucker(upper) is not None:
@@ -349,7 +397,13 @@ def _support_quotient(n, lo_bases, hi_bases):
 
 
 class PolyInT:
-    """Sparse polynomial in one variable with integer exponents, Fraction coefficients."""
+    """Sparse polynomial in one variable with integer exponents, Fraction coefficients.
+
+    Coefficients may be given as ints, Fractions or rational strings; floats
+    raise TypeError.  :func:`tropicalize_matrix` does not multiply PolyInTs:
+    it clears each matrix row's denominators once and expands the minors
+    over integer coefficients.
+    """
 
     __slots__ = ("terms",)
 
@@ -358,7 +412,7 @@ class PolyInT:
         items = terms.items() if isinstance(terms, dict) else terms
         for e, c in items:
             e = int(e)
-            acc[e] = acc.get(e, Fraction(0)) + Fraction(c)
+            acc[e] = acc.get(e, Fraction(0)) + exact(c)
         self.terms = {e: c for e, c in acc.items() if c}
 
     @classmethod
@@ -405,6 +459,15 @@ class PolyInT:
         return "PolyInT(" + " + ".join(parts) + ")"
 
 
+def _integer_row(row):
+    """A matrix row of PolyInTs as ``{exponent: int}`` dicts, scaled by the
+    positive lcm of the row's coefficient denominators."""
+    den = lcm(*(c.denominator for poly in row for c in poly.terms.values()))
+    return [
+        {e: c.numerator * (den // c.denominator) for e, c in poly.terms.items()} for poly in row
+    ]
+
+
 def tropicalize_matrix(entries):
     """Value maps and lowest-coefficient signs of all top-block minors.
 
@@ -413,6 +476,11 @@ def tropicalize_matrix(entries):
     (value = lowest exponent of the minor; zero minors leave the support) and
     a sign map (sign of the lowest-order coefficient).  A row block whose
     minors all vanish raises ValueError.
+
+    Each row is first scaled by the positive lcm of its coefficients'
+    denominators.  That multiplies every minor by a positive constant, which
+    changes neither its lowest exponent nor that term's sign, and lets the
+    minors expand over integer coefficients.
 
     Returns ``(value_maps, sign_maps)`` as parallel lists.
     """
@@ -423,28 +491,32 @@ def tropicalize_matrix(entries):
     if not 1 <= k <= n:
         raise ValueError(f"need a k x n matrix with 1 <= k <= n, got {k} x {n}")
 
-    prev = {0: PolyInT.const(1)}
+    prev = {0: {0: 1}}
     value_maps, sign_maps = [], []
     for i in range(1, k + 1):
-        row = entries[i - 1]
+        row = _integer_row(entries[i - 1])
         cur = {}
         for t in subsets_of_size(n, i):
-            acc = PolyInT()
+            acc = {}
             for m, j in enumerate(mask_elems(t)):
                 sub_minor = prev.get(t & ~(1 << (j - 1)))
                 if sub_minor is None:
                     continue
-                term = row[j - 1] * sub_minor
-                acc = acc + (term if (i + m + 1) % 2 == 0 else -term)
+                sign = 1 if (i + m + 1) % 2 == 0 else -1
+                for e1, c1 in row[j - 1].items():
+                    c1 *= sign
+                    for e2, c2 in sub_minor.items():
+                        acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+            acc = {e: c for e, c in acc.items() if c}
             if acc:
                 cur[t] = acc
         if not cur:
             raise ValueError(f"every {i} x {i} minor of the top {i} rows vanishes")
         vals, signs = {}, {}
         for t, poly in cur.items():
-            exp, coeff = poly.lowest()
-            vals[t] = Fraction(exp)
-            signs[t] = 1 if coeff > 0 else -1
+            exp = min(poly)
+            vals[t] = exp
+            signs[t] = 1 if poly[exp] > 0 else -1
         value_maps.append(ValuatedMatroid(n, i, vals))
         sign_maps.append(signs)
         prev = cur

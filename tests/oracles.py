@@ -7,22 +7,77 @@ membership by LP separation, lower cells by trying every support set, the
 fan by solving every sign choice in full, 2-faces of a cone by the sign of
 the other rays against the hyperplane a ray pair spans, Gram-Schmidt and
 projections in ``Fraction`` arithmetic, and extremal rays by trying every
-row subset.
+row subset.  The three-term checks, the lift and the compression minimum
+are kept here as they were before the package moved them onto integer
+views: in ``Fraction`` arithmetic on the public values.  So are a few
+small helpers that only tests use, and the minors of a polynomial matrix
+by the Leibniz formula: the vertex of a complete flag, the
+permutation of a word, and the order of the symmetry group by closure.
 """
 
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, product
-from math import gcd
+from itertools import combinations, permutations, product
+from math import ceil, gcd
 
 from lp import lp_feasible
 from valperm import kernels
 from valperm.permutahedra import (
+    apply_right,
     inversions,
+    mask_elems,
+    mask_size,
     permutohedron_vertices,
     reduced_word,
-    word_to_perm,
+    subsets_of_size,
+    symmetry_generators,
 )
+from valperm.valuated import Matroid, PolyInT, ValuatedMatroid, Violation, is_quotient
+
+
+def flag_to_vertex(flag):
+    """Inverse of vertex_to_flag for a complete flag (sizes 1..n)."""
+    n = len(flag)
+    v = [0] * n
+    prev = 0
+    for d, m in enumerate(flag, start=1):
+        if mask_size(m) != d or (prev & m) != prev:
+            raise ValueError("not a complete flag")
+        new = m & ~prev
+        (p,) = mask_elems(new)
+        v[p - 1] = n - d + 1
+        prev = m
+    return tuple(v)
+
+
+def word_to_perm(word, n):
+    v = tuple(range(1, n + 1))
+    for i in word:
+        v = apply_right(v, i)
+    return v
+
+
+def symmetry_group_order(n):
+    """Order of the group generated by symmetry_generators (BFS closure)."""
+    gens = symmetry_generators(n)
+    ident = tuple(permutohedron_vertices(n))
+
+    def compose(t, m):
+        # apply map m after the permutation encoded by t
+        return tuple(m[v] for v in t)
+
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for t in frontier:
+            for g in gens:
+                u = compose(t, g)
+                if u not in seen:
+                    seen.add(u)
+                    nxt.append(u)
+        frontier = nxt
+    return len(seen)
 
 
 def bruhat_lower_set(v):
@@ -74,8 +129,6 @@ def bruhat_interval_by_scan(vertices):
 
 def argmax_vertex_for_flag(flag, n):
     """The vertex maximizing the flag's weight functional, by brute force."""
-    from valperm.permutahedra import mask_elems
-
     weight = [0] * n
     for m in flag:
         for p in mask_elems(m):
@@ -287,3 +340,159 @@ def extremal_rays_by_subsets(rows, dim):
             if all(sum(Fraction(a) * b for a, b in zip(row, z)) >= 0 for row in rows):
                 found.add(tuple(_primitive(z)))
     return [list(r) for r in sorted(found)]
+
+
+# ---------------------------------------------------------------------------
+# valuated checks, the lift and the compression minimum in Fraction arithmetic
+
+
+def _add(a, b):
+    if a is None or b is None:
+        return None
+    return a + b
+
+
+def _min_twice(terms):
+    finite = [t for t in terms if t is not None]
+    if not finite:
+        return True
+    return finite.count(min(finite)) >= 2
+
+
+def check_plucker_fraction(vm):
+    """``check_plucker`` on the Fraction values: None or the first Violation."""
+    v = vm.values.get
+    for s in subsets_of_size(vm.n, vm.d - 2):
+        outside = [e for e in range(1, vm.n + 1) if not s >> (e - 1) & 1]
+        for i, j, k, l in combinations(outside, 4):
+            bi, bj, bk, bl = (1 << (x - 1) for x in (i, j, k, l))
+            terms = (
+                _add(v(s | bi | bj), v(s | bk | bl)),
+                _add(v(s | bi | bk), v(s | bj | bl)),
+                _add(v(s | bi | bl), v(s | bj | bk)),
+            )
+            if not _min_twice(terms):
+                return Violation("plucker", s, (i, j, k, l), terms)
+    return None
+
+
+def check_incidence_fraction(lower, upper):
+    """``check_incidence`` on the Fraction values: None or the first Violation."""
+    lo, hi = lower.values.get, upper.values.get
+    for s in subsets_of_size(lower.n, lower.d - 1):
+        outside = [e for e in range(1, lower.n + 1) if not s >> (e - 1) & 1]
+        for i, j, k in combinations(outside, 3):
+            bi, bj, bk = (1 << (x - 1) for x in (i, j, k))
+            terms = (
+                _add(lo(s | bi), hi(s | bj | bk)),
+                _add(lo(s | bj), hi(s | bi | bk)),
+                _add(lo(s | bk), hi(s | bi | bj)),
+            )
+            if not _min_twice(terms):
+                return Violation("incidence", s, (i, j, k), terms)
+    if not is_quotient(Matroid(lower.n, lower.support), Matroid(upper.n, upper.support)):
+        return Violation("support-quotient")
+    return None
+
+
+def check_positive_plucker_fraction(vm):
+    """``check_positive_plucker`` on the Fraction values."""
+    v = vm.values.get
+    for s in subsets_of_size(vm.n, vm.d - 2):
+        outside = [e for e in range(1, vm.n + 1) if not s >> (e - 1) & 1]
+        for i, j, k, l in combinations(outside, 4):
+            bi, bj, bk, bl = (1 << (x - 1) for x in (i, j, k, l))
+            lhs = v(s | bi | bk) + v(s | bj | bl)
+            t1 = v(s | bi | bj) + v(s | bk | bl)
+            t2 = v(s | bi | bl) + v(s | bj | bk)
+            if lhs != min(t1, t2):
+                return Violation("positive-plucker", s, (i, j, k, l), (lhs, t1, t2))
+    return None
+
+
+def check_positive_incidence_fraction(lower, upper):
+    """The three-term part of ``check_positive_incidence`` on the Fraction
+    values."""
+    lo, hi = lower.values.get, upper.values.get
+    for s in subsets_of_size(lower.n, lower.d - 1):
+        outside = [e for e in range(1, lower.n + 1) if not s >> (e - 1) & 1]
+        for i, j, k in combinations(outside, 3):
+            bi, bj, bk = (1 << (x - 1) for x in (i, j, k))
+            lhs = lo(s | bj) + hi(s | bi | bk)
+            t1 = lo(s | bi) + hi(s | bj | bk)
+            t2 = lo(s | bk) + hi(s | bi | bj)
+            if lhs != min(t1, t2):
+                return Violation("positive-incidence", s, (i, j, k), (lhs, t1, t2))
+    return None
+
+
+def lift_to_grassmannian_fraction(flag):
+    """``lift_to_grassmannian`` on the Fraction values of a uniform flag."""
+    n = flag.n
+    w = {0: {0: Fraction(0)}}
+    for c in flag:
+        w[c.d] = c.values
+    worst = None
+    for m in range(n - 1):
+        for t in subsets_of_size(n, m):
+            outside = [e for e in range(1, n + 1) if not t >> (e - 1) & 1]
+            for i, j in combinations(outside, 2):
+                bi, bj = 1 << (i - 1), 1 << (j - 1)
+                gap = w[m + 1][t | bi] + w[m + 1][t | bj] - w[m + 2][t | bi | bj] - w[m][t]
+                if worst is None or gap > worst:
+                    worst = gap
+    alpha = max(0, ceil(worst / 2)) if worst is not None else 0
+    low = (1 << n) - 1
+    values = {}
+    for b in subsets_of_size(2 * n, n):
+        t = b & low
+        d = mask_size(t)
+        values[b] = w[d][t] + alpha * d * d
+    return ValuatedMatroid(2 * n, n, values)
+
+
+def compress_attainers(flag, x):
+    """(minimum, multiplicity) of the total component value over every way
+    to write x as a sum of one support-subset indicator per rank, by trying
+    every choice rank by rank in Fraction arithmetic; (None, 0) when there
+    is none."""
+    totals = []
+
+    def walk(d, residual, total):
+        if d == 0:
+            if not any(residual):
+                totals.append(total)
+            return
+        for mask, val in flag.component(d).values.items():
+            nxt = [r - (mask >> p & 1) for p, r in enumerate(residual)]
+            if min(nxt) >= 0:
+                walk(d - 1, nxt, total + val)
+
+    walk(flag.n, list(x), Fraction(0))
+    if not totals:
+        return None, 0
+    best = min(totals)
+    return best, totals.count(best)
+
+
+def minors_by_leibniz(entries):
+    """For each i, ``{mask: (lowest exponent, sign of its coefficient)}`` over
+    the nonzero i x i minors on rows 1..i of a matrix of PolyInTs, each
+    expanded by the Leibniz formula in PolyInT arithmetic."""
+    n = len(entries[0])
+    out = []
+    for i in range(1, len(entries) + 1):
+        found = {}
+        for t in subsets_of_size(n, i):
+            cols = mask_elems(t)
+            det = PolyInT()
+            for perm in permutations(range(i)):
+                term = PolyInT.const((-1) ** inversions(perm))
+                for row, c in enumerate(perm):
+                    term = term * entries[row][cols[c] - 1]
+                det = det + term
+            if det:
+                exp, coeff = det.lowest()
+                found[t] = (exp, 1 if coeff > 0 else -1)
+        out.append(found)
+    return out

@@ -2,12 +2,16 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from valperm import kernels
 from valperm.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 SPIKED = {"n": 3, "heights": {"123": "1", "132": "0", "213": "0",
                               "231": "0", "312": "0", "321": "0"}}
@@ -43,6 +47,29 @@ def test_golden_chain(tmp_path):
     code, skel = run(tmp_path, "skeleton", str(tmp_path / "h.json"), name="s.json")
     assert code == 0
     assert skel == (GOLDEN / "skeleton_a.json").read_bytes()
+
+
+def test_golden_chain_under_optimize(tmp_path):
+    # python -O strips every assert: the chain's outputs must not rest on one
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    optimize = subprocess.run([sys.executable, "-O", "-c", "import sys; print(sys.flags.optimize)"],
+                              env=env, capture_output=True, text=True, check=True)
+    assert optimize.stdout.strip() == "1"
+    chain = (
+        ("tropicalize", GOLDEN / "matrix_a.json", "t.json", "tropicalize_a.json"),
+        ("compress", tmp_path / "t.json", "h.json", "compress_a.json"),
+        ("subdivide", tmp_path / "h.json", "c.json", "subdivide_a.json"),
+        ("skeleton", tmp_path / "h.json", "s.json", "skeleton_a.json"),
+    )
+    for command, source, out, golden in chain:
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "valperm.cli", command, str(source),
+             "--output", str(tmp_path / out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / out).read_bytes() == (GOLDEN / golden).read_bytes()
 
 
 def test_byte_determinism(tmp_path):

@@ -6,13 +6,19 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import argmax_vertex_for_flag, bruhat_leq_subword, bruhat_lower_set
+from oracles import (
+    argmax_vertex_for_flag,
+    bruhat_leq_subword,
+    bruhat_lower_set,
+    flag_to_vertex,
+    symmetry_group_order,
+    word_to_perm,
+)
 from valperm.permutahedra import (
     EdgeValues,
     bruhat_interval,
     bruhat_leq,
     enumerate_two_faces,
-    flag_to_vertex,
     hypersimplex_graph,
     inversions,
     mask_elems,
@@ -28,9 +34,7 @@ from valperm.permutahedra import (
     subset_str,
     subsets_of_size,
     symmetry_generators,
-    symmetry_group_order,
     vertex_to_flag,
-    word_to_perm,
 )
 from valperm.subdivisions import HeightFunction, check_two_skeleton
 

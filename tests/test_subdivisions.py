@@ -21,7 +21,6 @@ from valperm.subdivisions import (
     check_positive_flag,
     check_two_skeleton,
     compress,
-    compress_attainers,
     compress_on_vertices,
     decompose_height,
     is_bruhat_interval_polytope,
@@ -42,7 +41,7 @@ from valperm.valuated import (
     uniform_matroid,
 )
 
-from oracles import bruhat_interval_by_scan
+from oracles import bruhat_interval_by_scan, compress_attainers
 
 V = ValuatedMatroid.from_lex_values
 
@@ -117,6 +116,20 @@ def test_height_function():
         HeightFunction(3, {**EXAMPLE_HEIGHTS, "1234": 0})
     with pytest.raises(ValueError):
         HeightFunction(3, {**EXAMPLE_HEIGHTS, "122": 0})
+
+
+def test_height_given_twice_is_refused():
+    # "213" and (2, 1, 3) name one vertex; neither value may silently win
+    with pytest.raises(ValueError, match=r"213 is given twice \(key \(2, 1, 3\)\)"):
+        HeightFunction(3, {**EXAMPLE_HEIGHTS, (2, 1, 3): 0})
+
+
+def test_float_heights_are_refused():
+    with pytest.raises(TypeError, match="float"):
+        HeightFunction(2, {"12": 0, "21": 0.1})
+    w = HeightFunction(2, {"12": "1/3", "21": Fraction(1, 6)})
+    assert w.heights == {(1, 2): Fraction(1, 3), (2, 1): Fraction(1, 6)}
+    assert (w._ints, w._den) == ({(1, 2): 2, (2, 1): 1}, 6)
 
 
 def test_lattice_point_membership():

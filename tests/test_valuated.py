@@ -76,6 +76,32 @@ def test_vm_construction():
         ValuatedMatroid(3, 2, {parse_subset("123"): 0})
 
 
+def test_vm_subset_given_twice_is_refused():
+    # the keys 3 and "3" are both the mask of {1, 2}
+    with pytest.raises(ValueError, match=r"12 is given twice \(key '3'\)"):
+        ValuatedMatroid(3, 2, {3: 0, 5: 0, 6: 0, "3": 1})
+
+
+def test_vm_values_are_read_only():
+    # the checks read an integer view taken at construction, so a write to
+    # the public values would leave them judging the old values
+    vm = V(4, 2, [0] * 6)
+    with pytest.raises(TypeError):
+        vm.values[parse_subset("12")] = Fraction(-1)
+    assert check_plucker(vm) is None
+
+
+def test_floats_are_refused():
+    with pytest.raises(TypeError, match="float"):
+        ValuatedMatroid(3, 1, {1: 0, 2: 0.5, 4: 0})
+    with pytest.raises(TypeError, match="float"):
+        PolyInT([(0, 1), (1, 0.5)])
+    vm = ValuatedMatroid(3, 1, {1: "1/2", 2: Fraction(1, 3), 4: 2})
+    assert vm.values == {1: Fraction(1, 2), 2: Fraction(1, 3), 4: Fraction(2)}
+    assert (vm._ints, vm._den) == ({1: 3, 2: 2, 4: 12}, 6)
+    assert PolyInT([(0, "1/2")]).terms == {0: Fraction(1, 2)}
+
+
 # ---------------------------------------------------------------------------
 # three-term checks
 
