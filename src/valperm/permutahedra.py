@@ -141,6 +141,17 @@ def vertex_to_flag(v) -> tuple[int, ...]:
     return tuple(flag)
 
 
+@cache
+def vertex_flags(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Each vertex of the permutohedron, in sorted order, with its
+    :func:`vertex_to_flag`; built once per n.
+
+    >>> vertex_flags(2)
+    (((1, 2), (2, 3)), ((2, 1), (1, 3)))
+    """
+    return tuple((v, vertex_to_flag(v)) for v in permutohedron_vertices(n))
+
+
 # ---------------------------------------------------------------------------
 # words and Bruhat order
 

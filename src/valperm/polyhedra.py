@@ -24,6 +24,15 @@ affected by that normalization.  One incidence rule,
 here, and the 2-faces of the height fan's maximal cones in
 :mod:`valperm.fans`, whose rays are matched against the cone's own
 inequalities.
+
+A regular subdivision needs one hull, not one per cell.  :func:`lower_cells`
+lifts the points by their heights and adds the upward direction as a
+generator, so the lifted polyhedron has only lower facets (the cells) and
+vertical ones (over the boundary).  Each cell is a face of it, and a face of
+a face is a face: the smallest face holding two points of a cell lies inside
+the cell, so the cell's vertices and edges follow from its points' masks of
+lifted facets by the same incidence rule (:func:`hull_edges` with
+``facets``).
 """
 
 from dataclasses import dataclass, field
@@ -259,29 +268,43 @@ def incidence_edges(tight):
     return edges
 
 
-def hull_edges(points, labels):
+def hull_edges(points, labels, facets=None):
     """Vertices and edges of conv(points), named by the given unique labels.
 
     Returns ``(sorted vertex labels, sorted edge label pairs)``.  A point is
     a vertex when no other point lies on all of its facets; the edges are the
     :func:`incidence_edges` of the vertices.
+
+    ``facets[i]``, when given, is the bitmask of the facets point ``i`` lies
+    on, taken over the facets of any polyhedron that has conv(points) as a
+    face (the lifted hull of :func:`lower_cells` for one of its cells); the
+    smallest face of that polyhedron holding some of the points lies inside
+    conv(points), so the same tests decide its vertices and edges and no
+    hull is solved here.  Without it, the facets are those of conv(points),
+    from one :func:`hull_facet_sets` solve.
     """
     if len(points) != len(labels) or len(set(labels)) != len(labels):
         raise ValueError("hull_edges needs one unique label per point")
+    if facets is not None and len(facets) != len(points):
+        raise ValueError("hull_edges needs one facet mask per point")
     uniq = {}
-    for p, lab in zip(points, labels):
+    for i, p in enumerate(points):
         key = tuple(p)
-        if key not in uniq or lab < uniq[key]:
-            uniq[key] = lab
+        if key not in uniq or labels[i] < labels[uniq[key]]:
+            uniq[key] = i
     upts = sorted(uniq)
-    ulabs = [uniq[p] for p in upts]
+    keep = [uniq[p] for p in upts]
+    ulabs = [labels[i] for i in keep]
     if len(upts) == 1:
         return [ulabs[0]], []
 
-    tight = [0] * len(upts)
-    for f, members in enumerate(hull_facet_sets(upts)):
-        for i in members:
-            tight[i] |= 1 << f
+    if facets is not None:
+        tight = [facets[i] for i in keep]
+    else:
+        tight = [0] * len(upts)
+        for f, members in enumerate(hull_facet_sets(upts)):
+            for i in members:
+                tight[i] |= 1 << f
     verts = [i for i, t in enumerate(tight)
              if not any(s & t == t for k, s in enumerate(tight) if k != i)]
     edges = [tuple(sorted((ulabs[verts[a]], ulabs[verts[b]])))
@@ -292,9 +315,16 @@ def hull_edges(points, labels):
 def lower_cells(points, heights, labels):
     """Cells of the regular subdivision induced by lifting ``points`` to ``heights``.
 
-    Returns the list of cells, each a sorted tuple of labels, sorted between
-    themselves; affine height functions give the single trivial cell.  Points
-    must be distinct.
+    Returns ``(cells, tight)``.  ``cells`` lists the cells, each a sorted
+    tuple of labels, sorted between themselves.  ``tight[i]`` is the bitmask
+    of the facets of the lifted hull that point ``i`` lies on, one bit per
+    facet: the lower facets, which are the cells, and the vertical ones over
+    the boundary of conv(points).  Each cell is a face of that hull, so its
+    points' masks are the ``facets`` that :func:`hull_edges` reads its
+    vertices and edges from.  The hull is solved once, with the upward
+    direction ``(0, ..., 0, 1)`` as one more generator, so it has no upper
+    facets.  Affine height functions give the single trivial cell and
+    ``tight = None``: no hull is solved for them.  Points must be distinct.
     """
     if not len(points) == len(heights) == len(labels):
         raise ValueError("lower_cells needs one height and one label per point")
@@ -304,15 +334,20 @@ def lower_cells(points, heights, labels):
     lifted = _homogenize(points, extra=list(heights))
     m = len(points[0])
     if kernels.rank(flat, m + 1) == kernels.rank(lifted, m + 2):
-        return [tuple(sorted(labels))]
+        return [tuple(sorted(labels))], None
 
-    polar = cone_solve([], [[-x for x in g] for g in lifted], m + 2)
+    up = [0] * m + [1, 0]
+    polar = cone_solve([], [[-x for x in g] for g in lifted + [up]], m + 2)
     if any(v[m] != 0 for v in polar.lineality):
         raise RuntimeError("lower_cells: lineality carries height, but heights are not affine")
+    tight = [0] * len(points)
     cells = set()
-    for ray in polar.rays:
+    for f, ray in enumerate(polar.rays):
+        on = [i for i, g in enumerate(lifted) if kernels.dot(ray, g) == 0]
+        for i in on:
+            tight[i] |= 1 << f
         if ray[m] < 0:
-            cells.add(tuple(sorted(labels[i] for i, g in enumerate(lifted) if kernels.dot(ray, g) == 0)))
+            cells.add(tuple(sorted(labels[i] for i in on)))
     if len(cells) < 2:
         raise RuntimeError("lower_cells: non-affine heights gave fewer than two cells")
-    return sorted(cells)
+    return sorted(cells), tight

@@ -35,6 +35,7 @@ from valperm.permutahedra import (
     permutohedron_vertices,
     subset_str,
     subsets_of_size,
+    vertex_flags,
     vertex_to_flag,
 )
 from valperm.polyhedra import hull_edges, lower_cells
@@ -48,7 +49,7 @@ class ValuatedFlagMatroid:
     pass ``check=False`` to skip that validation (used when the caller will
     establish or test the property itself).  The components' integer views
     are brought to one denominator once, here (``_ints[d - 1]`` over
-    ``_den`` for rank d).
+    ``_den`` for rank d), so a flag is immutable like its components.
     """
 
     __slots__ = ("n", "components", "_ints", "_den")
@@ -70,9 +71,14 @@ class ValuatedFlagMatroid:
                 violation = check_incidence(lo, hi)
                 if violation is not None:
                     raise ValueError(f"ranks ({lo.d},{hi.d}) are not incident: {violation}")
-        self.n = n
-        self.components = comps
-        self._ints, self._den = common_view(comps)
+        ints, den = common_view(comps)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "_ints", ints)
+        object.__setattr__(self, "_den", den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ValuatedFlagMatroid is immutable: cannot set {name}")
 
     def component(self, d):
         """The rank-d component."""
@@ -230,9 +236,9 @@ def compress_on_vertices(flag):
     :func:`compress`.
     """
     heights = {}
-    for v in permutohedron_vertices(flag.n):
+    for v, vflag in vertex_flags(flag.n):
         total = 0
-        for d, mask in enumerate(vertex_to_flag(v), start=1):
+        for d, mask in enumerate(vflag, start=1):
             val = flag._ints[d - 1].get(mask)
             if val is None:
                 raise ValueError(
@@ -248,13 +254,17 @@ def compress_on_vertices(flag):
 # cells of the regular subdivision
 
 
-def is_generalized_permutahedron(vertices):
+def is_generalized_permutahedron(vertices, facets=None):
     """Whether every edge of conv(vertices) is parallel to a difference of
-    two coordinate directions."""
+    two coordinate directions.
+
+    ``facets``, when given, holds each vertex's facet mask in a polyhedron
+    that has conv(vertices) as a face, as :func:`valperm.polyhedra.hull_edges`
+    takes it; without it the hull of the vertices is solved here."""
     pts = [tuple(v) for v in vertices]
     if not pts:
         raise ValueError("empty vertex set")
-    _, edges = hull_edges(pts, list(range(len(pts))))
+    _, edges = hull_edges(pts, list(range(len(pts))), facets)
     for a, b in edges:
         diff = [x - y for x, y in zip(pts[a], pts[b]) if x != y]
         if len(diff) != 2 or diff[0] + diff[1] != 0:
@@ -305,12 +315,16 @@ def subdivide(w):
     The cells are computed once per height function and stored on it;
     every call returns a fresh list of the same frozen cells.  The hull is
     lifted by the integer view of the heights, which has the same lower
-    faces."""
+    faces, and solved once: each cell's edges are read from its vertices'
+    masks of lifted facets.  Affine heights give one cell and no lifted
+    hull, and that cell's certificate solves its own hull."""
     if w._cells is None:
         verts = permutohedron_vertices(w.n)
+        cells, tight = lower_cells(verts, [w._ints[v] for v in verts], verts)
+        mask = dict(zip(verts, tight)) if tight else {}
         out = []
-        for cell in lower_cells(verts, [w._ints[v] for v in verts], verts):
-            gp = is_generalized_permutahedron(cell)
+        for cell in cells:
+            gp = is_generalized_permutahedron(cell, [mask[v] for v in cell] if mask else None)
             interval, endpoints = is_bruhat_interval_polytope(cell)
             lo, hi = endpoints if endpoints else (None, None)
             out.append(Cell(cell, gp, interval, lo, hi))

@@ -116,8 +116,9 @@ def _true_terms(terms, den):
 class ValuatedMatroid:
     """Finite rational values on d-subset masks; support must be a matroid.
 
-    ``values`` is a read-only mapping from each mask of the support to a
-    Fraction, because the integer view of those values (``_ints`` over
+    A valuated matroid is immutable: ``values`` is a read-only mapping from
+    each mask of the support to a Fraction, and no attribute can be
+    reassigned, because the integer view of those values (``_ints`` over
     ``_den``) is taken once, here, and every check reads the view.
     """
 
@@ -133,10 +134,15 @@ class ValuatedMatroid:
                 raise ValueError(f"subset {subset_str(mask)} is given twice (key {key!r})")
             vals[mask] = exact(v)
         _validate_bases(n, frozenset(vals))
-        self.n = n
-        self.d = d
-        self.values = MappingProxyType(vals)
-        self._ints, self._den = integer_view(vals)
+        ints, den = integer_view(vals)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "values", MappingProxyType(vals))
+        object.__setattr__(self, "_ints", ints)
+        object.__setattr__(self, "_den", den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ValuatedMatroid is immutable: cannot set {name}")
 
     @classmethod
     def from_lex_values(cls, n, d, seq):

@@ -3,7 +3,9 @@
 Everything in here deliberately avoids the code paths under test: Bruhat
 order is decided by subwords of a reduced word, Bruhat intervals by a
 pairwise scan for the minimal and maximal elements in that order, hull
-membership by LP separation, lower cells by trying every support set, the
+membership by LP separation, lower cells by trying every support set, a
+cell's edges by intersecting the facet sets of a hull solved for the cell
+alone, the
 fan by solving every sign choice in full, 2-faces of a cone by the sign of
 the other rays against the hyperplane a ray pair spans, Gram-Schmidt and
 projections in ``Fraction`` arithmetic, and extremal rays by trying every
@@ -32,6 +34,7 @@ from valperm.permutahedra import (
     subsets_of_size,
     symmetry_generators,
 )
+from valperm.polyhedra import hull_facet_sets
 from valperm.valuated import Matroid, PolyInT, ValuatedMatroid, Violation, is_quotient
 
 
@@ -199,6 +202,29 @@ def lower_cells_by_support_search(points, heights, labels):
         s for s in realized if not any(s < other for other in realized)
     ]
     return sorted(tuple(sorted(labels[i] for i in s)) for s in cells)
+
+
+def cell_edges_by_own_hull(cell):
+    """Edges of conv(cell), as sorted vertex pairs, from the cell's own hull.
+
+    The points must be in convex position (any set of permutohedron vertices
+    is).  The smallest face holding two vertices is the intersection of the
+    facets holding both, or the whole cell when no facet does; the pair is
+    an edge exactly when that face holds nothing else.
+    """
+    pts = sorted(set(tuple(v) for v in cell))
+    if len(pts) < 2:
+        return []
+    facets = hull_facet_sets(pts)
+    edges = []
+    for i, j in combinations(range(len(pts)), 2):
+        face = set(range(len(pts)))
+        for f in facets:
+            if i in f and j in f:
+                face &= f
+        if face == {i, j}:
+            edges.append((pts[i], pts[j]))
+    return edges
 
 
 def exhaustive_fan_cones(n):

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import permutations
 from pathlib import Path
 
 from valperm import kernels
@@ -238,6 +239,17 @@ def test_fan_cli(tmp_path):
     assert report["link_dot"].startswith("graph link_3 {")
     assert main(["fan", "5"]) == 2
     assert main(["fan", "3", "--homology"]) == 2
+
+
+def test_subdivide_rejects_n_above_its_bound(tmp_path, capsys):
+    six = {"n": 6, "heights": {"".join(map(str, v)): "0" for v in permutations(range(1, 7))}}
+    capsys.readouterr()
+    assert main(["subdivide", write(tmp_path, six, "six.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "subdivide supports n up to 5, got 6" in err
+    five = {"n": 5, "heights": {"".join(map(str, v)): "0" for v in permutations(range(1, 6))}}
+    code, out = run(tmp_path, "subdivide", write(tmp_path, five, "five.json"))
+    assert code == 0 and len(json.loads(out)["cells"]) == 1
 
 
 # sha256 of the full n = 4 report as the flat 3^8 sign-choice sweep wrote it

@@ -34,6 +34,7 @@ from valperm.permutahedra import (
     subset_str,
     subsets_of_size,
     symmetry_generators,
+    vertex_flags,
     vertex_to_flag,
 )
 from valperm.subdivisions import HeightFunction, check_two_skeleton
@@ -81,6 +82,13 @@ def test_flag_vertex_roundtrip(n):
         assert flag_to_vertex(f) == v
         seen.add(f)
     assert len(seen) == len(permutohedron_vertices(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_vertex_flags_table_is_built_once(n):
+    table = vertex_flags(n)
+    assert table == tuple((v, vertex_to_flag(v)) for v in permutohedron_vertices(n))
+    assert vertex_flags(n) is table
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -317,7 +317,7 @@ def test_two_face_census_from_facets_n5():
 def test_lower_affine_single_cell():
     verts = sorted(permutohedron_vertices(3))
     heights = [v[0] for v in verts]
-    assert lower_cells(verts, heights, verts) == [tuple(verts)]
+    assert lower_cells(verts, heights, verts) == ([tuple(verts)], None)
 
 
 HEXAGON_HEIGHTS = {
@@ -333,7 +333,7 @@ HEXAGON_HEIGHTS = {
 def test_lower_hexagon_splits_into_two_quadrilaterals():
     verts = sorted(HEXAGON_HEIGHTS)
     heights = [HEXAGON_HEIGHTS[v] for v in verts]
-    cells = lower_cells(verts, heights, verts)
+    cells, _ = lower_cells(verts, heights, verts)
     assert cells == [
         ((1, 2, 3), (1, 3, 2), (2, 1, 3), (3, 1, 2)),
         ((1, 3, 2), (2, 3, 1), (3, 1, 2), (3, 2, 1)),
@@ -346,7 +346,7 @@ def test_lower_octahedron_split():
     pts = [mask_indicator(m, 4) for m in masks]
     heights = [1 if mask_indicator(m, 4) in ((1, 1, 0, 0), (0, 0, 1, 1)) else 0 for m in masks]
     labels = ["".join(str(i + 1) for i in range(4) if m >> i & 1) for m in masks]
-    cells = lower_cells(pts, heights, labels)
+    cells, _ = lower_cells(pts, heights, labels)
     assert cells == [
         ("12", "13", "14", "23", "24"),
         ("13", "14", "23", "24", "34"),
@@ -363,7 +363,65 @@ def test_lower_vs_support_search(seed):
     pts = sorted(pts)
     heights = [rng.randint(0, 3) for _ in pts]
     labels = list(range(len(pts)))
-    assert lower_cells(pts, heights, labels) == lower_cells_by_support_search(pts, heights, labels)
+    assert lower_cells(pts, heights, labels)[0] == lower_cells_by_support_search(pts, heights, labels)
+
+
+def assert_lower_cell_masks_give_each_cells_own_hull(pts, heights):
+    """The lifted-facet masks of ``lower_cells`` decide every cell's vertices
+    and edges as the cell's own hull does; returns how many cell points are
+    not vertices of their cell."""
+    labels = list(range(len(pts)))
+    cells, tight = lower_cells(pts, heights, labels)
+    if tight is None:
+        assert cells == [tuple(labels)]
+        return 0
+    assert all(tight[i] for cell in cells for i in cell)
+    inner = 0
+    for cell in cells:
+        own = hull_edges([pts[i] for i in cell], list(cell))
+        assert hull_edges([pts[i] for i in cell], list(cell), [tight[i] for i in cell]) == own
+        inner += len(cell) - len(own[0])
+    return inner
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_lower_cell_masks_give_each_cells_own_hull(seed):
+    rng = random.Random(300 + seed)
+    dim = rng.choice([2, 3])
+    pts = set()
+    while len(pts) < rng.randint(6, 9):
+        pts.add(tuple(rng.randint(0, 2) for _ in range(dim)))
+    pts = sorted(pts)
+    assert_lower_cell_masks_give_each_cells_own_hull(pts, [rng.randint(0, 3) for _ in pts])
+
+
+def test_lower_cell_masks_skip_points_that_are_not_cell_vertices():
+    # |x - 1| + |y - 1| on the 3x3 grid gives four unit squares; |x - 1|
+    # gives two 1x2 rectangles, each holding the midpoints of its long sides,
+    # and on the 3x3x2 grid two boxes, each holding four such midpoints
+    grid = [(x, y) for x in range(3) for y in range(3)]
+    assert assert_lower_cell_masks_give_each_cells_own_hull(grid, [abs(x - 1) + abs(y - 1) for x, y in grid]) == 0
+    assert assert_lower_cell_masks_give_each_cells_own_hull(grid, [abs(x - 1) for x, y in grid]) == 4
+    prism = [(x, y, z) for x in range(3) for y in range(3) for z in range(2)]
+    assert assert_lower_cell_masks_give_each_cells_own_hull(prism, [abs(x - 1) for x, y, z in prism]) == 8
+
+
+def test_lower_cell_masks_mark_lower_and_vertical_facets():
+    verts = sorted(HEXAGON_HEIGHTS)
+    cells, tight = lower_cells(verts, [HEXAGON_HEIGHTS[v] for v in verts], verts)
+    # two lower facets and the hexagon's six sides: every vertex lies on one
+    # or two cells and on two sides
+    used = 0
+    for t in tight:
+        used |= t
+    assert used == (1 << 8) - 1
+    for v, t in zip(verts, tight):
+        assert bin(t).count("1") == 2 + sum(v in c for c in cells)
+
+
+def test_hull_edges_rejects_wrong_facet_count():
+    with pytest.raises(ValueError, match="facet mask"):
+        hull_edges([(0, 0), (1, 0)], ["a", "b"], [1])
 
 
 def test_lower_rejects_duplicate_points():

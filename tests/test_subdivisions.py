@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from valperm import subdivisions
+from valperm import polyhedra, subdivisions
 from valperm.permutahedra import (
     bruhat_interval,
     mask_from,
@@ -14,7 +14,7 @@ from valperm.permutahedra import (
     subsets_of_size,
     vertex_to_flag,
 )
-from valperm.polyhedra import lower_cells
+from valperm.polyhedra import hull_edges, lower_cells
 from valperm.subdivisions import (
     HeightFunction,
     ValuatedFlagMatroid,
@@ -41,7 +41,7 @@ from valperm.valuated import (
     uniform_matroid,
 )
 
-from oracles import bruhat_interval_by_scan, compress_attainers
+from oracles import bruhat_interval_by_scan, cell_edges_by_own_hull, compress_attainers
 
 V = ValuatedMatroid.from_lex_values
 
@@ -266,7 +266,7 @@ def test_bruhat_interval_matches_scan_oracle(n):
             subsets.append(interval + [rng.choice([v for v in verts if v not in interval])])
     for _ in range({3: 20, 4: 8, 5: 2}[n]):
         heights = [rng.randint(0, 4) for _ in verts]
-        subsets.extend(lower_cells(verts, heights, verts))
+        subsets.extend(lower_cells(verts, heights, verts)[0])
     verdicts = set()
     for vs in subsets:
         got = is_bruhat_interval_polytope(vs)
@@ -545,23 +545,44 @@ def test_positive_flag_raises_when_the_routes_disagree(monkeypatch):
 def test_height_function_computes_its_subdivision_and_report_once(monkeypatch):
     calls = Counter()
 
-    def counted(name):
-        real = getattr(subdivisions, name)
+    def counted(module, name):
+        real = getattr(module, name)
 
         def wrapper(*args):
             calls[name] += 1
             return real(*args)
 
-        monkeypatch.setattr(subdivisions, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
-    counted("lower_cells")
-    counted("enumerate_two_faces")
+    counted(subdivisions, "lower_cells")
+    counted(subdivisions, "enumerate_two_faces")
+    counted(polyhedra, "cone_solve")
     w = HeightFunction(3, EXAMPLE_HEIGHTS)
     first = subdivide(w)
+    assert len(first) == 2
+    # one lifted hull certifies every cell of a non-affine subdivision
+    assert calls == {"lower_cells": 1, "cone_solve": 1}
     assert check_positive_flag(w).cells == tuple(first)
     assert subdivide(w) == first
     decompose_height(w)
-    assert calls == {"lower_cells": 1, "enumerate_two_faces": 1}
+    assert calls == {"lower_cells": 1, "cone_solve": 1, "enumerate_two_faces": 1}
+
+
+@pytest.mark.parametrize("affine", [False, True])
+def test_subdivide_at_n4_makes_one_cone_solve(monkeypatch, affine):
+    """The lifted hull certifies every cell; affine heights solve no lifted
+    hull, only their single cell's own."""
+    solves = []
+    real = polyhedra.cone_solve
+    monkeypatch.setattr(polyhedra, "cone_solve", lambda *args: solves.append(1) or real(*args))
+    if affine:
+        w = linear_heights(4, (1, -2, 0, 5))
+    else:
+        rng = random.Random(41)
+        w = HeightFunction(4, {v: rng.randint(-3, 3) for v in permutohedron_vertices(4)})
+    cells = subdivide(w)
+    assert (len(cells) == 1) == affine
+    assert len(solves) == 1
 
 
 def test_subdivide_returns_a_fresh_list():
@@ -588,6 +609,16 @@ def test_height_function_is_immutable():
     assert subdivide(w) == subdivide(fresh)
 
 
+def test_flag_is_immutable():
+    flag = example_flag()
+    with pytest.raises(AttributeError, match="immutable"):
+        flag.components = zero_flag(3).components
+    with pytest.raises(AttributeError, match="immutable"):
+        flag.n = 4
+    assert flag == example_flag()
+    assert compress_on_vertices(flag) == compress_on_vertices(example_flag())
+
+
 @pytest.mark.parametrize("n,trials", [(3, 40), (4, 8)])
 def test_stored_results_match_a_fresh_copy(n, trials):
     rng = random.Random(17 * n)
@@ -599,6 +630,35 @@ def test_stored_results_match_a_fresh_copy(n, trials):
         assert check_positive_flag(w).cells == tuple(subdivide(fresh))
         assert subdivide(w) == subdivide(fresh)
         assert check_two_skeleton(w) == check_two_skeleton(fresh)
+
+
+@pytest.mark.parametrize("n,trials", [(3, 60), (4, 24)])
+def test_cell_edges_from_the_lifted_hull_match_each_cells_own_hull(n, trials):
+    """Edges read from the one lifted hull equal those of each cell's own
+    hull, on random heights (mostly cells that are not generalized
+    permutahedra) and compressed flags (cells that all are)."""
+    rng = random.Random(f"lifted-edges/{n}")
+    verts = permutohedron_vertices(n)
+    verdicts = Counter()
+    for t in range(trials):
+        if t % 3 == 2:
+            w = compress_on_vertices(random_tropical_flag(rng, n))
+        else:
+            w = HeightFunction(n, {v: rng.randint(-3, 3) for v in verts})
+        cells, tight = lower_cells(verts, [w[v] for v in verts], verts)
+        if tight is None:
+            continue
+        mask = dict(zip(verts, tight))
+        for cell in cells:
+            facets = [mask[v] for v in cell]
+            got_verts, got_edges = hull_edges(list(cell), list(cell), facets)
+            assert got_verts == list(cell)
+            assert got_edges == cell_edges_by_own_hull(cell)
+            gp = is_generalized_permutahedron(cell, facets)
+            assert gp == is_generalized_permutahedron(cell)
+            verdicts[gp] += 1
+        assert [c.vertices for c in subdivide(w)] == cells
+    assert verdicts[True] >= 10 and verdicts[False] >= 10
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,17 @@ def test_vm_values_are_read_only():
     assert check_plucker(vm) is None
 
 
+@pytest.mark.parametrize("name,value", [("n", 5), ("d", 3), ("values", {3: -1}), ("_ints", {})])
+def test_vm_cannot_be_reassigned(name, value):
+    # reassigning values would leave the integer view on the old ones: the
+    # zero map on U(2,4) with the 12-value set to -1 violates the relations
+    vm = V(4, 2, [0] * 6)
+    with pytest.raises(AttributeError, match="immutable"):
+        setattr(vm, name, value)
+    assert vm == V(4, 2, [0] * 6)
+    assert check_plucker(vm) is None
+
+
 def test_floats_are_refused():
     with pytest.raises(TypeError, match="float"):
         ValuatedMatroid(3, 1, {1: 0, 2: 0.5, 4: 0})
