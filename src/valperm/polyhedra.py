@@ -99,8 +99,12 @@ def double_description(rows, dim):
     an adjacent pair ``(p, q)`` gets ``mask(p) & mask(q)`` plus the row's bit,
     which is exactly its tight set because both coefficients are positive.
     Adjacency of a positive/negative pair is decided combinatorially from
-    these masks.  A final check against all rows certifies feasibility and
-    extremality of the output, which is primitive and sorted.
+    these masks: two rays of the pointed cone on the processed rows span a
+    2-face only if they share at least ``dim - 2`` tight rows, so a pair
+    with fewer is dropped at once, and otherwise the pair is adjacent when
+    no other ray is tight on all the rows they share.  A final check against
+    all rows certifies feasibility and extremality of the output, which is
+    primitive and sorted.
     """
     if dim == 0:
         return []
@@ -147,6 +151,8 @@ def double_description(rows, dim):
         for p in pos:
             for q in neg:
                 common = masks[p] & masks[q]
+                if common.bit_count() < dim - 2:
+                    continue
                 adjacent = True
                 for r in range(len(rays)):
                     if r != p and r != q and masks[r] & common == common:

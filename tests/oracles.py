@@ -5,8 +5,8 @@ order is decided by subwords of a reduced word, Bruhat intervals by a
 pairwise scan for the minimal and maximal elements in that order, hull
 membership by LP separation, lower cells by trying every support set, a
 cell's edges by intersecting the facet sets of a hull solved for the cell
-alone, the
-fan by solving every sign choice in full, 2-faces of a cone by the sign of
+alone, the fan by solving every sign choice in full, the refinement census
+by solving every sample in its own cone, 2-faces of a cone by the sign of
 the other rays against the hyperplane a ray pair spans, Gram-Schmidt and
 projections in ``Fraction`` arithmetic, and extremal rays by trying every
 row subset.  The three-term checks, the lift and the compression minimum
@@ -255,6 +255,36 @@ def exhaustive_fan_cones(n):
     return cones, maximal
 
 
+def refinement_census_direct(fan):
+    """``refinement_census`` with every sample of every cone solved directly.
+
+    No symmetry is used: each sample of ``fans._cone_samples`` is solved
+    with ``subdivide`` in its own cone, 231 solves on the n = 4 fan.
+    """
+    from valperm.fans import (
+        RefinementReport,
+        _cone_samples,
+        _proper_coarsening,
+        _subdivision_key,
+        sample_height,
+    )
+
+    per_cone = []
+    discrepancies = []
+    for k, ridx in enumerate(fan.maximal_rays):
+        seen = []
+        for wts in _cone_samples(fan, k):
+            key = _subdivision_key(sample_height(fan, k, wts))
+            if key not in seen:
+                seen.append(key)
+        fine = [s for s in seen if not any(_proper_coarsening(s, o) for o in seen)]
+        expected = 1 if len(ridx) == fan.quotient_dim(fan.maximal[k]) else 2
+        if len(fine) != expected:
+            discrepancies.append((k, len(fine)))
+        per_cone.append(len(fine))
+    return RefinementReport(sum(per_cone), tuple(per_cone), tuple(discrepancies))
+
+
 def pair_is_face(cone, i, j):
     """Whether rays i and j of a cone of dimension 3 modulo its lineality
     span a 2-face, by linear algebra: all other rays lie strictly on one side
@@ -320,50 +350,42 @@ def project_off_fraction(v, orth_basis):
     return _primitive(w)
 
 
-def _fraction_nullspace(rows, ncols):
-    """A basis of the right nullspace by Fraction Gauss-Jordan elimination."""
-    work = [[Fraction(x) for x in r] for r in rows]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(work)) if work[i][col]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        work[r] = [x / work[r][col] for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col]:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
-    basis = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for k, p in enumerate(pivots):
-            v[p] = -work[k][free]
-        basis.append(v)
-    return basis
+@cache
+def _leibniz_terms(k):
+    """The permutations of range(k), each with its sign."""
+    return [(perm, (-1) ** inversions(perm)) for perm in permutations(range(k))]
+
+
+def _det(rows):
+    """Determinant of a square matrix by the Leibniz formula."""
+    total = 0
+    for perm, sign in _leibniz_terms(len(rows)):
+        term = sign
+        for row, c in zip(rows, perm):
+            term *= row[c]
+            if not term:
+                break
+        total += term
+    return total
 
 
 def extremal_rays_by_subsets(rows, dim):
     """Extremal rays of the pointed cone ``{z : row.z >= 0}`` by brute force.
 
     A ray is extremal iff it is feasible and tight on rows of rank dim - 1, so
-    every (dim - 1)-row subset whose nullspace is a line is tried with both
-    signs of that line.  Returns the sorted primitive rays.
+    every (dim - 1)-row subset of rank dim - 1 is tried with both signs of
+    its nullspace line, spanned by the signed maximal minors of the subset
+    (its generalized cross product; all minors vanish at lower rank).
+    Returns the sorted primitive rays.
     """
     found = set()
-    for subset in combinations(rows, dim - 1):
-        null = _fraction_nullspace(subset, dim)
-        if len(null) != 1:
+    for subset in combinations([list(r) for r in rows], dim - 1):
+        line = [(-1) ** j * _det([r[:j] + r[j + 1:] for r in subset]) for j in range(dim)]
+        if not any(line):
             continue
         for sign in (1, -1):
-            z = [sign * x for x in null[0]]
-            if all(sum(Fraction(a) * b for a, b in zip(row, z)) >= 0 for row in rows):
+            z = [sign * x for x in line]
+            if all(sum(a * b for a, b in zip(row, z)) >= 0 for row in rows):
                 found.add(tuple(_primitive(z)))
     return [list(r) for r in sorted(found)]
 

@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 from lp import lp_feasible
-from oracles import exhaustive_fan_cones, pair_is_face
+from oracles import exhaustive_fan_cones, pair_is_face, refinement_census_direct
 from valperm import cli, fans, kernels
 from valperm.cli import main
 from valperm.fans import (
@@ -234,6 +234,77 @@ def test_phi4_symmetry_orbits(fan4):
         assert len(counts) == 1
         if len(orbit) == 3:
             assert set(orbit) == four_ray
+
+
+@pytest.fixture(params=[3, 4], ids=["n=3", "n=4"])
+def fan_n(request, fan4):
+    return fan4 if request.param == 4 else enumerate_fan(3)
+
+
+def test_refinement_census_matches_direct_oracle(fan_n):
+    got = refinement_census(fan_n)
+    want = refinement_census_direct(fan_n)
+    assert (got.total, got.per_cone, got.discrepancies) == (
+        want.total, want.per_cone, want.discrepancies
+    )
+
+
+def test_transported_sample_keys_match_direct_solves(fan_n):
+    # every (cone, sample) subdivision carried from the orbit representative
+    # equals the one solved in the cone itself, and so do the heights
+    walk = fans._orbit_walk(fan_n)
+    transported = fans._sample_keys(fan_n)
+    pairs = 0
+    for k, ridx in enumerate(fan_n.maximal_rays):
+        rep, vmap, rmap = walk[k]
+        assert rep <= k and {rmap[a] for a in fan_n.maximal_rays[rep]} == set(ridx)
+        samples = fans._cone_samples(fan_n, k)
+        assert len(transported[k]) == len(samples)
+        for wts, key in zip(samples, transported[k]):
+            pulled = [wts[ridx.index(rmap[a])] for a in fan_n.maximal_rays[rep]]
+            base = sample_height(fan_n, rep, pulled).heights
+            direct = sample_height(fan_n, k, wts)
+            assert {vmap[v]: h for v, h in base.items()} == direct.heights
+            assert key == _subdivision_key(direct)
+            pairs += 1
+    assert pairs == {3: 9, 4: 231}[fan_n.n]
+
+
+def test_refinement_census_solves_once_per_orbit_sample(fan_n, monkeypatch):
+    # 7 distinct pulled samples on each simplicial orbit and 5 on the
+    # four-ray one for n = 4; the samples (1,) and (5,) for n = 3
+    calls = []
+    solve = fans.subdivide
+
+    def counted(w):
+        calls.append(w)
+        return solve(w)
+
+    monkeypatch.setattr(fans, "subdivide", counted)
+    refinement_census(fan_n)
+    assert len(calls) == {3: 2, 4: 33}[fan_n.n]
+
+
+def test_symmetry_that_breaks_the_fan_is_internal(fan4, monkeypatch, capsys):
+    # one transposition of two vertices is not affine and moves rays off the
+    # fan: the orbits and the census refuse it, and the CLI exits 3
+    generators = fans.symmetry_generators
+
+    def broken(n):
+        verts = permutohedron_vertices(n)
+        swap = {v: v for v in verts}
+        swap[verts[0]], swap[verts[1]] = verts[1], verts[0]
+        return generators(n) + [swap]
+
+    monkeypatch.setattr(fans, "symmetry_generators", broken)
+    with pytest.raises(RuntimeError, match="symmetry_orbits: a symmetry does not preserve"):
+        symmetry_orbits(fan4)
+    with pytest.raises(RuntimeError, match="symmetry_orbits: a symmetry does not preserve"):
+        refinement_census(fan4)
+    monkeypatch.setattr(cli, "enumerate_fan", lambda n: fan4)
+    assert main(["fan", "4", "--refinement"]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("valperm: internal error:")
 
 
 def test_phi4_interior_witnesses(fan4):

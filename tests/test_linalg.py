@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from valperm import kernels, linalg
+from valperm import kernels, linalg, polyhedra
+from valperm.permutahedra import permutohedron_vertices
 from valperm.polyhedra import double_description
 
 from oracles import extremal_rays_by_subsets, orthogonalize_fraction, project_off_fraction
@@ -114,3 +115,24 @@ def test_double_description_rank_deficient_after_many_rows():
     assert max(map(tuple, full)) == (6, 0, 0, 1)
     rays = double_description(full, 4)
     assert rays == extremal_rays_by_subsets(full, 4) and len(rays) > 1
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_double_description_on_lifted_polar_systems(seed, monkeypatch):
+    """The 25-row, dimension-5 systems that ``lower_cells`` hands the double
+    description for n = 4 heights, where most positive/negative pairs share
+    fewer than dim - 2 tight rows and are dropped before the adjacency scan."""
+    systems = []
+    solve = polyhedra.double_description
+
+    def captured(rows, dim):
+        systems.append((rows, dim))
+        return solve(rows, dim)
+
+    monkeypatch.setattr(polyhedra, "double_description", captured)
+    rng = random.Random(seed)
+    verts = permutohedron_vertices(4)
+    polyhedra.lower_cells(verts, [rng.randint(0, 4 + 8 * seed) for _ in verts], verts)
+    ((rows, dim),) = systems
+    assert (len(rows), dim) == (25, 5)
+    assert solve(rows, dim) == extremal_rays_by_subsets(rows, dim)
