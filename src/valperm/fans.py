@@ -15,10 +15,12 @@ hexagons then solves each partial choice in those reduced coordinates and
 drops a partial choice as soon as its cone has lower dimension than the best
 complete choice found so far: adding a hexagon only shrinks the cone, so no
 completion can do better (the pruned tree search for tropical prevarieties
-of Jensen, Sommars and Verschelde).  The surviving top-dimensional choices
-are solved once more in R^(n!), so the maximal cones carry their ambient
-defining systems; deduplication by canonical key and a containment sweep
-leave the maximal cones.
+of Jensen, Sommars and Verschelde).  Each cone is solved once: the
+surviving top-dimensional cones are mapped from the reduced coordinates to
+R^(n!) by :func:`~valperm.polyhedra.cone_image`, which stores each with
+its ambient defining system and checks it against that system, and they
+are the maximal cones.  Their 2-faces come from the rays' tight masks,
+which that check records.
 
 The search finds only the top-dimensional cones, which are all the maximal
 ones exactly when the fan is pure.  For n in {3, 4} purity is certified by
@@ -46,7 +48,7 @@ from valperm.permutahedra import (
     permutohedron_vertices,
     symmetry_generators,
 )
-from valperm.polyhedra import cone_solve, incidence_edges
+from valperm.polyhedra import cone_image, cone_solve, incidence_edges
 from valperm.subdivisions import HeightFunction, check_two_skeleton, subdivide
 
 FAN_SIZES = (3, 4)
@@ -176,15 +178,19 @@ def enumerate_fan(n, processes=1):
     The base equations are solved once; the pruned depth-first search of
     :func:`_top_dimensional_choices` then finds, in the reduced coordinates
     of the 2-skeleton space, one attaining-pair choice per distinct
-    top-dimensional cone.  Only those choices are solved again in R^(n!),
-    and each ambient cone must agree with its reduced one in dimension,
-    lineality dimension and ray count.  Duplicates are merged by canonical
-    key, and cones contained in another (checked against the stored
-    defining rows) are discarded.  The 2-faces of a maximal cone are the ray
-    pairs that :func:`~valperm.polyhedra.incidence_edges` accepts, with each
-    ray's tight set taken against the cone's inequalities.  The result is
-    the full set of maximal cones because the fan is pure for n in {3, 4},
-    which the exhaustive oracle sweep of the test suite certifies.
+    top-dimensional cone.  Each such cone is mapped to R^(n!) by
+    :func:`~valperm.polyhedra.cone_image` with its choice's ambient system,
+    which every image ray must satisfy; no cone is solved twice.  The
+    images need no containment sweep: the cones of two choices meet where
+    both pairs attain on the hexagons they differ on, a face of each.  A
+    top-dimensional cone inside another would be a face of it of full
+    dimension, hence equal to it, and the search keeps distinct cones.
+    The 2-faces of a maximal cone are the ray pairs that
+    :func:`~valperm.polyhedra.incidence_edges` accepts from the rays' tight
+    masks over the cone's inequalities (:attr:`~valperm.polyhedra.Cone.tight`).
+    The result is the full set of maximal cones because the fan is pure for
+    n in {3, 4}, which the exhaustive oracle sweep of the test suite
+    certifies.
 
     ``processes`` must be 1: the search runs in this process.
     """
@@ -196,24 +202,11 @@ def enumerate_fan(n, processes=1):
     ambient = len(verts)
     basis = kernels.nullspace(base_eqs, ambient)
     reduced_rows = [[[kernels.dot(r, b) for b in basis] for r in rows] for rows in diag_rows]
-    by_key = {}
-    for choice, reduced in _top_dimensional_choices(reduced_rows, len(basis)):
-        cone = cone_solve(*_choice_system(base_eqs, diag_rows, choice), ambient)
-        got = (cone.dim, cone.lineality_dim, len(cone.rays))
-        want = (reduced.dim, reduced.lineality_dim, len(reduced.rays))
-        if got != want:
-            raise RuntimeError(
-                f"enumerate_fan: ambient re-solve of choice {choice} gives "
-                f"(dim, lineality_dim, rays) {got}, its reduced cone {want}"
-            )
-        by_key.setdefault(cone.key, cone)
-
-    cones = [by_key[k] for k in sorted(by_key)]
-    maximal = tuple(
-        c
-        for c in cones
-        if not any(o is not c and all(o.contains(r) for r in c.rays) for o in cones)
-    )
+    maximal = tuple(sorted(
+        (cone_image(reduced, basis, *_choice_system(base_eqs, diag_rows, choice))
+         for choice, reduced in _top_dimensional_choices(reduced_rows, len(basis))),
+        key=lambda c: c.key,
+    ))
 
     lineality = maximal[0].lineality
     if any(c.lineality != lineality for c in maximal):
@@ -231,9 +224,7 @@ def enumerate_fan(n, processes=1):
     for c, ridx in zip(maximal, maximal_rays):
         pairs = set()
         if c.dim - c.lineality_dim >= 3:
-            # each ray's tight set against the cone's own inequalities
-            tight = [sum(1 << h for h, a in enumerate(c.ineqs) if kernels.dot(a, r) == 0) for r in c.rays]
-            pairs = {(ridx[a], ridx[b]) for a, b in incidence_edges(tight)}
+            pairs = {(ridx[a], ridx[b]) for a, b in incidence_edges(c.tight)}
         pairs_of.append(pairs)
     two_faces = tuple(sorted(set().union(*pairs_of)))
     face_index = {pair: k for k, pair in enumerate(two_faces)}

@@ -43,6 +43,9 @@ def load_path(path):
 # ---------------------------------------------------------------------------
 # rationals and keys
 
+# subset keys are strings of single digits, so the ground set is at most [9]
+N_MAX = 9
+
 
 def frac_str(x) -> str:
     x = Fraction(x)
@@ -97,8 +100,8 @@ def vm_to_obj(vm):
 def vm_from_obj(obj, where="value map"):
     n = _field(obj, "n", int, where)
     d = _field(obj, "d", int, where)
-    if not 1 <= n <= 9:
-        raise InputError(f"{where}: need 1 <= n <= 9, got {n}")
+    if not 1 <= n <= N_MAX:
+        raise InputError(f"{where}: need 1 <= n <= {N_MAX}, got {n}")
     if not 1 <= d <= n:
         raise InputError(f"{where}: need 1 <= d <= n, got d={d}")
     raw = _field(obj, "values", dict, where)
@@ -171,6 +174,8 @@ def matrix_from_obj(obj, where="matrix"):
     if not rows or not all(isinstance(r, list) for r in rows):
         raise InputError(f"{where}: 'entries' must be a non-empty array of rows")
     width = len(rows[0])
+    if width > N_MAX:
+        raise InputError(f"{where}: need at most {N_MAX} columns for digit subset keys, got {width}")
     out = []
     for i, row in enumerate(rows):
         if len(row) != width or width == 0:

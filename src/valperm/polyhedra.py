@@ -8,11 +8,20 @@ V-description: a lineality basis plus extremal rays.  The pipeline is
 2. row-reduce the restricted inequality system once: its rowspace holds the
    pointed part and its nullspace is the lineality space,
 3. run double description on the remaining pointed cone,
-4. map rays back, project them off the lineality space and normalize.
+4. map rays back, project them off the lineality space, normalize, and
+   check every ray and lineality vector against the defining system.
 
 The canonical form (RREF lineality basis, primitive rays orthogonal to the
 lineality, sorted) makes cone equality a tuple comparison, which the fan
-enumeration relies on for dedup.
+enumeration relies on for dedup.  Step 4 is shared with :func:`cone_image`,
+which puts a cone solved in the coordinates of a subspace basis into the
+same canonical form in the ambient space without solving it again.
+
+The check of step 4 computes every ``a . r`` of an inequality ``a`` and a
+ray ``r``, and keeps the zeros as the ray's tight mask (:attr:`Cone.tight`).
+Callers read ray-inequality incidence from that mask: the hull facets, the
+cells of :func:`lower_cells` and the 2-faces of the height fan's cones take
+no dot products of their own.
 
 Convex hulls are handled through polarity: the facet normals of
 conv(points) are the extremal rays of the polar of the cone spanned by the
@@ -22,7 +31,7 @@ space, which is orthogonal to every generator, so incidence sets are not
 affected by that normalization.  One incidence rule,
 :func:`incidence_edges`, decides every edge question: the edges of a hull
 here, and the 2-faces of the height fan's maximal cones in
-:mod:`valperm.fans`, whose rays are matched against the cone's own
+:mod:`valperm.fans`, from the rays' tight masks over the cone's own
 inequalities.
 
 A regular subdivision needs one hull, not one per cell.  :func:`lower_cells`
@@ -48,8 +57,10 @@ class Cone:
     ``lineality`` is the integer RREF basis of the maximal linear subspace,
     ``rays`` are primitive, orthogonal to the lineality space and sorted.
     ``eqs``/``ineqs`` keep the (normalized) defining system for membership
-    tests.  Two cones produced by :func:`cone_solve` are equal as sets iff
-    their ``key`` matches.
+    tests, and ``tight[i]`` is the bitmask of the ``ineqs`` that ``rays[i]``
+    is tight on, recorded by the check that every ray satisfies the system.
+    Two cones produced by :func:`cone_solve` or :func:`cone_image` are equal
+    as sets iff their ``key`` matches.
     """
 
     ambient: int
@@ -59,6 +70,7 @@ class Cone:
     rays: tuple
     eqs: tuple = field(default=(), compare=False)
     ineqs: tuple = field(default=(), compare=False)
+    tight: tuple = field(default=(), compare=False)
 
     @property
     def key(self):
@@ -79,8 +91,8 @@ def _normalize_rows(rows):
     for r in rows:
         s = linalg.scale_to_int(list(r))
         if any(s):
-            out.append(s)
-    return out
+            out.append(tuple(s))
+    return tuple(out)
 
 
 def double_description(rows, dim):
@@ -174,22 +186,51 @@ def double_description(rows, dim):
     return [list(r) for r in rays]
 
 
+def _canonical(caller, ambient, pointed_dim, lineality, rays, eqs, ineqs):
+    """Step 4 of :func:`cone_solve`: the canonical :class:`Cone` spanned by
+    ambient generators, checked against its normalized defining system.
+
+    ``lineality`` spans the lineality space, ``rays`` hold one generator per
+    extremal ray and ``pointed_dim`` is the dimension modulo the lineality.
+    The check of each ray against the inequalities also records its tight
+    mask.  A failed check raises ``RuntimeError`` naming ``caller``.
+    """
+    lin_rows, _ = kernels.rref(lineality, ambient) if lineality else ([], [])
+    if rays:
+        orth = linalg.orthogonalize(lin_rows, ambient)
+        rays = sorted(set(tuple(linalg.project_off(x, orth)) for x in rays))
+    tight = []
+    for r in rays:
+        if any(kernels.dot(e, r) != 0 for e in eqs):
+            raise RuntimeError(f"{caller}: a ray violates its own defining system")
+        mask = 0
+        for h, a in enumerate(ineqs):
+            v = kernels.dot(a, r)
+            if v < 0:
+                raise RuntimeError(f"{caller}: a ray violates its own defining system")
+            if v == 0:
+                mask |= 1 << h
+        tight.append(mask)
+    for v in lin_rows:
+        if any(kernels.dot(e, v) != 0 for e in eqs):
+            raise RuntimeError(f"{caller}: a lineality vector leaves the equations")
+        if any(kernels.dot(a, v) != 0 for a in ineqs):
+            raise RuntimeError(f"{caller}: a lineality vector is not tight on every inequality")
+    lin_dim = len(lin_rows)
+    return Cone(ambient, lin_dim + pointed_dim, lin_dim, tuple(tuple(r) for r in lin_rows),
+                tuple(rays), eqs, ineqs, tuple(tight))
+
+
 def cone_solve(eqs, ineqs, ambient):
     """Canonical V-description of ``{x : eqs.x = 0, ineqs.x >= 0}``."""
-    eqs_n = _normalize_rows(eqs)
-    ineqs_n = _normalize_rows(ineqs)
-    stored = dict(
-        eqs=tuple(tuple(r) for r in eqs_n),
-        ineqs=tuple(tuple(r) for r in ineqs_n),
-    )
-
-    null = kernels.nullspace(eqs_n, ambient)
+    eqs, ineqs = _normalize_rows(eqs), _normalize_rows(ineqs)
+    null = kernels.nullspace(eqs, ambient)
     k = len(null)
     if k == 0:
-        return Cone(ambient, 0, 0, (), (), **stored)
+        return _canonical("cone_solve", ambient, 0, [], [], eqs, ineqs)
 
     restricted = []
-    for a in ineqs_n:
+    for a in ineqs:
         row = [kernels.dot(a, nv) for nv in null]
         if any(row):
             restricted.append(kernels.vec_gcd_reduce(row))
@@ -197,36 +238,32 @@ def cone_solve(eqs, ineqs, ambient):
     # one reduction of the restricted system: its rowspace and its lineality
     wspace, pivots = kernels.rref(restricted, k)
     lin_restricted = kernels.nullspace_of_rref(wspace, pivots, k)
-    lin_rows, _ = kernels.rref(linalg.mat_mul(lin_restricted, null), ambient) if lin_restricted else ([], [])
-    lin_dim = len(lin_rows)
+    lineality = linalg.mat_mul(lin_restricted, null)
+    if not wspace:
+        return _canonical("cone_solve", ambient, 0, lineality, [], eqs, ineqs)
 
     q = len(wspace)
-    if q == 0:
-        lineality = tuple(tuple(r) for r in lin_rows)
-        return Cone(ambient, lin_dim, lin_dim, lineality, (), **stored)
-
     bmat = [[kernels.dot(a, w) for w in wspace] for a in restricted]
     rays_z = double_description(bmat, q)
-    dim = lin_dim + (kernels.rank([list(r) for r in rays_z], q) if rays_z else 0)
+    pointed_dim = kernels.rank(rays_z, q) if rays_z else 0
+    rays = linalg.mat_mul(linalg.mat_mul(rays_z, wspace), null)
+    return _canonical("cone_solve", ambient, pointed_dim, lineality, rays, eqs, ineqs)
 
-    orth = linalg.orthogonalize(lin_rows, ambient)
-    rays = []
-    for z in rays_z:
-        y = linalg.mat_mul([z], wspace)[0]
-        x = linalg.mat_mul([y], null)[0]
-        rays.append(tuple(linalg.project_off(x, orth)))
-    rays = tuple(sorted(set(rays)))
 
-    cone = Cone(ambient, dim, lin_dim, tuple(tuple(r) for r in lin_rows), rays, **stored)
-    for r in cone.rays:
-        if not cone.contains(r):
-            raise RuntimeError("cone_solve: a ray violates its own defining system")
-    for v in cone.lineality:
-        if any(kernels.dot(e, v) != 0 for e in cone.eqs):
-            raise RuntimeError("cone_solve: a lineality vector leaves the equations")
-        if any(kernels.dot(a, v) != 0 for a in cone.ineqs):
-            raise RuntimeError("cone_solve: a lineality vector is not tight on every inequality")
-    return cone
+def cone_image(cone, basis, eqs, ineqs):
+    """The canonical cone of R^ambient that ``cone`` is in the coordinates of ``basis``.
+
+    ``basis`` holds independent ambient rows and ``cone`` is stated in their
+    coordinates: ``y`` stands for ``y . basis``.  That map is injective, so
+    the image has the same dimensions and its rays are the images of
+    ``cone``'s rays.  ``eqs``/``ineqs`` are the ambient system the image
+    solves; they are stored on it as :func:`cone_solve` stores them, and
+    every image ray and lineality vector is checked against them.  No cone
+    is solved here.
+    """
+    return _canonical("cone_image", len(basis[0]), cone.dim - cone.lineality_dim,
+                      linalg.mat_mul(cone.lineality, basis), linalg.mat_mul(cone.rays, basis),
+                      _normalize_rows(eqs), _normalize_rows(ineqs))
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +281,15 @@ def _homogenize(points, extra=None):
 def hull_facet_sets(points):
     """Facets of conv(points) as frozensets of point indices.
 
-    Duplicate input points simply appear in the same incidence sets.
+    Duplicate input points simply appear in the same incidence sets.  Point
+    ``i`` is inequality ``i`` of the polar, so a facet's points are read off
+    its polar ray's tight mask.
     """
     gens = _homogenize(points)
-    ambient = len(gens[0])
-    polar = cone_solve([], [[-x for x in g] for g in gens], ambient)
+    polar = cone_solve([], [[-x for x in g] for g in gens], len(gens[0]))
     facets = set()
-    for ray in polar.rays:
-        tight = frozenset(i for i, g in enumerate(gens) if kernels.dot(ray, g) == 0)
+    for mask in polar.tight:
+        tight = frozenset(i for i in range(len(points)) if mask >> i & 1)
         if tight and len(tight) < len(points):
             facets.add(tight)
     return sorted(facets, key=sorted)
@@ -329,8 +367,11 @@ def lower_cells(points, heights, labels):
     points' masks are the ``facets`` that :func:`hull_edges` reads its
     vertices and edges from.  The hull is solved once, with the upward
     direction ``(0, ..., 0, 1)`` as one more generator, so it has no upper
-    facets.  Affine height functions give the single trivial cell and
-    ``tight = None``: no hull is solved for them.  Points must be distinct.
+    facets.  Point ``i`` is inequality ``i`` of that polar cone, so which
+    points lie on a facet is read off the facet ray's
+    :attr:`Cone.tight` mask.  Affine height functions give the single trivial
+    cell and ``tight = None``: no hull is solved for them.  Points must be
+    distinct.
     """
     if not len(points) == len(heights) == len(labels):
         raise ValueError("lower_cells needs one height and one label per point")
@@ -348,8 +389,8 @@ def lower_cells(points, heights, labels):
         raise RuntimeError("lower_cells: lineality carries height, but heights are not affine")
     tight = [0] * len(points)
     cells = set()
-    for f, ray in enumerate(polar.rays):
-        on = [i for i, g in enumerate(lifted) if kernels.dot(ray, g) == 0]
+    for f, (ray, mask) in enumerate(zip(polar.rays, polar.tight)):
+        on = [i for i in range(len(points)) if mask >> i & 1]
         for i in on:
             tight[i] |= 1 << f
         if ray[m] < 0:

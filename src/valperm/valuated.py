@@ -43,6 +43,9 @@ def _validate_bases(n, bases):
         raise ValueError("bases must all have the same size")
     if any(b < 0 or b >= 1 << n for b in bases):
         raise ValueError("basis outside the ground set")
+    d = sizes.pop()
+    if len(bases) == comb(n, d):
+        return d  # every d-subset: the uniform matroid, no exchange to check
     for b1 in bases:
         for b2 in bases:
             for i in mask_elems(b1 & ~b2):
@@ -54,7 +57,7 @@ def _validate_bases(n, bases):
                     raise ValueError(
                         f"exchange fails for bases {subset_str(b1)}, {subset_str(b2)} at {i}"
                     )
-    return sizes.pop()
+    return d
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ pairwise scan for the minimal and maximal elements in that order, hull
 membership by LP separation, lower cells by trying every support set, a
 cell's edges by intersecting the facet sets of a hull solved for the cell
 alone, the fan by solving every sign choice in full, the refinement census
-by solving every sample in its own cone, 2-faces of a cone by the sign of
-the other rays against the hyperplane a ray pair spans, Gram-Schmidt and
+by solving every sample in its own cone, a ray's tight inequalities by one
+dot product each, 2-faces of a cone by the sign of the other rays against
+the hyperplane a ray pair spans, Gram-Schmidt and
 projections in ``Fraction`` arithmetic, and extremal rays by trying every
 row subset.  The three-term checks, the lift and the compression minimum
 are kept here as they were before the package moved them onto integer
@@ -283,6 +284,12 @@ def refinement_census_direct(fan):
             discrepancies.append((k, len(fine)))
         per_cone.append(len(fine))
     return RefinementReport(sum(per_cone), tuple(per_cone), tuple(discrepancies))
+
+
+def ray_tight_masks(cone):
+    """Bitmask per ray of the cone's inequalities it is tight on, from one
+    dot product per ray and inequality."""
+    return [sum(1 << h for h, a in enumerate(cone.ineqs) if kernels.dot(a, r) == 0) for r in cone.rays]
 
 
 def pair_is_face(cone, i, j):

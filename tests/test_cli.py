@@ -226,6 +226,20 @@ def test_tropicalize_rows_and_errors(tmp_path):
     assert main(["tropicalize", str(GOLDEN / "matrix_a.json"), "--rows", "7"]) == 2
 
 
+def test_tropicalize_rejects_more_than_nine_columns(tmp_path, capsys):
+    # subset keys are digit strings: {10} would be written as "10"
+    def matrix(cols):
+        return {"entries": [[[[0, str(1 + i + j * cols)]] for i in range(cols)] for j in range(2)]}
+
+    capsys.readouterr()
+    assert main(["tropicalize", write(tmp_path, matrix(10), "wide.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "need at most 9 columns" in err
+    code, out = run(tmp_path, "tropicalize", write(tmp_path, matrix(9), "nine.json"))
+    assert code == 0 and json.loads(out)["columns"] == 9
+    assert main(["check", "plucker", str(tmp_path / "out.json")]) == 0
+
+
 def test_fan_cli(tmp_path):
     code, out = run(tmp_path, "fan", "3", "--census")
     assert code == 0

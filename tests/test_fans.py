@@ -6,8 +6,8 @@ from itertools import combinations
 import pytest
 
 from lp import lp_feasible
-from oracles import exhaustive_fan_cones, pair_is_face, refinement_census_direct
-from valperm import cli, fans, kernels
+from oracles import exhaustive_fan_cones, pair_is_face, ray_tight_masks, refinement_census_direct
+from valperm import cli, fans, kernels, polyhedra
 from valperm.cli import main
 from valperm.fans import (
     complex_betti,
@@ -22,7 +22,7 @@ from valperm.fans import (
     _subdivision_key,
 )
 from valperm.permutahedra import permutohedron_vertices
-from valperm.polyhedra import incidence_edges
+from valperm.polyhedra import cone_solve, incidence_edges
 from valperm.subdivisions import (
     HeightFunction,
     check_two_skeleton,
@@ -78,15 +78,64 @@ def test_phi3_parallel_options_rejected():
     assert exc.value.code == 2
 
 
-def test_phi3_ambient_resolve_disagreement_raises(monkeypatch):
+def test_phi3_lifted_ray_off_the_ambient_system_raises(monkeypatch, capsys):
+    # a reduced cone with its ray flipped maps to a ray that violates its
+    # choice's ambient inequalities, which the lift refuses
     search = fans._top_dimensional_choices
 
-    def skewed(rows, dim):
-        return [(choice, replace(cone, dim=cone.dim + 1)) for choice, cone in search(rows, dim)]
+    def flipped(rows, dim):
+        return [(choice, replace(cone, rays=tuple(tuple(-x for x in r) for r in cone.rays)))
+                for choice, cone in search(rows, dim)]
 
-    monkeypatch.setattr(fans, "_top_dimensional_choices", skewed)
-    with pytest.raises(RuntimeError, match="ambient re-solve"):
+    monkeypatch.setattr(fans, "_top_dimensional_choices", flipped)
+    with pytest.raises(RuntimeError, match="cone_image: a ray violates its own defining system"):
         enumerate_fan(3)
+    capsys.readouterr()
+    assert main(["fan", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("valperm: internal error: cone_image: ")
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_maximal_cones_equal_fresh_ambient_solves(n, fan4):
+    # each lifted cone against its choice's system solved anew in R^(n!)
+    fan = fan4 if n == 4 else enumerate_fan(3)
+    verts, base_eqs, diag_rows = fans._context(n)
+    basis = kernels.nullspace(base_eqs, len(verts))
+    reduced_rows = [[[kernels.dot(r, b) for b in basis] for r in rows] for rows in diag_rows]
+    fresh = sorted(
+        (cone_solve(*fans._choice_system(base_eqs, diag_rows, choice), len(verts))
+         for choice, _ in fans._top_dimensional_choices(reduced_rows, len(basis))),
+        key=lambda c: c.key,
+    )
+    assert len(fresh) == len(fan.maximal) == {3: 3, 4: 75}[n]
+    for cone, want in zip(fan.maximal, fresh):
+        assert (cone.key, cone.dim, cone.lineality_dim) == (want.key, want.dim, want.lineality_dim)
+        assert (cone.eqs, cone.ineqs, cone.tight) == (want.eqs, want.ineqs, want.tight)
+
+
+@pytest.mark.parametrize("n, solves", [(3, 3), (4, 1362)])
+def test_enumerate_fan_solves_each_cone_once(n, solves, monkeypatch):
+    # the pruned search's reduced systems and nothing else: the maximal
+    # cones are lifted, not solved again in R^(n!)
+    calls = []
+    solve = polyhedra.cone_solve
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(fans, "cone_solve", counted)
+    monkeypatch.setattr(polyhedra, "cone_solve", counted)
+    enumerate_fan(n)
+    assert len(calls) == solves
+
+
+def test_fan4_tight_masks_match_dot_products(fan4):
+    for cone in fan4.maximal:
+        assert cone.tight == tuple(ray_tight_masks(cone))
 
 
 def test_phi3_matches_exhaustive_sweep():

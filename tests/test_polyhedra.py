@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -14,6 +15,7 @@ from valperm.permutahedra import (
     subsets_of_size,
 )
 from valperm.polyhedra import (
+    cone_image,
     cone_solve,
     double_description,
     hull_edges,
@@ -22,7 +24,12 @@ from valperm.polyhedra import (
     lower_cells,
 )
 
-from oracles import hull_vertices_and_edges_by_lp, lower_cells_by_support_search, pair_is_face
+from oracles import (
+    hull_vertices_and_edges_by_lp,
+    lower_cells_by_support_search,
+    pair_is_face,
+    ray_tight_masks,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -126,9 +133,30 @@ def test_cone_contains_generated_points(seed):
         assert cone.contains(pt)
 
 
-def ray_tight_masks(cone):
-    """Bitmask per ray of the cone's inequalities it is tight on."""
-    return [sum(1 << h for h, a in enumerate(cone.ineqs) if kernels.dot(a, r) == 0) for r in cone.rays]
+@pytest.mark.parametrize("seed", range(6))
+def test_cone_image_equals_the_ambient_solve(seed):
+    # solve in the coordinates of the equations' nullspace, then map back
+    rng = random.Random(70 + seed)
+    ambient = rng.randint(3, 6)
+    eqs = [[rng.randint(-2, 2) for _ in range(ambient)] for _ in range(rng.randint(1, 2))]
+    ineqs = [[rng.randint(-3, 3) for _ in range(ambient)] for _ in range(rng.randint(2, 7))]
+    basis = kernels.nullspace(eqs, ambient)
+    reduced = cone_solve([], [[kernels.dot(a, b) for b in basis] for a in ineqs], len(basis))
+    image = cone_image(reduced, basis, eqs, ineqs)
+    want = cone_solve(eqs, ineqs, ambient)
+    assert (image.key, image.dim, image.lineality_dim) == (want.key, want.dim, want.lineality_dim)
+    assert (image.eqs, image.ineqs, image.tight) == (want.eqs, want.ineqs, want.tight)
+    assert image.tight == tuple(ray_tight_masks(image))
+
+
+def test_cone_image_refuses_a_ray_off_the_system():
+    # the quadrant x, y >= 0 of the plane z = 0, stated with a flipped ray
+    basis = [[1, 0, 0], [0, 1, 0]]
+    quadrant = cone_solve([], [[1, 0], [0, 1]], 2)
+    flipped = replace(quadrant, rays=((-1, 0), (0, 1)))
+    assert cone_image(quadrant, basis, [[0, 0, 1]], [[1, 0, 0], [0, 1, 0]]).rays == ((0, 1, 0), (1, 0, 0))
+    with pytest.raises(RuntimeError, match="cone_image: a ray violates its own defining system"):
+        cone_image(flipped, basis, [[0, 0, 1]], [[1, 0, 0], [0, 1, 0]])
 
 
 def random_three_dim_cone(rng):
@@ -161,7 +189,8 @@ def test_incidence_edges_match_pair_oracle_on_random_cones():
     for _ in range(80):
         cone = random_three_dim_cone(rng)
         want = [(i, j) for i, j in combinations(range(len(cone.rays)), 2) if pair_is_face(cone, i, j)]
-        assert incidence_edges(ray_tight_masks(cone)) == want
+        assert cone.tight == tuple(ray_tight_masks(cone))
+        assert incidence_edges(cone.tight) == want
         # the 2-faces of a 3-dimensional pointed cone form one cycle
         assert len(want) == len(cone.rays)
         shapes.add((cone.lineality_dim > 0, len(cone.rays) > 3, bool(cone.eqs)))

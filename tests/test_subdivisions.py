@@ -478,6 +478,14 @@ def test_lift_zero_flag(n):
     assert check_positive_plucker(mu) is None
 
 
+def test_lift_of_a_uniform_seven_flag_finishes():
+    # the lift is uniform on 14 elements with 3432 bases; a uniform support
+    # skips the quadratic basis exchange scan, which takes minutes here
+    mu = lift_to_grassmannian(zero_flag(7))
+    assert (mu.n, mu.d, len(mu.values)) == (14, 7, 3432)
+    assert set(mu.values.values()) == {Fraction(0)}
+
+
 def test_lift_refuses_partial_support():
     flag = ValuatedFlagMatroid(
         [V(3, 1, [0, None, None]), V(3, 2, [0, 0, 0]), V(3, 3, [0])], check=False
