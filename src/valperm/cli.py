@@ -179,6 +179,10 @@ def cmd_decompose(args, obj):
 
 def cmd_lift(args, obj):
     comps = jsonio.components_from_obj(obj)
+    n = max(vm.n for vm in comps)
+    if 2 * n > jsonio.N_MAX:
+        # the lift is a value map on 2n elements, written with digit subset keys
+        raise jsonio.InputError(f"lift needs 2 * n <= {jsonio.N_MAX}, got n = {n}")
     flag = _wrap_precondition(ValuatedFlagMatroid, comps)
     lifted = _wrap_precondition(lift_to_grassmannian, flag)
     positive = check_positive_plucker(lifted) is None

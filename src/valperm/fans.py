@@ -10,17 +10,17 @@ The enumeration does not solve all 3^H choices in R^(n!).  The base
 equations (sum zero, hexagon alternation, square balance) are the same for
 every choice, so their integer solution basis -- the 2-skeleton space, of
 dimension 4 for n = 3 and 11 for n = 4 -- is computed once, and each
-hexagon's diagonal rows are expressed in it.  A depth-first search over the
-hexagons then solves each partial choice in those reduced coordinates and
-drops a partial choice as soon as its cone has lower dimension than the best
-complete choice found so far: adding a hexagon only shrinks the cone, so no
-completion can do better (the pruned tree search for tropical prevarieties
-of Jensen, Sommars and Verschelde).  Each cone is solved once: the
-surviving top-dimensional cones are mapped from the reduced coordinates to
-R^(n!) by :func:`~valperm.polyhedra.cone_image`, which stores each with
-its ambient defining system and checks it against that system, and they
-are the maximal cones.  Their 2-faces come from the rays' tight masks,
-which that check records.
+hexagon's diagonal rows are expressed in it.  A level-by-level search over
+the hexagons then solves each partial choice in those reduced coordinates
+and keeps one partial choice per distinct cone: a choice's cone is its
+prefix's cone cut by one more pair, so prefixes with equal cones have equal
+completions.  For n = 4 that is 1206 reduced systems.  No cone is solved
+again in R^(n!): the top-dimensional cones of the last level are mapped
+from the reduced coordinates to R^(n!) by
+:func:`~valperm.polyhedra.cone_image`, which stores each with its ambient
+defining system and checks it against that system, and they are the
+maximal cones.  Their 2-faces come from the rays' tight masks, which that
+check records.
 
 The search finds only the top-dimensional cones, which are all the maximal
 ones exactly when the fan is pure.  For n in {3, 4} purity is certified by
@@ -115,33 +115,29 @@ def _top_dimensional_choices(reduced_rows, dim):
     """The complete choices with top-dimensional cones, one per distinct cone.
 
     ``reduced_rows`` are the hexagons' diagonal rows in a basis of the
-    ``dim``-dimensional 2-skeleton space.  Depth-first over the hexagons in
-    the order of ``itertools.product(_PAIRS, repeat=H)``, a partial choice is
-    dropped when its cone has lower dimension than the best complete choice
-    with a ray so far, since every completion lies inside it.  Returns
-    ``[(choice, reduced cone)]``, keeping the first choice reaching each
-    cone.
+    ``dim``-dimensional 2-skeleton space.  The search goes level by level,
+    one hexagon at a time: it solves the three children of every kept
+    partial choice and keeps one child per distinct cone.  A child's cone is
+    its parent's cut by one more pair, so two partial choices with equal
+    cones have equal completions, and one of them is enough.  Cones without
+    a ray stay, since cutting a linear space can still leave a cone with
+    rays.  The kept choices come in the order of
+    ``itertools.product(_PAIRS, repeat=H)``, so each cone keeps the first
+    choice reaching it.  Returns ``[(choice, reduced cone)]`` for the
+    complete cones with a ray and the greatest dimension.
     """
-    best = {}  # reduced key -> (choice, cone) at dimension ``top``
-    top = -1
-
-    def search(choice):
-        nonlocal top
-        for pair in _PAIRS:
-            child = choice + (pair,)
-            cone = cone_solve(*_choice_system([], reduced_rows, child), dim)
-            if cone.dim < top:
-                continue
-            if len(child) < len(reduced_rows):
-                search(child)
-            elif cone.rays:
-                if cone.dim > top:
-                    top = cone.dim
-                    best.clear()
-                best.setdefault(cone.key, (child, cone))
-
-    search(())
-    return list(best.values())
+    level = [((), None)]
+    for _ in reduced_rows:
+        kept = {}
+        for choice, _parent in level:
+            for pair in _PAIRS:
+                child = choice + (pair,)
+                cone = cone_solve(*_choice_system([], reduced_rows, child), dim)
+                kept.setdefault(cone.key, (child, cone))
+        level = list(kept.values())
+    found = [(choice, cone) for choice, cone in level if cone.rays]
+    top = max(cone.dim for _, cone in found)
+    return [(choice, cone) for choice, cone in found if cone.dim == top]
 
 
 @dataclass(frozen=True)
@@ -175,16 +171,17 @@ class Fan:
 def enumerate_fan(n, processes=1):
     """All maximal cones of the height fan, with faces, for n in {3, 4}.
 
-    The base equations are solved once; the pruned depth-first search of
+    The base equations are solved once; the level-by-level search of
     :func:`_top_dimensional_choices` then finds, in the reduced coordinates
     of the 2-skeleton space, one attaining-pair choice per distinct
-    top-dimensional cone.  Each such cone is mapped to R^(n!) by
-    :func:`~valperm.polyhedra.cone_image` with its choice's ambient system,
-    which every image ray must satisfy; no cone is solved twice.  The
-    images need no containment sweep: the cones of two choices meet where
-    both pairs attain on the hexagons they differ on, a face of each.  A
-    top-dimensional cone inside another would be a face of it of full
-    dimension, hence equal to it, and the search keeps distinct cones.
+    top-dimensional cone (1206 reduced systems for n = 4).  Each such cone
+    is mapped to R^(n!) by :func:`~valperm.polyhedra.cone_image` with its
+    choice's ambient system, which every image ray must satisfy; no cone is
+    solved again in R^(n!).  The images need no containment sweep: the
+    cones of two choices meet where both pairs attain on the hexagons they
+    differ on, a face of each.  A top-dimensional cone inside another would
+    be a face of it of full dimension, hence equal to it, and the search
+    keeps distinct cones.
     The 2-faces of a maximal cone are the ray pairs that
     :func:`~valperm.polyhedra.incidence_edges` accepts from the rays' tight
     masks over the cone's inequalities (:attr:`~valperm.polyhedra.Cone.tight`).

@@ -195,7 +195,7 @@ def _canonical(caller, ambient, pointed_dim, lineality, rays, eqs, ineqs):
     The check of each ray against the inequalities also records its tight
     mask.  A failed check raises ``RuntimeError`` naming ``caller``.
     """
-    lin_rows, _ = kernels.rref(lineality, ambient) if lineality else ([], [])
+    lin_rows, _ = kernels.rref(lineality, ambient)
     if rays:
         orth = linalg.orthogonalize(lin_rows, ambient)
         rays = sorted(set(tuple(linalg.project_off(x, orth)) for x in rays))
@@ -226,9 +226,6 @@ def cone_solve(eqs, ineqs, ambient):
     eqs, ineqs = _normalize_rows(eqs), _normalize_rows(ineqs)
     null = kernels.nullspace(eqs, ambient)
     k = len(null)
-    if k == 0:
-        return _canonical("cone_solve", ambient, 0, [], [], eqs, ineqs)
-
     restricted = []
     for a in ineqs:
         row = [kernels.dot(a, nv) for nv in null]
@@ -239,13 +236,11 @@ def cone_solve(eqs, ineqs, ambient):
     wspace, pivots = kernels.rref(restricted, k)
     lin_restricted = kernels.nullspace_of_rref(wspace, pivots, k)
     lineality = linalg.mat_mul(lin_restricted, null)
-    if not wspace:
-        return _canonical("cone_solve", ambient, 0, lineality, [], eqs, ineqs)
 
     q = len(wspace)
     bmat = [[kernels.dot(a, w) for w in wspace] for a in restricted]
     rays_z = double_description(bmat, q)
-    pointed_dim = kernels.rank(rays_z, q) if rays_z else 0
+    pointed_dim = kernels.rank(rays_z, q)
     rays = linalg.mat_mul(linalg.mat_mul(rays_z, wspace), null)
     return _canonical("cone_solve", ambient, pointed_dim, lineality, rays, eqs, ineqs)
 
@@ -285,6 +280,8 @@ def hull_facet_sets(points):
     ``i`` is inequality ``i`` of the polar, so a facet's points are read off
     its polar ray's tight mask.
     """
+    if not points:
+        raise ValueError("hull_facet_sets needs at least one point")
     gens = _homogenize(points)
     polar = cone_solve([], [[-x for x in g] for g in gens], len(gens[0]))
     facets = set()
@@ -327,6 +324,8 @@ def hull_edges(points, labels, facets=None):
     hull is solved here.  Without it, the facets are those of conv(points),
     from one :func:`hull_facet_sets` solve.
     """
+    if not points:
+        raise ValueError("hull_edges needs at least one point")
     if len(points) != len(labels) or len(set(labels)) != len(labels):
         raise ValueError("hull_edges needs one unique label per point")
     if facets is not None and len(facets) != len(points):
@@ -369,24 +368,21 @@ def lower_cells(points, heights, labels):
     direction ``(0, ..., 0, 1)`` as one more generator, so it has no upper
     facets.  Point ``i`` is inequality ``i`` of that polar cone, so which
     points lie on a facet is read off the facet ray's
-    :attr:`Cone.tight` mask.  Affine height functions give the single trivial
-    cell and ``tight = None``: no hull is solved for them.  Points must be
-    distinct.
+    :attr:`Cone.tight` mask.  The heights are affine exactly when there is
+    one cell, which a rank test certifies.  Points must be distinct.
     """
+    if not points:
+        raise ValueError("lower_cells needs at least one point")
     if not len(points) == len(heights) == len(labels):
         raise ValueError("lower_cells needs one height and one label per point")
     if len(set(tuple(p) for p in points)) != len(points):
         raise ValueError("lower_cells: points must be distinct")
-    flat = _homogenize(points)
     lifted = _homogenize(points, extra=list(heights))
     m = len(points[0])
-    if kernels.rank(flat, m + 1) == kernels.rank(lifted, m + 2):
-        return [tuple(sorted(labels))], None
-
     up = [0] * m + [1, 0]
+    # cone_solve checks that every lineality vector is tight on the upward
+    # generator, so a ray's height coordinate has a well-defined sign
     polar = cone_solve([], [[-x for x in g] for g in lifted + [up]], m + 2)
-    if any(v[m] != 0 for v in polar.lineality):
-        raise RuntimeError("lower_cells: lineality carries height, but heights are not affine")
     tight = [0] * len(points)
     cells = set()
     for f, (ray, mask) in enumerate(zip(polar.rays, polar.tight)):
@@ -395,6 +391,8 @@ def lower_cells(points, heights, labels):
             tight[i] |= 1 << f
         if ray[m] < 0:
             cells.add(tuple(sorted(labels[i] for i in on)))
-    if len(cells) < 2:
-        raise RuntimeError("lower_cells: non-affine heights gave fewer than two cells")
+    affine = kernels.rank(_homogenize(points), m + 1) == kernels.rank(lifted, m + 2)
+    if (len(cells) == 1) != affine:
+        kind = "affine" if affine else "non-affine"
+        raise RuntimeError(f"lower_cells: {kind} heights gave {len(cells)} cells")
     return sorted(cells), tight

@@ -316,15 +316,14 @@ def subdivide(w):
     every call returns a fresh list of the same frozen cells.  The hull is
     lifted by the integer view of the heights, which has the same lower
     faces, and solved once: each cell's edges are read from its vertices'
-    masks of lifted facets.  Affine heights give one cell and no lifted
-    hull, and that cell's certificate solves its own hull."""
+    masks of lifted facets."""
     if w._cells is None:
         verts = permutohedron_vertices(w.n)
         cells, tight = lower_cells(verts, [w._ints[v] for v in verts], verts)
-        mask = dict(zip(verts, tight)) if tight else {}
+        mask = dict(zip(verts, tight))
         out = []
         for cell in cells:
-            gp = is_generalized_permutahedron(cell, [mask[v] for v in cell] if mask else None)
+            gp = is_generalized_permutahedron(cell, [mask[v] for v in cell])
             interval, endpoints = is_bruhat_interval_polytope(cell)
             lo, hi = endpoints if endpoints else (None, None)
             out.append(Cell(cell, gp, interval, lo, hi))

@@ -143,7 +143,8 @@ def test_criterion_5_full_fan_census(timed_fan4):
     assert elapsed <= 600.0
 
     # purity certificate: the exhaustive sweep's maximal cones are all
-    # top-dimensional, so the pruned search misses none of them
+    # top-dimensional, so the search, which keeps only the top-dimensional
+    # cones of its last level, misses none of them
     cones, maximal = exhaustive_fan_cones(4)
     assert len(cones) == 171
     assert len(maximal) == 75

@@ -5,7 +5,7 @@ import json
 import os
 import subprocess
 import sys
-from itertools import permutations
+from itertools import combinations, permutations
 from pathlib import Path
 
 from valperm import kernels
@@ -205,6 +205,23 @@ def test_lift(tmp_path):
     assert len(lifted["values"]) == 20
     assert lifted["values"]["123"] == "10"
     assert lifted["values"]["456"] == "0"
+
+
+def test_lift_rejects_flags_above_four(tmp_path, capsys):
+    # the lift lives on 2n elements, whose subset keys are digit strings
+    def zero_flag(n):
+        return [{"n": n, "d": d, "values": {"".join(map(str, c)): "0"
+                                            for c in combinations(range(1, n + 1), d)}}
+                for d in range(1, n + 1)]
+
+    capsys.readouterr()
+    assert main(["lift", write(tmp_path, zero_flag(5), "five.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("valperm: error:") and "2 * n <= 9" in err
+    code, out = run(tmp_path, "lift", write(tmp_path, zero_flag(4), "four.json"))
+    lifted = json.loads(out)["valuation"]
+    assert code == 0 and lifted["n"] == 8
+    assert main(["check", "plucker", write(tmp_path, lifted, "lifted.json")]) == 0
 
 
 def test_tropicalize_rows_and_errors(tmp_path):

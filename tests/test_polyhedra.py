@@ -344,9 +344,13 @@ def test_two_face_census_from_facets_n5():
 
 
 def test_lower_affine_single_cell():
+    # the one cell is the lower facet of the lifted hull, and its points'
+    # masks decide its vertices and edges as its own hull does
     verts = sorted(permutohedron_vertices(3))
     heights = [v[0] for v in verts]
-    assert lower_cells(verts, heights, verts) == ([tuple(verts)], None)
+    cells, tight = lower_cells(verts, heights, verts)
+    assert cells == [tuple(verts)] and all(tight)
+    assert hull_edges(verts, verts, tight) == hull_edges(verts, verts)
 
 
 HEXAGON_HEIGHTS = {
@@ -401,9 +405,6 @@ def assert_lower_cell_masks_give_each_cells_own_hull(pts, heights):
     not vertices of their cell."""
     labels = list(range(len(pts)))
     cells, tight = lower_cells(pts, heights, labels)
-    if tight is None:
-        assert cells == [tuple(labels)]
-        return 0
     assert all(tight[i] for cell in cells for i in cell)
     inner = 0
     for cell in cells:
@@ -451,6 +452,16 @@ def test_lower_cell_masks_mark_lower_and_vertical_facets():
 def test_hull_edges_rejects_wrong_facet_count():
     with pytest.raises(ValueError, match="facet mask"):
         hull_edges([(0, 0), (1, 0)], ["a", "b"], [1])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: hull_facet_sets([]),
+    lambda: hull_edges([], []),
+    lambda: lower_cells([], [], []),
+], ids=["hull_facet_sets", "hull_edges", "lower_cells"])
+def test_empty_point_lists_are_refused(call):
+    with pytest.raises(ValueError, match="needs at least one point"):
+        call()
 
 
 def test_lower_rejects_duplicate_points():

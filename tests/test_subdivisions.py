@@ -568,7 +568,7 @@ def test_height_function_computes_its_subdivision_and_report_once(monkeypatch):
     w = HeightFunction(3, EXAMPLE_HEIGHTS)
     first = subdivide(w)
     assert len(first) == 2
-    # one lifted hull certifies every cell of a non-affine subdivision
+    # one lifted hull certifies every cell
     assert calls == {"lower_cells": 1, "cone_solve": 1}
     assert check_positive_flag(w).cells == tuple(first)
     assert subdivide(w) == first
@@ -578,8 +578,8 @@ def test_height_function_computes_its_subdivision_and_report_once(monkeypatch):
 
 @pytest.mark.parametrize("affine", [False, True])
 def test_subdivide_at_n4_makes_one_cone_solve(monkeypatch, affine):
-    """The lifted hull certifies every cell; affine heights solve no lifted
-    hull, only their single cell's own."""
+    """The lifted hull certifies every cell, the single cell of affine
+    heights too."""
     solves = []
     real = polyhedra.cone_solve
     monkeypatch.setattr(polyhedra, "cone_solve", lambda *args: solves.append(1) or real(*args))
@@ -654,8 +654,6 @@ def test_cell_edges_from_the_lifted_hull_match_each_cells_own_hull(n, trials):
         else:
             w = HeightFunction(n, {v: rng.randint(-3, 3) for v in verts})
         cells, tight = lower_cells(verts, [w[v] for v in verts], verts)
-        if tight is None:
-            continue
         mask = dict(zip(verts, tight))
         for cell in cells:
             facets = [mask[v] for v in cell]
