@@ -11,20 +11,24 @@ equations (sum zero, hexagon alternation, square balance) are the same for
 every choice, so their integer solution basis -- the 2-skeleton space, of
 dimension 4 for n = 3 and 11 for n = 4 -- is computed once, and each
 hexagon's diagonal rows are expressed in it.  A level-by-level search over
-the hexagons then solves each partial choice in those reduced coordinates
-and keeps one partial choice per distinct cone: a choice's cone is its
-prefix's cone cut by one more pair, so prefixes with equal cones have equal
-completions.  For n = 4 that is 1206 reduced systems.  No cone is solved
-again in R^(n!): the top-dimensional cones of the last level are mapped
-from the reduced coordinates to R^(n!) by
+the hexagons then finds each partial choice's cone in those reduced
+coordinates and keeps one partial choice per distinct cone: a choice's cone
+is its prefix's cone cut by one more pair, so prefixes with equal cones have
+equal completions.  Only the first level is solved from its system; every
+later child is cut from its parent's generators by
+:func:`~valperm.polyhedra.cone_cut`.  For n = 4 that is 3 solves and 1203
+cuts.  No cone is solved again in R^(n!): the top-dimensional cones of the
+last level are mapped from the reduced coordinates to R^(n!) by
 :func:`~valperm.polyhedra.cone_image`, which stores each with its ambient
 defining system and checks it against that system, and they are the
 maximal cones.  Their 2-faces come from the rays' tight masks, which that
 check records.
 
-The search finds only the top-dimensional cones, which are all the maximal
-ones exactly when the fan is pure.  For n in {3, 4} purity is certified by
-the exhaustive 3^H sweep kept as a test oracle (``tests/oracles.py``).
+The search finds the top-dimensional cones, which are all the maximal ones
+exactly when the fan is pure.  Purity is certified on every run: the last
+level holds every distinct cone of the 3^H complete choices, and each must
+lie in a top-dimensional cone.  The exhaustive 3^H sweep stays in the test
+suite as an independent oracle (``tests/oracles.py``).
 
 The refinement census samples every maximal cone but solves only one cone
 per symmetry orbit.  The symmetry generators permute the vertices by affine
@@ -48,7 +52,7 @@ from valperm.permutahedra import (
     permutohedron_vertices,
     symmetry_generators,
 )
-from valperm.polyhedra import cone_image, cone_solve, incidence_edges
+from valperm.polyhedra import check_extremal, cone_cut, cone_image, cone_solve, incidence_edges
 from valperm.subdivisions import HeightFunction, check_two_skeleton, subdivide
 
 FAN_SIZES = (3, 4)
@@ -111,33 +115,70 @@ def _choice_system(base_eqs, diag_rows, choice):
 _PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
-def _top_dimensional_choices(reduced_rows, dim):
-    """The complete choices with top-dimensional cones, one per distinct cone.
+def _last_level(reduced_rows, dim):
+    """Every distinct cone of the complete choices, one choice per cone.
 
     ``reduced_rows`` are the hexagons' diagonal rows in a basis of the
     ``dim``-dimensional 2-skeleton space.  The search goes level by level,
-    one hexagon at a time: it solves the three children of every kept
-    partial choice and keeps one child per distinct cone.  A child's cone is
-    its parent's cut by one more pair, so two partial choices with equal
-    cones have equal completions, and one of them is enough.  Cones without
-    a ray stay, since cutting a linear space can still leave a cone with
-    rays.  The kept choices come in the order of
-    ``itertools.product(_PAIRS, repeat=H)``, so each cone keeps the first
-    choice reaching it.  Returns ``[(choice, reduced cone)]`` for the
-    complete cones with a ray and the greatest dimension.
+    one hexagon at a time, and keeps one child per distinct cone of every
+    kept partial choice.  A child's cone is its parent's cut by one more
+    pair (one equation, two inequalities), so two partial choices with equal
+    cones have equal completions, and one of them is enough.  The first
+    level is solved with :func:`~valperm.polyhedra.cone_solve`, since the
+    whole space has no generators to cut; every later child is cut from its
+    parent's generators by :func:`~valperm.polyhedra.cone_cut`, with each
+    (hexagon, pair)'s rows built once.  Cones without a ray stay, since
+    cutting a linear space can still leave a cone with rays.  The kept
+    choices come in the order of ``itertools.product(_PAIRS, repeat=H)``,
+    so each cone keeps the first choice reaching it.  Returns
+    ``[(choice, reduced cone)]``.
     """
+    cuts = [[_choice_system([], [rows], (pair,)) for pair in _PAIRS] for rows in reduced_rows]
     level = [((), None)]
-    for _ in reduced_rows:
+    for systems in cuts:
         kept = {}
-        for choice, _parent in level:
-            for pair in _PAIRS:
-                child = choice + (pair,)
-                cone = cone_solve(*_choice_system([], reduced_rows, child), dim)
-                kept.setdefault(cone.key, (child, cone))
+        for choice, parent in level:
+            for pair, (eqs, ineqs) in zip(_PAIRS, systems):
+                if parent is None:
+                    cone = cone_solve(eqs, ineqs, dim)
+                else:
+                    cone = cone_cut(parent, eqs, ineqs)
+                kept.setdefault(cone.key, (choice + (pair,), cone))
         level = list(kept.values())
+    return level
+
+
+def _inside(cone, other):
+    """Whether ``cone`` lies in ``other``: its rays and both signs of its
+    lineality vectors do."""
+    return (all(other.contains(r) for r in cone.rays)
+            and all(other.contains(v) and other.contains([-x for x in v]) for v in cone.lineality))
+
+
+def _top_dimensional_choices(reduced_rows, dim):
+    """The complete choices with top-dimensional cones, one per distinct
+    cone, certified to be all the maximal cones.
+
+    The last level of :func:`_last_level` holds every distinct cone of all
+    3^H complete choices: dedup merges only equal cones, and equal cones
+    have equal completions.  Each of them must lie in one of the
+    top-dimensional cones (those with a ray and the greatest dimension), or
+    ``RuntimeError`` is raised: so the fan is pure and the top cones are its
+    maximal cones, certified on every run.  Every ray of a top cone is also
+    certified extremal by rank (:func:`~valperm.polyhedra.check_extremal`).
+    Returns ``[(choice, reduced cone)]`` for the top cones.
+    """
+    level = _last_level(reduced_rows, dim)
     found = [(choice, cone) for choice, cone in level if cone.rays]
-    top = max(cone.dim for _, cone in found)
-    return [(choice, cone) for choice, cone in found if cone.dim == top]
+    top_dim = max(cone.dim for _, cone in found)
+    top = [(choice, cone) for choice, cone in found if cone.dim == top_dim]
+    for _, cone in level:
+        if cone.dim != top_dim and not any(_inside(cone, other) for _, other in top):
+            raise RuntimeError("enumerate_fan: a cone of a complete choice lies in no "
+                               "top-dimensional cone, so the fan is not pure")
+    for _, cone in top:
+        check_extremal(cone, "enumerate_fan")
+    return top
 
 
 @dataclass(frozen=True)
@@ -174,7 +215,8 @@ def enumerate_fan(n, processes=1):
     The base equations are solved once; the level-by-level search of
     :func:`_top_dimensional_choices` then finds, in the reduced coordinates
     of the 2-skeleton space, one attaining-pair choice per distinct
-    top-dimensional cone (1206 reduced systems for n = 4).  Each such cone
+    top-dimensional cone (3 solves and 1203 cuts from parent cones for
+    n = 4).  Each such cone
     is mapped to R^(n!) by :func:`~valperm.polyhedra.cone_image` with its
     choice's ambient system, which every image ray must satisfy; no cone is
     solved again in R^(n!).  The images need no containment sweep: the
@@ -185,9 +227,10 @@ def enumerate_fan(n, processes=1):
     The 2-faces of a maximal cone are the ray pairs that
     :func:`~valperm.polyhedra.incidence_edges` accepts from the rays' tight
     masks over the cone's inequalities (:attr:`~valperm.polyhedra.Cone.tight`).
-    The result is the full set of maximal cones because the fan is pure for
-    n in {3, 4}, which the exhaustive oracle sweep of the test suite
-    certifies.
+    The result is the full set of maximal cones because the fan is pure,
+    which the search certifies on every run: every cone of a complete
+    choice lies in a top-dimensional one.  A failed certificate raises
+    ``RuntimeError``.
 
     ``processes`` must be 1: the search runs in this process.
     """

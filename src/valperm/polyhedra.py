@@ -15,7 +15,11 @@ The canonical form (RREF lineality basis, primitive rays orthogonal to the
 lineality, sorted) makes cone equality a tuple comparison, which the fan
 enumeration relies on for dedup.  Step 4 is shared with :func:`cone_image`,
 which puts a cone solved in the coordinates of a subspace basis into the
-same canonical form in the ambient space without solving it again.
+same canonical form in the ambient space without solving it again, and
+with :func:`cone_cut`, which cuts a canonical cone by a few more rows
+straight from its generators and tight masks, one incremental double
+description step per row, and certifies the result irredundant from the
+masks.
 
 The check of step 4 computes every ``a . r`` of an inequality ``a`` and a
 ray ``r``, and keeps the zeros as the ray's tight mask (:attr:`Cone.tight`).
@@ -59,8 +63,8 @@ class Cone:
     ``eqs``/``ineqs`` keep the (normalized) defining system for membership
     tests, and ``tight[i]`` is the bitmask of the ``ineqs`` that ``rays[i]``
     is tight on, recorded by the check that every ray satisfies the system.
-    Two cones produced by :func:`cone_solve` or :func:`cone_image` are equal
-    as sets iff their ``key`` matches.
+    Two cones produced by :func:`cone_solve`, :func:`cone_image` or
+    :func:`cone_cut` are equal as sets iff their ``key`` matches.
     """
 
     ambient: int
@@ -95,6 +99,46 @@ def _normalize_rows(rows):
     return tuple(out)
 
 
+def _insert_row(rays, masks, vals, bit, dim, keep_positive=True):
+    """One double description step: cut a cone by a row ``h``.
+
+    ``rays`` are the extremal rays (sorted tuples) of a cone of dimension
+    ``dim`` modulo its lineality space, on which ``h`` vanishes, ``masks``
+    their exact tight sets over an inequality description of it, and
+    ``vals[i] = h . rays[i]``.  Returns the sorted rays and masks of the cut
+    by ``h . x >= 0``, where rays on the hyperplane gain ``bit``, or by
+    ``h . x = 0`` when ``keep_positive`` is false.  Each positive/negative
+    pair ``(p, q)`` that spans a 2-face gives the ray combined from them,
+    with mask ``mask(p) & mask(q)`` plus ``bit``, which is exactly its tight
+    set because both coefficients are positive.  Adjacency is decided
+    combinatorially: two rays span a 2-face only if they share at least
+    ``dim - 2`` tight rows, so a pair with fewer is dropped at once, and
+    otherwise the pair is adjacent when no other ray is tight on all the
+    rows they share.  ``dim`` may be a lower bound, never an upper one.
+    """
+    neg = [i for i, v in enumerate(vals) if v < 0]
+    if not neg and keep_positive:
+        return rays, [m | bit if v == 0 else m for m, v in zip(masks, vals)]
+    pos = [i for i, v in enumerate(vals) if v > 0]
+    table = {rays[i]: masks[i] | bit if v == 0 else masks[i]
+             for i, v in enumerate(vals) if v == 0 or (v > 0 and keep_positive)}
+    for p in pos:
+        for q in neg:
+            common = masks[p] & masks[q]
+            if common.bit_count() < dim - 2:
+                continue
+            adjacent = True
+            for r in range(len(rays)):
+                if r != p and r != q and masks[r] & common == common:
+                    adjacent = False
+                    break
+            if adjacent:
+                ray = tuple(kernels.combine_ray(list(rays[p]), list(rays[q]), vals[p], vals[q]))
+                table[ray] = common | bit
+    rays = sorted(table)
+    return rays, [table[r] for r in rays]
+
+
 def double_description(rows, dim):
     """Extremal rays of the pointed cone ``{z : row.z >= 0 for all rows}``.
 
@@ -106,17 +150,10 @@ def double_description(rows, dim):
     the rows taken so far and takes it when something remains.  Fewer than
     ``dim`` such rows means the rows are rank-deficient.  Every ray carries
     the bitmask of the processed rows it is tight on: computed once for the
-    seed rays, then updated per inserted row, where a kept ray gains the
-    row's bit when it lies on the row's hyperplane and the ray combined from
-    an adjacent pair ``(p, q)`` gets ``mask(p) & mask(q)`` plus the row's bit,
-    which is exactly its tight set because both coefficients are positive.
-    Adjacency of a positive/negative pair is decided combinatorially from
-    these masks: two rays of the pointed cone on the processed rows span a
-    2-face only if they share at least ``dim - 2`` tight rows, so a pair
-    with fewer is dropped at once, and otherwise the pair is adjacent when
-    no other ray is tight on all the rows they share.  A final check against
-    all rows certifies feasibility and extremality of the output, which is
-    primitive and sorted.
+    seed rays, then updated per inserted row by :func:`_insert_row`, which
+    also decides the adjacency of positive/negative pairs from these masks.
+    A final check against all rows certifies feasibility and extremality of
+    the output, which is primitive and sorted.
     """
     if dim == 0:
         return []
@@ -151,30 +188,7 @@ def double_description(rows, dim):
         masks.append(m)
 
     for index, h in enumerate(rest, start=dim):
-        bit = 1 << index
-        vals = [kernels.dot(h, r) for r in rays]
-        if all(v >= 0 for v in vals):
-            masks = [m | bit if v == 0 else m for m, v in zip(masks, vals)]
-            continue
-        pos = [i for i, v in enumerate(vals) if v > 0]
-        neg = [i for i, v in enumerate(vals) if v < 0]
-        table = {rays[i]: masks[i] | bit if v == 0 else masks[i]
-                 for i, v in enumerate(vals) if v >= 0}
-        for p in pos:
-            for q in neg:
-                common = masks[p] & masks[q]
-                if common.bit_count() < dim - 2:
-                    continue
-                adjacent = True
-                for r in range(len(rays)):
-                    if r != p and r != q and masks[r] & common == common:
-                        adjacent = False
-                        break
-                if adjacent:
-                    ray = tuple(kernels.combine_ray(list(rays[p]), list(rays[q]), vals[p], vals[q]))
-                    table[ray] = common | bit
-        rays = sorted(table)
-        masks = [table[r] for r in rays]
+        rays, masks = _insert_row(rays, masks, [kernels.dot(h, r) for r in rays], 1 << index, dim)
 
     for r in rays:
         vals = [kernels.dot(h, r) for h in rows]
@@ -259,6 +273,95 @@ def cone_image(cone, basis, eqs, ineqs):
     return _canonical("cone_image", len(basis[0]), cone.dim - cone.lineality_dim,
                       linalg.mat_mul(cone.lineality, basis), linalg.mat_mul(cone.rays, basis),
                       _normalize_rows(eqs), _normalize_rows(ineqs))
+
+
+def cone_cut(parent, eqs, ineqs):
+    """The canonical cone ``parent ∩ {eqs = 0, ineqs >= 0}``, cut from the
+    parent's generators instead of solved from its system.
+
+    The rows are taken one at a time, equations first, against the
+    lineality basis, the rays and their tight masks (:attr:`Cone.tight`).
+    A row that is nonzero on the lineality space removes one lineality
+    vector ``l`` and projects the other generators along it onto the row's
+    hyperplane; an inequality of that kind also adds ``l``, oriented into
+    its half-space, as a new ray, tight on every earlier inequality.  A row
+    that vanishes on the lineality space is one double description step
+    (:func:`_insert_row`) on the rays, with the dimension of the cone being
+    cut as its pre-test bound.  The result goes through the check of
+    :func:`cone_solve` against the parent's system plus the new rows, which
+    are stored after the parent's, and then through an irredundancy
+    certificate from the recorded masks: a ray that is a positive
+    combination of other rays and the lineality space has its tight set
+    inside theirs, so no mask may lie in another.  That keeps a redundant
+    ray, which would mislead the adjacency test of the next cut, from
+    passing on.
+    """
+    eqs, ineqs = _normalize_rows(eqs), _normalize_rows(ineqs)
+    lin = [list(v) for v in parent.lineality]
+    rays, masks = list(parent.rays), list(parent.tight)
+    pointed = parent.dim - parent.lineality_dim
+    done = len(parent.ineqs)  # inequalities processed, which are the mask bits
+    for row, is_ineq in [(e, False) for e in eqs] + [(a, True) for a in ineqs]:
+        bit = 1 << done if is_ineq else 0
+        on_lin = [kernels.dot(row, v) for v in lin]
+        k = next((i for i, x in enumerate(on_lin) if x), None)
+        if k is not None:
+            l, c = lin.pop(k), on_lin.pop(k)
+            if c < 0:
+                l, c = [-x for x in l], -c
+
+            def along(v, t):
+                return kernels.vec_gcd_reduce([c * x - t * y for x, y in zip(v, l)]) if t else list(v)
+
+            lin = [along(v, t) for v, t in zip(lin, on_lin)]
+            rays = [tuple(along(r, kernels.dot(row, r))) for r in rays]
+            masks = [m | bit for m in masks]
+            if is_ineq:
+                rays.append(tuple(l))
+                masks.append((1 << done) - 1)
+                pointed += 1
+        elif rays:
+            vals = [kernels.dot(row, r) for r in rays]
+            rays, masks = _insert_row(rays, masks, vals, bit, pointed, keep_positive=is_ineq)
+            pos, neg = any(v > 0 for v in vals), any(v < 0 for v in vals)
+            if pos and neg and not is_ineq:
+                pointed -= 1  # the hyperplane meets the relative interior
+            elif (neg and not pos) or (pos and not neg and not is_ineq):
+                # the row cuts out a proper face, whose dimension the signs do not tell
+                pointed = kernels.rank(lin + [list(r) for r in rays], parent.ambient) - len(lin)
+        done += is_ineq
+    cone = _canonical("cone_cut", parent.ambient, pointed, lin, rays,
+                      parent.eqs + eqs, parent.ineqs + ineqs)
+    if len(_extremal(cone.tight)) != len(cone.rays):
+        raise RuntimeError("cone_cut: a ray is redundant: its tight set lies in another ray's")
+    return cone
+
+
+def _extremal(tight):
+    """Indices ``i`` whose mask ``tight[i]`` lies in no other element's mask.
+
+    With ``tight[i]`` the facets element ``i`` lies on, these are the
+    vertices of a polytope among its points, or the extremal rays of a cone
+    among its generators: an element that is a positive combination of
+    others lies on every facet they share.
+    """
+    return [i for i, t in enumerate(tight)
+            if not any(s & t == t for k, s in enumerate(tight) if k != i)]
+
+
+def check_extremal(cone, caller):
+    """Certify by rank that every ray of ``cone`` is extremal.
+
+    A ray is extremal when its tight inequalities and the equations have
+    rank ``ambient - lineality_dim - 1``: the face they cut out is the ray
+    plus the lineality space.  A failure raises ``RuntimeError`` naming
+    ``caller``.
+    """
+    want = cone.ambient - cone.lineality_dim - 1
+    for mask in cone.tight:
+        rows = list(cone.eqs) + [a for h, a in enumerate(cone.ineqs) if mask >> h & 1]
+        if kernels.rank(rows, cone.ambient) != want:
+            raise RuntimeError(f"{caller}: a ray of a cone is not extremal")
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +451,7 @@ def hull_edges(points, labels, facets=None):
         for f, members in enumerate(hull_facet_sets(upts)):
             for i in members:
                 tight[i] |= 1 << f
-    verts = [i for i, t in enumerate(tight)
-             if not any(s & t == t for k, s in enumerate(tight) if k != i)]
+    verts = _extremal(tight)
     edges = [tuple(sorted((ulabs[verts[a]], ulabs[verts[b]])))
              for a, b in incidence_edges([tight[i] for i in verts])]
     return sorted(ulabs[v] for v in verts), sorted(edges)

@@ -1,5 +1,6 @@
 """Fan enumeration: census, refinement, link homology, patterns, symmetry."""
 
+import hashlib
 from dataclasses import replace
 from itertools import combinations
 
@@ -116,22 +117,136 @@ def test_maximal_cones_equal_fresh_ambient_solves(n, fan4):
         assert (cone.eqs, cone.ineqs, cone.tight) == (want.eqs, want.ineqs, want.tight)
 
 
-@pytest.mark.parametrize("n, solves", [(3, 3), (4, 1206)])
-def test_enumerate_fan_solves_each_cone_once(n, solves, monkeypatch):
-    # the level-by-level search's reduced systems, three per kept partial
-    # choice, and nothing else: the maximal cones are lifted, not solved
-    # again in R^(n!)
-    calls = []
-    solve = polyhedra.cone_solve
+@pytest.mark.parametrize("n, solved, cut", [(3, 3, 0), (4, 3, 1203)])
+def test_enumerate_fan_solves_each_cone_once(n, solved, cut, monkeypatch):
+    # the first hexagon's three systems are solved and every later child is
+    # cut from its parent, three per kept partial choice, and nothing else:
+    # the maximal cones are lifted, not solved again in R^(n!)
+    solves, cuts = [], []
+    solve, cone_cut = polyhedra.cone_solve, polyhedra.cone_cut
 
-    def counted(*args):
-        calls.append(args)
+    def counted_solve(*args):
+        solves.append(args)
         return solve(*args)
 
-    monkeypatch.setattr(fans, "cone_solve", counted)
-    monkeypatch.setattr(polyhedra, "cone_solve", counted)
+    def counted_cut(*args):
+        cuts.append(args)
+        return cone_cut(*args)
+
+    monkeypatch.setattr(fans, "cone_solve", counted_solve)
+    monkeypatch.setattr(polyhedra, "cone_solve", counted_solve)
+    monkeypatch.setattr(fans, "cone_cut", counted_cut)
     enumerate_fan(n)
-    assert len(calls) == solves
+    assert (len(solves), len(cuts)) == (solved, cut)
+
+
+def _reduced_rows(n):
+    verts, base_eqs, diag_rows = fans._context(n)
+    basis = kernels.nullspace(base_eqs, len(verts))
+    return [[[kernels.dot(r, b) for b in basis] for r in rows] for rows in diag_rows], len(basis)
+
+
+@pytest.mark.parametrize("n, children", [(3, 3), (4, 1206)])
+def test_every_search_child_equals_a_fresh_solve_of_its_choice(n, children, monkeypatch):
+    # each child of the level search, solved or cut, against its complete
+    # prefix's system solved anew in the reduced coordinates; a child's
+    # choice is its parent's plus the pair of its place among the three
+    # children of that parent
+    reduced_rows, dim = _reduced_rows(n)
+    choice_of = {id(None): ()}
+    made = {}
+    recorded = []
+    solve, cut = fans.cone_solve, fans.cone_cut
+
+    def record(parent, cone):
+        k = made.get(id(parent), 0)
+        made[id(parent)] = k + 1
+        choice = choice_of[id(parent)] + (fans._PAIRS[k],)
+        choice_of[id(cone)] = choice
+        recorded.append((choice, cone))
+        return cone
+
+    monkeypatch.setattr(fans, "cone_solve", lambda *args: record(None, solve(*args)))
+    monkeypatch.setattr(fans, "cone_cut", lambda parent, *rows: record(parent, cut(parent, *rows)))
+    fans._last_level(reduced_rows, dim)
+    assert len(recorded) == children
+    for choice, cone in recorded:
+        want = cone_solve(*fans._choice_system([], reduced_rows, choice), dim)
+        assert (cone.key, cone.dim, cone.lineality_dim) == (want.key, want.dim, want.lineality_dim)
+        assert (cone.eqs, cone.ineqs, cone.tight) == (want.eqs, want.ineqs, want.tight)
+
+
+# sha256 of repr([(choice, reduced key), ...]) of the top-dimensional cones,
+# as the search that solved every child from its system found them
+TOP_CHOICE_DIGESTS = {
+    3: "352f6ea4958712d9ffbbac860614160d2d92aed1c177babcc51e341b963f978d",
+    4: "df66d247dba22020d9ea94412805f852f5338cb7537d2b1041112328b2ed2584",
+}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_top_dimensional_choices_are_frozen(n):
+    reduced_rows, dim = _reduced_rows(n)
+    got = [(choice, cone.key) for choice, cone in fans._top_dimensional_choices(reduced_rows, dim)]
+    assert len(got) == {3: 3, 4: 75}[n]
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == TOP_CHOICE_DIGESTS[n]
+
+
+def test_last_level_holds_every_cone_of_the_complete_choices():
+    # 75 top cones, 96 lower-dimensional ones and one without a ray, each
+    # lower one inside a top one
+    level = fans._last_level(*_reduced_rows(4))
+    dims = sorted(cone.dim for _, cone in level)
+    assert len(level) == 172 and dims.count(dims[-1]) == 75
+    assert sum(1 for _, cone in level if not cone.rays) == 1
+
+
+def _assert_internal_error(capsys, prefix):
+    capsys.readouterr()
+    assert main(["fan", "4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"valperm: internal error: {prefix}")
+
+
+def test_a_top_cone_missing_from_the_top_dimension_fails_purity(monkeypatch, capsys):
+    # a last level that records one top cone a dimension lower drops it from
+    # the top cones; it lies in none of the others, which the purity
+    # certificate refuses
+    search = fans._last_level
+
+    def dropped(rows, dim):
+        level = search(rows, dim)
+        top = max(cone.dim for _, cone in level)
+        k = next(i for i, (_, cone) in enumerate(level) if cone.dim == top)
+        choice, cone = level[k]
+        return level[:k] + [(choice, replace(cone, dim=top - 1))] + level[k + 1:]
+
+    monkeypatch.setattr(fans, "_last_level", dropped)
+    with pytest.raises(RuntimeError, match="^enumerate_fan: a cone of a complete choice lies in no top"):
+        enumerate_fan(4)
+    _assert_internal_error(capsys, "enumerate_fan: a cone of a complete choice")
+
+
+def test_a_redundant_ray_in_a_parent_is_internal(monkeypatch, capsys):
+    # every cut cone with two rays or more gets the sum of two of them
+    # planted as one more ray: a child that keeps it fails the cut's
+    # irredundancy certificate
+    cut = fans.cone_cut
+
+    def planted(parent, eqs, ineqs):
+        cone = cut(parent, eqs, ineqs)
+        if len(cone.rays) < 2:
+            return cone
+        (a, b), (ma, mb) = cone.rays[:2], cone.tight[:2]
+        extra = tuple(x + y for x, y in zip(a, b))
+        return replace(cone, rays=cone.rays + (extra,), tight=cone.tight + (ma & mb,))
+
+    monkeypatch.setattr(fans, "cone_cut", planted)
+    with pytest.raises(RuntimeError, match="^cone_cut: a ray is redundant"):
+        enumerate_fan(4)
+    _assert_internal_error(capsys, "cone_cut: a ray is redundant")
 
 
 def test_fan4_tight_masks_match_dot_products(fan4):

@@ -15,6 +15,8 @@ from valperm.permutahedra import (
     subsets_of_size,
 )
 from valperm.polyhedra import (
+    check_extremal,
+    cone_cut,
     cone_image,
     cone_solve,
     double_description,
@@ -467,3 +469,59 @@ def test_empty_point_lists_are_refused(call):
 def test_lower_rejects_duplicate_points():
     with pytest.raises(ValueError, match="distinct"):
         lower_cells([(0, 0), (0, 0)], [0, 1], ["a", "b"])
+
+
+def test_cone_cut_equals_a_fresh_solve_of_the_full_system():
+    # random parents with and without lineality, cut by random equations and
+    # inequalities: every branch of the cut against cone_solve
+    rng = random.Random(4242)
+    shapes = set()
+    for _ in range(300):
+        ambient = rng.randint(2, 6)
+        lin = rng.randint(0, ambient)
+        used = ambient - lin
+
+        def row():
+            return [rng.randint(-2, 2) for _ in range(used)] + [0] * lin
+
+        parent = cone_solve([row() for _ in range(rng.randint(0, 1))],
+                            [row() for _ in range(rng.randint(0, 5))], ambient)
+        eqs = [[rng.randint(-2, 2) for _ in range(ambient)] for _ in range(rng.randint(0, 2))]
+        ineqs = [[rng.randint(-2, 2) for _ in range(ambient)] for _ in range(rng.randint(0, 3))]
+        cut = cone_cut(parent, eqs, ineqs)
+        want = cone_solve(list(parent.eqs) + eqs, list(parent.ineqs) + ineqs, ambient)
+        assert (cut.key, cut.dim, cut.lineality_dim) == (want.key, want.dim, want.lineality_dim)
+        assert (cut.eqs, cut.ineqs, cut.tight) == (want.eqs, want.ineqs, want.tight)
+        shapes.add((parent.lineality_dim > cut.lineality_dim, len(cut.rays) > len(parent.rays),
+                    cut.dim < parent.dim))
+    assert len(shapes) >= 6
+
+
+def test_cone_cut_of_a_square_cone():
+    # the cone over a square cut by a plane through two opposite rays
+    square = cone_solve([], [[1, 1, 0], [1, -1, 0], [1, 0, 1], [1, 0, -1]], 3)
+    cut = cone_cut(square, [[0, 1, -1]], [])
+    assert cut.rays == ((1, -1, -1), (1, 1, 1))
+    assert (cut.dim, cut.lineality_dim) == (2, 0)
+    half = cone_cut(square, [], [[0, 1, 0]])
+    assert half.rays == ((1, 0, -1), (1, 0, 1), (1, 1, -1), (1, 1, 1))
+    assert half.tight == tuple(ray_tight_masks(half))
+
+
+def test_cone_cut_refuses_a_redundant_ray():
+    # a parent with the sum of two rays planted as a third: the cut keeps it
+    # and the irredundancy certificate refuses it
+    quadrant = cone_solve([], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3)
+    planted = replace(quadrant, rays=quadrant.rays + ((1, 1, 0),),
+                      tight=quadrant.tight + (quadrant.tight[1] & quadrant.tight[2],))
+    assert cone_cut(quadrant, [], [[1, 1, 1]]).rays == quadrant.rays
+    with pytest.raises(RuntimeError, match="^cone_cut: a ray is redundant"):
+        cone_cut(planted, [], [[1, 1, 1]])
+
+
+def test_check_extremal_refuses_a_non_extremal_ray():
+    quadrant = cone_solve([], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3)
+    check_extremal(quadrant, "test")
+    inner = replace(quadrant, tight=quadrant.tight[:2] + (quadrant.tight[0] & quadrant.tight[1],))
+    with pytest.raises(RuntimeError, match="^test: a ray of a cone is not extremal"):
+        check_extremal(inner, "test")
