@@ -17,11 +17,14 @@ is its prefix's cone cut by one more pair, so prefixes with equal cones have
 equal completions.  Only the first level is solved from its system; every
 later child is cut from its parent's generators by
 :func:`~valperm.polyhedra.cone_cut`.  For n = 4 that is 3 solves and 1203
-cuts.  No cone is solved again in R^(n!): the top-dimensional cones of the
-last level are mapped from the reduced coordinates to R^(n!) by
-:func:`~valperm.polyhedra.cone_image`, which stores each with its ambient
-defining system and checks it against that system, and they are the
-maximal cones.  Their 2-faces come from the rays' tight masks, which that
+cuts.  The 903 cuts whose rows vanish on the parent's lineality keep the
+parent's lineality basis and rays as they are and check only the 27 rays
+they make against the whole system; the other 300 are put in canonical
+form and checked in full.  No cone is solved again in R^(n!): the
+top-dimensional cones of the last level are mapped from the reduced
+coordinates to R^(n!) by :func:`~valperm.polyhedra.cone_image`, which
+stores each with its ambient defining system and checks it against that
+system, and they are the maximal cones.  Their 2-faces come from the rays' tight masks, which that
 check records.
 
 The search finds the top-dimensional cones, which are all the maximal ones

@@ -19,7 +19,12 @@ same canonical form in the ambient space without solving it again, and
 with :func:`cone_cut`, which cuts a canonical cone by a few more rows
 straight from its generators and tight masks, one incremental double
 description step per row, and certifies the result irredundant from the
-masks.
+masks.  A cut needs step 4 only when a row is nonzero on the lineality,
+which moves the generators.  When every row vanishes on it, the lineality
+basis and the kept rays are the parent's own canonical, checked vectors:
+the cut checks them against its new rows only, by the dot products it takes
+anyway, and checks the few rays its double description steps made against
+the whole system.
 
 The check of step 4 computes every ``a . r`` of an inequality ``a`` and a
 ray ``r``, and keeps the zeros as the ray's tight mask (:attr:`Cone.tight`).
@@ -107,7 +112,8 @@ def _insert_row(rays, masks, vals, bit, dim, keep_positive=True):
     their exact tight sets over an inequality description of it, and
     ``vals[i] = h . rays[i]``.  Returns the sorted rays and masks of the cut
     by ``h . x >= 0``, where rays on the hyperplane gain ``bit``, or by
-    ``h . x = 0`` when ``keep_positive`` is false.  Each positive/negative
+    ``h . x = 0`` when ``keep_positive`` is false, and the set of the rays
+    that the step made; every other ray is one of ``rays``.  Each positive/negative
     pair ``(p, q)`` that spans a 2-face gives the ray combined from them,
     with mask ``mask(p) & mask(q)`` plus ``bit``, which is exactly its tight
     set because both coefficients are positive.  Adjacency is decided
@@ -118,10 +124,11 @@ def _insert_row(rays, masks, vals, bit, dim, keep_positive=True):
     """
     neg = [i for i, v in enumerate(vals) if v < 0]
     if not neg and keep_positive:
-        return rays, [m | bit if v == 0 else m for m, v in zip(masks, vals)]
+        return rays, [m | bit if v == 0 else m for m, v in zip(masks, vals)], set()
     pos = [i for i, v in enumerate(vals) if v > 0]
     table = {rays[i]: masks[i] | bit if v == 0 else masks[i]
              for i, v in enumerate(vals) if v == 0 or (v > 0 and keep_positive)}
+    made = set()
     for p in pos:
         for q in neg:
             common = masks[p] & masks[q]
@@ -135,8 +142,9 @@ def _insert_row(rays, masks, vals, bit, dim, keep_positive=True):
             if adjacent:
                 ray = tuple(kernels.combine_ray(list(rays[p]), list(rays[q]), vals[p], vals[q]))
                 table[ray] = common | bit
+                made.add(ray)
     rays = sorted(table)
-    return rays, [table[r] for r in rays]
+    return rays, [table[r] for r in rays], made
 
 
 def double_description(rows, dim):
@@ -188,7 +196,7 @@ def double_description(rows, dim):
         masks.append(m)
 
     for index, h in enumerate(rest, start=dim):
-        rays, masks = _insert_row(rays, masks, [kernels.dot(h, r) for r in rays], 1 << index, dim)
+        rays, masks, _ = _insert_row(rays, masks, [kernels.dot(h, r) for r in rays], 1 << index, dim)
 
     for r in rays:
         vals = [kernels.dot(h, r) for h in rows]
@@ -200,19 +208,10 @@ def double_description(rows, dim):
     return [list(r) for r in rays]
 
 
-def _canonical(caller, ambient, pointed_dim, lineality, rays, eqs, ineqs):
-    """Step 4 of :func:`cone_solve`: the canonical :class:`Cone` spanned by
-    ambient generators, checked against its normalized defining system.
-
-    ``lineality`` spans the lineality space, ``rays`` hold one generator per
-    extremal ray and ``pointed_dim`` is the dimension modulo the lineality.
-    The check of each ray against the inequalities also records its tight
-    mask.  A failed check raises ``RuntimeError`` naming ``caller``.
-    """
-    lin_rows, _ = kernels.rref(lineality, ambient)
-    if rays:
-        orth = linalg.orthogonalize(lin_rows, ambient)
-        rays = sorted(set(tuple(linalg.project_off(x, orth)) for x in rays))
+def _ray_masks(caller, rays, eqs, ineqs):
+    """Check every ray against ``eqs = 0`` and ``ineqs >= 0`` and return its
+    tight mask over ``ineqs``.  A failed check raises ``RuntimeError``
+    naming ``caller``."""
     tight = []
     for r in rays:
         if any(kernels.dot(e, r) != 0 for e in eqs):
@@ -225,6 +224,24 @@ def _canonical(caller, ambient, pointed_dim, lineality, rays, eqs, ineqs):
             if v == 0:
                 mask |= 1 << h
         tight.append(mask)
+    return tight
+
+
+def _canonical(caller, ambient, pointed_dim, lineality, rays, eqs, ineqs):
+    """Step 4 of :func:`cone_solve`: the canonical :class:`Cone` spanned by
+    ambient generators, checked against its normalized defining system.
+
+    ``lineality`` spans the lineality space, ``rays`` hold one generator per
+    extremal ray and ``pointed_dim`` is the dimension modulo the lineality.
+    The check of each ray against the inequalities (:func:`_ray_masks`)
+    also records its tight mask.  A failed check raises ``RuntimeError``
+    naming ``caller``.
+    """
+    lin_rows, _ = kernels.rref(lineality, ambient)
+    if rays:
+        orth = linalg.orthogonalize(lin_rows, ambient)
+        rays = sorted(set(tuple(linalg.project_off(x, orth)) for x in rays))
+    tight = _ray_masks(caller, rays, eqs, ineqs)
     for v in lin_rows:
         if any(kernels.dot(e, v) != 0 for e in eqs):
             raise RuntimeError(f"{caller}: a lineality vector leaves the equations")
@@ -279,28 +296,52 @@ def cone_cut(parent, eqs, ineqs):
     """The canonical cone ``parent ∩ {eqs = 0, ineqs >= 0}``, cut from the
     parent's generators instead of solved from its system.
 
+    ``parent`` must come from :func:`cone_solve`, :func:`cone_cut` or
+    :func:`cone_image`: then its lineality basis is in RREF, its rays are
+    primitive and orthogonal to that basis, and every ray and lineality
+    vector was dot-checked against the parent's system when the parent was
+    made, with the ray's tight mask (:attr:`Cone.tight`) recorded by that
+    check.  The cut rests on that invariant.
+
     The rows are taken one at a time, equations first, against the
-    lineality basis, the rays and their tight masks (:attr:`Cone.tight`).
-    A row that is nonzero on the lineality space removes one lineality
-    vector ``l`` and projects the other generators along it onto the row's
-    hyperplane; an inequality of that kind also adds ``l``, oriented into
-    its half-space, as a new ray, tight on every earlier inequality.  A row
-    that vanishes on the lineality space is one double description step
-    (:func:`_insert_row`) on the rays, with the dimension of the cone being
-    cut as its pre-test bound.  The result goes through the check of
-    :func:`cone_solve` against the parent's system plus the new rows, which
-    are stored after the parent's, and then through an irredundancy
-    certificate from the recorded masks: a ray that is a positive
-    combination of other rays and the lineality space has its tight set
-    inside theirs, so no mask may lie in another.  That keeps a redundant
-    ray, which would mislead the adjacency test of the next cut, from
-    passing on.
+    lineality basis, the rays and their tight masks.  A row that is nonzero
+    on the lineality space removes one lineality vector ``l`` and projects
+    the other generators along it onto the row's hyperplane; an inequality
+    of that kind also adds ``l``, oriented into its half-space, as a new
+    ray, tight on every earlier inequality.  A row that vanishes on the
+    lineality space is one double description step (:func:`_insert_row`)
+    on the rays, with the dimension of the cone being cut as its pre-test
+    bound.  The new rows are stored after the parent's.
+
+    When some row hit the lineality, the generators have moved, and the
+    result goes through the whole check of :func:`cone_solve` against the
+    parent's system plus the new rows.  When every row vanished on the
+    lineality (the common case), the parent's lineality basis and the rays
+    kept from it are unchanged vectors, so nothing is reduced, projected or
+    checked again: the lineality was checked against the new rows by the
+    dot products that found it untouched, and each kept ray by the dot
+    products of its double description steps, which drop a ray that
+    violates a row and set the bits of the rows it is tight on.  The rays
+    the steps made, which are combinations of two rays with positive
+    coefficients and so primitive and orthogonal to the lineality too, are
+    checked against the whole stored system, and their masks are recorded
+    from that check.  Which rays were made is known from the step that made
+    them, so a made ray equal to an old one gets no stale mask.  Either way,
+    every pair of a result vector and a row has been dot-checked, at this
+    cut or at an ancestor.
+
+    Then comes an irredundancy certificate from the masks: a ray that is a
+    positive combination of other rays and the lineality space has its
+    tight set inside theirs, so no mask may lie in another.  That keeps a
+    redundant ray, which would mislead the adjacency test of the next cut,
+    from passing on.
     """
     eqs, ineqs = _normalize_rows(eqs), _normalize_rows(ineqs)
     lin = [list(v) for v in parent.lineality]
     rays, masks = list(parent.rays), list(parent.tight)
     pointed = parent.dim - parent.lineality_dim
     done = len(parent.ineqs)  # inequalities processed, which are the mask bits
+    made = set()  # rays made by the double description steps of this cut
     for row, is_ineq in [(e, False) for e in eqs] + [(a, True) for a in ineqs]:
         bit = 1 << done if is_ineq else 0
         on_lin = [kernels.dot(row, v) for v in lin]
@@ -322,7 +363,8 @@ def cone_cut(parent, eqs, ineqs):
                 pointed += 1
         elif rays:
             vals = [kernels.dot(row, r) for r in rays]
-            rays, masks = _insert_row(rays, masks, vals, bit, pointed, keep_positive=is_ineq)
+            rays, masks, new = _insert_row(rays, masks, vals, bit, pointed, keep_positive=is_ineq)
+            made |= new
             pos, neg = any(v > 0 for v in vals), any(v < 0 for v in vals)
             if pos and neg and not is_ineq:
                 pointed -= 1  # the hyperplane meets the relative interior
@@ -330,8 +372,16 @@ def cone_cut(parent, eqs, ineqs):
                 # the row cuts out a proper face, whose dimension the signs do not tell
                 pointed = kernels.rank(lin + [list(r) for r in rays], parent.ambient) - len(lin)
         done += is_ineq
-    cone = _canonical("cone_cut", parent.ambient, pointed, lin, rays,
-                      parent.eqs + eqs, parent.ineqs + ineqs)
+    eqs, ineqs = parent.eqs + eqs, parent.ineqs + ineqs
+    if len(lin) == parent.lineality_dim:  # no row hit the lineality
+        fresh = [i for i, r in enumerate(rays) if r in made]
+        for i, mask in zip(fresh, _ray_masks("cone_cut", [rays[i] for i in fresh], eqs, ineqs)):
+            masks[i] = mask
+        lin_dim = parent.lineality_dim
+        cone = Cone(parent.ambient, lin_dim + pointed, lin_dim, parent.lineality,
+                    tuple(rays), eqs, ineqs, tuple(masks))
+    else:
+        cone = _canonical("cone_cut", parent.ambient, pointed, lin, rays, eqs, ineqs)
     if len(_extremal(cone.tight)) != len(cone.rays):
         raise RuntimeError("cone_cut: a ray is redundant: its tight set lies in another ray's")
     return cone

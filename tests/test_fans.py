@@ -1,6 +1,7 @@
 """Fan enumeration: census, refinement, link homology, patterns, symmetry."""
 
 import hashlib
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations
 
@@ -8,7 +9,7 @@ import pytest
 
 from lp import lp_feasible
 from oracles import exhaustive_fan_cones, pair_is_face, ray_tight_masks, refinement_census_direct
-from valperm import cli, fans, kernels, polyhedra
+from valperm import cli, fans, kernels, linalg, polyhedra
 from valperm.cli import main
 from valperm.fans import (
     complex_betti,
@@ -140,6 +141,39 @@ def test_enumerate_fan_solves_each_cone_once(n, solved, cut, monkeypatch):
     assert (len(solves), len(cuts)) == (solved, cut)
 
 
+@pytest.mark.parametrize("n, kept, hit", [(3, 0, 0), (4, 903, 300)])
+def test_cuts_that_keep_the_lineality_skip_the_canonical_form(n, kept, hit, monkeypatch):
+    # a cut whose rows all vanish on its parent's lineality runs no RREF, no
+    # Gram-Schmidt and no step 4 of cone_solve; a cut that hits the
+    # lineality runs step 4 once
+    calls = Counter()
+
+    def counting(name, f):
+        def counted(*args):
+            calls[name] += 1
+            return f(*args)
+        return counted
+
+    for module, name in [(kernels, "rref"), (linalg, "orthogonalize"), (polyhedra, "_canonical")]:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    cuts, work = Counter(), {True: Counter(), False: Counter()}
+    cut = fans.cone_cut
+
+    def counted_cut(parent, eqs, ineqs):
+        before = calls.copy()
+        cone = cut(parent, eqs, ineqs)
+        keeps = cone.lineality_dim == parent.lineality_dim
+        cuts[keeps] += 1
+        work[keeps].update(calls - before)
+        return cone
+
+    monkeypatch.setattr(fans, "cone_cut", counted_cut)
+    enumerate_fan(n)
+    assert (cuts[True], cuts[False]) == (kept, hit)
+    assert work[True] == Counter()
+    assert work[False]["_canonical"] == work[False]["rref"] == hit
+
+
 def _reduced_rows(n):
     verts, base_eqs, diag_rows = fans._context(n)
     basis = kernels.nullspace(base_eqs, len(verts))
@@ -247,6 +281,34 @@ def test_a_redundant_ray_in_a_parent_is_internal(monkeypatch, capsys):
     with pytest.raises(RuntimeError, match="^cone_cut: a ray is redundant"):
         enumerate_fan(4)
     _assert_internal_error(capsys, "cone_cut: a ray is redundant")
+
+
+def test_a_made_ray_off_the_system_in_a_cut_that_keeps_the_lineality_is_internal(monkeypatch, capsys):
+    # in the cuts whose rows all vanish on the parent's lineality, combine_ray
+    # returns the opposite ray: the check of the rays the cut made refuses it
+    # in that same cut, before a later cut that hits the lineality could
+    cut, combine = fans.cone_cut, kernels.combine_ray
+    refused = []
+
+    def wrong_combine_ray(pos_ray, neg_ray, wpos, wneg):
+        return [-x for x in combine(pos_ray, neg_ray, wpos, wneg)]
+
+    def faulty(parent, eqs, ineqs):
+        if any(kernels.dot(r, v) for r in eqs + ineqs for v in parent.lineality):
+            return cut(parent, eqs, ineqs)
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "combine_ray", wrong_combine_ray)
+            try:
+                return cut(parent, eqs, ineqs)
+            except RuntimeError:
+                refused.append(parent)
+                raise
+
+    monkeypatch.setattr(fans, "cone_cut", faulty)
+    with pytest.raises(RuntimeError, match="^cone_cut: a ray violates its own defining system"):
+        enumerate_fan(4)
+    assert len(refused) == 1
+    _assert_internal_error(capsys, "cone_cut: a ray violates its own defining system")
 
 
 def test_fan4_tight_masks_match_dot_products(fan4):

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from valperm import kernels
+from valperm import kernels, linalg
 from valperm.permutahedra import (
     enumerate_two_faces,
     hypersimplex_graph,
@@ -473,10 +473,13 @@ def test_lower_rejects_duplicate_points():
 
 def test_cone_cut_equals_a_fresh_solve_of_the_full_system():
     # random parents with and without lineality, cut by random equations and
-    # inequalities: every branch of the cut against cone_solve
+    # inequalities: every branch of the cut against cone_solve.  Every other
+    # cut has its rows projected off the parent's lineality, so both the cuts
+    # that keep the lineality and those that hit it come many times
     rng = random.Random(4242)
     shapes = set()
-    for _ in range(300):
+    kept = hit = made = 0
+    for k in range(300):
         ambient = rng.randint(2, 6)
         lin = rng.randint(0, ambient)
         used = ambient - lin
@@ -486,15 +489,28 @@ def test_cone_cut_equals_a_fresh_solve_of_the_full_system():
 
         parent = cone_solve([row() for _ in range(rng.randint(0, 1))],
                             [row() for _ in range(rng.randint(0, 5))], ambient)
-        eqs = [[rng.randint(-2, 2) for _ in range(ambient)] for _ in range(rng.randint(0, 2))]
-        ineqs = [[rng.randint(-2, 2) for _ in range(ambient)] for _ in range(rng.randint(0, 3))]
+        orth = linalg.orthogonalize(parent.lineality, ambient)
+
+        def cut_row():
+            r = [rng.randint(-2, 2) for _ in range(ambient)]
+            return linalg.project_off(r, orth) if k % 2 else r
+
+        eqs = [cut_row() for _ in range(rng.randint(0, 2))]
+        ineqs = [cut_row() for _ in range(rng.randint(0, 3))]
         cut = cone_cut(parent, eqs, ineqs)
         want = cone_solve(list(parent.eqs) + eqs, list(parent.ineqs) + ineqs, ambient)
         assert (cut.key, cut.dim, cut.lineality_dim) == (want.key, want.dim, want.lineality_dim)
         assert (cut.eqs, cut.ineqs, cut.tight) == (want.eqs, want.ineqs, want.tight)
         shapes.add((parent.lineality_dim > cut.lineality_dim, len(cut.rays) > len(parent.rays),
                     cut.dim < parent.dim))
+        if cut.lineality_dim == parent.lineality_dim:
+            kept += 1
+            # a kept lineality leaves the kept rays as they were
+            made += not set(cut.rays) <= set(parent.rays)
+        else:
+            hit += 1
     assert len(shapes) >= 6
+    assert kept >= 100 and hit >= 100 and made >= 10
 
 
 def test_cone_cut_of_a_square_cone():
@@ -505,6 +521,36 @@ def test_cone_cut_of_a_square_cone():
     assert (cut.dim, cut.lineality_dim) == (2, 0)
     half = cone_cut(square, [], [[0, 1, 0]])
     assert half.rays == ((1, 0, -1), (1, 0, 1), (1, 1, -1), (1, 1, 1))
+    assert half.tight == tuple(ray_tight_masks(half))
+
+
+def test_cone_cut_refuses_a_made_ray_off_the_system(monkeypatch):
+    # the cone over a square times a line, cut by a row that vanishes on the
+    # line: the cut keeps the lineality and makes two rays, which are checked
+    # against the whole system, so a combine_ray that returns the opposite
+    # ray is caught
+    prism = cone_solve([], [[1, 1, 0, 0], [1, -1, 0, 0], [1, 0, 1, 0], [1, 0, -1, 0]], 4)
+    half = cone_cut(prism, [], [[0, 1, 0, 0]])
+    assert half.lineality == prism.lineality == ((0, 0, 0, 1),)
+    assert set(half.rays) - set(prism.rays) == {(1, 0, -1, 0), (1, 0, 1, 0)}
+    assert half.tight == tuple(ray_tight_masks(half))
+
+    def wrong_combine_ray(pos_ray, neg_ray, wpos, wneg):
+        return [wneg * y - wpos * x for x, y in zip(pos_ray, neg_ray)]
+
+    monkeypatch.setattr(kernels, "combine_ray", wrong_combine_ray)
+    with pytest.raises(RuntimeError, match="^cone_cut: a ray violates its own defining system"):
+        cone_cut(prism, [], [[0, 1, 0, 0]])
+
+
+def test_cone_cut_rechecks_a_made_ray_equal_to_an_old_one(monkeypatch):
+    # a combine_ray that returns its positive ray makes rays equal to rays
+    # the cut keeps: they are known as made from the step that made them, so
+    # their masks come from the check, not from the step
+    prism = cone_solve([], [[1, 1, 0, 0], [1, -1, 0, 0], [1, 0, 1, 0], [1, 0, -1, 0]], 4)
+    monkeypatch.setattr(kernels, "combine_ray", lambda pos_ray, neg_ray, wpos, wneg: list(pos_ray))
+    half = cone_cut(prism, [], [[0, 1, 0, 0]])
+    assert half.rays == ((1, 1, -1, 0), (1, 1, 1, 0))
     assert half.tight == tuple(ray_tight_masks(half))
 
 
