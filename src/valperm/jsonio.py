@@ -38,6 +38,8 @@ def load_path(path):
         return json.loads(data.decode("utf-8")), sha256_hex(data)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"{path}: not valid JSON ({exc})") from None
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply to parse") from None
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +67,7 @@ def parse_subset(key, n, where=""):
     if not isinstance(key, str) or not key or not key.isdigit():
         raise InputError(f"{where}: subset key {key!r} must be a digit string")
     elems = [int(c) for c in key]
-    if sorted(set(elems)) != elems or elems[-1] > n:
+    if sorted(set(elems)) != elems or elems[0] < 1 or elems[-1] > n:
         raise InputError(
             f"{where}: subset key {key!r} must list distinct elements of [{n}] increasingly"
         )

@@ -8,6 +8,9 @@ vector ``v`` of :func:`project_off` and by the rows of :func:`orthogonalize`,
 which are scaled by a positive denominator lcm before any arithmetic.  Such
 scaling preserves rank, nullspace, cone membership and rowspace, all
 scale-invariant notions used here.  Outputs are primitive integer vectors.
+Double description takes no seed from this layer: :mod:`valperm.polyhedra`
+starts each run from the identity basis as the lineality and cuts it by the
+rows one at a time.
 """
 
 from math import lcm
@@ -51,25 +54,6 @@ def mat_mul(a, b_rows):
                     acc[j] += coef * brow[j]
         out.append(acc)
     return out
-
-
-def inverse_columns_primitive(mat):
-    """Columns of the inverse of a square integer matrix, each scaled primitive.
-
-    Used to seed the double description run with a simplicial cone: column j
-    is the ray sent to a positive multiple of e_j.
-    """
-    n = len(mat)
-    aug = [list(row) + [1 if j == i else 0 for j in range(n)] for i, row in enumerate(mat)]
-    red, pivots = kernels.rref(aug, 2 * n)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    # Row k reads red[k][k] * x_k = red[k][n + j]; the pivots are positive.
-    mult = 1
-    for k in range(n):
-        mult = lcm(mult, red[k][k])
-    scales = [mult // red[k][k] for k in range(n)]
-    return [kernels.vec_gcd_reduce([red[k][n + j] * scales[k] for k in range(n)]) for j in range(n)]
 
 
 def orthogonalize(rows, ncols):

@@ -7,7 +7,10 @@ V-description: a lineality basis plus extremal rays.  The pipeline is
 1. restrict to the nullspace of the equations,
 2. row-reduce the restricted inequality system once: its rowspace holds the
    pointed part and its nullspace is the lineality space,
-3. run double description on the remaining pointed cone,
+3. run double description on the remaining pointed cone: start from its
+   whole space and take the rows one at a time, each row nonzero on the
+   lineality left turning one lineality vector into a ray and each other
+   row cutting the rays by one incremental step,
 4. map rays back, project them off the lineality space, normalize, and
    check every ray and lineality vector against the defining system.
 
@@ -17,10 +20,12 @@ enumeration relies on for dedup.  Step 4 is shared with :func:`cone_image`,
 which puts a cone solved in the coordinates of a subspace basis into the
 same canonical form in the ambient space without solving it again, and
 with :func:`cone_cut`, which cuts a canonical cone by a few more rows
-straight from its generators and tight masks, one incremental double
-description step per row, and certifies the result irredundant from the
-masks.  A cut needs step 4 only when a row is nonzero on the lineality,
-which moves the generators.  When every row vanishes on it, the lineality
+straight from its generators and tight masks, and certifies the result
+irredundant from the masks.  Step 3 and the cut run one row loop,
+:func:`_cut`: double description starts it from the whole space, whose
+lineality basis is the identity, and a cut from the parent's generators.
+A cut needs step 4 only when a row is nonzero on the lineality, which
+moves the generators.  When every row vanishes on it, the lineality
 basis and the kept rays are the parent's own canonical, checked vectors:
 the cut checks them against its new rows only, by the dot products it takes
 anyway, and checks the few rays its double description steps made against
@@ -105,12 +110,12 @@ def _normalize_rows(rows):
 
 
 def _insert_row(rays, masks, vals, bit, dim, keep_positive=True):
-    """One double description step: cut a cone by a row ``h``.
+    """One double description step of :func:`_cut`: cut a cone by a row ``h``.
 
-    ``rays`` are the extremal rays (sorted tuples) of a cone of dimension
+    ``rays`` are the extremal rays (tuples) of a cone of dimension
     ``dim`` modulo its lineality space, on which ``h`` vanishes, ``masks``
     their exact tight sets over an inequality description of it, and
-    ``vals[i] = h . rays[i]``.  Returns the sorted rays and masks of the cut
+    ``vals[i] = h . rays[i]``.  Returns the rays and masks of the cut
     by ``h . x >= 0``, where rays on the hyperplane gain ``bit``, or by
     ``h . x = 0`` when ``keep_positive`` is false, and the set of the rays
     that the step made; every other ray is one of ``rays``.  Each positive/negative
@@ -147,57 +152,79 @@ def _insert_row(rays, masks, vals, bit, dim, keep_positive=True):
     return rays, [table[r] for r in rays], made
 
 
+def _cut(lin, rays, masks, pointed, done, eqs, ineqs, ambient):
+    """Cut a cone by ``eqs = 0`` and ``ineqs >= 0``, one row at a time.
+
+    The cone is given by a basis ``lin`` of its lineality space, its
+    extremal rays modulo that space (tuples), their exact tight masks over
+    the ``done`` inequalities processed before, and ``pointed``, its
+    dimension modulo the lineality.  Equations go first.  A row that is
+    nonzero on the lineality space removes one lineality vector ``l`` and
+    projects the other generators along it onto the row's hyperplane; an
+    inequality of that kind also adds ``l``, oriented into its half-space,
+    as a new ray, tight on every earlier inequality.  A row that vanishes on
+    the lineality space is one double description step (:func:`_insert_row`)
+    on the rays, with ``pointed`` as its pre-test bound.  Inequality ``i``
+    of ``ineqs`` sets bit ``done + i`` of the masks.  Returns the new
+    ``(lin, rays, masks, pointed, made)``, where ``made`` is the set of the
+    rays that the double description steps made.
+    """
+    made = set()
+    for row, is_ineq in [(e, False) for e in eqs] + [(a, True) for a in ineqs]:
+        bit = 1 << done if is_ineq else 0
+        on_lin = [kernels.dot(row, v) for v in lin]
+        k = next((i for i, x in enumerate(on_lin) if x), None)
+        if k is not None:
+            l, c = lin.pop(k), on_lin.pop(k)
+            if c < 0:
+                l, c = [-x for x in l], -c
+
+            def along(v, t):
+                return kernels.vec_gcd_reduce([c * x - t * y for x, y in zip(v, l)]) if t else list(v)
+
+            lin = [along(v, t) for v, t in zip(lin, on_lin)]
+            rays = [tuple(along(r, kernels.dot(row, r))) for r in rays]
+            masks = [m | bit for m in masks]
+            if is_ineq:
+                rays.append(tuple(l))
+                masks.append((1 << done) - 1)
+                pointed += 1
+        elif rays:
+            vals = [kernels.dot(row, r) for r in rays]
+            rays, masks, new = _insert_row(rays, masks, vals, bit, pointed, keep_positive=is_ineq)
+            made |= new
+            pos, neg = any(v > 0 for v in vals), any(v < 0 for v in vals)
+            if pos and neg and not is_ineq:
+                pointed -= 1  # the hyperplane meets the relative interior
+            elif (neg and not pos) or (pos and not neg and not is_ineq):
+                # the row cuts out a proper face, whose dimension the signs do not tell
+                pointed = kernels.rank(lin + [list(r) for r in rays], ambient) - len(lin)
+        done += is_ineq
+    return lin, rays, masks, pointed, made
+
+
 def double_description(rows, dim):
     """Extremal rays of the pointed cone ``{z : row.z >= 0 for all rows}``.
 
     Requires the row matrix to have full column rank ``dim`` (which forces the
-    cone to be pointed).  Incremental insertion in sorted row order, seeded
-    with the simplicial cone of ``dim`` independent rows: the first rows, in
-    that order, that are independent of the rows taken before them, found in
-    one pass that reduces each row fraction-free against the echelon basis of
-    the rows taken so far and takes it when something remains.  Fewer than
-    ``dim`` such rows means the rows are rank-deficient.  Every ray carries
-    the bitmask of the processed rows it is tight on: computed once for the
-    seed rays, then updated per inserted row by :func:`_insert_row`, which
-    also decides the adjacency of positive/negative pairs from these masks.
-    A final check against all rows certifies feasibility and extremality of
-    the output, which is primitive and sorted.
+    cone to be pointed).  The run starts from all of R^dim, whose lineality
+    basis is the identity and which has no rays, and cuts it by the rows in
+    sorted order with :func:`_cut`, the row loop of :func:`cone_cut` too: a
+    row nonzero on the lineality left turns one lineality vector into a
+    ray, and a row that vanishes on it is one double description step on
+    the rays, which also decides the adjacency of positive/negative pairs
+    from the rays' masks of tight rows.  Lineality left after the last row
+    means the rows are rank-deficient.  A final check against all rows
+    certifies feasibility and extremality of the output, which is primitive
+    and sorted.
     """
-    if dim == 0:
-        return []
     rows = sorted(set(tuple(r) for r in rows))
-    rows = [list(r) for r in rows]
-
-    seed, rest = [], []
-    echelon = []
-    for r in rows:
-        if len(seed) < dim:
-            v = r
-            for col, e in echelon:
-                b = v[col]
-                if b != 0:
-                    a = e[col]
-                    v = kernels.vec_gcd_reduce([x * a - y * b for x, y in zip(v, e)])
-            lead = next((j for j, x in enumerate(v) if x != 0), None)
-            if lead is not None:
-                echelon.append((lead, v))
-                seed.append(r)
-                continue
-        rest.append(r)
-    if len(seed) != dim:
+    identity = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    lin, rays, _, _, _ = _cut(identity, [], [], 0, 0, (), rows, dim)
+    if lin:
         raise ValueError("double_description needs a pointed cone (full rank rows)")
-    rays = sorted(tuple(c) for c in linalg.inverse_columns_primitive(seed))
-    masks = []
-    for r in rays:
-        m = 0
-        for i, h in enumerate(seed):
-            if kernels.dot(h, r) == 0:
-                m |= 1 << i
-        masks.append(m)
 
-    for index, h in enumerate(rest, start=dim):
-        rays, masks, _ = _insert_row(rays, masks, [kernels.dot(h, r) for r in rays], 1 << index, dim)
-
+    rays = sorted(rays)
     for r in rays:
         vals = [kernels.dot(h, r) for h in rows]
         if min(vals) < 0:
@@ -303,15 +330,13 @@ def cone_cut(parent, eqs, ineqs):
     made, with the ray's tight mask (:attr:`Cone.tight`) recorded by that
     check.  The cut rests on that invariant.
 
-    The rows are taken one at a time, equations first, against the
-    lineality basis, the rays and their tight masks.  A row that is nonzero
-    on the lineality space removes one lineality vector ``l`` and projects
-    the other generators along it onto the row's hyperplane; an inequality
-    of that kind also adds ``l``, oriented into its half-space, as a new
-    ray, tight on every earlier inequality.  A row that vanishes on the
-    lineality space is one double description step (:func:`_insert_row`)
-    on the rays, with the dimension of the cone being cut as its pre-test
-    bound.  The new rows are stored after the parent's.
+    The rows are taken one at a time by :func:`_cut`, the row loop that
+    :func:`double_description` runs from all of R^dim, here started from
+    the parent's lineality basis, rays and tight masks.  A row that is
+    nonzero on the lineality space turns one lineality vector into a ray or,
+    for an equation, drops it; a row that vanishes on it is one double
+    description step on the rays.  The new rows are stored after the
+    parent's.
 
     When some row hit the lineality, the generators have moved, and the
     result goes through the whole check of :func:`cone_solve` against the
@@ -337,41 +362,9 @@ def cone_cut(parent, eqs, ineqs):
     from passing on.
     """
     eqs, ineqs = _normalize_rows(eqs), _normalize_rows(ineqs)
-    lin = [list(v) for v in parent.lineality]
-    rays, masks = list(parent.rays), list(parent.tight)
-    pointed = parent.dim - parent.lineality_dim
-    done = len(parent.ineqs)  # inequalities processed, which are the mask bits
-    made = set()  # rays made by the double description steps of this cut
-    for row, is_ineq in [(e, False) for e in eqs] + [(a, True) for a in ineqs]:
-        bit = 1 << done if is_ineq else 0
-        on_lin = [kernels.dot(row, v) for v in lin]
-        k = next((i for i, x in enumerate(on_lin) if x), None)
-        if k is not None:
-            l, c = lin.pop(k), on_lin.pop(k)
-            if c < 0:
-                l, c = [-x for x in l], -c
-
-            def along(v, t):
-                return kernels.vec_gcd_reduce([c * x - t * y for x, y in zip(v, l)]) if t else list(v)
-
-            lin = [along(v, t) for v, t in zip(lin, on_lin)]
-            rays = [tuple(along(r, kernels.dot(row, r))) for r in rays]
-            masks = [m | bit for m in masks]
-            if is_ineq:
-                rays.append(tuple(l))
-                masks.append((1 << done) - 1)
-                pointed += 1
-        elif rays:
-            vals = [kernels.dot(row, r) for r in rays]
-            rays, masks, new = _insert_row(rays, masks, vals, bit, pointed, keep_positive=is_ineq)
-            made |= new
-            pos, neg = any(v > 0 for v in vals), any(v < 0 for v in vals)
-            if pos and neg and not is_ineq:
-                pointed -= 1  # the hyperplane meets the relative interior
-            elif (neg and not pos) or (pos and not neg and not is_ineq):
-                # the row cuts out a proper face, whose dimension the signs do not tell
-                pointed = kernels.rank(lin + [list(r) for r in rays], parent.ambient) - len(lin)
-        done += is_ineq
+    lin, rays, masks, pointed, made = _cut(
+        [list(v) for v in parent.lineality], list(parent.rays), list(parent.tight),
+        parent.dim - parent.lineality_dim, len(parent.ineqs), eqs, ineqs, parent.ambient)
     eqs, ineqs = parent.eqs + eqs, parent.ineqs + ineqs
     if len(lin) == parent.lineality_dim:  # no row hit the lineality
         fresh = [i for i, r in enumerate(rays) if r in made]

@@ -146,6 +146,21 @@ def test_schema_errors(tmp_path):
     assert main(["check", "plucker", write(tmp_path, vm, "badfrac.json")]) == 2
 
 
+def test_subset_key_with_digit_zero_exits_2(tmp_path, capsys):
+    vm = {"n": 3, "d": 1, "values": {"0": "0", "1": "0"}}
+    assert main(["check", "plucker", write(tmp_path, vm, "zero.json")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("valperm: error: ") and "'0'" in err[0]
+
+
+def test_deeply_nested_json_exits_2(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000 + "]" * 200000)
+    assert main(["check", "plucker", str(deep)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("valperm: error: ")
+
+
 def test_subdivide_exit_codes(tmp_path):
     code, out = run(tmp_path, "subdivide", write(tmp_path, SPIKED, "spiked.json"))
     assert code == 1

@@ -90,16 +90,40 @@ def random_pointed_cone(rng):
             return rows, dim
 
 
-@pytest.mark.parametrize("seed", range(60))
-def test_double_description_matches_subset_oracle(seed):
-    rng = random.Random(1000 + seed)
-    rows, dim = random_pointed_cone(rng)
+# Each row that vanishes on the lineality left when it comes, in sorted
+# order, depends on the rows before it and runs a double description step on
+# a cone that still has lineality.
+DEPENDENT_CONES = {
+    # (0, 2, 2) scales (0, 1, 1)
+    "scaled-copy": ([[0, -1, 1], [0, 1, 1], [0, 2, 2], [1, 0, 0]], 3),
+    # (0, 1, 0) = (0, 0, 1) - (0, -1, 1) is negative on one ray, positive on the other
+    "difference-of-two-rows": ([[0, -1, 1], [0, 0, 1], [0, 1, 0], [1, 0, 0], [1, 1, 1]], 3),
+    # (0, 1, 0) = (0, 0, 1) + (0, 1, -1)
+    "sum-of-two-rows": ([[0, 0, 1], [0, 1, -1], [0, 1, 0], [1, -1, 0]], 3),
+    # (0, 1, 0, 1) = (0, 0, 1, 1) - (0, -1, 1, 0)
+    "difference-in-four-dimensions": ([[0, -1, 1, 0], [0, 0, 1, 1], [0, 1, 0, 1],
+                                       [0, 1, 1, -1], [1, 0, 0, 0]], 4),
+    # the opposite pair leaves the cone flat, which the pointed dimension
+    # learns from a rank recompute, once with lineality left and once without
+    "opposite-pair": ([[-1, 0, 0], [1, 0, 0], [1, 0, 1], [1, 1, 0]], 3),
+    "opposite-pair-late": ([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 1, -1, 0],
+                            [-1, -1, 1, 0], [1, 2, 3, 4]], 4),
+}
+
+
+@pytest.mark.parametrize("case", list(range(60)) + sorted(DEPENDENT_CONES))
+def test_double_description_matches_subset_oracle(case):
+    if case in DEPENDENT_CONES:
+        rows, dim = DEPENDENT_CONES[case]
+    else:
+        rows, dim = random_pointed_cone(random.Random(1000 + case))
     assert double_description(rows, dim) == extremal_rays_by_subsets(rows, dim)
 
 
 def test_double_description_rank_deficient_after_many_rows():
-    """Rows in the hyperplane z4 = 0 fill three seed slots early; every later
-    candidate fails to extend the seed, and the full-rank error is raised."""
+    """Rows in the hyperplane z4 = 0 cut three lineality vectors into rays
+    early, and every later row vanishes on the one left, e4; that lineality
+    is left after the last row, and the full-rank error is raised."""
     rng = random.Random(8)
     rows = []
     while len(rows) < 16:
