@@ -17,10 +17,13 @@ is its prefix's cone cut by one more pair, so prefixes with equal cones have
 equal completions.  Only the first level is solved from its system; every
 later child is cut from its parent's generators by
 :func:`~valperm.polyhedra.cone_cut`.  For n = 4 that is 3 solves and 1203
-cuts.  The 903 cuts whose rows vanish on the parent's lineality keep the
-parent's lineality basis and rays as they are and check only the 27 rays
-they make against the whole system; the other 300 are put in canonical
-form and checked in full.  No cone is solved again in R^(n!): the
+cuts.  A cut checks its parent's vectors against its new rows only, since
+they move only along the parent's lineality, on which the parent's rows
+vanish, and checks the rays it makes against the whole system.  The 903
+cuts whose rows vanish on the parent's lineality keep the parent's
+lineality basis and rays as they are; the other 300 bring the new
+lineality to RREF and project the rays off it, each ray keeping its tight
+mask.  No cone is solved again in R^(n!): the
 top-dimensional cones of the last level are mapped from the reduced
 coordinates to R^(n!) by :func:`~valperm.polyhedra.cone_image`, which
 stores each with its ambient defining system and checks it against that
@@ -167,7 +170,10 @@ def _top_dimensional_choices(reduced_rows, dim):
     have equal completions.  Each of them must lie in one of the
     top-dimensional cones (those with a ray and the greatest dimension), or
     ``RuntimeError`` is raised: so the fan is pure and the top cones are its
-    maximal cones, certified on every run.  Every ray of a top cone is also
+    maximal cones, certified on every run.  A cone is tried first against
+    the top cones that have all of its rays as rays (as a face of a top
+    cone with the same lineality does), then against the rest.  Every ray
+    of a top cone is also
     certified extremal by rank (:func:`~valperm.polyhedra.check_extremal`).
     Returns ``[(choice, reduced cone)]`` for the top cones.
     """
@@ -175,8 +181,17 @@ def _top_dimensional_choices(reduced_rows, dim):
     found = [(choice, cone) for choice, cone in level if cone.rays]
     top_dim = max(cone.dim for _, cone in found)
     top = [(choice, cone) for choice, cone in found if cone.dim == top_dim]
+    holding = {}  # ray -> indices of the top cones that have it as a ray
+    for k, (_, other) in enumerate(top):
+        for r in other.rays:
+            holding.setdefault(r, set()).add(k)
+    everywhere = set(range(len(top)))
     for _, cone in level:
-        if cone.dim != top_dim and not any(_inside(cone, other) for _, other in top):
+        if cone.dim == top_dim:
+            continue
+        likely = everywhere.intersection(*(holding.get(r, ()) for r in cone.rays))
+        order = sorted(likely) + sorted(everywhere - likely)
+        if not any(_inside(cone, top[k][1]) for k in order):
             raise RuntimeError("enumerate_fan: a cone of a complete choice lies in no "
                                "top-dimensional cone, so the fan is not pure")
     for _, cone in top:

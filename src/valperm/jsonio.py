@@ -36,7 +36,7 @@ def load_path(path):
         data = fh.read()
     try:
         return json.loads(data.decode("utf-8")), sha256_hex(data)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8, bad JSON or an integer literal too long to convert
         raise InputError(f"{path}: not valid JSON ({exc})") from None
     except RecursionError:
         raise InputError(f"{path}: JSON nested too deeply to parse") from None
@@ -55,8 +55,23 @@ def frac_str(x) -> str:
 
 
 def parse_frac(text, where=""):
+    """A rational from a JSON integer or a string such as ``"-3/4"`` or ``"0.5"``.
+
+    Exponent notation is refused: ``Fraction`` would build the whole
+    integer, and ``"1e999999999"`` would take minutes and hundreds of
+    megabytes.
+
+    >>> parse_frac("-3/4"), parse_frac("0.5"), parse_frac(7)
+    (Fraction(-3, 4), Fraction(1, 2), Fraction(7, 1))
+    >>> parse_frac("1e999999999", "values[1]")
+    Traceback (most recent call last):
+    ...
+    valperm.jsonio.InputError: values[1]: bad rational '1e999999999' (exponent notation is not accepted)
+    """
     if isinstance(text, bool) or not isinstance(text, (str, int)):
         raise InputError(f"{where}: expected a rational string, got {text!r}")
+    if isinstance(text, str) and ("e" in text or "E" in text):
+        raise InputError(f"{where}: bad rational {text!r} (exponent notation is not accepted)")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):

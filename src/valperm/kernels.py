@@ -8,6 +8,7 @@ with each run.
 """
 
 from math import gcd
+from operator import mul
 
 IMPL = "python"
 
@@ -18,21 +19,14 @@ def vec_gcd_reduce(v):
     >>> vec_gcd_reduce([6, -9, 0])
     [2, -3, 0]
     """
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-        if g == 1:
-            return list(v)
+    g = gcd(*v)
     if g <= 1:
         return list(v)
     return [x // g for x in v]
 
 
 def dot(a, b):
-    s = 0
-    for x, y in zip(a, b):
-        s += x * y
-    return s
+    return sum(map(mul, a, b))
 
 
 def rref(rows, ncols):

@@ -12,24 +12,32 @@ V-description: a lineality basis plus extremal rays.  The pipeline is
    lineality left turning one lineality vector into a ray and each other
    row cutting the rays by one incremental step,
 4. map rays back, project them off the lineality space, normalize, and
-   check every ray and lineality vector against the defining system.
+   check every ray and lineality vector against the defining system; then
+   certify by rank that every ray is extremal (:func:`check_extremal`).
+
+Each fact is certified once.  Double description itself checks nothing
+after its run: its rays are checked in the ambient space by step 4, whose
+dot products record the tight masks the rank certificate reads.
 
 The canonical form (RREF lineality basis, primitive rays orthogonal to the
 lineality, sorted) makes cone equality a tuple comparison, which the fan
 enumeration relies on for dedup.  Step 4 is shared with :func:`cone_image`,
 which puts a cone solved in the coordinates of a subspace basis into the
-same canonical form in the ambient space without solving it again, and
-with :func:`cone_cut`, which cuts a canonical cone by a few more rows
-straight from its generators and tight masks, and certifies the result
-irredundant from the masks.  Step 3 and the cut run one row loop,
-:func:`_cut`: double description starts it from the whole space, whose
-lineality basis is the identity, and a cut from the parent's generators.
-A cut needs step 4 only when a row is nonzero on the lineality, which
-moves the generators.  When every row vanishes on it, the lineality
-basis and the kept rays are the parent's own canonical, checked vectors:
-the cut checks them against its new rows only, by the dot products it takes
-anyway, and checks the few rays its double description steps made against
-the whole system.
+same canonical form in the ambient space without solving it again.
+:func:`cone_cut` cuts a canonical cone by a few more rows straight from its
+generators and tight masks, and certifies the result irredundant from the
+masks.  Step 3 and the cut run one row loop, :func:`_cut`: double
+description starts it from the whole space, whose lineality basis is the
+identity, and a cut from the parent's generators.  A cut never runs
+step 4.  Its generators are the parent's canonical, checked vectors,
+moved only along parent lineality vectors, on which every parent row
+vanishes, so each keeps the signs of its dot products with the parent's
+rows and its tight mask over them; the cut checks them against its new
+rows only, by the dot products it takes anyway, and checks the few rays
+its double description steps made against the whole system.  When a row
+is nonzero on the lineality, the cut also puts the moved generators back
+in canonical form: the RREF of the new lineality and the rays projected
+off it, each carrying its mask.
 
 The check of step 4 computes every ``a . r`` of an inequality ``a`` and a
 ray ``r``, and keeps the zeros as the ray's tight mask (:attr:`Cone.tight`).
@@ -167,7 +175,7 @@ def _cut(lin, rays, masks, pointed, done, eqs, ineqs, ambient):
     on the rays, with ``pointed`` as its pre-test bound.  Inequality ``i``
     of ``ineqs`` sets bit ``done + i`` of the masks.  Returns the new
     ``(lin, rays, masks, pointed, made)``, where ``made`` is the set of the
-    rays that the double description steps made.
+    rays that the double description steps made, as later rows moved them.
     """
     made = set()
     for row, is_ineq in [(e, False) for e in eqs] + [(a, True) for a in ineqs]:
@@ -183,7 +191,9 @@ def _cut(lin, rays, masks, pointed, done, eqs, ineqs, ambient):
                 return kernels.vec_gcd_reduce([c * x - t * y for x, y in zip(v, l)]) if t else list(v)
 
             lin = [along(v, t) for v, t in zip(lin, on_lin)]
-            rays = [tuple(along(r, kernels.dot(row, r))) for r in rays]
+            moved = [tuple(along(r, kernels.dot(row, r))) for r in rays]
+            made = {m for r, m in zip(rays, moved) if r in made}
+            rays = moved
             masks = [m | bit for m in masks]
             if is_ineq:
                 rays.append(tuple(l))
@@ -214,25 +224,16 @@ def double_description(rows, dim):
     ray, and a row that vanishes on it is one double description step on
     the rays, which also decides the adjacency of positive/negative pairs
     from the rays' masks of tight rows.  Lineality left after the last row
-    means the rows are rank-deficient.  A final check against all rows
-    certifies feasibility and extremality of the output, which is primitive
-    and sorted.
+    means the rows are rank-deficient.  The output is primitive and sorted,
+    and not checked here: :func:`cone_solve` checks every ray against its
+    defining system and certifies it extremal by rank in the ambient space.
     """
     rows = sorted(set(tuple(r) for r in rows))
     identity = [[int(i == j) for j in range(dim)] for i in range(dim)]
     lin, rays, _, _, _ = _cut(identity, [], [], 0, 0, (), rows, dim)
     if lin:
         raise ValueError("double_description needs a pointed cone (full rank rows)")
-
-    rays = sorted(rays)
-    for r in rays:
-        vals = [kernels.dot(h, r) for h in rows]
-        if min(vals) < 0:
-            raise RuntimeError("double description: an output ray violates a row")
-        tight = [h for h, v in zip(rows, vals) if v == 0]
-        if kernels.rank(tight, dim) != dim - 1:
-            raise RuntimeError("double description: a non-extremal ray escaped the run")
-    return [list(r) for r in rays]
+    return [list(r) for r in sorted(rays)]
 
 
 def _ray_masks(caller, rays, eqs, ineqs):
@@ -255,8 +256,9 @@ def _ray_masks(caller, rays, eqs, ineqs):
 
 
 def _canonical(caller, ambient, pointed_dim, lineality, rays, eqs, ineqs):
-    """Step 4 of :func:`cone_solve`: the canonical :class:`Cone` spanned by
-    ambient generators, checked against its normalized defining system.
+    """Step 4 of :func:`cone_solve`, also run by :func:`cone_image`: the
+    canonical :class:`Cone` spanned by ambient generators, checked against
+    its normalized defining system.
 
     ``lineality`` spans the lineality space, ``rays`` hold one generator per
     extremal ray and ``pointed_dim`` is the dimension modulo the lineality.
@@ -280,7 +282,13 @@ def _canonical(caller, ambient, pointed_dim, lineality, rays, eqs, ineqs):
 
 
 def cone_solve(eqs, ineqs, ambient):
-    """Canonical V-description of ``{x : eqs.x = 0, ineqs.x >= 0}``."""
+    """Canonical V-description of ``{x : eqs.x = 0, ineqs.x >= 0}``.
+
+    The result is certified once, in the ambient space: every ray and
+    lineality vector against the system, which records the rays' tight
+    masks, and every ray extremal by the rank of its tight rows
+    (:func:`check_extremal`).  A failure raises ``RuntimeError``.
+    """
     eqs, ineqs = _normalize_rows(eqs), _normalize_rows(ineqs)
     null = kernels.nullspace(eqs, ambient)
     k = len(null)
@@ -300,7 +308,9 @@ def cone_solve(eqs, ineqs, ambient):
     rays_z = double_description(bmat, q)
     pointed_dim = kernels.rank(rays_z, q)
     rays = linalg.mat_mul(linalg.mat_mul(rays_z, wspace), null)
-    return _canonical("cone_solve", ambient, pointed_dim, lineality, rays, eqs, ineqs)
+    cone = _canonical("cone_solve", ambient, pointed_dim, lineality, rays, eqs, ineqs)
+    check_extremal(cone, "cone_solve")
+    return cone
 
 
 def cone_image(cone, basis, eqs, ineqs):
@@ -338,22 +348,33 @@ def cone_cut(parent, eqs, ineqs):
     description step on the rays.  The new rows are stored after the
     parent's.
 
-    When some row hit the lineality, the generators have moved, and the
-    result goes through the whole check of :func:`cone_solve` against the
-    parent's system plus the new rows.  When every row vanished on the
-    lineality (the common case), the parent's lineality basis and the rays
-    kept from it are unchanged vectors, so nothing is reduced, projected or
-    checked again: the lineality was checked against the new rows by the
-    dot products that found it untouched, and each kept ray by the dot
-    products of its double description steps, which drop a ray that
-    violates a row and set the bits of the rows it is tight on.  The rays
-    the steps made, which are combinations of two rays with positive
-    coefficients and so primitive and orthogonal to the lineality too, are
-    checked against the whole stored system, and their masks are recorded
-    from that check.  Which rays were made is known from the step that made
-    them, so a made ray equal to an old one gets no stale mask.  Either way,
-    every pair of a result vector and a row has been dot-checked, at this
-    cut or at an ancestor.
+    No vector is checked against the parent's rows again.  Every result
+    vector that the double description steps did not make is a positive
+    multiple of a parent vector plus a combination of parent lineality
+    vectors, and every parent row vanishes on those, so its dot product
+    with each parent row is the parent vector's up to that positive factor,
+    and its tight mask over the parent's rows carries over.  Against the
+    new rows, the lineality is checked by the dot products that find the
+    rows nonzero on it or not, a vector moved along a lineality vector onto
+    a row's hyperplane lies on it by construction, and each other ray kept
+    from the parent is checked by the dot products of its double
+    description steps, which drop a ray that violates a row and set the
+    bits of the rows it is tight on.  The rays
+    the steps made are combinations of two rays with positive coefficients;
+    they are checked against the whole stored system, and their masks are
+    recorded from that check.  Which rays were made is known from the step
+    that made them, and a later row that moves a made ray moves its entry
+    too, so a made ray equal to an old one gets no stale mask and a moved
+    one is still checked.  So every pair of a result vector and a row has
+    been dot-checked, at this cut or at an ancestor.
+
+    When every row vanished on the lineality (the common case), the
+    parent's lineality basis and the rays kept from it are unchanged
+    vectors, and nothing is reduced or projected.  When some row hit the
+    lineality, the generators have moved: the new lineality is brought to
+    RREF and the rays are projected off it, each keeping its mask, since
+    the projection adds lineality vectors and multiplies by a positive
+    factor.
 
     Then comes an irredundancy certificate from the masks: a ray that is a
     positive combination of other rays and the lineality space has its
@@ -366,15 +387,21 @@ def cone_cut(parent, eqs, ineqs):
         [list(v) for v in parent.lineality], list(parent.rays), list(parent.tight),
         parent.dim - parent.lineality_dim, len(parent.ineqs), eqs, ineqs, parent.ambient)
     eqs, ineqs = parent.eqs + eqs, parent.ineqs + ineqs
-    if len(lin) == parent.lineality_dim:  # no row hit the lineality
-        fresh = [i for i, r in enumerate(rays) if r in made]
-        for i, mask in zip(fresh, _ray_masks("cone_cut", [rays[i] for i in fresh], eqs, ineqs)):
-            masks[i] = mask
-        lin_dim = parent.lineality_dim
-        cone = Cone(parent.ambient, lin_dim + pointed, lin_dim, parent.lineality,
-                    tuple(rays), eqs, ineqs, tuple(masks))
-    else:
-        cone = _canonical("cone_cut", parent.ambient, pointed, lin, rays, eqs, ineqs)
+    lineality = parent.lineality
+    if len(lin) != len(lineality):  # a row hit the lineality
+        lin, _ = kernels.rref(lin, parent.ambient)
+        lineality = tuple(tuple(v) for v in lin)
+        if rays:
+            orth = linalg.orthogonalize(lin, parent.ambient)
+            projected = [tuple(linalg.project_off(r, orth)) for r in rays]
+            made = {p for r, p in zip(rays, projected) if r in made}
+            pairs = sorted(zip(projected, masks))
+            rays, masks = [r for r, _ in pairs], [m for _, m in pairs]
+    fresh = [i for i, r in enumerate(rays) if r in made]
+    for i, mask in zip(fresh, _ray_masks("cone_cut", [rays[i] for i in fresh], eqs, ineqs)):
+        masks[i] = mask
+    cone = Cone(parent.ambient, len(lineality) + pointed, len(lineality), lineality,
+                tuple(rays), eqs, ineqs, tuple(masks))
     if len(_extremal(cone.tight)) != len(cone.rays):
         raise RuntimeError("cone_cut: a ray is redundant: its tight set lies in another ray's")
     return cone

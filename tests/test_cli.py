@@ -153,6 +153,23 @@ def test_subset_key_with_digit_zero_exits_2(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("valperm: error: ") and "'0'" in err[0]
 
 
+def test_numbers_too_large_to_read_exit_2(tmp_path, capsys):
+    # Fraction reads "1e999999999" as the integer 10^999999999, which takes
+    # minutes to build, so exponent notation is refused as input; the small
+    # exponents come first so that a reader that accepts them fails fast
+    for k, value in enumerate(["2E-3", "1.5e2", "1e999999999"]):
+        vm = {"n": 3, "d": 1, "values": {"1": value, "2": "0", "3": "0"}}
+        assert main(["check", "plucker", write(tmp_path, vm, f"exp{k}.json")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("valperm: error: ") and "exponent" in err[0]
+    # a JSON integer literal longer than Python converts from a string
+    long_int = tmp_path / "long.json"
+    long_int.write_text('{"n": 3, "d": 1, "values": {"1": ' + "1" * 5000 + ', "2": "0", "3": "0"}}')
+    assert main(["check", "plucker", str(long_int)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("valperm: error: ")
+
+
 def test_deeply_nested_json_exits_2(tmp_path, capsys):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 200000 + "]" * 200000)

@@ -145,7 +145,8 @@ def test_enumerate_fan_solves_each_cone_once(n, solved, cut, monkeypatch):
 def test_cuts_that_keep_the_lineality_skip_the_canonical_form(n, kept, hit, monkeypatch):
     # a cut whose rows all vanish on its parent's lineality runs no RREF, no
     # Gram-Schmidt and no step 4 of cone_solve; a cut that hits the
-    # lineality runs step 4 once
+    # lineality runs one RREF and at most one Gram-Schmidt of the new
+    # lineality, and no step 4 either: its rays carry their masks
     calls = Counter()
 
     def counting(name, f):
@@ -171,7 +172,8 @@ def test_cuts_that_keep_the_lineality_skip_the_canonical_form(n, kept, hit, monk
     enumerate_fan(n)
     assert (cuts[True], cuts[False]) == (kept, hit)
     assert work[True] == Counter()
-    assert work[False]["_canonical"] == work[False]["rref"] == hit
+    assert work[False]["_canonical"] == 0
+    assert work[False]["rref"] == hit and work[False]["orthogonalize"] <= hit
 
 
 def _reduced_rows(n):
@@ -295,6 +297,34 @@ def test_a_made_ray_off_the_system_in_a_cut_that_keeps_the_lineality_is_internal
 
     def faulty(parent, eqs, ineqs):
         if any(kernels.dot(r, v) for r in eqs + ineqs for v in parent.lineality):
+            return cut(parent, eqs, ineqs)
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "combine_ray", wrong_combine_ray)
+            try:
+                return cut(parent, eqs, ineqs)
+            except RuntimeError:
+                refused.append(parent)
+                raise
+
+    monkeypatch.setattr(fans, "cone_cut", faulty)
+    with pytest.raises(RuntimeError, match="^cone_cut: a ray violates its own defining system"):
+        enumerate_fan(4)
+    assert len(refused) == 1
+    _assert_internal_error(capsys, "cone_cut: a ray violates its own defining system")
+
+
+def test_a_made_ray_off_the_system_in_a_cut_that_hits_the_lineality_is_internal(monkeypatch, capsys):
+    # in the cuts whose rows meet the parent's lineality, combine_ray returns
+    # the opposite ray: the rays such a cut makes are moved and projected
+    # off the new lineality, and still checked against the whole system
+    cut, combine = fans.cone_cut, kernels.combine_ray
+    refused = []
+
+    def wrong_combine_ray(pos_ray, neg_ray, wpos, wneg):
+        return [-x for x in combine(pos_ray, neg_ray, wpos, wneg)]
+
+    def faulty(parent, eqs, ineqs):
+        if not any(kernels.dot(r, v) for r in eqs + ineqs for v in parent.lineality):
             return cut(parent, eqs, ineqs)
         with monkeypatch.context() as m:
             m.setattr(kernels, "combine_ray", wrong_combine_ray)

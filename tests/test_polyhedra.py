@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from valperm import kernels, linalg
+from valperm import kernels, linalg, polyhedra
 from valperm.permutahedra import (
     enumerate_two_faces,
     hypersimplex_graph,
@@ -94,8 +94,23 @@ def test_cone_solve_raises_on_a_wrong_ray(monkeypatch):
         return [wneg * y - wpos * x for x, y in zip(pos_ray, neg_ray)]
 
     monkeypatch.setattr(kernels, "combine_ray", wrong_combine_ray)
-    with pytest.raises(RuntimeError, match="violates a row"):
+    with pytest.raises(RuntimeError, match="^cone_solve: a ray violates its own defining system"):
         cone_solve([], square_cone, 3)
+
+
+def test_cone_solve_refuses_a_ray_that_is_not_extremal(monkeypatch):
+    # a double description that also returns the sum of two of its rays
+    # gives a ray that satisfies the system, so only the rank certificate of
+    # the ambient cone can refuse it
+    solve = polyhedra.double_description
+
+    def padded(rows, dim):
+        rays = solve(rows, dim)
+        return rays + [[x + y for x, y in zip(rays[0], rays[1])]]
+
+    monkeypatch.setattr(polyhedra, "double_description", padded)
+    with pytest.raises(RuntimeError, match="^cone_solve: a ray of a cone is not extremal"):
+        cone_solve([], [[1, 1, 0], [1, -1, 0], [1, 0, 1], [1, 0, -1]], 3)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -541,6 +556,26 @@ def test_cone_cut_refuses_a_made_ray_off_the_system(monkeypatch):
     monkeypatch.setattr(kernels, "combine_ray", wrong_combine_ray)
     with pytest.raises(RuntimeError, match="^cone_cut: a ray violates its own defining system"):
         cone_cut(prism, [], [[0, 1, 0, 0]])
+
+
+def test_cone_cut_checks_a_made_ray_that_a_later_row_moves(monkeypatch):
+    # the prism cut by a row that vanishes on its line, which makes two
+    # rays, then by a row that meets the line, which moves them along it
+    # and leaves no lineality: the moved rays are still known as made, so
+    # a combine_ray that returns the opposite ray is caught
+    prism = cone_solve([], [[1, 1, 0, 0], [1, -1, 0, 0], [1, 0, 1, 0], [1, 0, -1, 0]], 4)
+    rows = [[0, 1, 0, 0], [0, 0, 1, 1]]
+    cut = cone_cut(prism, [], rows)
+    want = cone_solve([], list(prism.ineqs) + rows, 4)
+    assert (cut.key, cut.dim, cut.lineality_dim) == (want.key, want.dim, want.lineality_dim)
+    assert cut.lineality == () and cut.tight == want.tight
+
+    def wrong_combine_ray(pos_ray, neg_ray, wpos, wneg):
+        return [wneg * y - wpos * x for x, y in zip(pos_ray, neg_ray)]
+
+    monkeypatch.setattr(kernels, "combine_ray", wrong_combine_ray)
+    with pytest.raises(RuntimeError, match="^cone_cut: a ray violates its own defining system"):
+        cone_cut(prism, [], rows)
 
 
 def test_cone_cut_rechecks_a_made_ray_equal_to_an_old_one(monkeypatch):
