@@ -15,8 +15,9 @@ Conventions used everywhere in this package:
 * An edge exchanges two consecutive *values*; a 2-face is the orbit of a
   vertex under two such value swaps (a hexagon when the values overlap, a
   square otherwise), walked by alternating the swaps.  The 2-faces and the
-  edge graph do not change for a given n, so :func:`enumerate_two_faces`
-  and :func:`permutohedron_graph` build them once per n and return the same
+  edge graph do not change for a given n, so :func:`enumerate_two_faces`,
+  :func:`permutohedron_graph` and :func:`vertex_lengths` build them once per
+  n, and :func:`hypersimplex_graph` once per (d, n), and return the same
   immutable object on every later call.
 
 Everything is capped at n <= 7; the library is meant for exact desk-scale
@@ -208,8 +209,36 @@ def bruhat_leq(a, b) -> bool:
     return True
 
 
+@cache
+def vertex_lengths(n: int) -> MappingProxyType:
+    """Each vertex of the permutohedron, in sorted order, mapped to its
+    length (its number of inversions); built once per n.
+
+    >>> dict(vertex_lengths(2))
+    {(1, 2): 0, (2, 1): 1}
+    """
+    return MappingProxyType({v: inversions(v) for v in permutohedron_vertices(n)})
+
+
 def bruhat_interval(lo, hi, n: int) -> list[tuple[int, ...]]:
-    return [v for v in permutohedron_vertices(n) if bruhat_leq(lo, v) and bruhat_leq(v, hi)]
+    """The vertices v with lo <= v <= hi in the strong Bruhat order, sorted.
+
+    The order is graded by length (Björner and Brenti, ch. 2): u < v
+    implies l(u) < l(v).  So every element of [lo, hi] other than lo and
+    hi has a length strictly between l(lo) and l(hi), and only the vertices
+    of that window, with lo and hi themselves, go to :func:`bruhat_leq`,
+    which stays the only order test.  In particular lo <= hi fails unless
+    lo == hi or l(lo) < l(hi), and then the test of lo and hi finds it.
+    """
+    lo, hi = tuple(lo), tuple(hi)
+    if len(lo) != n or len(hi) != n:
+        raise ValueError("length mismatch")
+    lengths = vertex_lengths(n)
+    a, b = inversions(lo), inversions(hi)
+    return [
+        v for v, k in lengths.items()
+        if (a < k < b or v == lo or v == hi) and bruhat_leq(lo, v) and bruhat_leq(v, hi)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +347,8 @@ class SkeletonGraph:
 
     ``edge_tags`` (permutohedron only) maps a directed edge (u, v) to
     (level, A, B): the level-d constituents in which the two endpoint flags
-    differ.  Both mappings are read-only, because the permutohedron's graph
-    is shared by every caller of :func:`permutohedron_graph`.
+    differ.  Both mappings are read-only, because each graph is shared by
+    every caller of :func:`permutohedron_graph` or :func:`hypersimplex_graph`.
     """
 
     name: str
@@ -366,8 +395,10 @@ def permutohedron_graph(n: int) -> SkeletonGraph:
     )
 
 
+@cache
 def hypersimplex_graph(d: int, n: int) -> SkeletonGraph:
-    """Edge graph of the d-th hypersimplex on {1..n}; 2-faces are triangles."""
+    """Edge graph of the d-th hypersimplex on {1..n}, built once per (d, n);
+    2-faces are triangles."""
     _check_n(n)
     if not 1 <= d <= n:
         raise ValueError(f"need 1 <= d <= n, got d={d}")

@@ -17,15 +17,16 @@ every value that comes back out is divided back into true units.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, lru_cache
 from itertools import combinations
 from types import MappingProxyType
 
 from valperm.permutahedra import (
+    N_MAX,
     EdgeValues,
     bruhat_interval,
     enumerate_two_faces,
     hypersimplex_graph,
-    inversions,
     mask_elems,
     mask_from,
     mask_size,
@@ -36,6 +37,7 @@ from valperm.permutahedra import (
     subset_str,
     subsets_of_size,
     vertex_flags,
+    vertex_lengths,
     vertex_to_flag,
 )
 from valperm.polyhedra import hull_edges, lower_cells
@@ -100,11 +102,19 @@ class ValuatedFlagMatroid:
         return f"ValuatedFlagMatroid({list(self.components)!r})"
 
 
+@cache
+def _vertex_keys(n):
+    """Each vertex of the permutohedron mapped to itself, so that a key equal
+    to a vertex is read as that vertex without parsing; built once per n."""
+    return MappingProxyType({v: v for v in permutohedron_vertices(n)})
+
+
 class HeightFunction:
     """A rational height for every vertex of the permutohedron.
 
     Keys may be permutation tuples or compact strings ("213"); they must
-    cover all n! vertices exactly, each once.  Heights are Fractions; floats
+    cover all n! vertices exactly, each once.  A key equal to a vertex tuple
+    is looked up, and any other key is parsed.  Heights are Fractions; floats
     raise TypeError.
 
     A height function is immutable: ``heights`` is a read-only mapping and
@@ -118,9 +128,10 @@ class HeightFunction:
     __slots__ = ("n", "heights", "_ints", "_den", "_cells", "_report")
 
     def __init__(self, n, heights):
+        vertices = _vertex_keys(n) if n in range(1, N_MAX + 1) else {}
         hs = {}
         for key, value in heights.items():
-            v = parse_perm(key)
+            v = vertices.get(key) or parse_perm(key)
             if len(v) != n:
                 raise ValueError(f"vertex {perm_str(v)} does not match n={n}")
             if v in hs:
@@ -284,7 +295,8 @@ def is_bruhat_interval_polytope(vertices):
     # The Bruhat order is graded by length: every other element of an
     # interval [lo, hi] is strictly longer than lo and strictly shorter than
     # hi, so only a unique shortest and a unique longest element can be ends.
-    lengths = [inversions(v) for v in perms]
+    length = vertex_lengths(n)
+    lengths = [length[v] for v in perms]
     least, most = min(lengths), max(lengths)
     shortest = [v for v, k in zip(perms, lengths) if k == least]
     longest = [v for v, k in zip(perms, lengths) if k == most]
@@ -405,6 +417,7 @@ def check_two_skeleton(w):
     if w._report is not None:
         return w._report
     h = w._ints
+    length = vertex_lengths(w.n)
     hexagons, squares = [], []
     for face in enumerate_two_faces(w.n):
         vs = face.vertices
@@ -420,7 +433,7 @@ def check_two_skeleton(w):
         attaining = tuple(pair for pair, s in zip(diagonals, sums) if s == top)
         # a hexagon is a coset of a rank-2 parabolic subgroup, so its unique
         # Bruhat-minimal vertex is its shortest element
-        b = min(vs, key=inversions)
+        b = min(vs, key=length.__getitem__)
         mine = vs.index(b) % 3
         others = [s for k, s in enumerate(sums) if k != mine]
         hexagons.append(
@@ -529,6 +542,20 @@ def decompose_height(w):
 # the lift to a single valuated matroid on 2n elements
 
 
+@lru_cache(maxsize=8)
+def _gap_table(n):
+    """The supermodularity gaps of a flag on [n], in scan order: for every
+    m-subset T with m <= n - 2 and i < j outside it, the masks
+    (Ti, Tj, Tij, T) of the gap w(Ti) + w(Tj) - w(Tij) - w(T)."""
+    gaps = []
+    for m in range(n - 1):
+        for t in subsets_of_size(n, m):
+            outside = [1 << (e - 1) for e in range(1, n + 1) if not t >> (e - 1) & 1]
+            for bi, bj in combinations(outside, 2):
+                gaps.append((t | bi, t | bj, t | bi | bj, t))
+    return tuple(gaps)
+
+
 def lift_to_grassmannian(flag):
     """Embed a full flag on {1..n} into one valuated matroid of rank n on
     {1..2n}: an n-subset B gets the value of B's intersection with {1..n} in
@@ -545,18 +572,11 @@ def lift_to_grassmannian(flag):
         if not c.is_uniform:
             raise ValueError("the lift needs uniform supports in every rank")
     den = flag._den
-    w = {0: {0: 0}}
-    for d, ints in enumerate(flag._ints, start=1):
-        w[d] = ints
-    worst = None
-    for m in range(n - 1):
-        for t in subsets_of_size(n, m):
-            outside = [e for e in range(1, n + 1) if not t >> (e - 1) & 1]
-            for i, j in combinations(outside, 2):
-                bi, bj = 1 << (i - 1), 1 << (j - 1)
-                gap = w[m + 1][t | bi] + w[m + 1][t | bj] - w[m + 2][t | bi | bj] - w[m][t]
-                if worst is None or gap > worst:
-                    worst = gap
+    # every subset of [n] has a value in exactly one rank, the empty set 0
+    w = {0: 0}
+    for ints in flag._ints:
+        w.update(ints)
+    worst = max((w[a] + w[b] - w[ab] - w[t] for a, b, ab, t in _gap_table(n)), default=None)
     # alpha = ceil(V / 2) in true units, V = worst / den
     alpha = max(0, -(-worst // (2 * den))) if worst is not None else 0
     low = (1 << n) - 1
@@ -564,7 +584,7 @@ def lift_to_grassmannian(flag):
     for b in subsets_of_size(2 * n, n):
         t = b & low
         d = mask_size(t)
-        values[b] = Fraction(w[d][t] + alpha * d * d * den, den)
+        values[b] = Fraction(w[t] + alpha * d * d * den, den)
     return ValuatedMatroid(2 * n, n, values)
 
 

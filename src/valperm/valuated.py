@@ -8,13 +8,22 @@ truncation / elongation / full-flag embedding, corank valuations of ordinary
 matroids, the geometric quotient test for supports, and tropicalization of
 polynomial matrices into sequences of such value maps.
 
-Value maps use ``None`` for +infinity in all internal arithmetic.  Public
-values are ``fractions.Fraction``s; floats are refused.  Each valuated
-matroid also keeps an integer view of its values, taken once when it is
-built: the numerators over their least positive common denominator.  The
-three-term relations only compare sums of values, which a common positive
-scaling does not change, so every check runs on that view and divides the
-sums it reports back into true units.
+Public values are ``fractions.Fraction``s; floats are refused.  Each
+valuated matroid also keeps an integer view of its values, taken once when
+it is built: the numerators over their least positive common denominator.
+The three-term relations only compare sums of values, which a common
+positive scaling does not change, so every check runs on that view and
+divides the sums it reports back into true units.
+
+The relations themselves depend only on the shape: one table per kind,
+built once per (n, d) on first use and cached, lists the masks of each
+relation's three terms in scan order (Plücker relations of rank d, and
+incidence relations between ranks d and d + 1).  A check reads its table
+on a view in which an absent value is a sentinel above every finite sum, so
+the +infinity rule is written out with integer comparisons: a relation
+passes when none of its terms is finite, and fails when its least finite
+term is attained only once.  A ``Violation`` reports an infinite term as
+``None``.
 """
 
 from dataclasses import dataclass
@@ -111,11 +120,6 @@ def common_view(vms):
     ], den
 
 
-def _true_terms(terms, den):
-    """Sums of an integer view divided back into true units."""
-    return tuple(None if t is None else Fraction(t, den) for t in terms)
-
-
 class ValuatedMatroid:
     """Finite rational values on d-subset masks; support must be a matroid.
 
@@ -193,17 +197,99 @@ class Violation:
     terms: tuple = ()
 
 
-def _add(a, b):
-    if a is None or b is None:
-        return None
-    return a + b
+# ---------------------------------------------------------------------------
+# three-term relations
+
+# Each relation table lists, in scan order, one entry per three-term
+# relation: the masks (a1, b1, a2, b2, a3, b3) whose values sum to the terms
+# a1+b1, a2+b2 and a3+b3, then the subset S and the elements that a
+# Violation reports.  A table depends only on (n, d), so it is built once,
+# on first use, and every valuated matroid of that shape reads it.
 
 
-def _min_twice(terms):
-    finite = [t for t in terms if t is not None]
-    if not finite:
-        return True
-    return finite.count(min(finite)) >= 2
+@lru_cache(maxsize=32)
+def _plucker_table(n, d):
+    """``(masks, relations)`` of the Plücker relations of rank d on [n]:
+    every d-subset, and for each (d-2)-subset S and i<j<k<l outside it the
+    terms Sij+Skl, Sik+Sjl and Sil+Sjk."""
+    relations = []
+    for s in subsets_of_size(n, d - 2):
+        outside = [(e, 1 << (e - 1)) for e in range(1, n + 1) if not s >> (e - 1) & 1]
+        for (i, bi), (j, bj), (k, bk), (l, bl) in combinations(outside, 4):
+            relations.append(
+                (s | bi | bj, s | bk | bl, s | bi | bk, s | bj | bl, s | bi | bl, s | bj | bk,
+                 s, (i, j, k, l))
+            )
+    return tuple(subsets_of_size(n, d)), tuple(relations)
+
+
+@lru_cache(maxsize=32)
+def _incidence_table(n, d):
+    """``(masks, relations)`` of the incidence relations between ranks d and
+    d + 1 on [n]: every d- and (d+1)-subset, and for each (d-1)-subset S and
+    i<j<k outside it the terms Si+Sjk, Sj+Sik and Sk+Sij."""
+    relations = []
+    for s in subsets_of_size(n, d - 1):
+        outside = [(e, 1 << (e - 1)) for e in range(1, n + 1) if not s >> (e - 1) & 1]
+        for (i, bi), (j, bj), (k, bk) in combinations(outside, 3):
+            relations.append(
+                (s | bi, s | bj | bk, s | bj, s | bi | bk, s | bk, s | bi | bj, s, (i, j, k))
+            )
+    return tuple(subsets_of_size(n, d)) + tuple(subsets_of_size(n, d + 1)), tuple(relations)
+
+
+def _sentinel_view(masks, views):
+    """``(x, cap)``: each mask mapped to its value in one of the integer views
+    (whose masks do not overlap), and ``cap``, the largest sum of two values.
+
+    A mask that no view holds reads as a sentinel above ``cap`` minus the
+    least value, so a term is finite exactly when its sum is at most
+    ``cap``: every sum that contains an absent value exceeds it."""
+    least = min(min(v.values()) for v in views)
+    cap = 2 * max(max(v.values()) for v in views)
+    x = dict.fromkeys(masks, cap - least + 1)
+    for v in views:
+        x.update(v)
+    return x, cap
+
+
+def _first_unique_minimum(relations, x, cap):
+    """The first relation whose least finite term is attained only once, as
+    ``(S, elems, terms)``; None when there is none.  A relation with no
+    finite term passes: +infinity is attained three times."""
+    for a1, b1, a2, b2, a3, b3, s, elems in relations:
+        t1 = x[a1] + x[b1]
+        t2 = x[a2] + x[b2]
+        t3 = x[a3] + x[b3]
+        least, second = (t2, t1) if t2 < t1 else (t1, t2)
+        if t3 < least:
+            least, second = t3, least
+        elif t3 < second:
+            second = t3
+        if least < second and least <= cap:
+            return s, elems, (t1, t2, t3)
+    return None
+
+
+def _first_non_positive(relations, x):
+    """The first relation whose middle term is not the least of the other
+    two, as ``(S, elems, (middle, first, last))``; None when there is none."""
+    for a1, b1, a2, b2, a3, b3, s, elems in relations:
+        t1 = x[a1] + x[b1]
+        lhs = x[a2] + x[b2]
+        t3 = x[a3] + x[b3]
+        if lhs != (t1 if t1 < t3 else t3):
+            return s, elems, (lhs, t1, t3)
+    return None
+
+
+def _violation(kind, found, den, cap):
+    """The Violation of a failed relation, its terms back in true units and
+    those above ``cap`` (containing an absent value) as None."""
+    s, elems, terms = found
+    return Violation(
+        kind, s, elems, tuple(None if t > cap else Fraction(t, den) for t in terms)
+    )
 
 
 def check_plucker(vm):
@@ -213,18 +299,10 @@ def check_plucker(vm):
     v(Sij)+v(Skl), v(Sik)+v(Sjl), v(Sil)+v(Sjk) must be attained at least
     twice (absent values read as +infinity).
     """
-    v = vm._ints.get
-    for s in subsets_of_size(vm.n, vm.d - 2):
-        outside = [(e, 1 << (e - 1)) for e in range(1, vm.n + 1) if not s >> (e - 1) & 1]
-        for (i, bi), (j, bj), (k, bk), (l, bl) in combinations(outside, 4):
-            terms = (
-                _add(v(s | bi | bj), v(s | bk | bl)),
-                _add(v(s | bi | bk), v(s | bj | bl)),
-                _add(v(s | bi | bl), v(s | bj | bk)),
-            )
-            if not _min_twice(terms):
-                return Violation("plucker", s, (i, j, k, l), _true_terms(terms, vm._den))
-    return None
+    masks, relations = _plucker_table(vm.n, vm.d)
+    x, cap = _sentinel_view(masks, (vm._ints,))
+    found = _first_unique_minimum(relations, x, cap)
+    return None if found is None else _violation("plucker", found, vm._den, cap)
 
 
 def _require_consecutive(lower, upper):
@@ -242,18 +320,12 @@ def check_incidence(lower, upper):
     form a quotient (see :func:`is_quotient`).
     """
     _require_consecutive(lower, upper)
-    (lo_ints, hi_ints), den = common_view((lower, upper))
-    lo, hi = lo_ints.get, hi_ints.get
-    for s in subsets_of_size(lower.n, lower.d - 1):
-        outside = [(e, 1 << (e - 1)) for e in range(1, lower.n + 1) if not s >> (e - 1) & 1]
-        for (i, bi), (j, bj), (k, bk) in combinations(outside, 3):
-            terms = (
-                _add(lo(s | bi), hi(s | bj | bk)),
-                _add(lo(s | bj), hi(s | bi | bk)),
-                _add(lo(s | bk), hi(s | bi | bj)),
-            )
-            if not _min_twice(terms):
-                return Violation("incidence", s, (i, j, k), _true_terms(terms, den))
+    views, den = common_view((lower, upper))
+    masks, relations = _incidence_table(lower.n, lower.d)
+    x, cap = _sentinel_view(masks, views)
+    found = _first_unique_minimum(relations, x, cap)
+    if found is not None:
+        return _violation("incidence", found, den, cap)
     if not _support_quotient(lower.n, lower.support, upper.support):
         return Violation("support-quotient")
     return None
@@ -266,18 +338,10 @@ def check_positive_plucker(vm):
     """
     if not vm.is_uniform:
         raise ValueError("positivity is only defined on uniform support")
-    v = vm._ints.get
-    for s in subsets_of_size(vm.n, vm.d - 2):
-        outside = [(e, 1 << (e - 1)) for e in range(1, vm.n + 1) if not s >> (e - 1) & 1]
-        for (i, bi), (j, bj), (k, bk), (l, bl) in combinations(outside, 4):
-            lhs = v(s | bi | bk) + v(s | bj | bl)
-            t1 = v(s | bi | bj) + v(s | bk | bl)
-            t2 = v(s | bi | bl) + v(s | bj | bk)
-            if lhs != min(t1, t2):
-                return Violation(
-                    "positive-plucker", s, (i, j, k, l), _true_terms((lhs, t1, t2), vm._den)
-                )
-    return None
+    masks, relations = _plucker_table(vm.n, vm.d)
+    x, cap = _sentinel_view(masks, (vm._ints,))
+    found = _first_non_positive(relations, x)
+    return None if found is None else _violation("positive-plucker", found, vm._den, cap)
 
 
 def check_positive_incidence(lower, upper):
@@ -290,18 +354,12 @@ def check_positive_incidence(lower, upper):
     _require_consecutive(lower, upper)
     if not (lower.is_uniform and upper.is_uniform):
         raise ValueError("positivity is only defined on uniform support")
-    (lo_ints, hi_ints), den = common_view((lower, upper))
-    lo, hi = lo_ints.get, hi_ints.get
-    for s in subsets_of_size(lower.n, lower.d - 1):
-        outside = [(e, 1 << (e - 1)) for e in range(1, lower.n + 1) if not s >> (e - 1) & 1]
-        for (i, bi), (j, bj), (k, bk) in combinations(outside, 3):
-            lhs = lo(s | bj) + hi(s | bi | bk)
-            t1 = lo(s | bi) + hi(s | bj | bk)
-            t2 = lo(s | bk) + hi(s | bi | bj)
-            if lhs != min(t1, t2):
-                return Violation(
-                    "positive-incidence", s, (i, j, k), _true_terms((lhs, t1, t2), den)
-                )
+    views, den = common_view((lower, upper))
+    masks, relations = _incidence_table(lower.n, lower.d)
+    x, cap = _sentinel_view(masks, views)
+    found = _first_non_positive(relations, x)
+    if found is not None:
+        return _violation("positive-incidence", found, den, cap)
     if check_positive_plucker(lower) is not None:
         raise RuntimeError("check_positive_incidence: the lower constituent is not positive")
     if check_positive_plucker(upper) is not None:

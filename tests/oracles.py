@@ -2,7 +2,8 @@
 
 Everything in here deliberately avoids the code paths under test: Bruhat
 order is decided by subwords of a reduced word, Bruhat intervals by a
-pairwise scan for the minimal and maximal elements in that order, hull
+pairwise scan for the minimal and maximal elements in that order (and the
+interval between two given ends by testing every vertex), hull
 membership by LP separation, lower cells by trying every support set, a
 cell's edges by intersecting the facet sets of a hull solved for the cell
 alone, the fan by solving every sign choice in full, the refinement census
@@ -27,6 +28,7 @@ from lp import lp_feasible
 from valperm import kernels
 from valperm.permutahedra import (
     apply_right,
+    bruhat_leq,
     inversions,
     mask_elems,
     mask_size,
@@ -110,6 +112,12 @@ def bruhat_leq_subword(a, b):
 @cache
 def _lower_frozenset(v):
     return frozenset(bruhat_lower_set(v))
+
+
+def bruhat_interval_full_scan(lo, hi, n):
+    """``bruhat_interval`` as it was before the length window: every vertex
+    of the permutohedron goes to the two ``bruhat_leq`` tests."""
+    return [v for v in permutohedron_vertices(n) if bruhat_leq(lo, v) and bruhat_leq(v, hi)]
 
 
 def bruhat_interval_by_scan(vertices):

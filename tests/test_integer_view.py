@@ -88,11 +88,19 @@ def assert_same_violation(got, want):
         assert all(t is None or type(t) is Fraction for t in got.terms)
 
 
-@pytest.mark.parametrize("n", [3, 4])
+def lifted(maps, rng):
+    """The lift of a uniform flag to Gr(n, 2n), as it is and with each value
+    moved by -1, 0 or 1 and divided by 2, which breaks some relations."""
+    lift = lift_to_grassmannian(ValuatedFlagMatroid(maps, check=False))
+    return [lift, divided(lift, 2, rng)]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_three_term_checks_match_the_fraction_oracles(n):
     rng = random.Random(f"three-term/{n}")
     verdicts = {"plucker": set(), "incidence": set(), "positive-plucker": set(),
-                "positive-incidence": set()}
+                "positive-incidence": set(), "lifted-plucker": set(),
+                "lifted-positive-plucker": set()}
     for sample in range(30):
         uniform = sample % 2 == 0
         mus = tropical_maps(rng, n, uniform)
@@ -121,10 +129,23 @@ def test_three_term_checks_match_the_fraction_oracles(n):
                 got = check_positive_incidence(lo, hi)
                 assert_same_violation(got, want)
                 verdicts["positive-incidence"].add(got is None)
+            # the Fraction oracle on Gr(6, 12) takes a while: lift every
+            # third uniform sample there
+            if n < 6 or sample % 6 == 0:
+                for vm in lifted(maps, rng):
+                    got = check_plucker(vm)
+                    assert_same_violation(got, check_plucker_fraction(vm))
+                    verdicts["lifted-plucker"].add(got is None)
+                    got = check_positive_plucker(vm)
+                    assert_same_violation(got, check_positive_plucker_fraction(vm))
+                    verdicts["lifted-positive-plucker"].add(got is None)
     # both verdicts occur, so the violations were compared too; for n = 3 no
     # set has four elements outside it and the Plucker checks are vacuous
     if n == 3:
         assert verdicts.pop("plucker") == verdicts.pop("positive-plucker") == {True}
+    # a positive lift is rare, and Gr(6, 12) sees the lifts of five samples only
+    if n == 6:
+        assert verdicts.pop("lifted-positive-plucker") == {False}
     assert all(seen == {True, False} for seen in verdicts.values()), verdicts
 
 
