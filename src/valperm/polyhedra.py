@@ -17,7 +17,11 @@ V-description: a lineality basis plus extremal rays.  The pipeline is
 
 Each fact is certified once.  Double description itself checks nothing
 after its run: its rays are checked in the ambient space by step 4, whose
-dot products record the tight masks the rank certificate reads.
+dot products record the tight masks the rank certificate reads.  A fact that
+many cones share is certified once for all of them: :func:`cone_solve` takes
+a certified face, whose rays it matches exactly and does not check again.
+The vertical facets of the lifted hulls of :func:`lower_cells` are such a
+face, certified once per point set (:func:`_vertical_facets`).
 
 The canonical form (RREF lineality basis, primitive rays orthogonal to the
 lineality, sorted) makes cone equality a tuple comparison, which the fan
@@ -63,11 +67,15 @@ vertical ones (over the boundary).  Each cell is a face of it, and a face of
 a face is a face: the smallest face holding two points of a cell lies inside
 the cell, so the cell's vertices and edges follow from its points' masks of
 lifted facets by the same incidence rule (:func:`hull_edges` with
-``facets``).
+``facets``).  The vertical facets lie over the boundary of conv(points) and
+do not depend on the heights, so they are solved and certified once per
+point set, and each lifted hull certifies only its lower facets.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
+from types import MappingProxyType
 
 from valperm import kernels, linalg
 
@@ -255,7 +263,30 @@ def _ray_masks(caller, rays, eqs, ineqs):
     return tight
 
 
-def _canonical(caller, ambient, pointed_dim, lineality, rays, eqs, ineqs):
+def _face_masks(caller, rays, eqs, ineqs, face):
+    """The masks of :func:`_ray_masks` when the face ``(h, known)`` is
+    certified: ``known`` maps each ray tight on ``ineqs[h]`` to its tight
+    mask.  One dot product with ``ineqs[h]`` sorts each ray; a tight ray
+    must be one of ``known`` and takes its mask, and every other ray is
+    checked by :func:`_ray_masks`.  The tight rays must be all of ``known``.
+    A failed check raises ``RuntimeError`` naming ``caller``.
+    """
+    h, known = face
+    tight, on_face = [], 0
+    for r in rays:
+        if kernels.dot(ineqs[h], r) == 0:
+            if r not in known:
+                raise RuntimeError(f"{caller}: a ray on the certified face is not one of its rays")
+            tight.append(known[r])
+            on_face += 1
+        else:
+            tight += _ray_masks(caller, [r], eqs, ineqs)
+    if on_face != len(known):
+        raise RuntimeError(f"{caller}: a ray of the certified face is not a ray of the cone")
+    return tight
+
+
+def _canonical(caller, ambient, pointed_dim, lineality, rays, eqs, ineqs, face=None):
     """Step 4 of :func:`cone_solve`, also run by :func:`cone_image`: the
     canonical :class:`Cone` spanned by ambient generators, checked against
     its normalized defining system.
@@ -263,14 +294,18 @@ def _canonical(caller, ambient, pointed_dim, lineality, rays, eqs, ineqs):
     ``lineality`` spans the lineality space, ``rays`` hold one generator per
     extremal ray and ``pointed_dim`` is the dimension modulo the lineality.
     The check of each ray against the inequalities (:func:`_ray_masks`)
-    also records its tight mask.  A failed check raises ``RuntimeError``
-    naming ``caller``.
+    also records its tight mask; the rays of a certified ``face`` take
+    theirs from it instead (:func:`_face_masks`).  A failed check raises
+    ``RuntimeError`` naming ``caller``.
     """
     lin_rows, _ = kernels.rref(lineality, ambient)
     if rays:
         orth = linalg.orthogonalize(lin_rows, ambient)
         rays = sorted(set(tuple(linalg.project_off(x, orth)) for x in rays))
-    tight = _ray_masks(caller, rays, eqs, ineqs)
+    if face is None:
+        tight = _ray_masks(caller, rays, eqs, ineqs)
+    else:
+        tight = _face_masks(caller, rays, eqs, ineqs, face)
     for v in lin_rows:
         if any(kernels.dot(e, v) != 0 for e in eqs):
             raise RuntimeError(f"{caller}: a lineality vector leaves the equations")
@@ -281,13 +316,22 @@ def _canonical(caller, ambient, pointed_dim, lineality, rays, eqs, ineqs):
                 tuple(rays), eqs, ineqs, tuple(tight))
 
 
-def cone_solve(eqs, ineqs, ambient):
+def cone_solve(eqs, ineqs, ambient, *, face=None):
     """Canonical V-description of ``{x : eqs.x = 0, ineqs.x >= 0}``.
 
     The result is certified once, in the ambient space: every ray and
     lineality vector against the system, which records the rays' tight
     masks, and every ray extremal by the rank of its tight rows
     (:func:`check_extremal`).  A failure raises ``RuntimeError``.
+
+    ``face = (h, known)`` states a fact certified before: the rays of the
+    cone tight on inequality ``h`` (an index into the normalized ``ineqs``,
+    from which zero rows are dropped) are exactly the keys of ``known``,
+    canonical as here, each satisfying the system with the tight mask it
+    maps to and extremal.  Each ray then takes one dot product with
+    ``ineqs[h]``: the tight ones must be exactly the keys of ``known`` and
+    take its masks, with no other check, and every other ray and every
+    lineality vector is certified in full.
     """
     eqs, ineqs = _normalize_rows(eqs), _normalize_rows(ineqs)
     null = kernels.nullspace(eqs, ambient)
@@ -308,8 +352,8 @@ def cone_solve(eqs, ineqs, ambient):
     rays_z = double_description(bmat, q)
     pointed_dim = kernels.rank(rays_z, q)
     rays = linalg.mat_mul(linalg.mat_mul(rays_z, wspace), null)
-    cone = _canonical("cone_solve", ambient, pointed_dim, lineality, rays, eqs, ineqs)
-    check_extremal(cone, "cone_solve")
+    cone = _canonical("cone_solve", ambient, pointed_dim, lineality, rays, eqs, ineqs, face)
+    check_extremal(cone, "cone_solve", face[1] if face is not None else ())
     return cone
 
 
@@ -419,16 +463,19 @@ def _extremal(tight):
             if not any(s & t == t for k, s in enumerate(tight) if k != i)]
 
 
-def check_extremal(cone, caller):
+def check_extremal(cone, caller, certified=()):
     """Certify by rank that every ray of ``cone`` is extremal.
 
     A ray is extremal when its tight inequalities and the equations have
     rank ``ambient - lineality_dim - 1``: the face they cut out is the ray
-    plus the lineality space.  A failure raises ``RuntimeError`` naming
-    ``caller``.
+    plus the lineality space.  Rays in ``certified`` were certified
+    extremal before and are skipped.  A failure raises ``RuntimeError``
+    naming ``caller``.
     """
     want = cone.ambient - cone.lineality_dim - 1
-    for mask in cone.tight:
+    for ray, mask in zip(cone.rays, cone.tight):
+        if ray in certified:
+            continue
         rows = list(cone.eqs) + [a for h, a in enumerate(cone.ineqs) if mask >> h & 1]
         if kernels.rank(rows, cone.ambient) != want:
             raise RuntimeError(f"{caller}: a ray of a cone is not extremal")
@@ -527,6 +574,45 @@ def hull_edges(points, labels, facets=None):
     return sorted(ulabs[v] for v in verts), sorted(edges)
 
 
+@lru_cache(maxsize=16)
+def _vertical_facets(points):
+    """The vertical facets of every lifted hull over ``points``, a tuple of
+    distinct point tuples in R^m, certified once per point set.
+
+    Returns ``(lineality, facets)``: the lineality basis of the polar of
+    conv(points), which :func:`cone_solve` certifies in full, and a
+    read-only map from each of its rays to its tight mask, both with a 0
+    height coordinate inserted at index m, and each mask with the bit of
+    the upward row (bit ``len(points)``) added.
+
+    These are exactly the lineality and the vertical rays of the lifted
+    polar of :func:`lower_cells`, with their masks, for any heights.  A
+    vector ``y`` with ``y_m = 0`` has the same dot product with the lifted
+    row ``(x_i, h_i, 1)`` as with ``(x_i, 1)`` (up to the positive factor
+    that makes each row a primitive integer row), so it satisfies the
+    lifted system exactly when its unlifted part satisfies the unlifted one,
+    with the same tight point rows, and it is tight on the upward row
+    ``e_m`` too.  The upward row is an inequality, so every lifted
+    lineality vector has ``y_m = 0``: the lifted lineality is the embedded
+    unlifted one.  The rays with ``y_m = 0`` span the face on the upward
+    row, which is the embedded unlifted polar, so they are the embedded
+    unlifted rays, canonical as they are: orthogonal to the same lineality
+    and primitive.  Their tight rows have rank one higher than unlifted,
+    because ``e_m`` spans the height axis the point rows add, and the
+    ambient space is one dimension larger, so each stays certified
+    extremal.
+    """
+    m = len(points[0])
+    polar = cone_solve([], [[-x for x in g] for g in _homogenize(points)], m + 1)
+    up = 1 << len(points)
+
+    def lift(v):
+        return v[:m] + (0,) + v[m:]
+
+    return (tuple(lift(v) for v in polar.lineality),
+            MappingProxyType({lift(r): mask | up for r, mask in zip(polar.rays, polar.tight)}))
+
+
 def lower_cells(points, heights, labels):
     """Cells of the regular subdivision induced by lifting ``points`` to ``heights``.
 
@@ -540,8 +626,13 @@ def lower_cells(points, heights, labels):
     direction ``(0, ..., 0, 1)`` as one more generator, so it has no upper
     facets.  Point ``i`` is inequality ``i`` of that polar cone, so which
     points lie on a facet is read off the facet ray's
-    :attr:`Cone.tight` mask.  The heights are affine exactly when there is
-    one cell, which a rank test certifies.  Points must be distinct.
+    :attr:`Cone.tight` mask.  The vertical facets do not depend on the
+    heights: :func:`_vertical_facets` certifies them once per point set,
+    and :func:`cone_solve` takes them as a certified face on the upward
+    row, so it checks and rank-certifies only the lower rays of each hull.
+    The heights are affine exactly when one cell holds every point, which
+    a rank test certifies; a point lifted above the lower hull is in no
+    cell.  Points must be distinct.
     """
     if not points:
         raise ValueError("lower_cells needs at least one point")
@@ -552,9 +643,13 @@ def lower_cells(points, heights, labels):
     lifted = _homogenize(points, extra=list(heights))
     m = len(points[0])
     up = [0] * m + [1, 0]
+    lineality, vertical = _vertical_facets(tuple(tuple(p) for p in points))
     # cone_solve checks that every lineality vector is tight on the upward
     # generator, so a ray's height coordinate has a well-defined sign
-    polar = cone_solve([], [[-x for x in g] for g in lifted + [up]], m + 2)
+    polar = cone_solve([], [[-x for x in g] for g in lifted + [up]], m + 2,
+                       face=(len(points), vertical))
+    if polar.lineality != lineality:
+        raise RuntimeError("lower_cells: the lifted lineality is not the boundary's")
     tight = [0] * len(points)
     cells = set()
     for f, (ray, mask) in enumerate(zip(polar.rays, polar.tight)):
@@ -564,7 +659,7 @@ def lower_cells(points, heights, labels):
         if ray[m] < 0:
             cells.add(tuple(sorted(labels[i] for i in on)))
     affine = kernels.rank(_homogenize(points), m + 1) == kernels.rank(lifted, m + 2)
-    if (len(cells) == 1) != affine:
+    if (len(cells) == 1 and len(next(iter(cells))) == len(points)) != affine:
         kind = "affine" if affine else "non-affine"
         raise RuntimeError(f"lower_cells: {kind} heights gave {len(cells)} cells")
     return sorted(cells), tight

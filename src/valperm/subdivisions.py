@@ -109,6 +109,15 @@ def _vertex_keys(n):
     return MappingProxyType({v: v for v in permutohedron_vertices(n)})
 
 
+def _as_vertex(key):
+    """``parse_perm(key)``, with a key equal to a vertex tuple looked up in
+    the vertex map of its length instead; any other key is parsed, with
+    the same errors."""
+    if isinstance(key, tuple) and len(key) in range(1, N_MAX + 1):
+        return _vertex_keys(len(key)).get(key) or parse_perm(key)
+    return parse_perm(key)
+
+
 class HeightFunction:
     """A rational height for every vertex of the permutohedron.
 
@@ -128,10 +137,9 @@ class HeightFunction:
     __slots__ = ("n", "heights", "_ints", "_den", "_cells", "_report")
 
     def __init__(self, n, heights):
-        vertices = _vertex_keys(n) if n in range(1, N_MAX + 1) else {}
         hs = {}
         for key, value in heights.items():
-            v = vertices.get(key) or parse_perm(key)
+            v = _as_vertex(key)
             if len(v) != n:
                 raise ValueError(f"vertex {perm_str(v)} does not match n={n}")
             if v in hs:
@@ -286,7 +294,7 @@ def is_generalized_permutahedron(vertices, facets=None):
 def is_bruhat_interval_polytope(vertices):
     """(verdict, endpoints): whether the permutation set is a full interval
     of the strong order, with its (minimum, maximum) when it is."""
-    perms = sorted({parse_perm(v) for v in vertices})
+    perms = sorted({_as_vertex(v) for v in vertices})
     if not perms:
         raise ValueError("empty vertex set")
     n = len(perms[0])

@@ -1,11 +1,13 @@
+import importlib.util
 import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
-from valperm import kernels, linalg, polyhedra
+from valperm import kernels, linalg, polyhedra, subdivisions, valuated
 from valperm.permutahedra import (
     enumerate_two_faces,
     hypersimplex_graph,
@@ -484,6 +486,162 @@ def test_empty_point_lists_are_refused(call):
 def test_lower_rejects_duplicate_points():
     with pytest.raises(ValueError, match="distinct"):
         lower_cells([(0, 0), (0, 0)], [0, 1], ["a", "b"])
+
+
+# ---------------------------------------------------------------------------
+# the vertical facets of the lifted hull, certified once per point set
+
+
+def lower_cells_with_and_without_face(points, heights, labels):
+    """``lower_cells`` as it is, and with its lifted polar solved by a plain
+    ``cone_solve`` that certifies every ray; both results and both polars
+    must be equal, tight masks included.  Returns the result."""
+    real = polyhedra.cone_solve
+    results, polars = [], []
+    for keep_face in (True, False):
+        def solve(eqs, ineqs, ambient, face=None):
+            if face is None:
+                return real(eqs, ineqs, ambient)
+            cone = real(eqs, ineqs, ambient, face=face if keep_face else None)
+            polars.append(cone)
+            return cone
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polyhedra, "cone_solve", solve)
+            results.append(lower_cells(points, heights, labels))
+    with_face, plain = polars
+    assert with_face == plain
+    assert (with_face.tight, with_face.ineqs) == (plain.tight, plain.ineqs)
+    assert results[0] == results[1]
+    return results[0]
+
+
+def flags4_heights(seed):
+    """The integer heights that the benchmark's ``flags4`` workload lifts,
+    one list over the sorted n = 4 vertices per flag of its seeded stream."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("flags4_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    matrices, _ = workloads.random_matrices(4, seed, workloads.flag_count(40))
+    verts = permutohedron_vertices(4)
+    for matrix in matrices:
+        value_maps, _ = valuated.tropicalize_matrix(matrix)
+        w = subdivisions.compress_on_vertices(subdivisions.ValuatedFlagMatroid(value_maps))
+        yield [w._ints[v] for v in verts]
+
+
+def test_face_is_exact_on_every_flags4_seed1_hull():
+    verts = permutohedron_vertices(4)
+    count = 0
+    for heights in flags4_heights(1):
+        cells, tight = lower_cells_with_and_without_face(verts, heights, verts)
+        assert cells and all(tight)
+        count += 1
+    assert count == 480
+
+
+@pytest.mark.parametrize("n,seed", [(3, 0), (3, 1), (3, 2), (5, 0), (5, 1)])
+def test_face_is_exact_on_seeded_permutohedron_heights(n, seed):
+    rng = random.Random(f"vertical/{n}/{seed}")
+    verts = permutohedron_vertices(n)
+    cells, _ = lower_cells_with_and_without_face(verts, [rng.randint(0, 9) for _ in verts], verts)
+    assert len(cells) > 1
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_face_is_exact_on_affine_heights(n):
+    verts = permutohedron_vertices(n)
+    heights = [Fraction(3 * v[0] - v[-1], 2) + 1 for v in verts]
+    assert lower_cells_with_and_without_face(verts, heights, verts)[0] == [tuple(verts)]
+
+
+@pytest.mark.parametrize("dim,seed", [(2, s) for s in range(5)] + [(3, s) for s in range(5)])
+def test_face_is_exact_on_random_point_sets(dim, seed):
+    rng = random.Random(f"vertical/points/{dim}/{seed}")
+    pts = set()
+    while len(pts) < rng.randint(dim + 2, 8):
+        pts.add(tuple(rng.randint(-5, 5) for _ in range(dim)))
+    pts = sorted(pts)
+    heights = [rng.randint(0, 4) for _ in pts]
+    labels = list(range(len(pts)))
+    cells, _ = lower_cells_with_and_without_face(pts, heights, labels)
+    assert cells == lower_cells_by_support_search(pts, heights, labels)
+
+
+@pytest.mark.parametrize("pts", [
+    [(0, 0), (1, 1), (2, 2), (4, 4)],
+    [(0, 0, 1), (1, 0, 1), (0, 2, 1), (1, 1, 1), (3, 1, 1)],
+], ids=["collinear-in-R2", "coplanar-in-R3"])
+def test_face_is_exact_on_point_sets_with_lineality(pts):
+    """Points spanning a proper affine subspace give the polar a lineality,
+    which the lifted polar shares."""
+    heights = [(3 * i) % 4 for i in range(len(pts))]
+    labels = list(range(len(pts)))
+    cells, _ = lower_cells_with_and_without_face(pts, heights, labels)
+    assert cells == lower_cells_by_support_search(pts, heights, labels)
+    assert polyhedra._vertical_facets(tuple(pts))[0]
+
+
+def test_lower_one_cell_that_misses_a_point_is_not_affine():
+    # the middle points are lifted above the segment from the first to the
+    # last, so the one cell holds two of the four points; each end also lies
+    # on its vertical facet
+    pts = [(0, 0), (1, 1), (2, 2), (4, 4)]
+    assert lower_cells(pts, [0, 3, 2, 1], "abcd") == ([("a", "d")], [3, 0, 0, 6])
+
+
+def test_face_is_exact_on_a_single_point():
+    # two facets: the cell, which holds the point, and the vertical one,
+    # which does not
+    assert lower_cells_with_and_without_face([(2, -1)], [7], ["p"]) == ([("p",)], [2])
+
+
+def test_vertical_facets_are_certified_once_per_point_set(monkeypatch):
+    solves = []
+    real = polyhedra.cone_solve
+    monkeypatch.setattr(polyhedra, "cone_solve",
+                        lambda *args, **kwargs: solves.append(kwargs.get("face")) or real(*args, **kwargs))
+    polyhedra._vertical_facets.cache_clear()
+    verts = permutohedron_vertices(3)
+    for heights in ([0, 1, 2, 3, 4, 5], [5, 0, 2, 1, 3, 1], [v[0] for v in verts]):
+        lower_cells(verts, heights, verts)
+    # the point set once, without a face, then each hull with one
+    assert solves[0] is None and all(f is not None for f in solves[1:])
+    assert len(solves) == 4
+    lower_cells(verts[:4], [0, 1, 1, 0], verts[:4])
+    assert len(solves) == 6
+
+
+def lifted_polar_system(points, heights):
+    """The system of ``lower_cells``'s lifted polar and the index of its
+    upward row."""
+    m = len(points[0])
+    rows = polyhedra._homogenize(points, extra=list(heights)) + [[0] * m + [1, 0]]
+    return [], [[-x for x in g] for g in rows], m + 2, len(points)
+
+
+@pytest.mark.parametrize("mutation", ["missing", "extra"])
+def test_cone_solve_refuses_a_face_that_is_not_exact(mutation):
+    verts = sorted(HEXAGON_HEIGHTS)
+    eqs, ineqs, ambient, up = lifted_polar_system(verts, [HEXAGON_HEIGHTS[v] for v in verts])
+    facets = dict(polyhedra._vertical_facets(tuple(verts))[1])
+    assert len(cone_solve(eqs, ineqs, ambient, face=(up, facets)).rays) == 8
+    if mutation == "missing":
+        del facets[min(facets)]
+    else:
+        lower = [r for r in cone_solve(eqs, ineqs, ambient).rays if r not in facets]
+        facets[lower[0]] = 0
+    with pytest.raises(RuntimeError, match="^cone_solve: .*certified face"):
+        cone_solve(eqs, ineqs, ambient, face=(up, facets))
+
+
+def test_lower_cells_refuses_a_face_whose_lineality_differs(monkeypatch):
+    verts = sorted(HEXAGON_HEIGHTS)
+    real = polyhedra._vertical_facets
+    monkeypatch.setattr(polyhedra, "_vertical_facets", lambda pts: ((), real(pts)[1]))
+    with pytest.raises(RuntimeError, match="^lower_cells: the lifted lineality"):
+        lower_cells(verts, [HEXAGON_HEIGHTS[v] for v in verts], verts)
 
 
 def test_cone_cut_equals_a_fresh_solve_of_the_full_system():

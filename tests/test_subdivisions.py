@@ -556,41 +556,53 @@ def test_height_function_computes_its_subdivision_and_report_once(monkeypatch):
     def counted(module, name):
         real = getattr(module, name)
 
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
-            return real(*args)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
 
     counted(subdivisions, "lower_cells")
     counted(subdivisions, "enumerate_two_faces")
     counted(polyhedra, "cone_solve")
+    polyhedra._vertical_facets.cache_clear()
     w = HeightFunction(3, EXAMPLE_HEIGHTS)
     first = subdivide(w)
     assert len(first) == 2
-    # one lifted hull certifies every cell
-    assert calls == {"lower_cells": 1, "cone_solve": 1}
+    # one lifted hull certifies every cell, and one more solve the vertical
+    # facets of the point set
+    assert calls == {"lower_cells": 1, "cone_solve": 2}
     assert check_positive_flag(w).cells == tuple(first)
     assert subdivide(w) == first
     decompose_height(w)
-    assert calls == {"lower_cells": 1, "cone_solve": 1, "enumerate_two_faces": 1}
+    assert calls == {"lower_cells": 1, "cone_solve": 2, "enumerate_two_faces": 1}
+    # a second hull over the same points solves only itself
+    subdivide(HeightFunction(3, {k: -v for k, v in EXAMPLE_HEIGHTS.items()}))
+    assert calls == {"lower_cells": 2, "cone_solve": 3, "enumerate_two_faces": 1}
 
 
 @pytest.mark.parametrize("affine", [False, True])
 def test_subdivide_at_n4_makes_one_cone_solve(monkeypatch, affine):
     """The lifted hull certifies every cell, the single cell of affine
-    heights too."""
+    heights too; the vertical facets of the n = 4 vertices take one more
+    solve, made once for every hull over them."""
     solves = []
     real = polyhedra.cone_solve
-    monkeypatch.setattr(polyhedra, "cone_solve", lambda *args: solves.append(1) or real(*args))
+    monkeypatch.setattr(polyhedra, "cone_solve",
+                        lambda *args, **kwargs: solves.append(1) or real(*args, **kwargs))
+    polyhedra._vertical_facets.cache_clear()
     if affine:
         w = linear_heights(4, (1, -2, 0, 5))
+        again = linear_heights(4, (3, 0, -1, 2))
     else:
         rng = random.Random(41)
-        w = HeightFunction(4, {v: rng.randint(-3, 3) for v in permutohedron_vertices(4)})
+        w, again = (HeightFunction(4, {v: rng.randint(-3, 3) for v in permutohedron_vertices(4)})
+                    for _ in range(2))
     cells = subdivide(w)
     assert (len(cells) == 1) == affine
-    assert len(solves) == 1
+    assert len(solves) == 2
+    assert (len(subdivide(again)) == 1) == affine
+    assert len(solves) == 3
 
 
 def test_subdivide_returns_a_fresh_list():

@@ -256,14 +256,15 @@ def test_importing_the_package_builds_no_table():
     table is built on first use, so set-up pays for none of them."""
     code = (
         "import valperm.cli, valperm.fans, valperm.subdivisions\n"
-        "from valperm import permutahedra, subdivisions, valuated\n"
+        "from valperm import permutahedra, polyhedra, subdivisions, valuated\n"
         "caches = (valuated._plucker_table, valuated._incidence_table,\n"
         "          subdivisions._gap_table, subdivisions._vertex_keys,\n"
-        "          permutahedra.vertex_lengths, permutahedra.hypersimplex_graph)\n"
+        "          permutahedra.vertex_lengths, permutahedra.hypersimplex_graph,\n"
+        "          polyhedra._vertical_facets)\n"
         "print([c.cache_info().currsize for c in caches])\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
-    assert proc.stdout.strip() == "[0, 0, 0, 0, 0, 0]"
+    assert proc.stdout.strip() == "[0, 0, 0, 0, 0, 0, 0]"
