@@ -360,15 +360,16 @@ def main(argv=None) -> int:
     if args.timing:
         report["timing"] = {"seconds": round(time.monotonic() - started, 3)}
     text = jsonio.dumps(report)
-    if args.output:
-        try:
+    try:
+        if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        except OSError as exc:
-            print(f"valperm: error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        print(f"valperm: error: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

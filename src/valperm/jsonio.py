@@ -79,8 +79,8 @@ def parse_frac(text, where=""):
 
 
 def parse_subset(key, n, where=""):
-    if not isinstance(key, str) or not key or not key.isdigit():
-        raise InputError(f"{where}: subset key {key!r} must be a digit string")
+    if not isinstance(key, str) or not key or not (key.isascii() and key.isdigit()):
+        raise InputError(f"{where}: subset key {key!r} must be a string of ASCII digits")
     elems = [int(c) for c in key]
     if sorted(set(elems)) != elems or elems[0] < 1 or elems[-1] > n:
         raise InputError(

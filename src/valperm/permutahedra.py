@@ -120,7 +120,10 @@ def parse_perm(text) -> tuple[int, ...]:
     if isinstance(text, (list, tuple)):
         v = tuple(int(x) for x in text)
     else:
-        v = tuple(int(c) for c in str(text))
+        digits = str(text)
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"not a permutation: {text!r}")
+        v = tuple(int(c) for c in digits)
     if not is_permutation(v):
         raise ValueError(f"not a permutation: {text!r}")
     return v

@@ -8,9 +8,9 @@ V-description: a lineality basis plus extremal rays.  The pipeline is
 2. row-reduce the restricted inequality system once: its rowspace holds the
    pointed part and its nullspace is the lineality space,
 3. run double description on the remaining pointed cone: start from its
-   whole space and take the rows one at a time, each row nonzero on the
-   lineality left turning one lineality vector into a ray and each other
-   row cutting the rays by one incremental step,
+   whole space and take the rows one at a time, in the caller's order,
+   each row nonzero on the lineality left turning one lineality vector into
+   a ray and each other row cutting the rays by one incremental step,
 4. map rays back, project them off the lineality space, normalize, and
    check every ray and lineality vector against the defining system; then
    certify by rank that every ray is extremal (:func:`check_extremal`).
@@ -69,7 +69,11 @@ the cell, so the cell's vertices and edges follow from its points' masks of
 lifted facets by the same incidence rule (:func:`hull_edges` with
 ``facets``).  The vertical facets lie over the boundary of conv(points) and
 do not depend on the heights, so they are solved and certified once per
-point set, and each lifted hull certifies only its lower facets.
+point set, and each lifted hull certifies only its lower facets.  The
+upward row comes first, so double description cuts the whole space to the
+lower half before any point row and never builds an upper facet.  Whether
+the heights are affine is read from affine coordinates of the points,
+also built once per point set (:func:`_affine_frame`).
 """
 
 from dataclasses import dataclass, field
@@ -227,16 +231,20 @@ def double_description(rows, dim):
     Requires the row matrix to have full column rank ``dim`` (which forces the
     cone to be pointed).  The run starts from all of R^dim, whose lineality
     basis is the identity and which has no rays, and cuts it by the rows in
-    sorted order with :func:`_cut`, the row loop of :func:`cone_cut` too: a
-    row nonzero on the lineality left turns one lineality vector into a
-    ray, and a row that vanishes on it is one double description step on
-    the rays, which also decides the adjacency of positive/negative pairs
-    from the rays' masks of tight rows.  Lineality left after the last row
-    means the rows are rank-deficient.  The output is primitive and sorted,
-    and not checked here: :func:`cone_solve` checks every ray against its
-    defining system and certifies it extremal by rank in the ambient space.
+    the order given, with exact repeats dropped, with :func:`_cut`, the row
+    loop of :func:`cone_cut` too: a row nonzero on the lineality left turns
+    one lineality vector into a ray, and a row that vanishes on it is one
+    double description step on the rays, which also decides the adjacency
+    of positive/negative pairs from the rays' masks of tight rows.
+    Lineality left after the last row means the rows are rank-deficient.
+    The order sets how many rays the intermediate cones hold, so a caller
+    puts first the rows that cut most away, but not the result: the
+    extremal rays of a pointed cone do not depend on it.  The output is
+    primitive and sorted, and not checked here: :func:`cone_solve` checks
+    every ray against its defining system and certifies it extremal by rank
+    in the ambient space.
     """
-    rows = sorted(set(tuple(r) for r in rows))
+    rows = list(dict.fromkeys(tuple(r) for r in rows))
     identity = [[int(i == j) for j in range(dim)] for i in range(dim)]
     lin, rays, _, _, _ = _cut(identity, [], [], 0, 0, (), rows, dim)
     if lin:
@@ -519,12 +527,27 @@ def incidence_edges(tight):
     elements are the vertices of a polytope or the rays of a cone pointed
     modulo its lineality.  The smallest face holding ``i`` and ``j`` is cut
     out by the facets they share, so the pair is an edge exactly when no
-    other element lies on every facet in ``tight[i] & tight[j]``.
+    other element lies on every facet in ``tight[i] & tight[j]``.  The
+    elements on all of those facets are the AND of the facets' member
+    masks, which always holds ``i`` and ``j``: the pair is an edge exactly
+    when that AND is ``{i, j}``.
     """
+    members = {}
+    for i, t in enumerate(tight):
+        while t:
+            low = t & -t
+            members[low] = members.get(low, 0) | 1 << i
+            t ^= low
+    everyone = (1 << len(tight)) - 1
     edges = []
     for i, j in combinations(range(len(tight)), 2):
-        common = tight[i] & tight[j]
-        if not any(t & common == common for k, t in enumerate(tight) if k != i and k != j):
+        pair = 1 << i | 1 << j
+        common, on = tight[i] & tight[j], everyone
+        while common and on != pair:
+            low = common & -common
+            on &= members[low]
+            common ^= low
+        if on == pair:
             edges.append((i, j))
     return edges
 
@@ -582,8 +605,10 @@ def _vertical_facets(points):
     Returns ``(lineality, facets)``: the lineality basis of the polar of
     conv(points), which :func:`cone_solve` certifies in full, and a
     read-only map from each of its rays to its tight mask, both with a 0
-    height coordinate inserted at index m, and each mask with the bit of
-    the upward row (bit ``len(points)``) added.
+    height coordinate inserted at index m.  The masks are over the rows of
+    the lifted polar of :func:`lower_cells`, upward row first: bit 0 is the
+    upward row, which every vertical ray is tight on, and bit ``i + 1`` is
+    point ``i``.
 
     These are exactly the lineality and the vertical rays of the lifted
     polar of :func:`lower_cells`, with their masks, for any heights.  A
@@ -604,13 +629,59 @@ def _vertical_facets(points):
     """
     m = len(points[0])
     polar = cone_solve([], [[-x for x in g] for g in _homogenize(points)], m + 1)
-    up = 1 << len(points)
 
     def lift(v):
         return v[:m] + (0,) + v[m:]
 
     return (tuple(lift(v) for v in polar.lineality),
-            MappingProxyType({lift(r): mask | up for r, mask in zip(polar.rays, polar.tight)}))
+            MappingProxyType({lift(r): mask << 1 | 1 for r, mask in zip(polar.rays, polar.tight)}))
+
+
+@lru_cache(maxsize=16)
+def _affine_frame(points):
+    """Affine coordinates of every point of ``points`` (a tuple of point
+    tuples in R^m) over an affinely independent subset of them, built and
+    checked once per point set.
+
+    Returns ``(basis, relations)``: ``basis`` holds the indices of points
+    whose vectors ``(x_b, 1)`` are linearly independent, and ``relations``
+    holds one ``(j, D_j, mu_j)`` for every other point ``j``, with integers
+    ``D_j > 0`` and ``mu_j`` (one per basis point) such that
+    ``D_j * (x_j, 1) = sum_b mu_jb * (x_b, 1)``.  The points are taken in
+    order: a point whose vector and the basis so far have no nullspace
+    joins the basis, and otherwise the one nullspace vector gives its
+    relation, which is checked exactly against the points here; a failed
+    check raises ``RuntimeError``.
+
+    Heights ``h`` are affine (``h_i = l . (x_i, 1)`` for one linear ``l``)
+    exactly when ``D_j * h_j = sum_b mu_jb * h_b`` for every relation.  If
+    ``h`` is affine, applying ``l`` to a relation gives that equation.
+    Conversely, the basis vectors are independent, so some ``l`` takes the
+    value ``h_b`` on each ``(x_b, 1)``; every point is an affine combination
+    of the basis points by its relation, so ``l`` takes the value ``h_j`` on
+    it too.  The basis spans the affine hull, and ``h`` is affine exactly
+    when it respects those combinations.
+    """
+    m = len(points[0])
+    gens = _homogenize(points)
+    basis, relations = [], []
+    for j, g in enumerate(gens):
+        cols = [gens[b] for b in basis] + [g]
+        null = kernels.nullspace([list(row) for row in zip(*cols)], len(cols))
+        if not null:
+            basis.append(j)
+            continue
+        if len(null) != 1:
+            raise RuntimeError("_affine_frame: a point has more than one relation to the basis")
+        # gens[i] is (x_i, 1) times its last entry, which is positive, and
+        # the free column of the nullspace vector, its last, is positive
+        (v,) = null
+        d, mu = v[-1] * g[-1], [-c * gens[b][-1] for c, b in zip(v, basis)]
+        combined = [sum(c * (points[b] + (1,))[t] for c, b in zip(mu, basis)) for t in range(m + 1)]
+        if d <= 0 or [d * x for x in points[j] + (1,)] != combined:
+            raise RuntimeError("_affine_frame: a point is not the affine combination its relation states")
+        relations.append((j, d, tuple(mu)))
+    return tuple(basis), tuple((j, d, mu + (0,) * (len(basis) - len(mu))) for j, d, mu in relations)
 
 
 def lower_cells(points, heights, labels):
@@ -624,41 +695,46 @@ def lower_cells(points, heights, labels):
     points' masks are the ``facets`` that :func:`hull_edges` reads its
     vertices and edges from.  The hull is solved once, with the upward
     direction ``(0, ..., 0, 1)`` as one more generator, so it has no upper
-    facets.  Point ``i`` is inequality ``i`` of that polar cone, so which
-    points lie on a facet is read off the facet ray's
-    :attr:`Cone.tight` mask.  The vertical facets do not depend on the
-    heights: :func:`_vertical_facets` certifies them once per point set,
-    and :func:`cone_solve` takes them as a certified face on the upward
-    row, so it checks and rank-certifies only the lower rays of each hull.
-    The heights are affine exactly when one cell holds every point, which
-    a rank test certifies; a point lifted above the lower hull is in no
-    cell.  Points must be distinct.
+    facets.  The upward generator is row 0 of that polar cone and point
+    ``i`` is row ``i + 1``, so which points lie on a facet is read off the
+    facet ray's :attr:`Cone.tight` mask.  Double description takes the rows
+    in that order, so the upward row cuts the cone first and no
+    intermediate cone holds an upper facet.  The vertical facets do not
+    depend on the heights: :func:`_vertical_facets` certifies them once per
+    point set, with their masks in this layout, and :func:`cone_solve` takes
+    them as a certified face on the upward row, so it checks and
+    rank-certifies only the lower rays of each hull.  The heights are
+    affine exactly when one cell holds every point, which the affine
+    coordinates of :func:`_affine_frame` certify; a point lifted above the
+    lower hull is in no cell.  Points must be distinct.
     """
     if not points:
         raise ValueError("lower_cells needs at least one point")
     if not len(points) == len(heights) == len(labels):
         raise ValueError("lower_cells needs one height and one label per point")
-    if len(set(tuple(p) for p in points)) != len(points):
+    key = tuple(tuple(p) for p in points)
+    if len(set(key)) != len(points):
         raise ValueError("lower_cells: points must be distinct")
     lifted = _homogenize(points, extra=list(heights))
     m = len(points[0])
     up = [0] * m + [1, 0]
-    lineality, vertical = _vertical_facets(tuple(tuple(p) for p in points))
+    lineality, vertical = _vertical_facets(key)
     # cone_solve checks that every lineality vector is tight on the upward
     # generator, so a ray's height coordinate has a well-defined sign
-    polar = cone_solve([], [[-x for x in g] for g in lifted + [up]], m + 2,
-                       face=(len(points), vertical))
+    polar = cone_solve([], [[-x for x in g] for g in [up] + lifted], m + 2, face=(0, vertical))
     if polar.lineality != lineality:
         raise RuntimeError("lower_cells: the lifted lineality is not the boundary's")
     tight = [0] * len(points)
     cells = set()
     for f, (ray, mask) in enumerate(zip(polar.rays, polar.tight)):
-        on = [i for i in range(len(points)) if mask >> i & 1]
+        on = [i for i in range(len(points)) if mask >> (i + 1) & 1]
         for i in on:
             tight[i] |= 1 << f
         if ray[m] < 0:
             cells.add(tuple(sorted(labels[i] for i in on)))
-    affine = kernels.rank(_homogenize(points), m + 1) == kernels.rank(lifted, m + 2)
+    basis, relations = _affine_frame(key)
+    affine = all(d * heights[j] == sum(c * heights[b] for c, b in zip(mu, basis))
+                 for j, d, mu in relations)
     if (len(cells) == 1 and len(next(iter(cells))) == len(points)) != affine:
         kind = "affine" if affine else "non-affine"
         raise RuntimeError(f"lower_cells: {kind} heights gave {len(cells)} cells")

@@ -9,7 +9,9 @@ cell's edges by intersecting the facet sets of a hull solved for the cell
 alone, the fan by solving every sign choice in full, the refinement census
 by solving every sample in its own cone, a ray's tight inequalities by one
 dot product each, 2-faces of a cone by the sign of the other rays against
-the hyperplane a ray pair spans, Gram-Schmidt and
+the hyperplane a ray pair spans, the edges of a face lattice from facet
+masks by scanning every other element for each pair, affine heights by
+comparing two ranks, Gram-Schmidt and
 projections in ``Fraction`` arithmetic, and extremal rays by trying every
 row subset.  The three-term checks, the lift and the compression minimum
 are kept here as they were before the package moved them onto integer
@@ -318,6 +320,27 @@ def pair_is_face(cone, i, j):
         if k not in (i, j)
     }
     return 0 not in signs and len(signs) == 1
+
+
+def incidence_edges_by_pair_scan(tight):
+    """The pairs ``(i, j)``, ``i < j``, of ``polyhedra.incidence_edges``, by
+    its rule applied pair by pair: no other element lies on every facet in
+    ``tight[i] & tight[j]``."""
+    edges = []
+    for i, j in combinations(range(len(tight)), 2):
+        common = tight[i] & tight[j]
+        if not any(t & common == common for k, t in enumerate(tight) if k != i and k != j):
+            edges.append((i, j))
+    return edges
+
+
+def heights_are_affine_by_rank(points, heights):
+    """Whether ``heights`` are an affine function on ``points``: the points
+    lifted by their heights span no more than the points, both homogenized."""
+    flat = [_primitive(list(p) + [1]) for p in points]
+    lifted = [_primitive(list(p) + [h, 1]) for p, h in zip(points, heights)]
+    m = len(points[0])
+    return kernels.rank(flat, m + 1) == kernels.rank(lifted, m + 2)
 
 
 def _primitive(v):

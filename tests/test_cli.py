@@ -1,5 +1,6 @@
 """CLI surface: golden files, exit codes, byte determinism."""
 
+import errno
 import hashlib
 import json
 import os
@@ -7,6 +8,8 @@ import subprocess
 import sys
 from itertools import combinations, permutations
 from pathlib import Path
+
+import pytest
 
 from valperm import kernels
 from valperm.cli import main
@@ -151,6 +154,23 @@ def test_subset_key_with_digit_zero_exits_2(tmp_path, capsys):
     assert main(["check", "plucker", write(tmp_path, vm, "zero.json")]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("valperm: error: ") and "'0'" in err[0]
+
+
+def test_non_ascii_digit_keys_exit_2(tmp_path, capsys):
+    # str.isdigit holds for superscript and fullwidth digits, which int
+    # rejects or reads as ASCII ones: keys take ASCII digits only
+    for k, key in enumerate(["\u00b2", "\uff11", "1\uff12"]):
+        vm = {"n": 2, "d": len(key), "values": {key: "0", "12"[:len(key)]: "0"}}
+        assert main(["check", "plucker", write(tmp_path, vm, f"subset{k}.json")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("valperm: error: ") and "ASCII" in err[0]
+    for k, key in enumerate(["\uff11\uff12\uff13", "12\u00b3"]):
+        heights = dict(SPIKED["heights"])
+        heights[key] = heights.pop("123")
+        obj = {"n": 3, "heights": heights}
+        assert main(["subdivide", write(tmp_path, obj, f"vertex{k}.json")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("valperm: error: ") and "not a permutation" in err[0]
 
 
 def test_numbers_too_large_to_read_exit_2(tmp_path, capsys):
@@ -336,6 +356,38 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     assert main(["fan", "3", "--output", str(tmp_path)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("valperm: error: ")
+
+
+@pytest.mark.parametrize("error", [OSError(errno.ENOSPC, "No space left on device"),
+                                   BrokenPipeError(errno.EPIPE, "Broken pipe")],
+                         ids=["full", "broken-pipe"])
+def test_failed_write_to_stdout_exits_2(monkeypatch, capsys, error):
+    class FailingStdout:
+        def write(self, text):
+            raise error
+
+        def flush(self):
+            raise error
+
+    monkeypatch.setattr(sys, "stdout", FailingStdout())
+    assert main(["check", "plucker", str(GOLDEN / "flag_a.json")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("valperm: error: ")
+
+
+def test_failed_flush_of_stdout_exits_2(monkeypatch, capsys):
+    # a write that buffers and a flush that fails, as on a full device
+    class FullDevice:
+        def write(self, text):
+            return len(text)
+
+        def flush(self):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(sys, "stdout", FullDevice())
+    assert main(["check", "plucker", str(GOLDEN / "flag_a.json")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["valperm: error: [Errno 28] No space left on device"]
 
 
 def test_internal_error_exits_3(monkeypatch, capsys):

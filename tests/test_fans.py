@@ -8,7 +8,13 @@ from itertools import combinations
 import pytest
 
 from lp import lp_feasible
-from oracles import exhaustive_fan_cones, pair_is_face, ray_tight_masks, refinement_census_direct
+from oracles import (
+    exhaustive_fan_cones,
+    incidence_edges_by_pair_scan,
+    pair_is_face,
+    ray_tight_masks,
+    refinement_census_direct,
+)
 from valperm import cli, fans, kernels, linalg, polyhedra
 from valperm.cli import main
 from valperm.fans import (
@@ -458,7 +464,8 @@ def test_phi4_two_faces_match_pair_oracle(fan4):
         tight = [sum(1 << h for h, a in enumerate(cone.ineqs) if kernels.dot(a, r) == 0)
                  for r in cone.rays]
         want = [(i, j) for i, j in combinations(range(len(cone.rays)), 2) if pair_is_face(cone, i, j)]
-        assert incidence_edges(tight) == want
+        assert incidence_edges(tight) == want == incidence_edges_by_pair_scan(tight)
+        assert incidence_edges(cone.tight) == incidence_edges_by_pair_scan(cone.tight)
         assert {fan4.two_faces[f] for f in fidx} == {(ridx[i], ridx[j]) for i, j in want}
 
 

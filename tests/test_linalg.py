@@ -90,40 +90,91 @@ def random_pointed_cone(rng):
             return rows, dim
 
 
-# Each row that vanishes on the lineality left when it comes, in sorted
-# order, depends on the rows before it and runs a double description step on
-# a cone that still has lineality.
+def dd_row_events(rows, dim, monkeypatch):
+    """Run ``double_description`` on ``rows`` and say how its row loop took
+    each row, in the order given with exact repeats dropped: a map from the
+    index of each row that ran a double description step to ``(lineality
+    left before the row, whether the pointed dimension was then recomputed
+    by rank)``.  Every other row met the lineality left."""
+    rows = [list(r) for r in dict.fromkeys(map(tuple, rows))]
+    steps, recomputed = {}, set()
+    insert_row, rank = polyhedra._insert_row, kernels.rank
+
+    def spied_insert_row(rays, masks, vals, bit, dim, keep_positive=True):
+        steps[bit.bit_length() - 1] = None
+        return insert_row(rays, masks, vals, bit, dim, keep_positive)
+
+    def spied_rank(matrix, ncols):
+        recomputed.add(max(steps))
+        return rank(matrix, ncols)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(polyhedra, "_insert_row", spied_insert_row)
+        mp.setattr(kernels, "rank", spied_rank)
+        try:
+            double_description(rows, dim)
+        except ValueError:  # rank-deficient rows, whose steps are recorded all the same
+            pass
+    return {k: (dim - rank(rows[:k], dim), k in recomputed) for k in steps}
+
+
+# Each case is taken in the order listed.  The row at the index given
+# depends on the rows before it, so it vanishes on the lineality left, and
+# it runs a double description step on a cone that still has lineality (or,
+# for the opposite pairs, one after which the pointed dimension is
+# recomputed by rank).
 DEPENDENT_CONES = {
     # (0, 2, 2) scales (0, 1, 1)
-    "scaled-copy": ([[0, -1, 1], [0, 1, 1], [0, 2, 2], [1, 0, 0]], 3),
+    "scaled-copy": ([[0, -1, 1], [0, 1, 1], [0, 2, 2], [1, 0, 0]], 3, 2),
     # (0, 1, 0) = (0, 0, 1) - (0, -1, 1) is negative on one ray, positive on the other
-    "difference-of-two-rows": ([[0, -1, 1], [0, 0, 1], [0, 1, 0], [1, 0, 0], [1, 1, 1]], 3),
+    "difference-of-two-rows": ([[0, -1, 1], [0, 0, 1], [0, 1, 0], [1, 0, 0], [1, 1, 1]], 3, 2),
     # (0, 1, 0) = (0, 0, 1) + (0, 1, -1)
-    "sum-of-two-rows": ([[0, 0, 1], [0, 1, -1], [0, 1, 0], [1, -1, 0]], 3),
+    "sum-of-two-rows": ([[0, 0, 1], [0, 1, -1], [0, 1, 0], [1, -1, 0]], 3, 2),
     # (0, 1, 0, 1) = (0, 0, 1, 1) - (0, -1, 1, 0)
     "difference-in-four-dimensions": ([[0, -1, 1, 0], [0, 0, 1, 1], [0, 1, 0, 1],
-                                       [0, 1, 1, -1], [1, 0, 0, 0]], 4),
+                                       [0, 1, 1, -1], [1, 0, 0, 0]], 4, 2),
     # the opposite pair leaves the cone flat, which the pointed dimension
     # learns from a rank recompute, once with lineality left and once without
-    "opposite-pair": ([[-1, 0, 0], [1, 0, 0], [1, 0, 1], [1, 1, 0]], 3),
+    "opposite-pair": ([[-1, 0, 0], [1, 0, 0], [1, 0, 1], [1, 1, 0]], 3, 1),
     "opposite-pair-late": ([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 1, -1, 0],
-                            [-1, -1, 1, 0], [1, 2, 3, 4]], 4),
+                            [-1, -1, 1, 0], [1, 2, 3, 4]], 4, 4),
 }
 
 
 @pytest.mark.parametrize("case", list(range(60)) + sorted(DEPENDENT_CONES))
 def test_double_description_matches_subset_oracle(case):
     if case in DEPENDENT_CONES:
-        rows, dim = DEPENDENT_CONES[case]
+        rows, dim, _ = DEPENDENT_CONES[case]
     else:
         rows, dim = random_pointed_cone(random.Random(1000 + case))
     assert double_description(rows, dim) == extremal_rays_by_subsets(rows, dim)
 
 
-def test_double_description_rank_deficient_after_many_rows():
-    """Rows in the hyperplane z4 = 0 cut three lineality vectors into rays
-    early, and every later row vanishes on the one left, e4; that lineality
-    is left after the last row, and the full-rank error is raised."""
+@pytest.mark.parametrize("case", sorted(DEPENDENT_CONES))
+def test_dependent_cones_hit_their_branch(case, monkeypatch):
+    rows, dim, k = DEPENDENT_CONES[case]
+    assert kernels.rank(rows[:k + 1], dim) == kernels.rank(rows[:k], dim)
+    lineality_left, recomputed = dd_row_events(rows, dim, monkeypatch)[k]
+    if case.startswith("opposite-pair"):
+        assert recomputed and (lineality_left > 0) == (case == "opposite-pair")
+    else:
+        assert lineality_left > 0 and not recomputed
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_double_description_does_not_depend_on_row_order(seed):
+    rng = random.Random(3000 + seed)
+    rows, dim = random_pointed_cone(rng)
+    want = double_description(rows, dim)
+    for order in (sorted(rows), sorted(rows, reverse=True), rng.sample(rows, len(rows))):
+        assert double_description(order, dim) == want
+
+
+def test_double_description_rank_deficient_after_many_rows(monkeypatch):
+    """Rows in the hyperplane z4 = 0, in the order generated, cut three
+    lineality vectors into rays early, and every later row vanishes on the
+    one left, e4; that lineality is left after the last row, and the
+    full-rank error is raised."""
     rng = random.Random(8)
     rows = []
     while len(rows) < 16:
@@ -132,11 +183,15 @@ def test_double_description_rank_deficient_after_many_rows():
             row = [-x for x in row]
         rows.append(row + [0])
     assert kernels.rank(rows, 4) == 3
+    distinct = len(set(map(tuple, rows)))
+    steps = dd_row_events(rows, 4, monkeypatch)
+    assert sorted(steps) == list(range(3, distinct))
+    assert all(left == 1 for left, _ in steps.values())
     with pytest.raises(ValueError, match="full rank"):
         double_description(rows, 4)
-    # a row off the hyperplane, last in sorted order, completes the rank
+    # a row off the hyperplane, taken last, meets e4 and completes the rank
     full = rows + [[6, 0, 0, 1]]
-    assert max(map(tuple, full)) == (6, 0, 0, 1)
+    assert sorted(dd_row_events(full, 4, monkeypatch)) == list(range(3, distinct))
     rays = double_description(full, 4)
     assert rays == extremal_rays_by_subsets(full, 4) and len(rays) > 1
 
@@ -153,9 +208,10 @@ def test_double_description_on_lifted_polar_systems(seed, monkeypatch):
         systems.append((rows, dim))
         return solve(rows, dim)
 
-    monkeypatch.setattr(polyhedra, "double_description", captured)
     rng = random.Random(seed)
     verts = permutohedron_vertices(4)
+    polyhedra._vertical_facets(tuple(verts))  # the point set's own solve is not captured
+    monkeypatch.setattr(polyhedra, "double_description", captured)
     polyhedra.lower_cells(verts, [rng.randint(0, 4 + 8 * seed) for _ in verts], verts)
     ((rows, dim),) = systems
     assert (len(rows), dim) == (25, 5)

@@ -29,7 +29,9 @@ from valperm.polyhedra import (
 )
 
 from oracles import (
+    heights_are_affine_by_rank,
     hull_vertices_and_edges_by_lp,
+    incidence_edges_by_pair_scan,
     lower_cells_by_support_search,
     pair_is_face,
     ray_tight_masks,
@@ -215,6 +217,16 @@ def test_incidence_edges_match_pair_oracle_on_random_cones():
         shapes.add((cone.lineality_dim > 0, len(cone.rays) > 3, bool(cone.eqs)))
     assert {(False, False, False), (True, False, False), (False, True, False),
             (True, True, False), (False, True, True)} <= shapes
+
+
+def test_incidence_edges_match_the_pair_scan_on_random_masks():
+    rng = random.Random(2323)
+    for _ in range(400):
+        facets = rng.randint(0, 8)
+        tight = [rng.getrandbits(facets) if facets else 0 for _ in range(rng.randint(0, 9))]
+        if rng.random() < 0.3 and tight:
+            tight.append(rng.choice(tight))  # two elements on the same facets
+        assert incidence_edges(tight) == incidence_edges_by_pair_scan(tight)
 
 
 def test_incidence_edges_small_cases():
@@ -531,6 +543,31 @@ def flags4_heights(seed):
         yield [w._ints[v] for v in verts]
 
 
+def test_incidence_edges_match_the_pair_scan_on_every_flags4_seed1_cell(monkeypatch):
+    # each cell's vertices and edges, read from the lifted hull's masks as
+    # subdivide reads them
+    all_heights = list(flags4_heights(1))
+    calls = []
+    real = polyhedra.incidence_edges
+
+    def checked(tight):
+        calls.append(1)
+        edges = real(tight)
+        assert edges == incidence_edges_by_pair_scan(tight)
+        return edges
+
+    monkeypatch.setattr(polyhedra, "incidence_edges", checked)
+    verts = permutohedron_vertices(4)
+    cells = 0
+    for heights in all_heights:
+        cell_labels, tight = lower_cells(verts, heights, verts)
+        for cell in cell_labels:
+            idx = [verts.index(v) for v in cell]
+            hull_edges(list(cell), list(cell), [tight[i] for i in idx])
+            cells += 1
+    assert len(calls) == cells > 1900
+
+
 def test_face_is_exact_on_every_flags4_seed1_hull():
     verts = permutohedron_vertices(4)
     count = 0
@@ -603,22 +640,40 @@ def test_vertical_facets_are_certified_once_per_point_set(monkeypatch):
     monkeypatch.setattr(polyhedra, "cone_solve",
                         lambda *args, **kwargs: solves.append(kwargs.get("face")) or real(*args, **kwargs))
     polyhedra._vertical_facets.cache_clear()
+    polyhedra._affine_frame.cache_clear()
     verts = permutohedron_vertices(3)
     for heights in ([0, 1, 2, 3, 4, 5], [5, 0, 2, 1, 3, 1], [v[0] for v in verts]):
         lower_cells(verts, heights, verts)
-    # the point set once, without a face, then each hull with one
-    assert solves[0] is None and all(f is not None for f in solves[1:])
+    # the point set once, without a face, then each hull with one on its
+    # upward row, which is row 0
+    assert solves[0] is None and all(f is not None and f[0] == 0 for f in solves[1:])
     assert len(solves) == 4
+    # the affine frame is built once for the point set too
+    assert polyhedra._affine_frame.cache_info()[:2] == (2, 1)
     lower_cells(verts[:4], [0, 1, 1, 0], verts[:4])
     assert len(solves) == 6
+    assert polyhedra._affine_frame.cache_info()[:2] == (2, 2)
+
+
+def test_vertical_facet_masks_put_the_upward_row_at_bit_0():
+    # bit 0 is the upward row, on which every vertical ray is tight, and bit
+    # i + 1 is point i, tight when the ray's unlifted part is tight on it
+    verts = permutohedron_vertices(4)
+    lineality, facets = polyhedra._vertical_facets(tuple(verts))
+    assert len(facets) == 14 and len(lineality) == 1
+    for ray, mask in facets.items():
+        assert ray[4] == 0
+        unlifted = ray[:4] + ray[5:]
+        want = sum(1 << (i + 1) for i, v in enumerate(verts) if kernels.dot(unlifted, v + (1,)) == 0)
+        assert mask == want | 1
 
 
 def lifted_polar_system(points, heights):
-    """The system of ``lower_cells``'s lifted polar and the index of its
-    upward row."""
+    """The system of ``lower_cells``'s lifted polar, upward row first, and
+    the index of that row."""
     m = len(points[0])
-    rows = polyhedra._homogenize(points, extra=list(heights)) + [[0] * m + [1, 0]]
-    return [], [[-x for x in g] for g in rows], m + 2, len(points)
+    rows = [[0] * m + [1, 0]] + polyhedra._homogenize(points, extra=list(heights))
+    return [], [[-x for x in g] for g in rows], m + 2, 0
 
 
 @pytest.mark.parametrize("mutation", ["missing", "extra"])
@@ -626,7 +681,9 @@ def test_cone_solve_refuses_a_face_that_is_not_exact(mutation):
     verts = sorted(HEXAGON_HEIGHTS)
     eqs, ineqs, ambient, up = lifted_polar_system(verts, [HEXAGON_HEIGHTS[v] for v in verts])
     facets = dict(polyhedra._vertical_facets(tuple(verts))[1])
-    assert len(cone_solve(eqs, ineqs, ambient, face=(up, facets)).rays) == 8
+    with_face = cone_solve(eqs, ineqs, ambient, face=(up, facets))
+    assert len(with_face.rays) == 8
+    assert with_face.tight == cone_solve(eqs, ineqs, ambient).tight
     if mutation == "missing":
         del facets[min(facets)]
     else:
@@ -642,6 +699,151 @@ def test_lower_cells_refuses_a_face_whose_lineality_differs(monkeypatch):
     monkeypatch.setattr(polyhedra, "_vertical_facets", lambda pts: ((), real(pts)[1]))
     with pytest.raises(RuntimeError, match="^lower_cells: the lifted lineality"):
         lower_cells(verts, [HEXAGON_HEIGHTS[v] for v in verts], verts)
+
+
+# ---------------------------------------------------------------------------
+# double description in the caller's row order, and the affine frame
+
+
+def lifted_dd_systems(points, heights_list):
+    """The row systems that ``lower_cells`` hands the double description,
+    one per height list, upward row first."""
+    polyhedra._vertical_facets(tuple(points))  # the point set's own solve is not captured
+    systems = []
+    real = polyhedra.double_description
+
+    def captured(rows, dim):
+        systems.append((rows, dim))
+        return real(rows, dim)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polyhedra, "double_description", captured)
+        for heights in heights_list:
+            lower_cells(points, heights, points)
+    assert len(systems) == len(heights_list)
+    return systems
+
+
+def test_double_description_gives_the_same_rays_with_the_upward_row_last():
+    # on the 480 seed-1 flags4 hulls: the rows as lower_cells passes them,
+    # the upward row moved last, the old sorted order and one shuffle
+    rng = random.Random(480)
+    count = 0
+    for rows, dim in lifted_dd_systems(permutohedron_vertices(4), list(flags4_heights(1))):
+        assert (len(rows), dim) == (25, 5)
+        want = double_description(rows, dim)
+        assert double_description(rows[1:] + rows[:1], dim) == want
+        assert double_description(sorted(rows), dim) == want
+        assert double_description(rng.sample(rows, len(rows)), dim) == want
+        count += 1
+    assert count == 480
+
+
+def test_the_upward_row_comes_first():
+    # the first row is the only one that vanishes on every vertical ray
+    # and on none of the lower ones, so it is the upward row
+    verts = sorted(HEXAGON_HEIGHTS)
+    ((rows, dim),) = lifted_dd_systems(verts, [[HEXAGON_HEIGHTS[v] for v in verts]])
+    rays = double_description(rows, dim)
+    on_first = [kernels.dot(rows[0], r) == 0 for r in rays]
+    assert sum(on_first) == 6 and len(rays) == 8
+    assert all(sum(kernels.dot(row, r) == 0 for r in rays) != 6 for row in rows[1:])
+
+
+def frame_says_affine(points, heights):
+    basis, relations = polyhedra._affine_frame(tuple(map(tuple, points)))
+    return all(d * heights[j] == sum(c * heights[b] for c, b in zip(mu, basis))
+               for j, d, mu in relations)
+
+
+def assert_frame_is_exact(points):
+    """Every relation of the frame holds on the points, its basis has the
+    rank of the points and every other point has one relation."""
+    basis, relations = polyhedra._affine_frame(tuple(map(tuple, points)))
+    m = len(points[0])
+    homogenized = [list(p) + [1] for p in points]
+    scaled = [linalg.scale_to_int(row) for row in homogenized]
+    assert kernels.rank([scaled[b] for b in basis], m + 1) == len(basis) == kernels.rank(scaled, m + 1)
+    assert sorted(list(basis) + [j for j, _, _ in relations]) == list(range(len(points)))
+    for j, d, mu in relations:
+        assert d > 0 and len(mu) == len(basis)
+        for t in range(m + 1):
+            assert d * homogenized[j][t] == sum(c * homogenized[b][t] for c, b in zip(mu, basis))
+
+
+def affine_heights(points, coeffs, const):
+    return [sum(c * x for c, x in zip(coeffs, p)) + const for p in points]
+
+
+def test_affine_frame_agrees_with_the_rank_test_on_every_flags4_seed1_flag():
+    verts = permutohedron_vertices(4)
+    assert_frame_is_exact(verts)
+    for heights in flags4_heights(1):
+        assert frame_says_affine(verts, heights) == heights_are_affine_by_rank(verts, heights)
+
+
+@pytest.mark.parametrize("points", [
+    permutohedron_vertices(3),
+    permutohedron_vertices(4),
+    permutohedron_vertices(5),
+    [(0, 0), (1, 1), (2, 2), (4, 4)],
+    [(0, 0, 1), (1, 0, 1), (0, 2, 1), (1, 1, 1), (3, 1, 1)],
+    [(Fraction(1, 2), 0), (0, Fraction(-2, 3)), (1, 1), (2, Fraction(5, 7)), (-1, 3)],
+    [(2, -1)],
+], ids=["n3", "n4", "n5", "collinear", "coplanar", "fractions", "single-point"])
+def test_affine_frame_agrees_with_the_rank_test(points):
+    assert_frame_is_exact(points)
+    rng = random.Random(f"frame/{len(points)}/{len(points[0])}")
+    m = len(points[0])
+    for k in range(4):
+        coeffs = [rng.randint(-4, 4) for _ in range(m)]
+        if k % 2:
+            coeffs = [Fraction(c, rng.randint(1, 5)) for c in coeffs]
+        heights = affine_heights(points, coeffs, rng.choice([0, 3, Fraction(-1, 2)]))
+        assert frame_says_affine(points, heights) and heights_are_affine_by_rank(points, heights)
+        for i in rng.sample(range(len(points)), min(len(points), 12)):
+            for step in (1, -1):
+                moved = list(heights)
+                moved[i] += step
+                # a single point can take any height, and on the collinear and
+                # coplanar sets the rank test decides it like the frame
+                assert frame_says_affine(points, moved) == heights_are_affine_by_rank(points, moved)
+                assert frame_says_affine(points, moved) == (len(points) == 1)
+    for _ in range(20):
+        heights = [rng.randint(-2, 2) for _ in points]
+        assert frame_says_affine(points, heights) == heights_are_affine_by_rank(points, heights)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_lower_cells_certifies_affinity_on_permutohedra(n):
+    verts = permutohedron_vertices(n)
+    rng = random.Random(f"affine-cells/{n}")
+    heights = affine_heights(verts, [rng.randint(-3, 3) for _ in range(n)], 2)
+    assert lower_cells(verts, heights, verts)[0] == [tuple(verts)]
+    heights[rng.randrange(len(verts))] += 1
+    assert len(lower_cells(verts, heights, verts)[0]) > 1
+
+
+def test_affine_frame_refuses_a_corrupted_coordinate(monkeypatch):
+    # a nullspace vector with one coordinate off gives a relation that the
+    # exact check of the frame refuses
+    real = kernels.nullspace
+
+    def corrupted(rows, ncols):
+        null = real(rows, ncols)
+        if null:
+            null[0][0] += 1
+        return null
+
+    points = ((0, 0), (3, 0), (0, 3), (1, 1))
+    polyhedra._affine_frame.cache_clear()
+    assert polyhedra._affine_frame(points)[0] == (0, 1, 2)
+    polyhedra._affine_frame.cache_clear()
+    monkeypatch.setattr(kernels, "nullspace", corrupted)
+    with pytest.raises(RuntimeError, match="^_affine_frame: a point is not the affine combination"):
+        polyhedra._affine_frame(points)
+    monkeypatch.undo()
+    assert polyhedra._affine_frame(points)[0] == (0, 1, 2)
 
 
 def test_cone_cut_equals_a_fresh_solve_of_the_full_system():

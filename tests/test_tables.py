@@ -260,11 +260,11 @@ def test_importing_the_package_builds_no_table():
         "caches = (valuated._plucker_table, valuated._incidence_table,\n"
         "          subdivisions._gap_table, subdivisions._vertex_keys,\n"
         "          permutahedra.vertex_lengths, permutahedra.hypersimplex_graph,\n"
-        "          polyhedra._vertical_facets)\n"
+        "          polyhedra._vertical_facets, polyhedra._affine_frame)\n"
         "print([c.cache_info().currsize for c in caches])\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
-    assert proc.stdout.strip() == "[0, 0, 0, 0, 0, 0, 0]"
+    assert proc.stdout.strip() == "[0, 0, 0, 0, 0, 0, 0, 0]"
