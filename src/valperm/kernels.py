@@ -115,12 +115,7 @@ def nullspace(rows, ncols):
     One basis vector per free column of the RREF; deterministic given the
     rowspace.  With no rows it is the identity basis.
     """
-    return nullspace_of_rref(*rref(rows, ncols), ncols)
-
-
-def nullspace_of_rref(red, pivots, ncols):
-    """The :func:`nullspace` basis read off an :func:`rref` output, for
-    callers that need the echelon form too."""
+    red, pivots = rref(rows, ncols)
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):

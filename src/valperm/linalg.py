@@ -10,7 +10,8 @@ scaling preserves rank, nullspace, cone membership and rowspace, all
 scale-invariant notions used here.  Outputs are primitive integer vectors.
 Double description takes no seed from this layer: :mod:`valperm.polyhedra`
 starts each run from the identity basis as the lineality and cuts it by the
-rows one at a time.
+rows one at a time, on any cone: the lineality left at the end is the
+cone's own, so no rowspace reduction comes first.
 """
 
 from math import lcm

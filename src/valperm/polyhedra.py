@@ -5,15 +5,16 @@ turns a system of linear equations and weak inequalities into a canonical
 V-description: a lineality basis plus extremal rays.  The pipeline is
 
 1. restrict to the nullspace of the equations,
-2. row-reduce the restricted inequality system once: its rowspace holds the
-   pointed part and its nullspace is the lineality space,
-3. run double description on the remaining pointed cone: start from its
+2. run double description on the restricted inequalities: start from the
    whole space and take the rows one at a time, in the caller's order,
    each row nonzero on the lineality left turning one lineality vector into
    a ray and each other row cutting the rays by one incremental step,
-4. map rays back, project them off the lineality space, normalize, and
-   check every ray and lineality vector against the defining system; then
-   certify by rank that every ray is extremal (:func:`check_extremal`).
+3. read off the run: the lineality left at the end is the cone's lineality
+   space, the rays come out modulo it, and the run has kept the cone's
+   dimension modulo it; map the rays and the lineality back,
+4. project the rays off the lineality space, normalize, and check every
+   ray and lineality vector against the defining system; then certify by
+   rank that every ray is extremal (:func:`check_extremal`).
 
 Each fact is certified once.  Double description itself checks nothing
 after its run: its rays are checked in the ambient space by step 4, whose
@@ -30,7 +31,7 @@ which puts a cone solved in the coordinates of a subspace basis into the
 same canonical form in the ambient space without solving it again.
 :func:`cone_cut` cuts a canonical cone by a few more rows straight from its
 generators and tight masks, and certifies the result irredundant from the
-masks.  Step 3 and the cut run one row loop, :func:`_cut`: double
+masks.  Step 2 and the cut run one row loop, :func:`_cut`: double
 description starts it from the whole space, whose lineality basis is the
 identity, and a cut from the parent's generators.  A cut never runs
 step 4.  Its generators are the parent's canonical, checked vectors,
@@ -72,8 +73,8 @@ do not depend on the heights, so they are solved and certified once per
 point set, and each lifted hull certifies only its lower facets.  The
 upward row comes first, so double description cuts the whole space to the
 lower half before any point row and never builds an upper facet.  Whether
-the heights are affine is read from affine coordinates of the points,
-also built once per point set (:func:`_affine_frame`).
+the heights are affine is read from a basis of the points' affine
+dependencies, also built once per point set (:func:`_affine_dependencies`).
 """
 
 from dataclasses import dataclass, field
@@ -225,31 +226,43 @@ def _cut(lin, rays, masks, pointed, done, eqs, ineqs, ambient):
     return lin, rays, masks, pointed, made
 
 
-def double_description(rows, dim):
-    """Extremal rays of the pointed cone ``{z : row.z >= 0 for all rows}``.
+class Rays(list):
+    """The rays :func:`double_description` returns, with ``lineality``, the
+    basis of the lineality space its run left, and ``pointed``, the cone's
+    dimension modulo that space."""
 
-    Requires the row matrix to have full column rank ``dim`` (which forces the
-    cone to be pointed).  The run starts from all of R^dim, whose lineality
-    basis is the identity and which has no rays, and cuts it by the rows in
-    the order given, with exact repeats dropped, with :func:`_cut`, the row
-    loop of :func:`cone_cut` too: a row nonzero on the lineality left turns
-    one lineality vector into a ray, and a row that vanishes on it is one
-    double description step on the rays, which also decides the adjacency
-    of positive/negative pairs from the rays' masks of tight rows.
-    Lineality left after the last row means the rows are rank-deficient.
-    The order sets how many rays the intermediate cones hold, so a caller
-    puts first the rows that cut most away, but not the result: the
-    extremal rays of a pointed cone do not depend on it.  The output is
-    primitive and sorted, and not checked here: :func:`cone_solve` checks
-    every ray against its defining system and certifies it extremal by rank
-    in the ambient space.
+    def __init__(self, rays, lineality, pointed):
+        super().__init__(rays)
+        self.lineality, self.pointed = lineality, pointed
+
+
+def double_description(rows, dim):
+    """Extremal rays of the cone ``{z : row.z >= 0 for all rows}`` in R^dim,
+    modulo its lineality space.
+
+    The run starts from all of R^dim, whose lineality basis is the identity
+    and which has no rays, and cuts it by the rows in the order given, with
+    exact repeats dropped, with :func:`_cut`, the row loop of
+    :func:`cone_cut` too: a row nonzero on the lineality left turns one
+    lineality vector into a ray, and a row that vanishes on it is one double
+    description step on the rays, which also decides the adjacency of
+    positive/negative pairs from the rays' masks of tight rows.  Lineality
+    left after the last row is the cone's lineality space, the nullspace of
+    the rows; each extremal ray modulo it comes out as one primitive
+    representative, which for a pointed cone is the ray itself.  The order
+    sets how many rays the intermediate cones hold, so a caller puts first
+    the rows that cut most away, but not the result for a pointed cone: its
+    extremal rays do not depend on it (with lineality, the representatives
+    may).  The output is a sorted :class:`Rays` list that also carries the
+    lineality basis and the pointed dimension the run left.  It is not
+    checked here: :func:`cone_solve` projects the rays off the lineality,
+    checks every ray and lineality vector against its defining system and
+    certifies every ray extremal by rank in the ambient space.
     """
     rows = list(dict.fromkeys(tuple(r) for r in rows))
     identity = [[int(i == j) for j in range(dim)] for i in range(dim)]
-    lin, rays, _, _, _ = _cut(identity, [], [], 0, 0, (), rows, dim)
-    if lin:
-        raise ValueError("double_description needs a pointed cone (full rank rows)")
-    return [list(r) for r in sorted(rays)]
+    lin, rays, _, pointed, _ = _cut(identity, [], [], 0, 0, (), rows, dim)
+    return Rays([list(r) for r in sorted(rays)], lin, pointed)
 
 
 def _ray_masks(caller, rays, eqs, ineqs):
@@ -276,8 +289,10 @@ def _face_masks(caller, rays, eqs, ineqs, face):
     certified: ``known`` maps each ray tight on ``ineqs[h]`` to its tight
     mask.  One dot product with ``ineqs[h]`` sorts each ray; a tight ray
     must be one of ``known`` and takes its mask, and every other ray is
-    checked by :func:`_ray_masks`.  The tight rays must be all of ``known``.
-    A failed check raises ``RuntimeError`` naming ``caller``.
+    checked by :func:`_ray_masks`.  The tight rays must be all of ``known``,
+    and each mask taken must have bit ``h`` and no bit at or past
+    ``len(ineqs)``, so a face built for another row layout is refused.  A
+    failed check raises ``RuntimeError`` naming ``caller``.
     """
     h, known = face
     tight, on_face = [], 0
@@ -285,7 +300,10 @@ def _face_masks(caller, rays, eqs, ineqs, face):
         if kernels.dot(ineqs[h], r) == 0:
             if r not in known:
                 raise RuntimeError(f"{caller}: a ray on the certified face is not one of its rays")
-            tight.append(known[r])
+            mask = known[r]
+            if not mask >> h & 1 or mask >> len(ineqs):
+                raise RuntimeError(f"{caller}: a mask of the certified face does not fit the system")
+            tight.append(mask)
             on_face += 1
         else:
             tight += _ray_masks(caller, [r], eqs, ineqs)
@@ -350,17 +368,9 @@ def cone_solve(eqs, ineqs, ambient, *, face=None):
         if any(row):
             restricted.append(kernels.vec_gcd_reduce(row))
 
-    # one reduction of the restricted system: its rowspace and its lineality
-    wspace, pivots = kernels.rref(restricted, k)
-    lin_restricted = kernels.nullspace_of_rref(wspace, pivots, k)
-    lineality = linalg.mat_mul(lin_restricted, null)
-
-    q = len(wspace)
-    bmat = [[kernels.dot(a, w) for w in wspace] for a in restricted]
-    rays_z = double_description(bmat, q)
-    pointed_dim = kernels.rank(rays_z, q)
-    rays = linalg.mat_mul(linalg.mat_mul(rays_z, wspace), null)
-    cone = _canonical("cone_solve", ambient, pointed_dim, lineality, rays, eqs, ineqs, face)
+    rays_z = double_description(restricted, k)
+    cone = _canonical("cone_solve", ambient, rays_z.pointed, linalg.mat_mul(rays_z.lineality, null),
+                      linalg.mat_mul(rays_z, null), eqs, ineqs, face)
     check_extremal(cone, "cone_solve", face[1] if face is not None else ())
     return cone
 
@@ -638,50 +648,26 @@ def _vertical_facets(points):
 
 
 @lru_cache(maxsize=16)
-def _affine_frame(points):
-    """Affine coordinates of every point of ``points`` (a tuple of point
-    tuples in R^m) over an affinely independent subset of them, built and
-    checked once per point set.
+def _affine_dependencies(points):
+    """A basis of the affine dependencies of ``points`` (a tuple of point
+    tuples in R^m), built and checked once per point set.
 
-    Returns ``(basis, relations)``: ``basis`` holds the indices of points
-    whose vectors ``(x_b, 1)`` are linearly independent, and ``relations``
-    holds one ``(j, D_j, mu_j)`` for every other point ``j``, with integers
-    ``D_j > 0`` and ``mu_j`` (one per basis point) such that
-    ``D_j * (x_j, 1) = sum_b mu_jb * (x_b, 1)``.  The points are taken in
-    order: a point whose vector and the basis so far have no nullspace
-    joins the basis, and otherwise the one nullspace vector gives its
-    relation, which is checked exactly against the points here; a failed
-    check raises ``RuntimeError``.
-
-    Heights ``h`` are affine (``h_i = l . (x_i, 1)`` for one linear ``l``)
-    exactly when ``D_j * h_j = sum_b mu_jb * h_b`` for every relation.  If
-    ``h`` is affine, applying ``l`` to a relation gives that equation.
-    Conversely, the basis vectors are independent, so some ``l`` takes the
-    value ``h_b`` on each ``(x_b, 1)``; every point is an affine combination
-    of the basis points by its relation, so ``l`` takes the value ``h_j`` on
-    it too.  The basis spans the affine hull, and ``h`` is affine exactly
-    when it respects those combinations.
+    Each basis vector is integers ``mu``, one per point, with
+    ``sum_i mu_i * (x_i, 1) = 0``, stored sparsely as the pairs ``(i, mu_i)``
+    of its nonzero entries: a :func:`kernels.nullspace` vector has one per
+    pivot column and one more, so at most rank + 1.  It is a nullspace
+    vector of the transposed homogenized points, with coordinate ``i`` times
+    the last entry of row ``i``: :func:`_homogenize` scales ``(x_i, 1)`` by
+    that positive factor.  Every vector is checked exactly against the
+    points here; a failed check raises ``RuntimeError``.
     """
-    m = len(points[0])
     gens = _homogenize(points)
-    basis, relations = [], []
-    for j, g in enumerate(gens):
-        cols = [gens[b] for b in basis] + [g]
-        null = kernels.nullspace([list(row) for row in zip(*cols)], len(cols))
-        if not null:
-            basis.append(j)
-            continue
-        if len(null) != 1:
-            raise RuntimeError("_affine_frame: a point has more than one relation to the basis")
-        # gens[i] is (x_i, 1) times its last entry, which is positive, and
-        # the free column of the nullspace vector, its last, is positive
-        (v,) = null
-        d, mu = v[-1] * g[-1], [-c * gens[b][-1] for c, b in zip(v, basis)]
-        combined = [sum(c * (points[b] + (1,))[t] for c, b in zip(mu, basis)) for t in range(m + 1)]
-        if d <= 0 or [d * x for x in points[j] + (1,)] != combined:
-            raise RuntimeError("_affine_frame: a point is not the affine combination its relation states")
-        relations.append((j, d, tuple(mu)))
-    return tuple(basis), tuple((j, d, mu + (0,) * (len(basis) - len(mu))) for j, d, mu in relations)
+    null = kernels.nullspace([list(col) for col in zip(*gens)], len(gens))
+    deps = tuple(tuple((i, c * gens[i][-1]) for i, c in enumerate(v) if c) for v in null)
+    for mu in deps:
+        if any(sum(c * (points[i] + (1,))[t] for i, c in mu) for t in range(len(points[0]) + 1)):
+            raise RuntimeError("_affine_dependencies: a dependency does not vanish on the points")
+    return deps
 
 
 def lower_cells(points, heights, labels):
@@ -704,9 +690,13 @@ def lower_cells(points, heights, labels):
     point set, with their masks in this layout, and :func:`cone_solve` takes
     them as a certified face on the upward row, so it checks and
     rank-certifies only the lower rays of each hull.  The heights are
-    affine exactly when one cell holds every point, which the affine
-    coordinates of :func:`_affine_frame` certify; a point lifted above the
-    lower hull is in no cell.  Points must be distinct.
+    affine exactly when one cell holds every point, and that cell count is
+    certified against the affine dependencies of :func:`_affine_dependencies`:
+    ``h`` is affine exactly when it lies in the column space of the rows
+    ``(x_i, 1)``, which is the orthogonal complement of their left
+    nullspace, so exactly when every dependency ``mu`` has
+    ``sum_i mu_i * h_i = 0``.  A point lifted above the lower hull is in no cell.
+    Points must be distinct.
     """
     if not points:
         raise ValueError("lower_cells needs at least one point")
@@ -732,9 +722,7 @@ def lower_cells(points, heights, labels):
             tight[i] |= 1 << f
         if ray[m] < 0:
             cells.add(tuple(sorted(labels[i] for i in on)))
-    basis, relations = _affine_frame(key)
-    affine = all(d * heights[j] == sum(c * heights[b] for c, b in zip(mu, basis))
-                 for j, d, mu in relations)
+    affine = not any(sum(c * heights[i] for i, c in mu) for mu in _affine_dependencies(key))
     if (len(cells) == 1 and len(next(iter(cells))) == len(points)) != affine:
         kind = "affine" if affine else "non-affine"
         raise RuntimeError(f"lower_cells: {kind} heights gave {len(cells)} cells")

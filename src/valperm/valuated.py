@@ -435,10 +435,7 @@ def is_quotient(lower, upper):
     a difference of two unit vectors of R^{n+1} (the lift coordinate counts
     as a coordinate, so a cross-level edge must join nested bases).
     """
-    if lower.n != upper.n:
-        raise ValueError("ground sets differ")
-    if upper.d != lower.d + 1:
-        raise ValueError(f"ranks must be consecutive, got {lower.d} and {upper.d}")
+    _require_consecutive(lower, upper)
     n = lower.n
     pts = {}
     for b in lower.bases:

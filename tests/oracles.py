@@ -12,8 +12,9 @@ dot product each, 2-faces of a cone by the sign of the other rays against
 the hyperplane a ray pair spans, the edges of a face lattice from facet
 masks by scanning every other element for each pair, affine heights by
 comparing two ranks, Gram-Schmidt and
-projections in ``Fraction`` arithmetic, and extremal rays by trying every
-row subset.  The three-term checks, the lift and the compression minimum
+projections in ``Fraction`` arithmetic, extremal rays by trying every
+row subset, and a cone's V-description by the rowspace reduction that
+``cone_solve`` ran before double description took cones with lineality.  The three-term checks, the lift and the compression minimum
 are kept here as they were before the package moved them onto integer
 views: in ``Fraction`` arithmetic on the public values.  So are a few
 small helpers that only tests use, and the minors of a polynomial matrix
@@ -27,7 +28,7 @@ from itertools import combinations, permutations, product
 from math import ceil, gcd
 
 from lp import lp_feasible
-from valperm import kernels
+from valperm import kernels, linalg
 from valperm.permutahedra import (
     apply_right,
     bruhat_leq,
@@ -39,7 +40,7 @@ from valperm.permutahedra import (
     subsets_of_size,
     symmetry_generators,
 )
-from valperm.polyhedra import hull_facet_sets
+from valperm.polyhedra import _canonical, _normalize_rows, check_extremal, double_description, hull_facet_sets
 from valperm.valuated import Matroid, PolyInT, ValuatedMatroid, Violation, is_quotient
 
 
@@ -388,6 +389,22 @@ def project_off_fraction(v, orth_basis):
     return _primitive(w)
 
 
+def rays_modulo_lineality(rows, dim, rays):
+    """Integer ``rays`` projected off the lineality space of
+    ``{z : rows.z >= 0}``, the nullspace of the rows; primitive and sorted.
+    Each step off an orthogonal basis vector ``u`` is ``(u.u) v - (v.u) u``,
+    which stays integral and keeps ``v`` orthogonal to the earlier ones."""
+    orth = orthogonalize_fraction(kernels.nullspace(rows, dim))
+    out = []
+    for v in rays:
+        for u in orth:
+            uu, vu = sum(x * x for x in u), sum(a * b for a, b in zip(v, u))
+            v = [uu * a - vu * b for a, b in zip(v, u)]
+        g = gcd(*v)
+        out.append([x // g for x in v] if g > 1 else list(v))
+    return sorted(out)
+
+
 @cache
 def _leibniz_terms(k):
     """The permutations of range(k), each with its sign."""
@@ -426,6 +443,41 @@ def extremal_rays_by_subsets(rows, dim):
             if all(sum(a * b for a, b in zip(row, z)) >= 0 for row in rows):
                 found.add(tuple(_primitive(z)))
     return [list(r) for r in sorted(found)]
+
+
+def cone_solve_by_rowspace_reduction(eqs, ineqs, ambient, find_rays=double_description):
+    """``polyhedra.cone_solve`` by the pipeline it ran while double
+    description took only pointed cones.
+
+    The inequalities are restricted to the nullspace of the equations and
+    row-reduced once: the nullspace of the result is the lineality space,
+    and in the coordinates of its rowspace the cone is pointed.
+    ``find_rays(rows, dim)`` finds its extremal rays there, on rows of full
+    column rank: double description, or :func:`extremal_rays_by_subsets`
+    for a check that shares no code with it.  The rays are mapped back
+    through the rowspace basis and the equations' nullspace.  The canonical
+    form and the checks are the package's, so the result compares with
+    ``cone_solve``'s by key, dimensions and tight masks.
+    """
+    eqs, ineqs = _normalize_rows(eqs), _normalize_rows(ineqs)
+    null = kernels.nullspace(eqs, ambient)
+    k = len(null)
+    restricted = []
+    for a in ineqs:
+        row = [kernels.dot(a, nv) for nv in null]
+        if any(row):
+            restricted.append(kernels.vec_gcd_reduce(row))
+    wspace, _ = kernels.rref(restricted, k)
+    lineality = linalg.mat_mul(kernels.nullspace(restricted, k), null)
+    q = len(wspace)
+    bmat = [[kernels.dot(a, w) for w in wspace] for a in restricted]
+    if kernels.rank(bmat, q) != q:
+        raise ValueError("cone_solve_by_rowspace_reduction: the rowspace coordinates leave lineality")
+    rays_z = find_rays(bmat, q) if q else []
+    rays = linalg.mat_mul(linalg.mat_mul(rays_z, wspace), null)
+    cone = _canonical("cone_solve", ambient, kernels.rank(rays_z, q), lineality, rays, eqs, ineqs)
+    check_extremal(cone, "cone_solve")
+    return cone
 
 
 # ---------------------------------------------------------------------------

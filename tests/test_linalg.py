@@ -10,7 +10,13 @@ from valperm import kernels, linalg, polyhedra
 from valperm.permutahedra import permutohedron_vertices
 from valperm.polyhedra import double_description
 
-from oracles import extremal_rays_by_subsets, orthogonalize_fraction, project_off_fraction
+from oracles import (
+    cone_solve_by_rowspace_reduction,
+    extremal_rays_by_subsets,
+    orthogonalize_fraction,
+    project_off_fraction,
+    rays_modulo_lineality,
+)
 
 
 def test_scale_to_int():
@@ -111,10 +117,7 @@ def dd_row_events(rows, dim, monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(polyhedra, "_insert_row", spied_insert_row)
         mp.setattr(kernels, "rank", spied_rank)
-        try:
-            double_description(rows, dim)
-        except ValueError:  # rank-deficient rows, whose steps are recorded all the same
-            pass
+        double_description(rows, dim)
     return {k: (dim - rank(rows[:k], dim), k in recomputed) for k in steps}
 
 
@@ -173,8 +176,8 @@ def test_double_description_does_not_depend_on_row_order(seed):
 def test_double_description_rank_deficient_after_many_rows(monkeypatch):
     """Rows in the hyperplane z4 = 0, in the order generated, cut three
     lineality vectors into rays early, and every later row vanishes on the
-    one left, e4; that lineality is left after the last row, and the
-    full-rank error is raised."""
+    one left, e4; that lineality is left after the last row, and the rays
+    come out modulo it: those of the cone the rows cut in R^3."""
     rng = random.Random(8)
     rows = []
     while len(rows) < 16:
@@ -187,8 +190,8 @@ def test_double_description_rank_deficient_after_many_rows(monkeypatch):
     steps = dd_row_events(rows, 4, monkeypatch)
     assert sorted(steps) == list(range(3, distinct))
     assert all(left == 1 for left, _ in steps.values())
-    with pytest.raises(ValueError, match="full rank"):
-        double_description(rows, 4)
+    in_three = extremal_rays_by_subsets([r[:3] for r in rows], 3)
+    assert double_description(rows, 4) == [r + [0] for r in in_three] and in_three
     # a row off the hyperplane, taken last, meets e4 and completes the rank
     full = rows + [[6, 0, 0, 1]]
     assert sorted(dd_row_events(full, 4, monkeypatch)) == list(range(3, distinct))
@@ -198,9 +201,12 @@ def test_double_description_rank_deficient_after_many_rows(monkeypatch):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_double_description_on_lifted_polar_systems(seed, monkeypatch):
-    """The 25-row, dimension-5 systems that ``lower_cells`` hands the double
+    """The 25-row, dimension-6 systems that ``lower_cells`` hands the double
     description for n = 4 heights, where most positive/negative pairs share
-    fewer than dim - 2 tight rows and are dropped before the adjacency scan."""
+    fewer than dim - 2 tight rows and are dropped before the adjacency scan.
+    The permutohedron spans a hyperplane, so each cone has a lineality line;
+    projected off it, the rays equal the brute-force rays of the pointed
+    cone in the coordinates of the rows' rowspace."""
     systems = []
     solve = polyhedra.double_description
 
@@ -214,5 +220,35 @@ def test_double_description_on_lifted_polar_systems(seed, monkeypatch):
     monkeypatch.setattr(polyhedra, "double_description", captured)
     polyhedra.lower_cells(verts, [rng.randint(0, 4 + 8 * seed) for _ in verts], verts)
     ((rows, dim),) = systems
-    assert (len(rows), dim) == (25, 5)
-    assert solve(rows, dim) == extremal_rays_by_subsets(rows, dim)
+    assert (len(rows), dim) == (25, 6)
+    assert rays_modulo_lineality(rows, dim, solve(rows, dim)) == subset_oracle_rays(rows, dim)
+
+
+def subset_oracle_rays(rows, dim):
+    cone = cone_solve_by_rowspace_reduction([], rows, dim, find_rays=extremal_rays_by_subsets)
+    return [list(r) for r in cone.rays]
+
+
+def test_double_description_with_lineality_matches_the_rowspace_reduction():
+    """Rows drawn from the span of fewer vectors than the dimension, most
+    oriented toward a common point, leave a lineality space; projected off
+    it, the rays equal the brute-force rays of the cone in the coordinates
+    of the rows' rowspace, where it is pointed."""
+    rng = random.Random(5000)
+    with_rays = 0
+    for _ in range(150):
+        dim = rng.randint(2, 6)
+        span = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(rng.randint(1, dim - 1))]
+        center = [rng.randint(-2, 2) for _ in range(dim)]
+        rows = []
+        for _ in range(rng.randint(1, 9)):
+            coeffs = [rng.randint(-2, 2) for _ in span]
+            row = [sum(c * v[j] for c, v in zip(coeffs, span)) for j in range(dim)]
+            if rng.random() < 0.8 and kernels.dot(row, center) < 0:
+                row = [-x for x in row]
+            rows.append(row)
+        assert kernels.nullspace(rows, dim)
+        rays = double_description(rows, dim)
+        assert rays_modulo_lineality(rows, dim, rays) == subset_oracle_rays(rows, dim)
+        with_rays += len(rays) >= 3
+    assert with_rays >= 25

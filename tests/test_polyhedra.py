@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from valperm import kernels, linalg, polyhedra, subdivisions, valuated
+from valperm import fans, kernels, linalg, polyhedra, subdivisions, valuated
 from valperm.permutahedra import (
     enumerate_two_faces,
     hypersimplex_graph,
@@ -29,12 +29,15 @@ from valperm.polyhedra import (
 )
 
 from oracles import (
+    cone_solve_by_rowspace_reduction,
+    extremal_rays_by_subsets,
     heights_are_affine_by_rank,
     hull_vertices_and_edges_by_lp,
     incidence_edges_by_pair_scan,
     lower_cells_by_support_search,
     pair_is_face,
     ray_tight_masks,
+    rays_modulo_lineality,
 )
 
 
@@ -85,9 +88,17 @@ def test_cone_redundant_rows_same_key():
     assert a.key == b.key and a == b
 
 
-def test_double_description_requires_full_rank():
-    with pytest.raises(ValueError):
-        double_description([[1, 0]], 2)
+def test_double_description_returns_rays_modulo_the_lineality():
+    # one representative per ray, which cone_solve projects off the lineality
+    assert double_description([[1, 0]], 2) == [[1, 0]]
+    assert double_description([[1, 1]], 2) == [[1, 0]]
+    c = cone_solve([], [[1, 1]], 2)
+    assert (c.lineality, c.rays, c.dim) == (((1, -1),), ((1, 1),), 2)
+    rays = double_description([[1, 1, 0], [1, -1, 0]], 3)
+    assert (rays, rays.lineality, rays.pointed) == ([[1, -1, 0], [1, 1, 0]], [[0, 0, 1]], 2)
+    line = double_description([[1, 0], [-1, 0]], 2)
+    assert (line, line.lineality, line.pointed) == ([], [[0, 1]], 0)
+    assert double_description([], 3) == []
 
 
 def test_cone_solve_raises_on_a_wrong_ray(monkeypatch):
@@ -110,7 +121,8 @@ def test_cone_solve_refuses_a_ray_that_is_not_extremal(monkeypatch):
 
     def padded(rows, dim):
         rays = solve(rows, dim)
-        return rays + [[x + y for x, y in zip(rays[0], rays[1])]]
+        rays.append([x + y for x, y in zip(rays[0], rays[1])])
+        return rays
 
     monkeypatch.setattr(polyhedra, "double_description", padded)
     with pytest.raises(RuntimeError, match="^cone_solve: a ray of a cone is not extremal"):
@@ -178,6 +190,64 @@ def test_cone_image_refuses_a_ray_off_the_system():
     assert cone_image(quadrant, basis, [[0, 0, 1]], [[1, 0, 0], [0, 1, 0]]).rays == ((0, 1, 0), (1, 0, 0))
     with pytest.raises(RuntimeError, match="cone_image: a ray violates its own defining system"):
         cone_image(flipped, basis, [[0, 0, 1]], [[1, 0, 0], [0, 1, 0]])
+
+
+def assert_solves_like_the_rowspace_reduction(eqs, ineqs, ambient, find_rays=double_description):
+    """``cone_solve`` and the rowspace-reduction oracle, finding rays with
+    ``find_rays``, give the same cone: key, dimensions, stored system and
+    tight masks.  Returns the cone."""
+    cone = cone_solve(eqs, ineqs, ambient)
+    want = cone_solve_by_rowspace_reduction(eqs, ineqs, ambient, find_rays)
+    assert (cone.key, cone.dim, cone.lineality_dim) == (want.key, want.dim, want.lineality_dim)
+    assert (cone.eqs, cone.ineqs, cone.tight) == (want.eqs, want.ineqs, want.tight)
+    return cone
+
+
+def test_cone_solve_matches_the_rowspace_reduction_on_random_systems():
+    # equations, and inequalities that leave a random subspace free: rows
+    # drawn from the span of fewer vectors than the ambient dimension
+    rng = random.Random(2525)
+    shapes = set()
+    for _ in range(300):
+        ambient = rng.randint(1, 7)
+        span = [[rng.randint(-2, 2) for _ in range(ambient)] for _ in range(rng.randint(1, ambient))]
+
+        def row():
+            coeffs = [rng.randint(-2, 2) for _ in span]
+            return [sum(c * v[j] for c, v in zip(coeffs, span)) for j in range(ambient)]
+
+        eqs = [[rng.randint(-2, 2) for _ in range(ambient)] for _ in range(rng.randint(0, 2))]
+        # small enough for the brute-force rays, which share no code with
+        # double description
+        cone = assert_solves_like_the_rowspace_reduction(eqs, [row() for _ in range(rng.randint(0, 7))],
+                                                         ambient, extremal_rays_by_subsets)
+        shapes.add((bool(cone.eqs), cone.lineality_dim > 0, len(cone.rays) > 1))
+    assert len(shapes) == 8
+
+
+def test_cone_solve_matches_the_rowspace_reduction_on_the_fan4_first_level():
+    # the three systems the n = 4 fan search solves, one per pair of the
+    # first hexagon, in the reduced coordinates of the 2-skeleton space, and
+    # the same choices stated in R^24 with all of the base equations
+    verts, base_eqs, diag_rows = fans._context(4)
+    basis = kernels.nullspace(base_eqs, len(verts))
+    first = [[kernels.dot(r, b) for b in basis] for r in diag_rows[0]]
+    for pair in fans._PAIRS:
+        reduced = assert_solves_like_the_rowspace_reduction(
+            *fans._choice_system([], [first], (pair,)), len(basis))
+        full = assert_solves_like_the_rowspace_reduction(
+            *fans._choice_system(base_eqs, diag_rows[:1], (pair,)), len(verts))
+        assert reduced.lineality_dim > 0 and full.lineality_dim > 0 and len(full.eqs) > 10
+
+
+def test_cone_solve_matches_the_rowspace_reduction_on_every_flags4_seed1_hull():
+    verts = permutohedron_vertices(4)
+    count = 0
+    for heights in flags4_heights(1):
+        eqs, ineqs, ambient, _ = lifted_polar_system(verts, heights)
+        assert assert_solves_like_the_rowspace_reduction(eqs, ineqs, ambient).lineality_dim == 1
+        count += 1
+    assert count == 480
 
 
 def random_three_dim_cone(rng):
@@ -640,7 +710,7 @@ def test_vertical_facets_are_certified_once_per_point_set(monkeypatch):
     monkeypatch.setattr(polyhedra, "cone_solve",
                         lambda *args, **kwargs: solves.append(kwargs.get("face")) or real(*args, **kwargs))
     polyhedra._vertical_facets.cache_clear()
-    polyhedra._affine_frame.cache_clear()
+    polyhedra._affine_dependencies.cache_clear()
     verts = permutohedron_vertices(3)
     for heights in ([0, 1, 2, 3, 4, 5], [5, 0, 2, 1, 3, 1], [v[0] for v in verts]):
         lower_cells(verts, heights, verts)
@@ -648,11 +718,11 @@ def test_vertical_facets_are_certified_once_per_point_set(monkeypatch):
     # upward row, which is row 0
     assert solves[0] is None and all(f is not None and f[0] == 0 for f in solves[1:])
     assert len(solves) == 4
-    # the affine frame is built once for the point set too
-    assert polyhedra._affine_frame.cache_info()[:2] == (2, 1)
+    # the affine dependencies are built once for the point set too
+    assert polyhedra._affine_dependencies.cache_info()[:2] == (2, 1)
     lower_cells(verts[:4], [0, 1, 1, 0], verts[:4])
     assert len(solves) == 6
-    assert polyhedra._affine_frame.cache_info()[:2] == (2, 2)
+    assert polyhedra._affine_dependencies.cache_info()[:2] == (2, 2)
 
 
 def test_vertical_facet_masks_put_the_upward_row_at_bit_0():
@@ -676,7 +746,7 @@ def lifted_polar_system(points, heights):
     return [], [[-x for x in g] for g in rows], m + 2, 0
 
 
-@pytest.mark.parametrize("mutation", ["missing", "extra"])
+@pytest.mark.parametrize("mutation", ["missing", "extra", "upward-row-last", "bit-past-the-rows"])
 def test_cone_solve_refuses_a_face_that_is_not_exact(mutation):
     verts = sorted(HEXAGON_HEIGHTS)
     eqs, ineqs, ambient, up = lifted_polar_system(verts, [HEXAGON_HEIGHTS[v] for v in verts])
@@ -686,9 +756,15 @@ def test_cone_solve_refuses_a_face_that_is_not_exact(mutation):
     assert with_face.tight == cone_solve(eqs, ineqs, ambient).tight
     if mutation == "missing":
         del facets[min(facets)]
-    else:
+    elif mutation == "extra":
         lower = [r for r in cone_solve(eqs, ineqs, ambient).rays if r not in facets]
         facets[lower[0]] = 0
+    elif mutation == "upward-row-last":
+        # the vertical rays are still exactly the rays tight on the upward
+        # row, but their upward-first masks have no bit for it there
+        ineqs, up = ineqs[1:] + ineqs[:1], len(ineqs) - 1
+    else:
+        facets = {r: m | 1 << len(ineqs) for r, m in facets.items()}
     with pytest.raises(RuntimeError, match="^cone_solve: .*certified face"):
         cone_solve(eqs, ineqs, ambient, face=(up, facets))
 
@@ -702,7 +778,9 @@ def test_lower_cells_refuses_a_face_whose_lineality_differs(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# double description in the caller's row order, and the affine frame
+# double description in the caller's row order, and the basis of the
+# points' affine dependencies that lower_cells reads affinity from
+# (_affine_dependencies; the tests named "affine_frame" test it)
 
 
 def lifted_dd_systems(points, heights_list):
@@ -726,15 +804,17 @@ def lifted_dd_systems(points, heights_list):
 
 def test_double_description_gives_the_same_rays_with_the_upward_row_last():
     # on the 480 seed-1 flags4 hulls: the rows as lower_cells passes them,
-    # the upward row moved last, the old sorted order and one shuffle
+    # the upward row moved last, the old sorted order and one shuffle.  The
+    # permutohedron spans a hyperplane, so each cone has a lineality line,
+    # and the rays are compared modulo it
     rng = random.Random(480)
     count = 0
     for rows, dim in lifted_dd_systems(permutohedron_vertices(4), list(flags4_heights(1))):
-        assert (len(rows), dim) == (25, 5)
-        want = double_description(rows, dim)
-        assert double_description(rows[1:] + rows[:1], dim) == want
-        assert double_description(sorted(rows), dim) == want
-        assert double_description(rng.sample(rows, len(rows)), dim) == want
+        assert (len(rows), dim) == (25, 6)
+        assert len(kernels.nullspace(rows, dim)) == 1
+        want = rays_modulo_lineality(rows, dim, double_description(rows, dim))
+        for order in (rows[1:] + rows[:1], sorted(rows), rng.sample(rows, len(rows))):
+            assert rays_modulo_lineality(rows, dim, double_description(order, dim)) == want
         count += 1
     assert count == 480
 
@@ -750,25 +830,27 @@ def test_the_upward_row_comes_first():
     assert all(sum(kernels.dot(row, r) == 0 for r in rays) != 6 for row in rows[1:])
 
 
-def frame_says_affine(points, heights):
-    basis, relations = polyhedra._affine_frame(tuple(map(tuple, points)))
-    return all(d * heights[j] == sum(c * heights[b] for c, b in zip(mu, basis))
-               for j, d, mu in relations)
+def dependencies_say_affine(points, heights):
+    return not any(sum(c * heights[i] for i, c in mu)
+                   for mu in polyhedra._affine_dependencies(tuple(map(tuple, points))))
 
 
-def assert_frame_is_exact(points):
-    """Every relation of the frame holds on the points, its basis has the
-    rank of the points and every other point has one relation."""
-    basis, relations = polyhedra._affine_frame(tuple(map(tuple, points)))
+def assert_dependencies_are_exact(points):
+    """Every dependency holds on the points, and there are as many
+    independent ones as the points have affine dependencies."""
+    deps = polyhedra._affine_dependencies(tuple(map(tuple, points)))
     m = len(points[0])
     homogenized = [list(p) + [1] for p in points]
     scaled = [linalg.scale_to_int(row) for row in homogenized]
-    assert kernels.rank([scaled[b] for b in basis], m + 1) == len(basis) == kernels.rank(scaled, m + 1)
-    assert sorted(list(basis) + [j for j, _, _ in relations]) == list(range(len(points)))
-    for j, d, mu in relations:
-        assert d > 0 and len(mu) == len(basis)
+    rank = kernels.rank(scaled, m + 1)
+    dense = [[dict(mu).get(i, 0) for i in range(len(points))] for mu in deps]
+    assert len(deps) == kernels.rank(dense, len(points)) == len(points) - rank
+    for mu, row in zip(deps, dense):
+        # sparse: the nonzero entries in order, at most rank + 1 of them
+        assert [i for i, _ in mu] == [i for i, c in enumerate(row) if c] and len(mu) <= rank + 1
+        assert all(type(c) is int for c in row)
         for t in range(m + 1):
-            assert d * homogenized[j][t] == sum(c * homogenized[b][t] for c, b in zip(mu, basis))
+            assert sum(c * h[t] for c, h in zip(row, homogenized)) == 0
 
 
 def affine_heights(points, coeffs, const):
@@ -777,9 +859,9 @@ def affine_heights(points, coeffs, const):
 
 def test_affine_frame_agrees_with_the_rank_test_on_every_flags4_seed1_flag():
     verts = permutohedron_vertices(4)
-    assert_frame_is_exact(verts)
+    assert_dependencies_are_exact(verts)
     for heights in flags4_heights(1):
-        assert frame_says_affine(verts, heights) == heights_are_affine_by_rank(verts, heights)
+        assert dependencies_say_affine(verts, heights) == heights_are_affine_by_rank(verts, heights)
 
 
 @pytest.mark.parametrize("points", [
@@ -792,7 +874,7 @@ def test_affine_frame_agrees_with_the_rank_test_on_every_flags4_seed1_flag():
     [(2, -1)],
 ], ids=["n3", "n4", "n5", "collinear", "coplanar", "fractions", "single-point"])
 def test_affine_frame_agrees_with_the_rank_test(points):
-    assert_frame_is_exact(points)
+    assert_dependencies_are_exact(points)
     rng = random.Random(f"frame/{len(points)}/{len(points[0])}")
     m = len(points[0])
     for k in range(4):
@@ -800,18 +882,18 @@ def test_affine_frame_agrees_with_the_rank_test(points):
         if k % 2:
             coeffs = [Fraction(c, rng.randint(1, 5)) for c in coeffs]
         heights = affine_heights(points, coeffs, rng.choice([0, 3, Fraction(-1, 2)]))
-        assert frame_says_affine(points, heights) and heights_are_affine_by_rank(points, heights)
+        assert dependencies_say_affine(points, heights) and heights_are_affine_by_rank(points, heights)
         for i in rng.sample(range(len(points)), min(len(points), 12)):
             for step in (1, -1):
                 moved = list(heights)
                 moved[i] += step
                 # a single point can take any height, and on the collinear and
-                # coplanar sets the rank test decides it like the frame
-                assert frame_says_affine(points, moved) == heights_are_affine_by_rank(points, moved)
-                assert frame_says_affine(points, moved) == (len(points) == 1)
+                # coplanar sets the rank test decides it like the dependencies
+                said = dependencies_say_affine(points, moved)
+                assert said == heights_are_affine_by_rank(points, moved) == (len(points) == 1)
     for _ in range(20):
         heights = [rng.randint(-2, 2) for _ in points]
-        assert frame_says_affine(points, heights) == heights_are_affine_by_rank(points, heights)
+        assert dependencies_say_affine(points, heights) == heights_are_affine_by_rank(points, heights)
 
 
 @pytest.mark.parametrize("n", [3, 5])
@@ -825,8 +907,8 @@ def test_lower_cells_certifies_affinity_on_permutohedra(n):
 
 
 def test_affine_frame_refuses_a_corrupted_coordinate(monkeypatch):
-    # a nullspace vector with one coordinate off gives a relation that the
-    # exact check of the frame refuses
+    # a nullspace vector with one coordinate off is no dependency, which the
+    # exact check refuses
     real = kernels.nullspace
 
     def corrupted(rows, ncols):
@@ -836,14 +918,14 @@ def test_affine_frame_refuses_a_corrupted_coordinate(monkeypatch):
         return null
 
     points = ((0, 0), (3, 0), (0, 3), (1, 1))
-    polyhedra._affine_frame.cache_clear()
-    assert polyhedra._affine_frame(points)[0] == (0, 1, 2)
-    polyhedra._affine_frame.cache_clear()
+    polyhedra._affine_dependencies.cache_clear()
+    assert polyhedra._affine_dependencies(points) == (((0, -1), (1, -1), (2, -1), (3, 3)),)
+    polyhedra._affine_dependencies.cache_clear()
     monkeypatch.setattr(kernels, "nullspace", corrupted)
-    with pytest.raises(RuntimeError, match="^_affine_frame: a point is not the affine combination"):
-        polyhedra._affine_frame(points)
+    with pytest.raises(RuntimeError, match="^_affine_dependencies: a dependency does not vanish"):
+        polyhedra._affine_dependencies(points)
     monkeypatch.undo()
-    assert polyhedra._affine_frame(points)[0] == (0, 1, 2)
+    assert polyhedra._affine_dependencies(points) == (((0, -1), (1, -1), (2, -1), (3, 3)),)
 
 
 def test_cone_cut_equals_a_fresh_solve_of_the_full_system():
