@@ -10,24 +10,29 @@ The enumeration does not solve all 3^H choices in R^(n!).  The base
 equations (sum zero, hexagon alternation, square balance) are the same for
 every choice, so their integer solution basis -- the 2-skeleton space, of
 dimension 4 for n = 3 and 11 for n = 4 -- is computed once, and each
-hexagon's diagonal rows are expressed in it.  A level-by-level search over
-the hexagons then finds each partial choice's cone in those reduced
-coordinates and keeps one partial choice per distinct cone: a choice's cone
-is its prefix's cone cut by one more pair, so prefixes with equal cones have
-equal completions.  Only the first level is solved from its system; every
-later child is cut from its parent's generators by
-:func:`~valperm.polyhedra.cone_cut`.  For n = 4 that is 3 solves and 1203
-cuts.  A cut checks its parent's vectors against its new rows only, since
+hexagon's diagonal rows are expressed in it.  Every cone of a choice then
+holds the common lineality L, where the three diagonal sums of every
+hexagon agree (dimension 2 for n = 3 and 3 for n = 4), so the search runs
+modulo L, in the coordinates of a complement of L (dimension 2 for n = 3
+and 8 for n = 4, :func:`_quotient`), and L is added back once to each top
+cone.  A level-by-level search over the hexagons finds each partial
+choice's cone in those coordinates and keeps one partial choice per
+distinct cone: a choice's cone is its prefix's cone cut by one more pair,
+so prefixes with equal cones have equal completions.  Only the first level
+is solved from its system; every later child is cut from its parent's
+generators by :func:`~valperm.polyhedra.cone_cut`.  For n = 4 that is 3
+solves and 1203 cuts.  A cut checks its parent's vectors against its new rows only, since
 they move only along the parent's lineality, on which the parent's rows
 vanish, and checks the rays it makes against the whole system.  The 903
 cuts whose rows vanish on the parent's lineality keep the parent's
 lineality basis and rays as they are; the other 300 bring the new
 lineality to RREF and project the rays off it, each ray keeping its tight
 mask.  No cone is solved again in R^(n!): the
-top-dimensional cones of the last level are mapped from the reduced
-coordinates to R^(n!) by :func:`~valperm.polyhedra.cone_image`, which
-stores each with its ambient defining system and checks it against that
-system, and they are the maximal cones.  Their 2-faces come from the rays' tight masks, which that
+top-dimensional cones of the last level are mapped from the quotient
+coordinates to R^(n!), with L's image added to their lineality, by
+:func:`~valperm.polyhedra.cone_image`, which stores each with its ambient
+defining system and checks it against that system, and they are the
+maximal cones.  Their 2-faces come from the rays' tight masks, which that
 check records.
 
 The search finds the top-dimensional cones, which are all the maximal ones
@@ -52,7 +57,7 @@ the all-ones direction).
 
 from dataclasses import dataclass
 
-from valperm import kernels
+from valperm import kernels, linalg
 from valperm.permutahedra import (
     enumerate_two_faces,
     permutohedron_vertices,
@@ -124,8 +129,9 @@ _PAIRS = ((0, 1), (0, 2), (1, 2))
 def _last_level(reduced_rows, dim):
     """Every distinct cone of the complete choices, one choice per cone.
 
-    ``reduced_rows`` are the hexagons' diagonal rows in a basis of the
-    ``dim``-dimensional 2-skeleton space.  The search goes level by level,
+    ``reduced_rows`` are the hexagons' diagonal rows in ``dim``
+    coordinates: those of the 2-skeleton space, or of its quotient by the
+    common lineality (:func:`_quotient`).  The search goes level by level,
     one hexagon at a time, and keeps one child per distinct cone of every
     kept partial choice.  A child's cone is its parent's cut by one more
     pair (one equation, two inequalities), so two partial choices with equal
@@ -152,6 +158,35 @@ def _last_level(reduced_rows, dim):
                 kept.setdefault(cone.key, (choice + (pair,), cone))
         level = list(kept.values())
     return level
+
+
+def _quotient(reduced_rows, dim):
+    """The rows of a three-term search modulo the common lineality L.
+
+    ``reduced_rows`` holds three term rows per relation in R^dim.  Every
+    row of a choice's system is a difference of two terms of one relation,
+    hence a combination of the differences ``rows[0] - rows[k]`` (k = 1, 2)
+    of all relations; let ``red`` be their RREF and ``pivots`` its pivot
+    columns.  L is the nullspace of ``red``, where the three terms of every
+    relation agree.
+
+    This is exact.  The vectors supported on the pivot columns form a
+    section S of the quotient by L: ``red`` is diagonal on those columns,
+    so S meets L only in 0, and dim S + dim L = dim.  So R^dim = S + L, a
+    direct sum, and every difference row vanishes on L.  A choice's cone is
+    therefore its cone in S plus L, and in S a difference row reads its
+    pivot entries only.  Cones in S are equal exactly when their cones in
+    R^dim are, so a search over the rows kept on the pivot columns finds
+    the same choices in the same order, with each cone's lineality less L.
+
+    Returns ``(rows, pivots, lineality)``: each term row kept on the pivot
+    columns, in R^len(pivots); the pivot columns; and the nullspace basis
+    of L in R^dim.
+    """
+    diffs = [_diff(rows[0], r) for rows in reduced_rows for r in rows[1:]]
+    red, pivots = kernels.rref(diffs, dim)
+    rows = [[[r[p] for p in pivots] for r in terms] for terms in reduced_rows]
+    return rows, pivots, kernels.nullspace(red, dim)
 
 
 def _inside(cone, other):
@@ -230,14 +265,20 @@ class Fan:
 def enumerate_fan(n, processes=1):
     """All maximal cones of the height fan, with faces, for n in {3, 4}.
 
-    The base equations are solved once; the level-by-level search of
-    :func:`_top_dimensional_choices` then finds, in the reduced coordinates
-    of the 2-skeleton space, one attaining-pair choice per distinct
-    top-dimensional cone (3 solves and 1203 cuts from parent cones for
-    n = 4).  Each such cone
-    is mapped to R^(n!) by :func:`~valperm.polyhedra.cone_image` with its
-    choice's ambient system, which every image ray must satisfy; no cone is
-    solved again in R^(n!).  The images need no containment sweep: the
+    The base equations are solved once, and the hexagons' diagonal rows
+    are expressed in the 2-skeleton space and then taken modulo the common
+    lineality L by :func:`_quotient`.  The level-by-level search of
+    :func:`_top_dimensional_choices` then finds, in those quotient
+    coordinates (dimension 8 for n = 4), one attaining-pair choice per
+    distinct top-dimensional cone (3 solves and 1203 cuts from parent cones
+    for n = 4).  The premise of the quotient is certified once: the
+    2-skeleton vectors of the pivot columns and of L's basis must be
+    independent and span the 2-skeleton space (one rank), and every
+    difference of two diagonal rows must vanish on L.  Each top cone is
+    mapped to R^(n!) by :func:`~valperm.polyhedra.cone_image`, with L's
+    image added to its lineality and its choice's ambient system, which
+    every image ray and lineality vector must satisfy; no cone is solved
+    again in R^(n!).  The images need no containment sweep: the
     cones of two choices meet where both pairs attain on the hexagons they
     differ on, a face of each.  A top-dimensional cone inside another would
     be a face of it of full dimension, hence equal to it, and the search
@@ -260,9 +301,21 @@ def enumerate_fan(n, processes=1):
     ambient = len(verts)
     basis = kernels.nullspace(base_eqs, ambient)
     reduced_rows = [[[kernels.dot(r, b) for b in basis] for r in rows] for rows in diag_rows]
+    quotient_rows, pivots, common = _quotient(reduced_rows, len(basis))
+    section = [basis[p] for p in pivots]
+    common_image = linalg.mat_mul(common, basis)
+    spanning = section + common_image
+    if len(spanning) != len(basis) or kernels.rank(spanning, ambient) != len(basis):
+        raise RuntimeError("enumerate_fan: the quotient section and the common lineality "
+                           "are not a basis of the 2-skeleton space")
+    if any(kernels.dot(_diff(rows[0], r), v)
+           for rows in reduced_rows for r in rows[1:] for v in common):
+        raise RuntimeError("enumerate_fan: a diagonal difference does not vanish on the "
+                           "common lineality")
     maximal = tuple(sorted(
-        (cone_image(reduced, basis, *_choice_system(base_eqs, diag_rows, choice))
-         for choice, reduced in _top_dimensional_choices(reduced_rows, len(basis))),
+        (cone_image(cone, section, *_choice_system(base_eqs, diag_rows, choice),
+                    lineality=common_image)
+         for choice, cone in _top_dimensional_choices(quotient_rows, len(pivots))),
         key=lambda c: c.key,
     ))
 

@@ -375,20 +375,24 @@ def cone_solve(eqs, ineqs, ambient, *, face=None):
     return cone
 
 
-def cone_image(cone, basis, eqs, ineqs):
-    """The canonical cone of R^ambient that ``cone`` is in the coordinates of ``basis``.
+def cone_image(cone, basis, eqs, ineqs, *, lineality=()):
+    """The canonical cone of R^ambient that ``cone`` is in the coordinates of
+    ``basis``, plus the span of ``lineality``.
 
-    ``basis`` holds independent ambient rows and ``cone`` is stated in their
-    coordinates: ``y`` stands for ``y . basis``.  That map is injective, so
-    the image has the same dimensions and its rays are the images of
-    ``cone``'s rays.  ``eqs``/``ineqs`` are the ambient system the image
-    solves; they are stored on it as :func:`cone_solve` stores them, and
-    every image ray and lineality vector is checked against them.  No cone
-    is solved here.
+    ``cone`` is stated in the coordinates of the ambient rows ``basis``:
+    ``y`` stands for ``y . basis``.  ``lineality`` holds extra ambient
+    vectors, appended to the image's lineality.  The rows of ``basis`` and
+    ``lineality`` must be independent together; then the map is injective,
+    the image's dimension is ``cone``'s plus ``len(lineality)``, and its
+    rays are the images of ``cone``'s rays, projected off the whole
+    lineality.  ``eqs``/``ineqs`` are the ambient system the image solves;
+    they are stored on it as :func:`cone_solve` stores them, and every
+    image ray and lineality vector is checked against them.  No cone is
+    solved here, and the independence is the caller's to certify.
     """
     return _canonical("cone_image", len(basis[0]), cone.dim - cone.lineality_dim,
-                      linalg.mat_mul(cone.lineality, basis), linalg.mat_mul(cone.rays, basis),
-                      _normalize_rows(eqs), _normalize_rows(ineqs))
+                      linalg.mat_mul(cone.lineality, basis) + list(lineality),
+                      linalg.mat_mul(cone.rays, basis), _normalize_rows(eqs), _normalize_rows(ineqs))
 
 
 def cone_cut(parent, eqs, ineqs):

@@ -4,6 +4,7 @@ import hashlib
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations
+from math import prod
 
 import pytest
 
@@ -15,7 +16,7 @@ from oracles import (
     ray_tight_masks,
     refinement_census_direct,
 )
-from valperm import cli, fans, kernels, linalg, polyhedra
+from valperm import cli, fans, kernels, linalg, polyhedra, valuated
 from valperm.cli import main
 from valperm.fans import (
     complex_betti,
@@ -345,6 +346,118 @@ def test_a_made_ray_off_the_system_in_a_cut_that_hits_the_lineality_is_internal(
         enumerate_fan(4)
     assert len(refused) == 1
     _assert_internal_error(capsys, "cone_cut: a ray violates its own defining system")
+
+
+def _counted_search(rows, dim, monkeypatch):
+    """The top choices of the level search on ``rows`` and its numbers of
+    solves and cuts."""
+    calls = Counter()
+    solve, cut = polyhedra.cone_solve, polyhedra.cone_cut
+    monkeypatch.setattr(fans, "cone_solve", lambda *args: calls.update(["solve"]) or solve(*args))
+    monkeypatch.setattr(fans, "cone_cut", lambda *args: calls.update(["cut"]) or cut(*args))
+    top = fans._top_dimensional_choices(rows, dim)
+    monkeypatch.undo()
+    return top, (calls["solve"], calls["cut"])
+
+
+@pytest.mark.parametrize("n, dims, counts", [(3, (2, 2), (3, 0)), (4, (8, 3), (3, 1203))])
+def test_the_quotient_search_finds_the_choices_of_the_unreduced_search(n, dims, counts,
+                                                                       monkeypatch, fan4):
+    # the search modulo the common lineality against the search in the
+    # 2-skeleton space: the same choices in the same order from the same
+    # solves and cuts, each cone less the common lineality, and each image
+    # in R^(n!) the image of the unreduced cone
+    reduced_rows, dim = _reduced_rows(n)
+    quotient_rows, pivots, common = fans._quotient(reduced_rows, dim)
+    assert (len(pivots), len(common)) == dims
+    unreduced, unreduced_counts = _counted_search(reduced_rows, dim, monkeypatch)
+    quotient, quotient_counts = _counted_search(quotient_rows, len(pivots), monkeypatch)
+    assert [choice for choice, _ in quotient] == [choice for choice, _ in unreduced]
+    assert quotient_counts == unreduced_counts == counts
+    verts, base_eqs, diag_rows = fans._context(n)
+    basis = kernels.nullspace(base_eqs, len(verts))
+    section = [basis[p] for p in pivots]
+    common_image = linalg.mat_mul(common, basis)
+    images = []
+    for (choice, cone), (_, whole) in zip(quotient, unreduced):
+        assert (cone.dim, cone.lineality_dim) == (whole.dim - len(common),
+                                                  whole.lineality_dim - len(common))
+        system = fans._choice_system(base_eqs, diag_rows, choice)
+        image = polyhedra.cone_image(cone, section, *system, lineality=common_image)
+        want = polyhedra.cone_image(whole, basis, *system)
+        assert (image.key, image.dim, image.lineality_dim) == (want.key, want.dim, want.lineality_dim)
+        assert (image.eqs, image.ineqs, image.tight) == (want.eqs, want.ineqs, want.tight)
+        images.append(image)
+    fan = fan4 if n == 4 else enumerate_fan(3)
+    assert [c.key for c in fan.maximal] == sorted(c.key for c in images)
+
+
+def _dressian_rows(n):
+    """The term rows of the three-term Plücker relations of Gr(2, n), one
+    coordinate per 2-subset: each term is the sum of two coordinates."""
+    masks, relations = valuated._plucker_table(n, 2)
+    index = {m: k for k, m in enumerate(masks)}
+
+    def term(a, b):
+        row = [0] * len(masks)
+        row[index[a]] += 1
+        row[index[b]] += 1
+        return row
+
+    return [[term(*rel[0:2]), term(*rel[2:4]), term(*rel[4:6])] for rel in relations], len(masks)
+
+
+@pytest.mark.parametrize("n, maximal, rays", [(5, 15, 10), (6, 105, 25)])
+def test_the_quotient_search_gives_the_rank_two_dressian(n, maximal, rays):
+    # Dr(2, n), the space of phylogenetic trees on n leaves, has (2n - 5)!!
+    # maximal cones of dimension n - 3 modulo its lineality of dimension n,
+    # and one ray per split of [n] into two parts of two or more (Speyer
+    # and Sturmfels, "The tropical Grassmannian", 2004)
+    rows, dim = _dressian_rows(n)
+    quotient_rows, pivots, common = fans._quotient(rows, dim)
+    assert (len(common), len(pivots)) == (n, dim - n)
+    top = fans._top_dimensional_choices(quotient_rows, len(pivots))
+    assert len(top) == maximal == prod(range(2 * n - 5, 0, -2))
+    assert len({r for _, cone in top for r in cone.rays}) == rays == 2 ** (n - 1) - n - 1
+    assert {(cone.dim, cone.lineality_dim) for _, cone in top} == {(n - 3, 0)}
+    if n == 5:
+        whole = fans._top_dimensional_choices(rows, dim)
+        assert [choice for choice, _ in top] == [choice for choice, _ in whole]
+
+
+def test_a_dependent_quotient_basis_is_internal(monkeypatch, capsys):
+    # the common lineality's first basis vector swapped for the first pivot
+    # column's unit vector: its image repeats a section row, which the rank
+    # of the map back refuses before the search
+    quotient = fans._quotient
+
+    def dependent(rows, dim):
+        quotient_rows, pivots, common = quotient(rows, dim)
+        unit = [int(k == pivots[0]) for k in range(dim)]
+        return quotient_rows, pivots, [unit] + common[1:]
+
+    monkeypatch.setattr(fans, "_quotient", dependent)
+    with pytest.raises(RuntimeError, match="^enumerate_fan: the quotient section and the common"):
+        enumerate_fan(3)
+    _assert_internal_error(capsys, "enumerate_fan: the quotient section and the common")
+
+
+def test_a_common_lineality_off_the_differences_is_internal(monkeypatch, capsys):
+    # the common lineality's first basis vector moved along the first pivot
+    # column: the map back is still a basis, but some diagonal difference
+    # no longer vanishes on it
+    quotient = fans._quotient
+
+    def tilted(rows, dim):
+        quotient_rows, pivots, common = quotient(rows, dim)
+        moved = list(common[0])
+        moved[pivots[0]] += 1
+        return quotient_rows, pivots, [moved] + common[1:]
+
+    monkeypatch.setattr(fans, "_quotient", tilted)
+    with pytest.raises(RuntimeError, match="^enumerate_fan: a diagonal difference does not vanish"):
+        enumerate_fan(3)
+    _assert_internal_error(capsys, "enumerate_fan: a diagonal difference does not vanish")
 
 
 def test_fan4_tight_masks_match_dot_products(fan4):

@@ -2,6 +2,7 @@ import importlib.util
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
 
@@ -176,6 +177,42 @@ def test_cone_image_equals_the_ambient_solve(seed):
     basis = kernels.nullspace(eqs, ambient)
     reduced = cone_solve([], [[kernels.dot(a, b) for b in basis] for a in ineqs], len(basis))
     image = cone_image(reduced, basis, eqs, ineqs)
+    want = cone_solve(eqs, ineqs, ambient)
+    assert (image.key, image.dim, image.lineality_dim) == (want.key, want.dim, want.lineality_dim)
+    assert (image.eqs, image.ineqs, image.tight) == (want.eqs, want.ineqs, want.tight)
+    assert image.tight == tuple(ray_tight_masks(image))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_cone_image_with_lineality_equals_the_ambient_solve(seed):
+    # inequalities drawn from the span of fewer vectors than the equations'
+    # nullspace has dimensions, oriented toward a random point of it, leave
+    # a common lineality L there: solve modulo L, on the pivot columns of
+    # the rows' RREF, then map back with L's image as extra lineality
+    rng = random.Random(2600 + seed)
+    while True:
+        ambient = rng.randint(3, 7)
+        eqs = [[rng.randint(-2, 2) for _ in range(ambient)]
+               for _ in range(rng.randint(0, min(2, ambient - 2)))]
+        basis = kernels.nullspace(eqs, ambient)
+        spans = [[rng.randint(-2, 2) for _ in range(ambient)]
+                 for _ in range(rng.randint(1, len(basis) - 1))]
+        weights = [rng.randint(-2, 2) for _ in basis]
+        center = [sum(c * b[t] for c, b in zip(weights, basis)) for t in range(ambient)]
+        ineqs = []
+        for _ in range(rng.randint(2, 7)):
+            coefs = [rng.randint(-2, 2) for _ in spans]
+            row = [sum(c * g[t] for c, g in zip(coefs, spans)) for t in range(ambient)]
+            ineqs.append(row if kernels.dot(row, center) >= 0 else [-x for x in row])
+        reduced = [[kernels.dot(a, b) for b in basis] for a in ineqs]
+        red, pivots = kernels.rref(reduced, len(basis))
+        if pivots:
+            break
+    common = kernels.nullspace(red, len(basis))
+    assert common and len(pivots) + len(common) == len(basis)
+    quotient = cone_solve([], [[r[p] for p in pivots] for r in reduced], len(pivots))
+    image = cone_image(quotient, [basis[p] for p in pivots], eqs, ineqs,
+                       lineality=linalg.mat_mul(common, basis))
     want = cone_solve(eqs, ineqs, ambient)
     assert (image.key, image.dim, image.lineality_dim) == (want.key, want.dim, want.lineality_dim)
     assert (image.eqs, image.ineqs, image.tight) == (want.eqs, want.ineqs, want.tight)
@@ -598,19 +635,23 @@ def lower_cells_with_and_without_face(points, heights, labels):
     return results[0]
 
 
+@lru_cache(maxsize=None)
 def flags4_heights(seed):
     """The integer heights that the benchmark's ``flags4`` workload lifts,
-    one list over the sorted n = 4 vertices per flag of its seeded stream."""
+    one tuple over the sorted n = 4 vertices per flag of its seeded stream,
+    built once per seed in a test run."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("flags4_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     matrices, _ = workloads.random_matrices(4, seed, workloads.flag_count(40))
     verts = permutohedron_vertices(4)
+    out = []
     for matrix in matrices:
         value_maps, _ = valuated.tropicalize_matrix(matrix)
         w = subdivisions.compress_on_vertices(subdivisions.ValuatedFlagMatroid(value_maps))
-        yield [w._ints[v] for v in verts]
+        out.append(tuple(w._ints[v] for v in verts))
+    return tuple(out)
 
 
 def test_incidence_edges_match_the_pair_scan_on_every_flags4_seed1_cell(monkeypatch):
