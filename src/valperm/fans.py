@@ -29,11 +29,13 @@ lineality basis and rays as they are; the other 300 bring the new
 lineality to RREF and project the rays off it, each ray keeping its tight
 mask.  No cone is solved again in R^(n!): the
 top-dimensional cones of the last level are mapped from the quotient
-coordinates to R^(n!), with L's image added to their lineality, by
-:func:`~valperm.polyhedra.cone_image`, which stores each with its ambient
-defining system and checks it against that system, and they are the
-maximal cones.  Their 2-faces come from the rays' tight masks, which that
-check records.
+coordinates to R^(n!), with L's image as their lineality, by
+:func:`~valperm.polyhedra.cone_image`, and they are the maximal cones.
+L's image is brought to RREF, orthogonalized and certified against every
+base equation and diagonal difference once, and the rows of the systems
+are normalized once; each image's rays are mapped, projected off L and
+checked against its ambient defining system.  Their 2-faces come from the
+rays' tight masks, which that check records.
 
 The search finds the top-dimensional cones, which are all the maximal ones
 exactly when the fan is pure.  Purity is certified on every run: the last
@@ -42,13 +44,17 @@ lie in a top-dimensional cone.  The exhaustive 3^H sweep stays in the test
 suite as an independent oracle (``tests/oracles.py``).
 
 The refinement census samples every maximal cone but solves only one cone
-per symmetry orbit.  The symmetry generators permute the vertices by affine
-maps of R^n (coordinate swaps and ``reverse_complement``), so they act on
-heights as permutation matrices, map rays to rays and cones to cones (each
-image is checked), and send the lower faces of a lifted configuration to the
-lower faces of its image.  A sample of a cone is therefore pulled back to
-its orbit's representative, solved there, and its cells pushed forward
-through the vertex map: 33 lifted hulls instead of 231 for n = 4.
+per symmetry orbit, and one sample per orbit of samples.  The symmetry
+generators permute the vertices by affine maps of R^n (coordinate swaps and
+``reverse_complement``), so they act on heights as permutation matrices, map
+rays to rays and cones to cones (each generator's image is checked), and
+send the lower faces of a lifted configuration to the lower faces of its
+image.  The group they generate is closed once (48 elements for n = 4, 12
+for n = 3), and the orbits, their representatives and the representatives'
+stabilizers are read from it.  A sample of a cone is therefore pulled back
+to its orbit's representative, brought to its least image under the
+representative's stabilizer, solved there, and its cells pushed forward
+through the vertex map: 24 lifted hulls instead of 231 for n = 4.
 
 Everything is exact.  Heights are normalized to sum zero over all vertices,
 which leaves a lineality space of dimension n - 1 (linear functionals modulo
@@ -63,7 +69,14 @@ from valperm.permutahedra import (
     permutohedron_vertices,
     symmetry_generators,
 )
-from valperm.polyhedra import check_extremal, cone_cut, cone_image, cone_solve, incidence_edges
+from valperm.polyhedra import (
+    check_extremal,
+    cone_cut,
+    cone_image,
+    cone_solve,
+    incidence_edges,
+    normalize_rows,
+)
 from valperm.subdivisions import HeightFunction, check_two_skeleton, subdivide
 
 FAN_SIZES = (3, 4)
@@ -273,12 +286,17 @@ def enumerate_fan(n, processes=1):
     distinct top-dimensional cone (3 solves and 1203 cuts from parent cones
     for n = 4).  The premise of the quotient is certified once: the
     2-skeleton vectors of the pivot columns and of L's basis must be
-    independent and span the 2-skeleton space (one rank), and every
-    difference of two diagonal rows must vanish on L.  Each top cone is
-    mapped to R^(n!) by :func:`~valperm.polyhedra.cone_image`, with L's
-    image added to its lineality and its choice's ambient system, which
-    every image ray and lineality vector must satisfy; no cone is solved
-    again in R^(n!).  The images need no containment sweep: the
+    independent and span the 2-skeleton space (one rank), and the RREF of
+    L's image in R^(n!) must vanish on every base equation and on every
+    row of every (hexagon, pair) system, which are normalized once.  So L's
+    image lies in every choice's cone, and since each top cone of the
+    quotient search is pointed (:func:`~valperm.polyhedra.cone_image`
+    refuses one that is not), it is the whole lineality of each image.
+    Each top cone is mapped to R^(n!) by
+    :func:`~valperm.polyhedra.cone_image`, with that lineality, its
+    orthogonal basis (computed once) and its choice's ambient system,
+    which every image ray must satisfy; no cone is solved again in
+    R^(n!).  The images need no containment sweep: the
     cones of two choices meet where both pairs attain on the hexagons they
     differ on, a face of each.  A top-dimensional cone inside another would
     be a face of it of full dimension, hence equal to it, and the search
@@ -308,20 +326,29 @@ def enumerate_fan(n, processes=1):
     if len(spanning) != len(basis) or kernels.rank(spanning, ambient) != len(basis):
         raise RuntimeError("enumerate_fan: the quotient section and the common lineality "
                            "are not a basis of the 2-skeleton space")
-    if any(kernels.dot(_diff(rows[0], r), v)
-           for rows in reduced_rows for r in rows[1:] for v in common):
+    lineality = tuple(tuple(v) for v in kernels.rref(common_image, ambient)[0])
+    orth = linalg.orthogonalize(lineality, ambient)
+    base = normalize_rows(base_eqs)
+    pair_systems = [{pair: tuple(map(normalize_rows, _choice_system([], [rows], (pair,))))
+                     for pair in _PAIRS} for rows in diag_rows]
+    if any(kernels.dot(e, v) for e in base for v in lineality):
+        raise RuntimeError("enumerate_fan: a base equation does not vanish on the common lineality")
+    if any(kernels.dot(r, v) for systems in pair_systems for eqs, ineqs in systems.values()
+           for r in eqs + ineqs for v in lineality):
         raise RuntimeError("enumerate_fan: a diagonal difference does not vanish on the "
                            "common lineality")
+
+    def image(choice, cone):
+        eqs, ineqs = base, ()
+        for systems, pair in zip(pair_systems, choice):
+            eqs += systems[pair][0]
+            ineqs += systems[pair][1]
+        return cone_image(cone, section, eqs, ineqs, lineality, orth)
+
     maximal = tuple(sorted(
-        (cone_image(cone, section, *_choice_system(base_eqs, diag_rows, choice),
-                    lineality=common_image)
-         for choice, cone in _top_dimensional_choices(quotient_rows, len(pivots))),
+        (image(choice, cone) for choice, cone in _top_dimensional_choices(quotient_rows, len(pivots))),
         key=lambda c: c.key,
     ))
-
-    lineality = maximal[0].lineality
-    if any(c.lineality != lineality for c in maximal):
-        raise RuntimeError("enumerate_fan: maximal cones disagree on the lineality space")
 
     ray_index = {}
     for c in maximal:
@@ -452,26 +479,29 @@ def _cone_samples(fan, k):
 def _sample_keys(fan):
     """Per maximal cone, the subdivision key of each of its samples.
 
-    Only orbit representatives are solved.  For cone k, reached from its
-    representative ``rep`` by the symmetry g of :func:`_orbit_walk`, a
-    sample's weights are pulled back to ``rep``'s ray order, that sample of
-    ``rep`` is solved once per distinct pulled weights, and its cells are
-    pushed forward through g's vertex map.
+    Only orbit representatives are solved, once per sample orbit.  For
+    cone k, reached from its representative ``rep`` by the walk element g
+    of :func:`_orbits`, a sample's weights are pulled back along g to
+    ``rep``'s ray order, then along each element s of ``rep``'s stabilizer,
+    and the least of those tuples is taken.  That sample of ``rep`` is
+    solved once per distinct least tuple, and its cells are pushed forward
+    through g after the s that gave it.
     """
-    walk = _orbit_walk(fan)
-    solved = {}  # (rep, pulled weights) -> subdivision key of rep's sample
+    walk, stabilizers = _orbits(fan)
+    solved = {}  # (rep, least pulled weights) -> subdivision key of rep's sample
     out = []
     for k, ridx in enumerate(fan.maximal_rays):
-        rep, vmap, rmap = walk[k]
-        local = {g: i for i, g in enumerate(ridx)}
-        order = [local[rmap[a]] for a in fan.maximal_rays[rep]]
+        rep, g = walk[k]
+        coset = [_compose(g, s) for s in stabilizers[rep]]  # every element taking rep to k
+        local = {a: i for i, a in enumerate(ridx)}
         keys = []
         for wts in _cone_samples(fan, k):
-            pulled = tuple(wts[i] for i in order)
-            if (rep, pulled) not in solved:
-                solved[rep, pulled] = _subdivision_key(sample_height(fan, rep, pulled))
+            weights, h = min(((tuple(wts[local[e[1][a]]] for a in fan.maximal_rays[rep]), e)
+                              for e in coset), key=lambda pulled: pulled[0])
+            if (rep, weights) not in solved:
+                solved[rep, weights] = _subdivision_key(sample_height(fan, rep, weights))
             keys.append(frozenset(
-                tuple(sorted(vmap[v] for v in cell)) for cell in solved[rep, pulled]
+                tuple(sorted(h[0][v] for v in cell)) for cell in solved[rep, weights]
             ))
         out.append(keys)
     return out
@@ -485,12 +515,21 @@ def refinement_census(fan):
     wall and are dropped, and the rest are the cone's fine subdivisions.
 
     The subdivisions are solved on one representative per symmetry orbit,
-    the orbit's lowest-index cone, and carried to the other cones of the
-    orbit.  This is exact: a symmetry permutes the height coordinates, so it
-    maps the rays of one cone exactly onto the rays of another and a sample
-    onto the sample with the pulled-back weights; and it is induced by an
-    affine map of R^n that leaves the height axis alone, so it sends the
-    lower faces of one lifted configuration onto those of the other.
+    the orbit's lowest-index cone, once per orbit of its samples under its
+    stabilizer, and carried to the other cones and samples
+    (:func:`_sample_keys`).  This is exact.  A symmetry h permutes the
+    height coordinates, so it maps the rays of one cone exactly onto the
+    rays of another and a sample onto the sample with the pulled-back
+    weights; and it is induced by an affine map of R^n that leaves the
+    height axis alone, so it sends the lower faces of one lifted
+    configuration onto those of the other.  The elements taking the
+    representative to cone k are its walk element g after each element s
+    of the representative's stabilizer, so a sample of k is the image
+    under g after s of the representative's sample with the weights pulled
+    back along g after s, for every such s, and its cells are the images of
+    that sample's cells.  Taking the s with the least pulled weights gives
+    one sample of the representative per orbit of samples, whichever cone
+    and element it was reached from.
     """
     per_cone = []
     discrepancies = []
@@ -653,32 +692,58 @@ def _symmetry_action(fan):
     return action
 
 
-def _orbit_walk(fan):
-    """Every maximal cone reached from its orbit's representative.
+def _compose(g, h):
+    """The symmetry ``g`` after ``h``, each a triple of :func:`_symmetry_action`."""
+    gv, gr, gc = g
+    hv, hr, hc = h
+    return {v: gv[w] for v, w in hv.items()}, tuple(gr[a] for a in hr), tuple(gc[k] for k in hc)
 
-    Returns ``walk`` with ``walk[k] = (rep, vmap, rmap)``: ``rep`` is the
-    lowest-index cone of k's orbit, and the composed symmetry g with
-    g(rep) = k acts by the vertex dict ``vmap`` and the ray index map
-    ``rmap``.  Each orbit is walked out from its representative, composing
-    one generator per step.
+
+def _symmetry_group(fan):
+    """Every element of the group the symmetry generators generate, as its
+    action on the fan.
+
+    Each element is a ``(vertex map, ray permutation, cone permutation)``
+    triple, as :func:`_symmetry_action` gives the generators' (which checks
+    that each generator maps the fan onto itself, so every product does
+    too).  The group is closed breadth first from the identity, which comes
+    first, by composing a generator after each element found; an element
+    is known by its vertex map.  Its order is computed here, not assumed.
     """
-    action = _symmetry_action(fan)
+    generators = _symmetry_action(fan)
     verts = permutohedron_vertices(fan.n)
-    walk = [None] * len(fan.maximal)
+    group = [({v: v for v in verts}, tuple(range(len(fan.rays))), tuple(range(len(fan.maximal))))]
+    seen = {tuple(verts)}
+    for h in group:  # the list grows while it is walked
+        for s in generators:
+            key = tuple(s[0][h[0][v]] for v in verts)
+            if key not in seen:
+                seen.add(key)
+                group.append(_compose(s, h))
+    return group
+
+
+def _orbits(fan):
+    """Each maximal cone's orbit representative, walk element and the
+    representatives' stabilizers, read from :func:`_symmetry_group`.
+
+    Returns ``(walk, stabilizers)``.  ``walk[k] = (rep, g)``: ``rep`` is
+    the lowest-index cone of k's orbit and ``g``, the first element of the
+    group with g(rep) = k, the identity for ``rep`` itself.
+    ``stabilizers[rep]`` lists the elements that fix ``rep``, the identity
+    first; each permutes ``rep``'s rays.  The elements that map ``rep`` to
+    k are exactly ``g`` after each element of that stabilizer.
+    """
+    group = _symmetry_group(fan)
+    walk, stabilizers = [None] * len(fan.maximal), {}
     for rep in range(len(fan.maximal)):
         if walk[rep] is not None:
             continue
-        walk[rep] = (rep, {v: v for v in verts}, tuple(range(len(fan.rays))))
-        frontier = [rep]
-        while frontier:
-            j = frontier.pop()
-            _, vmap, rmap = walk[j]
-            for gv, gr, gc in action:
-                k = gc[j]
-                if walk[k] is None:
-                    walk[k] = (rep, {v: gv[vmap[v]] for v in verts}, tuple(gr[a] for a in rmap))
-                    frontier.append(k)
-    return walk
+        stabilizers[rep] = [g for g in group if g[2][rep] == rep]
+        for g in group:
+            if walk[g[2][rep]] is None:
+                walk[g[2][rep]] = (rep, g)
+    return walk, stabilizers
 
 
 def symmetry_orbits(fan):
@@ -686,11 +751,12 @@ def symmetry_orbits(fan):
 
     Each generator permutes the heights coordinatewise; its image of every
     maximal cone must again be a maximal cone (checked by
-    :func:`_symmetry_action`), and the orbit partition is returned as
-    sorted index tuples, ordered by their lowest index.
+    :func:`_symmetry_action`).  The orbits are read from the group's
+    closure (:func:`_orbits`) and returned as sorted index tuples, ordered
+    by their lowest index.
     """
     orbits = {}
-    for k, (rep, _, _) in enumerate(_orbit_walk(fan)):
+    for k, (rep, _) in enumerate(_orbits(fan)[0]):
         orbits.setdefault(rep, []).append(k)
     return [tuple(o) for o in orbits.values()]
 

@@ -26,9 +26,11 @@ face, certified once per point set (:func:`_vertical_facets`).
 
 The canonical form (RREF lineality basis, primitive rays orthogonal to the
 lineality, sorted) makes cone equality a tuple comparison, which the fan
-enumeration relies on for dedup.  Step 4 is shared with :func:`cone_image`,
-which puts a cone solved in the coordinates of a subspace basis into the
-same canonical form in the ambient space without solving it again.
+enumeration relies on for dedup.  :func:`cone_image` puts a pointed cone
+solved in the coordinates of a subspace basis into the same canonical form
+in the ambient space without solving it again: it maps, projects and checks
+the rays as step 4 does, and takes a lineality space that its caller
+brought to canonical form and certified once for all its images.
 :func:`cone_cut` cuts a canonical cone by a few more rows straight from its
 generators and tight masks, and certifies the result irredundant from the
 masks.  Step 2 and the cut run one row loop, :func:`_cut`: double
@@ -121,7 +123,9 @@ class Cone:
         return all(kernels.dot(a, v) >= 0 for a in self.ineqs)
 
 
-def _normalize_rows(rows):
+def normalize_rows(rows):
+    """The rows as primitive integer tuples, zero rows dropped: the form in
+    which every cone here stores its system."""
     out = []
     for r in rows:
         s = linalg.scale_to_int(list(r))
@@ -313,9 +317,8 @@ def _face_masks(caller, rays, eqs, ineqs, face):
 
 
 def _canonical(caller, ambient, pointed_dim, lineality, rays, eqs, ineqs, face=None):
-    """Step 4 of :func:`cone_solve`, also run by :func:`cone_image`: the
-    canonical :class:`Cone` spanned by ambient generators, checked against
-    its normalized defining system.
+    """Step 4 of :func:`cone_solve`: the canonical :class:`Cone` spanned by
+    ambient generators, checked against its normalized defining system.
 
     ``lineality`` spans the lineality space, ``rays`` hold one generator per
     extremal ray and ``pointed_dim`` is the dimension modulo the lineality.
@@ -359,7 +362,7 @@ def cone_solve(eqs, ineqs, ambient, *, face=None):
     take its masks, with no other check, and every other ray and every
     lineality vector is certified in full.
     """
-    eqs, ineqs = _normalize_rows(eqs), _normalize_rows(ineqs)
+    eqs, ineqs = normalize_rows(eqs), normalize_rows(ineqs)
     null = kernels.nullspace(eqs, ambient)
     k = len(null)
     restricted = []
@@ -371,28 +374,40 @@ def cone_solve(eqs, ineqs, ambient, *, face=None):
     rays_z = double_description(restricted, k)
     cone = _canonical("cone_solve", ambient, rays_z.pointed, linalg.mat_mul(rays_z.lineality, null),
                       linalg.mat_mul(rays_z, null), eqs, ineqs, face)
-    check_extremal(cone, "cone_solve", face[1] if face is not None else ())
+    check_extremal(cone, "cone_solve", face[1] if face is not None else (), null)
     return cone
 
 
-def cone_image(cone, basis, eqs, ineqs, *, lineality=()):
-    """The canonical cone of R^ambient that ``cone`` is in the coordinates of
-    ``basis``, plus the span of ``lineality``.
+def cone_image(cone, basis, eqs, ineqs, lineality, orth):
+    """The canonical cone of R^ambient that the pointed ``cone`` is in the
+    coordinates of ``basis``, plus a certified lineality space.
 
     ``cone`` is stated in the coordinates of the ambient rows ``basis``:
-    ``y`` stands for ``y . basis``.  ``lineality`` holds extra ambient
-    vectors, appended to the image's lineality.  The rows of ``basis`` and
-    ``lineality`` must be independent together; then the map is injective,
-    the image's dimension is ``cone``'s plus ``len(lineality)``, and its
-    rays are the images of ``cone``'s rays, projected off the whole
-    lineality.  ``eqs``/``ineqs`` are the ambient system the image solves;
-    they are stored on it as :func:`cone_solve` stores them, and every
-    image ray and lineality vector is checked against them.  No cone is
-    solved here, and the independence is the caller's to certify.
+    ``y`` stands for ``y . basis``.  ``lineality`` is the RREF basis of the
+    image's lineality space, which the image keeps, and ``orth`` an
+    orthogonal basis of the same space (:func:`linalg.orthogonalize`).  The
+    rows of ``basis`` and ``lineality`` must be independent together; then
+    the map is injective, the image's dimension is ``cone``'s plus
+    ``len(lineality)``, and its rays are the images of ``cone``'s rays,
+    projected off ``orth``.  ``eqs``/``ineqs`` are the ambient system the
+    image solves, given as :func:`normalize_rows` gives them, and stored on
+    it as they are.  Every image ray is checked against that system, which
+    records its tight mask.
+
+    Nothing that many images share is done per image: the caller brings
+    the lineality to RREF, orthogonalizes it and normalizes the rows once,
+    and certifies once that every lineality vector vanishes on every row
+    of every system it passes here, and that the rows of ``basis`` and
+    ``lineality`` are independent.  No cone is solved here.  A failed
+    check, or a ``cone`` with lineality of its own, which the image would
+    lose, raises ``RuntimeError``.
     """
-    return _canonical("cone_image", len(basis[0]), cone.dim - cone.lineality_dim,
-                      linalg.mat_mul(cone.lineality, basis) + list(lineality),
-                      linalg.mat_mul(cone.rays, basis), _normalize_rows(eqs), _normalize_rows(ineqs))
+    if cone.lineality:
+        raise RuntimeError("cone_image: the cone is not pointed")
+    rays = sorted(set(tuple(linalg.project_off(x, orth)) for x in linalg.mat_mul(cone.rays, basis)))
+    tight = _ray_masks("cone_image", rays, eqs, ineqs)
+    return Cone(len(basis[0]), len(lineality) + cone.dim, len(lineality),
+                tuple(tuple(v) for v in lineality), tuple(rays), eqs, ineqs, tuple(tight))
 
 
 def cone_cut(parent, eqs, ineqs):
@@ -448,7 +463,7 @@ def cone_cut(parent, eqs, ineqs):
     redundant ray, which would mislead the adjacency test of the next cut,
     from passing on.
     """
-    eqs, ineqs = _normalize_rows(eqs), _normalize_rows(ineqs)
+    eqs, ineqs = normalize_rows(eqs), normalize_rows(ineqs)
     lin, rays, masks, pointed, made = _cut(
         [list(v) for v in parent.lineality], list(parent.rays), list(parent.tight),
         parent.dim - parent.lineality_dim, len(parent.ineqs), eqs, ineqs, parent.ambient)
@@ -485,21 +500,36 @@ def _extremal(tight):
             if not any(s & t == t for k, s in enumerate(tight) if k != i)]
 
 
-def check_extremal(cone, caller, certified=()):
+def check_extremal(cone, caller, certified=(), null=None):
     """Certify by rank that every ray of ``cone`` is extremal.
 
-    A ray is extremal when its tight inequalities and the equations have
-    rank ``ambient - lineality_dim - 1``: the face they cut out is the ray
-    plus the lineality space.  Rays in ``certified`` were certified
-    extremal before and are skipped.  A failure raises ``RuntimeError``
-    naming ``caller``.
+    A ray is extremal when its tight inequalities T and the equations E
+    have rank ``ambient - lineality_dim - 1``: the face they cut out is the
+    ray plus the lineality space.  The equations are the same for every
+    ray, so they are eliminated once per cone: with N a basis of their
+    nullspace, rank(E and T) = rank(E) + rank(T N), since the vectors T and
+    E both kill are N's images of the vectors T N kills.  Each ray's tight
+    rows are ranked in N's coordinates against the wanted rank less
+    rank(E) = ``ambient - len(N)``.  ``null`` is N when the caller has
+    already computed it from ``cone.eqs`` (:func:`cone_solve` restricts to
+    it); otherwise it is computed here.  A cone with no equations ranks its
+    tight rows as they are.  Rays in ``certified`` were certified extremal
+    before and are skipped, and a cone with no other ray eliminates
+    nothing.  A failure raises ``RuntimeError`` naming ``caller``.
     """
-    want = cone.ambient - cone.lineality_dim - 1
-    for ray, mask in zip(cone.rays, cone.tight):
-        if ray in certified:
-            continue
-        rows = list(cone.eqs) + [a for h, a in enumerate(cone.ineqs) if mask >> h & 1]
-        if kernels.rank(rows, cone.ambient) != want:
+    masks = [mask for ray, mask in zip(cone.rays, cone.tight) if ray not in certified]
+    if not masks:
+        return
+    want, ineqs, dim = cone.ambient - cone.lineality_dim - 1, cone.ineqs, cone.ambient
+    if cone.eqs:
+        if null is None:
+            null = kernels.nullspace(cone.eqs, cone.ambient)
+        want -= cone.ambient - len(null)
+        ineqs = [[kernels.dot(a, v) for v in null] for a in cone.ineqs]
+        dim = len(null)
+    for mask in masks:
+        rows = [a for h, a in enumerate(ineqs) if mask >> h & 1]
+        if kernels.rank(rows, dim) != want:
             raise RuntimeError(f"{caller}: a ray of a cone is not extremal")
 
 

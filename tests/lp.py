@@ -22,7 +22,7 @@ def _pivot(T, basis, r, c):
     for i in range(len(T)):
         if i != r and T[i][c] != 0:
             f = T[i][c]
-            T[i] = [a - f * b for a, b in zip(T[i], prow)]
+            T[i] = [a - f * b if b else a for a, b in zip(T[i], prow)]
     basis[r] = c
 
 

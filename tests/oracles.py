@@ -13,10 +13,13 @@ the hyperplane a ray pair spans, the edges of a face lattice from facet
 masks by scanning every other element for each pair, affine heights by
 comparing two ranks, Gram-Schmidt and
 projections in ``Fraction`` arithmetic, extremal rays by trying every
-row subset, and a cone's V-description by the rowspace reduction that
-``cone_solve`` ran before double description took cones with lineality.  The three-term checks, the lift and the compression minimum
-are kept here as they were before the package moved them onto integer
-views: in ``Fraction`` arithmetic on the public values.  So are a few
+row subset, a ray's extremality by the rank of all the rows at once, a
+cone's V-description by the rowspace reduction that ``cone_solve`` ran
+before double description took cones with lineality, and a cone's image
+in the ambient space by the per-cone canonical form ``cone_image`` ran
+before its lineality was certified once.  The three-term checks, the
+lift and the compression minimum are kept here as they were before the
+package moved them onto integer views: in ``Fraction`` arithmetic on the public values.  So are a few
 small helpers that only tests use, and the minors of a polynomial matrix
 by the Leibniz formula: the vertex of a complete flag, the
 permutation of a word, and the order of the symmetry group by closure.
@@ -40,7 +43,7 @@ from valperm.permutahedra import (
     subsets_of_size,
     symmetry_generators,
 )
-from valperm.polyhedra import _canonical, _normalize_rows, check_extremal, double_description, hull_facet_sets
+from valperm.polyhedra import _canonical, check_extremal, double_description, hull_facet_sets, normalize_rows
 from valperm.valuated import Matroid, PolyInT, ValuatedMatroid, Violation, is_quotient
 
 
@@ -303,6 +306,27 @@ def ray_tight_masks(cone):
     return [sum(1 << h for h, a in enumerate(cone.ineqs) if kernels.dot(a, r) == 0) for r in cone.rays]
 
 
+def extremal_by_full_rank(cone, mask):
+    """Whether a ray of ``cone`` tight on the inequalities of ``mask`` is
+    extremal, by the rank of all the cone's equations and those
+    inequalities together, in the ambient space:
+    ``polyhedra.check_extremal``'s test before it eliminated the equations
+    once per cone."""
+    rows = list(cone.eqs) + [a for h, a in enumerate(cone.ineqs) if mask >> h & 1]
+    return kernels.rank(rows, cone.ambient) == cone.ambient - cone.lineality_dim - 1
+
+
+def cone_image_by_canonical(cone, basis, eqs, ineqs, lineality=()):
+    """``polyhedra.cone_image`` as it ran per cone before its lineality was
+    certified once for all images: any ``cone``, its lineality's image and
+    the extra ``lineality`` vectors brought to RREF and orthogonalized for
+    this cone, the system normalized here, and every ray and lineality
+    vector checked against it by the package's step 4."""
+    return _canonical("cone_image", len(basis[0]), cone.dim - cone.lineality_dim,
+                      linalg.mat_mul(cone.lineality, basis) + list(lineality),
+                      linalg.mat_mul(cone.rays, basis), normalize_rows(eqs), normalize_rows(ineqs))
+
+
 def pair_is_face(cone, i, j):
     """Whether rays i and j of a cone of dimension 3 modulo its lineality
     span a 2-face, by linear algebra: all other rays lie strictly on one side
@@ -459,7 +483,7 @@ def cone_solve_by_rowspace_reduction(eqs, ineqs, ambient, find_rays=double_descr
     form and the checks are the package's, so the result compares with
     ``cone_solve``'s by key, dimensions and tight masks.
     """
-    eqs, ineqs = _normalize_rows(eqs), _normalize_rows(ineqs)
+    eqs, ineqs = normalize_rows(eqs), normalize_rows(ineqs)
     null = kernels.nullspace(eqs, ambient)
     k = len(null)
     restricted = []

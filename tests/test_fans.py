@@ -10,11 +10,13 @@ import pytest
 
 from lp import lp_feasible
 from oracles import (
+    cone_image_by_canonical,
     exhaustive_fan_cones,
     incidence_edges_by_pair_scan,
     pair_is_face,
     ray_tight_masks,
     refinement_census_direct,
+    symmetry_group_order,
 )
 from valperm import cli, fans, kernels, linalg, polyhedra, valuated
 from valperm.cli import main
@@ -377,19 +379,62 @@ def test_the_quotient_search_finds_the_choices_of_the_unreduced_search(n, dims, 
     verts, base_eqs, diag_rows = fans._context(n)
     basis = kernels.nullspace(base_eqs, len(verts))
     section = [basis[p] for p in pivots]
-    common_image = linalg.mat_mul(common, basis)
+    lineality = kernels.rref(linalg.mat_mul(common, basis), len(verts))[0]
+    orth = linalg.orthogonalize(lineality, len(verts))
     images = []
     for (choice, cone), (_, whole) in zip(quotient, unreduced):
         assert (cone.dim, cone.lineality_dim) == (whole.dim - len(common),
                                                   whole.lineality_dim - len(common))
-        system = fans._choice_system(base_eqs, diag_rows, choice)
-        image = polyhedra.cone_image(cone, section, *system, lineality=common_image)
-        want = polyhedra.cone_image(whole, basis, *system)
+        eqs, ineqs = map(polyhedra.normalize_rows, fans._choice_system(base_eqs, diag_rows, choice))
+        image = polyhedra.cone_image(cone, section, eqs, ineqs, lineality, orth)
+        want = cone_image_by_canonical(whole, basis, eqs, ineqs)
         assert (image.key, image.dim, image.lineality_dim) == (want.key, want.dim, want.lineality_dim)
         assert (image.eqs, image.ineqs, image.tight) == (want.eqs, want.ineqs, want.tight)
         images.append(image)
     fan = fan4 if n == 4 else enumerate_fan(3)
     assert [c.key for c in fan.maximal] == sorted(c.key for c in images)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_maximal_cones_equal_the_per_cone_canonical_images(n, fan4):
+    # each maximal cone, mapped with the lineality certified once, against
+    # the image that reduces, orthogonalizes and checks the lineality and
+    # normalizes the system for that cone alone
+    reduced_rows, dim = _reduced_rows(n)
+    quotient_rows, pivots, common = fans._quotient(reduced_rows, dim)
+    verts, base_eqs, diag_rows = fans._context(n)
+    basis = kernels.nullspace(base_eqs, len(verts))
+    common_image = linalg.mat_mul(common, basis)
+    want = sorted(
+        (cone_image_by_canonical(cone, [basis[p] for p in pivots],
+                                 *fans._choice_system(base_eqs, diag_rows, choice),
+                                 lineality=common_image)
+         for choice, cone in fans._top_dimensional_choices(quotient_rows, len(pivots))),
+        key=lambda c: c.key,
+    )
+    fan = fan4 if n == 4 else enumerate_fan(3)
+    assert len(fan.maximal) == len(want) == {3: 3, 4: 75}[n]
+    for cone, old in zip(fan.maximal, want):
+        assert (cone.key, cone.dim, cone.lineality_dim) == (old.key, old.dim, old.lineality_dim)
+        assert (cone.eqs, cone.ineqs, cone.tight) == (old.eqs, old.ineqs, old.tight)
+    assert fan.lineality == want[0].lineality
+
+
+def test_cone_image_refuses_a_quotient_cone_with_lineality(monkeypatch, capsys):
+    # a top cone of the quotient search that kept a lineality vector would
+    # lose it in the image: the image refuses it as an internal error
+    search = fans._top_dimensional_choices
+
+    def widened(rows, dim):
+        top = search(rows, dim)
+        choice, cone = top[0]
+        unit = tuple(int(k == 0) for k in range(dim))
+        return [(choice, replace(cone, lineality=(unit,), lineality_dim=1, dim=cone.dim + 1))] + top[1:]
+
+    monkeypatch.setattr(fans, "_top_dimensional_choices", widened)
+    with pytest.raises(RuntimeError, match="^cone_image: the cone is not pointed"):
+        enumerate_fan(4)
+    _assert_internal_error(capsys, "cone_image: the cone is not pointed")
 
 
 def _dressian_rows(n):
@@ -458,6 +503,39 @@ def test_a_common_lineality_off_the_differences_is_internal(monkeypatch, capsys)
     with pytest.raises(RuntimeError, match="^enumerate_fan: a diagonal difference does not vanish"):
         enumerate_fan(3)
     _assert_internal_error(capsys, "enumerate_fan: a diagonal difference does not vanish")
+
+
+@pytest.mark.parametrize("tilt, message", [
+    ("section", "a diagonal difference does not vanish on the common lineality"),
+    ("unit", "a base equation does not vanish on the common lineality"),
+], ids=["section", "unit"])
+def test_a_certified_lineality_that_leaves_a_row_is_internal(tilt, message, monkeypatch, capsys):
+    # the RREF of the common lineality in R^24 with its first vector moved
+    # along a section vector, which stays in the 2-skeleton space but leaves
+    # a diagonal difference, or along a unit vector, which leaves a base
+    # equation: the certificate made once refuses it before any image is
+    # made, so no cone_image relies on it
+    verts, base_eqs, _ = fans._context(4)
+    basis = kernels.nullspace(base_eqs, len(verts))
+    _, pivots, common = fans._quotient(*_reduced_rows(4))
+    common_image = linalg.mat_mul(common, basis)
+    step = basis[pivots[0]] if tilt == "section" else [int(t == 0) for t in range(len(verts))]
+    rref, tilts = kernels.rref, []
+
+    def tilted(rows, ncols):
+        red, piv = rref(rows, ncols)
+        if [list(r) for r in rows] != common_image:
+            return red, piv
+        tilts.append(ncols)
+        return [[x + y for x, y in zip(red[0], step)]] + red[1:], piv
+
+    monkeypatch.setattr(kernels, "rref", tilted)
+    images = []
+    monkeypatch.setattr(fans, "cone_image", lambda *args: images.append(args))
+    with pytest.raises(RuntimeError, match=f"^enumerate_fan: {message}"):
+        enumerate_fan(4)
+    assert tilts == [len(verts)] and images == []
+    _assert_internal_error(capsys, f"enumerate_fan: {message}")
 
 
 def test_fan4_tight_masks_match_dot_products(fan4):
@@ -626,30 +704,89 @@ def test_refinement_census_matches_direct_oracle(fan_n):
     )
 
 
+def _moved_ray(fan, vmap, r):
+    """The ray ``r`` with its height coordinates permuted by ``vmap``."""
+    verts = permutohedron_vertices(fan.n)
+    index = {v: k for k, v in enumerate(verts)}
+    img = [0] * fan.ambient
+    for c, v in enumerate(verts):
+        img[index[vmap[v]]] = r[c]
+    return tuple(img)
+
+
+def test_symmetry_group_has_the_computed_order_and_preserves_the_fan(fan_n):
+    # the closure against the order of the group the generators generate,
+    # closed by the oracle on vertex maps alone: 48 elements for n = 4 and
+    # 12 for n = 3; every element is a permutation of the vertices, rays
+    # and cones, maps each ray's coordinates onto its image ray and each
+    # cone's rays onto its image cone's
+    group = fans._symmetry_group(fan_n)
+    verts = permutohedron_vertices(fan_n.n)
+    assert len(group) == symmetry_group_order(fan_n.n) == {3: 12, 4: 48}[fan_n.n]
+    assert len({tuple(vmap[v] for v in verts) for vmap, _, _ in group}) == len(group)
+    vmap, rperm, cperm = group[0]
+    assert all(vmap[v] == v for v in verts)
+    assert rperm == tuple(range(len(fan_n.rays))) and cperm == tuple(range(len(fan_n.maximal)))
+    for vmap, rperm, cperm in group:
+        assert sorted(vmap.values()) == sorted(verts)
+        assert sorted(rperm) == list(range(len(fan_n.rays)))
+        assert sorted(cperm) == list(range(len(fan_n.maximal)))
+        for a, r in enumerate(fan_n.rays):
+            assert _moved_ray(fan_n, vmap, r) == fan_n.rays[rperm[a]]
+        for k, ridx in enumerate(fan_n.maximal_rays):
+            assert sorted(rperm[a] for a in ridx) == list(fan_n.maximal_rays[cperm[k]])
+
+
+def test_stabilizers_fix_their_representatives(fan_n):
+    # each representative is the lowest cone of its orbit, each stabilizer
+    # element fixes it and permutes its rays, the identity comes first, and
+    # orbit size times stabilizer order is the group order
+    group = fans._symmetry_group(fan_n)
+    walk, stabilizers = fans._orbits(fan_n)
+    orbits = symmetry_orbits(fan_n)
+    assert sorted(stabilizers) == [orbit[0] for orbit in orbits]
+    for orbit in orbits:
+        rep = orbit[0]
+        rays = set(fan_n.maximal_rays[rep])
+        assert all(walk[k][0] == rep for k in orbit)
+        assert len(orbit) * len(stabilizers[rep]) == len(group)
+        assert stabilizers[rep][0] == group[0]
+        for vmap, rperm, cperm in stabilizers[rep]:
+            assert cperm[rep] == rep
+            assert {rperm[a] for a in rays} == rays
+
+
 def test_transported_sample_keys_match_direct_solves(fan_n):
     # every (cone, sample) subdivision carried from the orbit representative
-    # equals the one solved in the cone itself, and so do the heights
-    walk = fans._orbit_walk(fan_n)
+    # equals the one solved in the cone itself, and so do the heights,
+    # carried along the walk element after every element of the
+    # representative's stabilizer
+    walk, stabilizers = fans._orbits(fan_n)
     transported = fans._sample_keys(fan_n)
     pairs = 0
     for k, ridx in enumerate(fan_n.maximal_rays):
-        rep, vmap, rmap = walk[k]
-        assert rep <= k and {rmap[a] for a in fan_n.maximal_rays[rep]} == set(ridx)
+        rep, g = walk[k]
+        assert rep <= k and g[2][rep] == k
+        assert {g[1][a] for a in fan_n.maximal_rays[rep]} == set(ridx)
         samples = fans._cone_samples(fan_n, k)
         assert len(transported[k]) == len(samples)
         for wts, key in zip(samples, transported[k]):
-            pulled = [wts[ridx.index(rmap[a])] for a in fan_n.maximal_rays[rep]]
-            base = sample_height(fan_n, rep, pulled).heights
             direct = sample_height(fan_n, k, wts)
-            assert {vmap[v]: h for v, h in base.items()} == direct.heights
+            for s in stabilizers[rep]:
+                vmap, rmap, _ = fans._compose(g, s)
+                pulled = [wts[ridx.index(rmap[a])] for a in fan_n.maximal_rays[rep]]
+                base = sample_height(fan_n, rep, pulled).heights
+                assert {vmap[v]: h for v, h in base.items()} == direct.heights
             assert key == _subdivision_key(direct)
             pairs += 1
     assert pairs == {3: 9, 4: 231}[fan_n.n]
 
 
 def test_refinement_census_solves_once_per_orbit_sample(fan_n, monkeypatch):
-    # 7 distinct pulled samples on each simplicial orbit and 5 on the
-    # four-ray one for n = 4; the samples (1,) and (5,) for n = 3
+    # for n = 4, the samples brought to their least images under the
+    # stabilizers: 5 on the orbit of cone 0, 7 on that of cone 1, 5 on each
+    # of the orbits of cones 26 and 27 and 2 on the four-ray one; for n = 3
+    # the samples (1,) and (5,)
     calls = []
     solve = fans.subdivide
 
@@ -659,7 +796,7 @@ def test_refinement_census_solves_once_per_orbit_sample(fan_n, monkeypatch):
 
     monkeypatch.setattr(fans, "subdivide", counted)
     refinement_census(fan_n)
-    assert len(calls) == {3: 2, 4: 33}[fan_n.n]
+    assert len(calls) == {3: 2, 4: 24}[fan_n.n]
 
 
 def test_symmetry_that_breaks_the_fan_is_internal(fan4, monkeypatch, capsys):
@@ -685,10 +822,14 @@ def test_symmetry_that_breaks_the_fan_is_internal(fan4, monkeypatch, capsys):
 
 
 def test_phi4_interior_witnesses(fan4):
+    # the sample heights are integer combinations of integer rays, so the
+    # membership tests compare int vectors
     for k, cone in enumerate(fan4.maximal):
         w = sample_height(fan4, k)
         assert check_two_skeleton(w).passes_two_skeleton
-        vec = [w.heights[v] for v in permutohedron_vertices(4)]
+        heights = [w.heights[v] for v in permutohedron_vertices(4)]
+        assert all(h.denominator == 1 for h in heights)
+        vec = [h.numerator for h in heights]
         assert cone.contains(vec)
         others = sum(c.contains(vec) for j, c in enumerate(fan4.maximal) if j != k)
         assert others == 0, f"sample for cone {k} lies in {others} other cones"

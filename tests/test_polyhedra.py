@@ -31,6 +31,7 @@ from valperm.polyhedra import (
 
 from oracles import (
     cone_solve_by_rowspace_reduction,
+    extremal_by_full_rank,
     extremal_rays_by_subsets,
     heights_are_affine_by_rank,
     hull_vertices_and_edges_by_lp,
@@ -167,6 +168,26 @@ def test_cone_contains_generated_points(seed):
         assert cone.contains(pt)
 
 
+def _image_modulo_common_lineality(eqs, ineqs, ambient):
+    """``cone_image`` of the cone ``eqs = 0, ineqs >= 0`` solved in the
+    coordinates of the equations' nullspace modulo the common lineality L
+    of the restricted inequalities, on the pivot columns of their RREF,
+    where it is pointed; L's image is brought to RREF, orthogonalized and
+    checked against the system once, as ``enumerate_fan`` does."""
+    basis = kernels.nullspace(eqs, ambient)
+    reduced = [[kernels.dot(a, b) for b in basis] for a in ineqs]
+    red, pivots = kernels.rref(reduced, len(basis))
+    common = kernels.nullspace(red, len(basis))
+    assert len(pivots) + len(common) == len(basis)
+    quotient = cone_solve([], [[r[p] for p in pivots] for r in reduced], len(pivots))
+    assert quotient.lineality == ()
+    lineality = kernels.rref(linalg.mat_mul(common, basis), ambient)[0]
+    eqs, ineqs = polyhedra.normalize_rows(eqs), polyhedra.normalize_rows(ineqs)
+    assert not any(kernels.dot(r, v) for r in eqs + ineqs for v in lineality)
+    return cone_image(quotient, [basis[p] for p in pivots], eqs, ineqs,
+                      lineality, linalg.orthogonalize(lineality, ambient))
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_cone_image_equals_the_ambient_solve(seed):
     # solve in the coordinates of the equations' nullspace, then map back
@@ -174,9 +195,7 @@ def test_cone_image_equals_the_ambient_solve(seed):
     ambient = rng.randint(3, 6)
     eqs = [[rng.randint(-2, 2) for _ in range(ambient)] for _ in range(rng.randint(1, 2))]
     ineqs = [[rng.randint(-3, 3) for _ in range(ambient)] for _ in range(rng.randint(2, 7))]
-    basis = kernels.nullspace(eqs, ambient)
-    reduced = cone_solve([], [[kernels.dot(a, b) for b in basis] for a in ineqs], len(basis))
-    image = cone_image(reduced, basis, eqs, ineqs)
+    image = _image_modulo_common_lineality(eqs, ineqs, ambient)
     want = cone_solve(eqs, ineqs, ambient)
     assert (image.key, image.dim, image.lineality_dim) == (want.key, want.dim, want.lineality_dim)
     assert (image.eqs, image.ineqs, image.tight) == (want.eqs, want.ineqs, want.tight)
@@ -188,7 +207,7 @@ def test_cone_image_with_lineality_equals_the_ambient_solve(seed):
     # inequalities drawn from the span of fewer vectors than the equations'
     # nullspace has dimensions, oriented toward a random point of it, leave
     # a common lineality L there: solve modulo L, on the pivot columns of
-    # the rows' RREF, then map back with L's image as extra lineality
+    # the rows' RREF, then map back with L's image as the lineality
     rng = random.Random(2600 + seed)
     while True:
         ambient = rng.randint(3, 7)
@@ -205,15 +224,11 @@ def test_cone_image_with_lineality_equals_the_ambient_solve(seed):
             row = [sum(c * g[t] for c, g in zip(coefs, spans)) for t in range(ambient)]
             ineqs.append(row if kernels.dot(row, center) >= 0 else [-x for x in row])
         reduced = [[kernels.dot(a, b) for b in basis] for a in ineqs]
-        red, pivots = kernels.rref(reduced, len(basis))
-        if pivots:
+        if kernels.rref(reduced, len(basis))[1]:
             break
-    common = kernels.nullspace(red, len(basis))
-    assert common and len(pivots) + len(common) == len(basis)
-    quotient = cone_solve([], [[r[p] for p in pivots] for r in reduced], len(pivots))
-    image = cone_image(quotient, [basis[p] for p in pivots], eqs, ineqs,
-                       lineality=linalg.mat_mul(common, basis))
+    image = _image_modulo_common_lineality(eqs, ineqs, ambient)
     want = cone_solve(eqs, ineqs, ambient)
+    assert image.lineality_dim > 0
     assert (image.key, image.dim, image.lineality_dim) == (want.key, want.dim, want.lineality_dim)
     assert (image.eqs, image.ineqs, image.tight) == (want.eqs, want.ineqs, want.tight)
     assert image.tight == tuple(ray_tight_masks(image))
@@ -224,9 +239,19 @@ def test_cone_image_refuses_a_ray_off_the_system():
     basis = [[1, 0, 0], [0, 1, 0]]
     quadrant = cone_solve([], [[1, 0], [0, 1]], 2)
     flipped = replace(quadrant, rays=((-1, 0), (0, 1)))
-    assert cone_image(quadrant, basis, [[0, 0, 1]], [[1, 0, 0], [0, 1, 0]]).rays == ((0, 1, 0), (1, 0, 0))
+    system = ((0, 0, 1),), ((1, 0, 0), (0, 1, 0))
+    assert cone_image(quadrant, basis, *system, (), []).rays == ((0, 1, 0), (1, 0, 0))
     with pytest.raises(RuntimeError, match="cone_image: a ray violates its own defining system"):
-        cone_image(flipped, basis, [[0, 0, 1]], [[1, 0, 0], [0, 1, 0]])
+        cone_image(flipped, basis, *system, (), [])
+
+
+def test_cone_image_refuses_a_cone_with_lineality():
+    # the half-plane x >= 0 of R^2 has the lineality y, which the image's
+    # certified lineality would not hold
+    half = cone_solve([], [[1, 0]], 2)
+    assert half.lineality_dim == 1
+    with pytest.raises(RuntimeError, match="^cone_image: the cone is not pointed"):
+        cone_image(half, [[1, 0, 0], [0, 1, 0]], ((0, 0, 1),), ((1, 0, 0),), (), [])
 
 
 def assert_solves_like_the_rowspace_reduction(eqs, ineqs, ambient, find_rays=double_description):
@@ -1089,3 +1114,55 @@ def test_check_extremal_refuses_a_non_extremal_ray():
     inner = replace(quadrant, tight=quadrant.tight[:2] + (quadrant.tight[0] & quadrant.tight[1],))
     with pytest.raises(RuntimeError, match="^test: a ray of a cone is not extremal"):
         check_extremal(inner, "test")
+
+
+def _refusals_agree_with_the_full_rank_oracle(cone, every_bit=True):
+    """``check_extremal`` against the full-row rank oracle on ``cone`` and
+    on variants of it with one ray's mask less one bit (each bit, or only
+    the lowest), or cut to its lowest bit: it must refuse exactly the
+    variants whose changed mask the oracle finds non-extremal.  Returns the
+    number of variants refused."""
+    assert all(extremal_by_full_rank(cone, mask) for mask in cone.tight)
+    check_extremal(cone, "test")
+    refused = 0
+    for i, mask in enumerate(cone.tight):
+        bits = [1 << h for h in range(len(cone.ineqs)) if mask >> h & 1]
+        for changed in [mask ^ b for b in (bits if every_bit else bits[:1])] + [mask & -mask]:
+            variant = replace(cone, tight=cone.tight[:i] + (changed,) + cone.tight[i + 1:])
+            extremal = extremal_by_full_rank(cone, changed)
+            try:
+                check_extremal(variant, "test")
+            except RuntimeError as exc:
+                assert not extremal and str(exc) == "test: a ray of a cone is not extremal"
+                refused += 1
+            else:
+                assert extremal
+    return refused
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_check_extremal_agrees_with_the_full_rank_oracle_on_dependent_equations(seed):
+    # equations with a repeated row and a combination of two others, so the
+    # equations' rank is below their count, and random inequalities
+    rng = random.Random(2700 + seed)
+    ambient = rng.randint(4, 6)
+    eqs = [[rng.randint(-2, 2) for _ in range(ambient)] for _ in range(rng.randint(1, 2))]
+    eqs += [eqs[0], [x + 2 * y for x, y in zip(eqs[0], eqs[-1])]]
+    ineqs = [[rng.randint(-3, 3) for _ in range(ambient)] for _ in range(rng.randint(3, 8))]
+    cone = cone_solve(eqs, ineqs, ambient)
+    assert kernels.rank(list(cone.eqs), ambient) < len(cone.eqs)
+    refused = _refusals_agree_with_the_full_rank_oracle(cone)
+    assert refused > 0 or not cone.rays
+
+
+def test_check_extremal_agrees_with_the_full_rank_oracle_on_the_fan4_top_cones():
+    # the 75 top cones of the search in the quotient coordinates, with 8
+    # equations in R^8, and their images in R^24, with 23 equations of rank 18
+    verts, base_eqs, diag_rows = fans._context(4)
+    basis = kernels.nullspace(base_eqs, len(verts))
+    reduced_rows = [[[kernels.dot(r, b) for b in basis] for r in rows] for rows in diag_rows]
+    quotient_rows, pivots, _ = fans._quotient(reduced_rows, len(basis))
+    quotient = [cone for _, cone in fans._top_dimensional_choices(quotient_rows, len(pivots))]
+    for cones in (quotient, fans.enumerate_fan(4).maximal):
+        assert len(cones) == 75 and all(cone.eqs for cone in cones)
+        assert sum(_refusals_agree_with_the_full_rank_oracle(cone, every_bit=False) for cone in cones) > 0
