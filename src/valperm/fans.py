@@ -49,19 +49,21 @@ generators permute the vertices by affine maps of R^n (coordinate swaps and
 ``reverse_complement``), so they act on heights as permutation matrices, map
 rays to rays and cones to cones (each generator's image is checked), and
 send the lower faces of a lifted configuration to the lower faces of its
-image.  The group they generate is closed once (48 elements for n = 4, 12
-for n = 3), and the orbits, their representatives and the representatives'
-stabilizers are read from it.  A sample of a cone is therefore pulled back
-to its orbit's representative, brought to its least image under the
-representative's stabilizer, solved there, and its cells pushed forward
-through the vertex map: 24 lifted hulls instead of 231 for n = 4.
+image.  The group they generate is closed once per fan (48 elements for
+n = 4, 12 for n = 3) into one table, stored on the fan
+(:func:`_symmetry_table`): for each maximal cone, its orbit's
+representative and the coset of elements that map the representative onto
+it.  A sample of a cone is therefore pulled back along its coset to the
+representative, brought to its least image there, solved once, and its
+cells pushed forward through the vertex map: 24 lifted hulls instead of
+231 for n = 4.  The orbits are read from the same table.
 
 Everything is exact.  Heights are normalized to sum zero over all vertices,
 which leaves a lineality space of dimension n - 1 (linear functionals modulo
 the all-ones direction).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from valperm import kernels, linalg
 from valperm.permutahedra import (
@@ -254,7 +256,9 @@ class Fan:
     ``rays``/``two_faces`` are global and deduplicated; ``maximal_rays`` and
     ``maximal_two_faces`` give each maximal cone's faces as indices into
     them.  For n = 3 the maximal cones are single rays and ``two_faces`` is
-    empty.
+    empty.  The symmetry table of :func:`_symmetry_table` is stored on the
+    fan when first used; equality, hashing, ``repr`` and
+    ``dataclasses.replace`` ignore it, so a replaced fan starts without one.
     """
 
     n: int
@@ -265,6 +269,8 @@ class Fan:
     maximal_rays: tuple
     two_faces: tuple
     maximal_two_faces: tuple
+    # the symmetry table, built on first use by _symmetry_table
+    _symmetry: tuple = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def lineality_dim(self):
@@ -415,6 +421,9 @@ def sample_height(fan, cone_index, weights=None):
     """An exact interior point of a maximal cone, as a height function:
     the positive integer combination of its rays with the given weights
     (default all ones)."""
+    if cone_index not in range(len(fan.maximal)):
+        raise ValueError(f"sample_height: no maximal cone {cone_index!r}, the fan has "
+                         f"{len(fan.maximal)}")
     ridx = fan.maximal_rays[cone_index]
     if weights is None:
         weights = [1] * len(ridx)
@@ -480,24 +489,21 @@ def _sample_keys(fan):
     """Per maximal cone, the subdivision key of each of its samples.
 
     Only orbit representatives are solved, once per sample orbit.  For
-    cone k, reached from its representative ``rep`` by the walk element g
-    of :func:`_orbits`, a sample's weights are pulled back along g to
-    ``rep``'s ray order, then along each element s of ``rep``'s stabilizer,
+    cone k, with representative ``rep`` and coset (every element taking
+    ``rep`` to k) from :func:`_symmetry_table`, a sample's weights are
+    pulled back along each element of the coset to ``rep``'s ray order,
     and the least of those tuples is taken.  That sample of ``rep`` is
     solved once per distinct least tuple, and its cells are pushed forward
-    through g after the s that gave it.
+    through the element that gave it.
     """
-    walk, stabilizers = _orbits(fan)
     solved = {}  # (rep, least pulled weights) -> subdivision key of rep's sample
     out = []
-    for k, ridx in enumerate(fan.maximal_rays):
-        rep, g = walk[k]
-        coset = [_compose(g, s) for s in stabilizers[rep]]  # every element taking rep to k
+    for k, (ridx, (rep, coset)) in enumerate(zip(fan.maximal_rays, _symmetry_table(fan))):
         local = {a: i for i, a in enumerate(ridx)}
         keys = []
         for wts in _cone_samples(fan, k):
-            weights, h = min(((tuple(wts[local[e[1][a]]] for a in fan.maximal_rays[rep]), e)
-                              for e in coset), key=lambda pulled: pulled[0])
+            weights, h = min(((tuple(wts[local[g[1][a]]] for a in fan.maximal_rays[rep]), g)
+                              for g in coset), key=lambda pulled: pulled[0])
             if (rep, weights) not in solved:
                 solved[rep, weights] = _subdivision_key(sample_height(fan, rep, weights))
             keys.append(frozenset(
@@ -523,13 +529,12 @@ def refinement_census(fan):
     weights; and it is induced by an affine map of R^n that leaves the
     height axis alone, so it sends the lower faces of one lifted
     configuration onto those of the other.  The elements taking the
-    representative to cone k are its walk element g after each element s
-    of the representative's stabilizer, so a sample of k is the image
-    under g after s of the representative's sample with the weights pulled
-    back along g after s, for every such s, and its cells are the images of
-    that sample's cells.  Taking the s with the least pulled weights gives
-    one sample of the representative per orbit of samples, whichever cone
-    and element it was reached from.
+    representative to cone k are its coset in :func:`_symmetry_table`, so
+    a sample of k is the image under each of them of the representative's
+    sample with the weights pulled back along it, and its cells are the
+    images of that sample's cells.  Taking the element with the least
+    pulled weights gives one sample of the representative per orbit of
+    samples, whichever cone and element it was reached from.
     """
     per_cone = []
     discrepancies = []
@@ -658,23 +663,35 @@ def link_homology(fan):
 # symmetries and output helpers
 
 
-def _symmetry_action(fan):
-    """Each symmetry generator's action on the fan.
+def _symmetry_table(fan):
+    """Each maximal cone's ``(rep, coset)`` under the symmetry group, built
+    once per fan and stored on it.
 
-    Returns one ``(vertex map, ray permutation, cone permutation)`` per
-    generator of :func:`~valperm.permutahedra.symmetry_generators`: the
-    generator's dict on the vertices, and the index maps it induces on
-    ``fan.rays`` and on the maximal cones.  A generator permutes the height
-    coordinates, which fixes the lineality space and keeps rays primitive
-    and orthogonal to it, so the image of a ray is read off exactly; an
-    image that is not a ray, or a cone image that is not a maximal cone,
-    raises ``RuntimeError``.
+    The generators of :func:`~valperm.permutahedra.symmetry_generators`
+    are checked first.  A generator permutes the height coordinates, which
+    fixes the lineality space and keeps rays primitive and orthogonal to
+    it, so the image of a ray is read off exactly; an image that is not a
+    ray, or a cone image that is not a maximal cone, raises
+    ``RuntimeError``, and so every product maps the fan onto itself.  The
+    group is then closed breadth first from the identity, which comes
+    first, by composing each generator after each element found.  An
+    element is a ``(vertex map, ray permutation, cone permutation)``
+    triple, known by its vertex map: its dict on the vertices and the
+    index maps it induces on ``fan.rays`` and on the maximal cones.  Its
+    order is computed here, not assumed.
+
+    Entry k is ``(rep, coset)``: ``rep`` is the lowest-index cone of k's
+    orbit, and ``coset`` every element that maps ``rep`` onto k, in group
+    order.  So ``rep``'s own coset is its stabilizer, with the identity
+    first, and each of its elements permutes ``rep``'s rays.
     """
+    if fan._symmetry is not None:
+        return fan._symmetry
     verts = permutohedron_vertices(fan.n)
     index = {v: k for k, v in enumerate(verts)}
     ray_of = {r: k for k, r in enumerate(fan.rays)}
     cone_of = {frozenset(ridx): i for i, ridx in enumerate(fan.maximal_rays)}
-    action = []
+    generators = []
     for mapping in symmetry_generators(fan.n):
         perm = [index[mapping[v]] for v in verts]
         ray_perm = []
@@ -687,76 +704,40 @@ def _symmetry_action(fan):
         # (None) leaves that cone's image unmatched too
         cone_perm = [cone_of.get(frozenset(ray_perm[a] for a in ridx)) for ridx in fan.maximal_rays]
         if None in cone_perm:
-            raise RuntimeError("symmetry_orbits: a symmetry does not preserve the fan")
-        action.append((mapping, tuple(ray_perm), tuple(cone_perm)))
-    return action
-
-
-def _compose(g, h):
-    """The symmetry ``g`` after ``h``, each a triple of :func:`_symmetry_action`."""
-    gv, gr, gc = g
-    hv, hr, hc = h
-    return {v: gv[w] for v, w in hv.items()}, tuple(gr[a] for a in hr), tuple(gc[k] for k in hc)
-
-
-def _symmetry_group(fan):
-    """Every element of the group the symmetry generators generate, as its
-    action on the fan.
-
-    Each element is a ``(vertex map, ray permutation, cone permutation)``
-    triple, as :func:`_symmetry_action` gives the generators' (which checks
-    that each generator maps the fan onto itself, so every product does
-    too).  The group is closed breadth first from the identity, which comes
-    first, by composing a generator after each element found; an element
-    is known by its vertex map.  Its order is computed here, not assumed.
-    """
-    generators = _symmetry_action(fan)
-    verts = permutohedron_vertices(fan.n)
+            raise RuntimeError("_symmetry_table: a symmetry does not preserve the fan")
+        # the vertex map onto this table's vertex tuples, which every
+        # element's cells then share
+        generators.append(({v: verts[p] for v, p in zip(verts, perm)}, ray_perm, cone_perm))
     group = [({v: v for v in verts}, tuple(range(len(fan.rays))), tuple(range(len(fan.maximal))))]
     seen = {tuple(verts)}
-    for h in group:  # the list grows while it is walked
-        for s in generators:
-            key = tuple(s[0][h[0][v]] for v in verts)
-            if key not in seen:
-                seen.add(key)
-                group.append(_compose(s, h))
-    return group
-
-
-def _orbits(fan):
-    """Each maximal cone's orbit representative, walk element and the
-    representatives' stabilizers, read from :func:`_symmetry_group`.
-
-    Returns ``(walk, stabilizers)``.  ``walk[k] = (rep, g)``: ``rep`` is
-    the lowest-index cone of k's orbit and ``g``, the first element of the
-    group with g(rep) = k, the identity for ``rep`` itself.
-    ``stabilizers[rep]`` lists the elements that fix ``rep``, the identity
-    first; each permutes ``rep``'s rays.  The elements that map ``rep`` to
-    k are exactly ``g`` after each element of that stabilizer.
-    """
-    group = _symmetry_group(fan)
-    walk, stabilizers = [None] * len(fan.maximal), {}
+    for vmap, rperm, cperm in group:  # the list grows while it is walked
+        for gv, gr, gc in generators:
+            image = {v: gv[w] for v, w in vmap.items()}
+            if tuple(image.values()) not in seen:
+                seen.add(tuple(image.values()))
+                group.append((image, tuple(gr[a] for a in rperm), tuple(gc[k] for k in cperm)))
+    table = [None] * len(fan.maximal)
     for rep in range(len(fan.maximal)):
-        if walk[rep] is not None:
-            continue
-        stabilizers[rep] = [g for g in group if g[2][rep] == rep]
-        for g in group:
-            if walk[g[2][rep]] is None:
-                walk[g[2][rep]] = (rep, g)
-    return walk, stabilizers
+        if table[rep] is None:
+            cosets = {}
+            for g in group:
+                cosets.setdefault(g[2][rep], []).append(g)
+            for k, coset in cosets.items():
+                table[k] = (rep, tuple(coset))
+    object.__setattr__(fan, "_symmetry", tuple(table))
+    return fan._symmetry
 
 
 def symmetry_orbits(fan):
     """Orbits of the maximal cones under the vertex-relabeling symmetries.
 
     Each generator permutes the heights coordinatewise; its image of every
-    maximal cone must again be a maximal cone (checked by
-    :func:`_symmetry_action`).  The orbits are read from the group's
-    closure (:func:`_orbits`) and returned as sorted index tuples, ordered
-    by their lowest index.
+    maximal cone must again be a maximal cone.  The orbits are read from
+    the representatives of :func:`_symmetry_table` and returned as sorted
+    index tuples, ordered by their lowest index.
     """
     orbits = {}
-    for k, (rep, _) in enumerate(_orbits(fan)[0]):
+    for k, (rep, _) in enumerate(_symmetry_table(fan)):
         orbits.setdefault(rep, []).append(k)
     return [tuple(o) for o in orbits.values()]
 

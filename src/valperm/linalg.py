@@ -22,6 +22,9 @@ from valperm import kernels
 def scale_to_int(row):
     """Scale a rational vector to a primitive integer one (same direction).
 
+    Entries are ints or Fractions; a float raises TypeError, as
+    :func:`valperm.valuated.exact` refuses one.
+
     >>> from fractions import Fraction
     >>> scale_to_int([Fraction(1, 2), Fraction(-3, 4), 0])
     [2, -3, 0]
@@ -39,6 +42,8 @@ def _clear_denominators(row):
         return row
     mult = 1
     for x in row:
+        if isinstance(x, float):
+            raise TypeError(f"float {x!r} is not exact: give an int or a Fraction")
         mult = lcm(mult, x.denominator)
     return [int(x * mult) for x in row]
 

@@ -42,6 +42,22 @@ def _check_n(n: int) -> None:
 # subset masks
 
 
+def as_int(x) -> int:
+    """``int(x)``, except that a number with a fractional part raises
+    TypeError instead of being truncated: 3.0 gives 3 and 1.5 raises.
+    Strings are parsed as ``int`` parses them.
+
+    >>> as_int(3.0)
+    3
+    """
+    if type(x) is int:
+        return x
+    value = int(x)
+    if not isinstance(x, str) and value != x:
+        raise TypeError(f"{x!r} is not an integer")
+    return value
+
+
 def mask_from(elems) -> int:
     m = 0
     for e in elems:
@@ -91,7 +107,7 @@ def mask_indicator(mask: int, n: int) -> tuple[int, ...]:
 
 def parse_subset(text) -> int:
     if isinstance(text, (list, tuple)):
-        elems = [int(e) for e in text]
+        elems = [as_int(e) for e in text]
     else:
         elems = [int(c) for c in str(text)]
     if len(set(elems)) != len(elems) or any(e < 1 for e in elems):
@@ -118,7 +134,7 @@ def perm_str(v) -> str:
 
 def parse_perm(text) -> tuple[int, ...]:
     if isinstance(text, (list, tuple)):
-        v = tuple(int(x) for x in text)
+        v = tuple(as_int(x) for x in text)
     else:
         digits = str(text)
         if not (digits.isascii() and digits.isdigit()):

@@ -35,6 +35,7 @@ from types import MappingProxyType
 
 from valperm import polyhedra
 from valperm.permutahedra import (
+    as_int,
     mask_elems,
     mask_indicator,
     mask_size,
@@ -126,7 +127,9 @@ class ValuatedMatroid:
     A valuated matroid is immutable: ``values`` is a read-only mapping from
     each mask of the support to a Fraction, and no attribute can be
     reassigned, because the integer view of those values (``_ints`` over
-    ``_den``) is taken once, here, and every check reads the view.
+    ``_den``) is taken once, here, and every check reads the view.  A key
+    is a subset mask; one with a fractional part, such as 3.7, raises
+    TypeError instead of being truncated.
     """
 
     __slots__ = ("n", "d", "values", "_ints", "_den")
@@ -134,7 +137,7 @@ class ValuatedMatroid:
     def __init__(self, n, d, values):
         vals = {}
         for key, v in values.items():
-            mask = int(key)
+            mask = as_int(key)
             if mask_size(mask) != d or mask < 0 or mask >= 1 << n:
                 raise ValueError(f"subset {subset_str(mask)} is not a {d}-subset of [{n}]")
             if mask in vals:
@@ -464,9 +467,10 @@ class PolyInT:
     """Sparse polynomial in one variable with integer exponents, Fraction coefficients.
 
     Coefficients may be given as ints, Fractions or rational strings; floats
-    raise TypeError.  :func:`tropicalize_matrix` does not multiply PolyInTs:
-    it clears each matrix row's denominators once and expands the minors
-    over integer coefficients.
+    raise TypeError, and so does an exponent with a fractional part.
+    :func:`tropicalize_matrix` does not multiply PolyInTs: it clears each
+    matrix row's denominators once and expands the minors over integer
+    coefficients.
     """
 
     __slots__ = ("terms",)
@@ -475,7 +479,7 @@ class PolyInT:
         acc = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for e, c in items:
-            e = int(e)
+            e = as_int(e)
             acc[e] = acc.get(e, Fraction(0)) + exact(c)
         self.terms = {e: c for e, c in acc.items() if c}
 

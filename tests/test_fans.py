@@ -714,17 +714,23 @@ def _moved_ray(fan, vmap, r):
     return tuple(img)
 
 
+def _vertex_key(fan, vmap):
+    return tuple(vmap[v] for v in permutohedron_vertices(fan.n))
+
+
 def test_symmetry_group_has_the_computed_order_and_preserves_the_fan(fan_n):
     # the closure against the order of the group the generators generate,
     # closed by the oracle on vertex maps alone: 48 elements for n = 4 and
-    # 12 for n = 3; every element is a permutation of the vertices, rays
-    # and cones, maps each ray's coordinates onto its image ray and each
-    # cone's rays onto its image cone's
-    group = fans._symmetry_group(fan_n)
+    # 12 for n = 3, read from the cosets of cone 0's orbit; every element
+    # is a permutation of the vertices, rays and cones, maps each ray's
+    # coordinates onto its image ray and each cone's rays onto its image
+    # cone's
+    table = fans._symmetry_table(fan_n)
     verts = permutohedron_vertices(fan_n.n)
+    group = [g for rep, coset in table if rep == 0 for g in coset]
     assert len(group) == symmetry_group_order(fan_n.n) == {3: 12, 4: 48}[fan_n.n]
-    assert len({tuple(vmap[v] for v in verts) for vmap, _, _ in group}) == len(group)
-    vmap, rperm, cperm = group[0]
+    assert len({_vertex_key(fan_n, vmap) for vmap, _, _ in group}) == len(group)
+    vmap, rperm, cperm = table[0][1][0]
     assert all(vmap[v] == v for v in verts)
     assert rperm == tuple(range(len(fan_n.rays))) and cperm == tuple(range(len(fan_n.maximal)))
     for vmap, rperm, cperm in group:
@@ -738,20 +744,28 @@ def test_symmetry_group_has_the_computed_order_and_preserves_the_fan(fan_n):
 
 
 def test_stabilizers_fix_their_representatives(fan_n):
-    # each representative is the lowest cone of its orbit, each stabilizer
-    # element fixes it and permutes its rays, the identity comes first, and
-    # orbit size times stabilizer order is the group order
-    group = fans._symmetry_group(fan_n)
-    walk, stabilizers = fans._orbits(fan_n)
+    # each representative is the lowest cone of its orbit; its cosets
+    # partition the group, and every element of cone k's coset maps it onto
+    # k; its own coset is its stabilizer, the identity first, each element
+    # permuting its rays, and orbit size times stabilizer order is the
+    # group order
+    table = fans._symmetry_table(fan_n)
+    order = symmetry_group_order(fan_n.n)
+    group = {_vertex_key(fan_n, g[0]) for rep, coset in table if rep == 0 for g in coset}
     orbits = symmetry_orbits(fan_n)
-    assert sorted(stabilizers) == [orbit[0] for orbit in orbits]
+    assert sorted(k for orbit in orbits for k in orbit) == list(range(len(fan_n.maximal)))
+    assert sorted({rep for rep, _ in table}) == [orbit[0] for orbit in orbits]
     for orbit in orbits:
         rep = orbit[0]
+        assert rep == min(orbit) and all(table[k][0] == rep for k in orbit)
+        keys = [_vertex_key(fan_n, g[0]) for k in orbit for g in table[k][1]]
+        assert len(keys) == len(set(keys)) == order and set(keys) == group
+        assert all(g[2][rep] == k for k in orbit for g in table[k][1])
+        stabilizer = table[rep][1]
+        assert len(orbit) * len(stabilizer) == order
+        assert _vertex_key(fan_n, stabilizer[0][0]) == tuple(permutohedron_vertices(fan_n.n))
         rays = set(fan_n.maximal_rays[rep])
-        assert all(walk[k][0] == rep for k in orbit)
-        assert len(orbit) * len(stabilizers[rep]) == len(group)
-        assert stabilizers[rep][0] == group[0]
-        for vmap, rperm, cperm in stabilizers[rep]:
+        for vmap, rperm, cperm in stabilizer:
             assert cperm[rep] == rep
             assert {rperm[a] for a in rays} == rays
 
@@ -759,27 +773,50 @@ def test_stabilizers_fix_their_representatives(fan_n):
 def test_transported_sample_keys_match_direct_solves(fan_n):
     # every (cone, sample) subdivision carried from the orbit representative
     # equals the one solved in the cone itself, and so do the heights,
-    # carried along the walk element after every element of the
-    # representative's stabilizer
-    walk, stabilizers = fans._orbits(fan_n)
+    # carried along every element of the cone's coset
+    table = fans._symmetry_table(fan_n)
     transported = fans._sample_keys(fan_n)
     pairs = 0
     for k, ridx in enumerate(fan_n.maximal_rays):
-        rep, g = walk[k]
-        assert rep <= k and g[2][rep] == k
-        assert {g[1][a] for a in fan_n.maximal_rays[rep]} == set(ridx)
+        rep, coset = table[k]
+        assert rep <= k
         samples = fans._cone_samples(fan_n, k)
         assert len(transported[k]) == len(samples)
         for wts, key in zip(samples, transported[k]):
             direct = sample_height(fan_n, k, wts)
-            for s in stabilizers[rep]:
-                vmap, rmap, _ = fans._compose(g, s)
+            for vmap, rmap, cmap in coset:
+                assert cmap[rep] == k
+                assert {rmap[a] for a in fan_n.maximal_rays[rep]} == set(ridx)
                 pulled = [wts[ridx.index(rmap[a])] for a in fan_n.maximal_rays[rep]]
                 base = sample_height(fan_n, rep, pulled).heights
                 assert {vmap[v]: h for v, h in base.items()} == direct.heights
             assert key == _subdivision_key(direct)
             pairs += 1
     assert pairs == {3: 9, 4: 231}[fan_n.n]
+
+
+def test_symmetry_table_is_built_once_per_fan(fan_n, monkeypatch):
+    # census plus orbits on one fan read one table, so the generators are
+    # asked for once; the table is stored on the fan, which a replaced fan
+    # does not inherit, and equality, hashing and repr ignore it
+    calls = []
+    generators = fans.symmetry_generators
+
+    def counted(n):
+        calls.append(n)
+        return generators(n)
+
+    monkeypatch.setattr(fans, "symmetry_generators", counted)
+    fan = replace(fan_n)
+    assert fan._symmetry is None
+    refinement_census(fan)
+    symmetry_orbits(fan)
+    assert calls == [fan.n]
+    assert fans._symmetry_table(fan) is fan._symmetry is not None
+    copy = replace(fan, two_faces=fan.two_faces)
+    assert copy._symmetry is None
+    assert copy == fan and hash(copy) == hash(fan) and repr(copy) == repr(fan)
+    assert "_symmetry" not in repr(fan)
 
 
 def test_refinement_census_solves_once_per_orbit_sample(fan_n, monkeypatch):
@@ -799,9 +836,13 @@ def test_refinement_census_solves_once_per_orbit_sample(fan_n, monkeypatch):
     assert len(calls) == {3: 2, 4: 24}[fan_n.n]
 
 
-def test_symmetry_that_breaks_the_fan_is_internal(fan4, monkeypatch, capsys):
+def test_symmetry_that_breaks_the_fan_is_internal(monkeypatch, capsys):
     # one transposition of two vertices is not affine and moves rays off the
-    # fan: the orbits and the census refuse it, and the CLI exits 3
+    # fan: the table builder refuses it, whether the orbits, the census or
+    # the CLI asks, and the CLI exits 3 with one line; the fan is fresh, so
+    # no table built from the real generators hides the broken one
+    fan = enumerate_fan(4)
+    assert fan._symmetry is None
     generators = fans.symmetry_generators
 
     def broken(n):
@@ -811,14 +852,15 @@ def test_symmetry_that_breaks_the_fan_is_internal(fan4, monkeypatch, capsys):
         return generators(n) + [swap]
 
     monkeypatch.setattr(fans, "symmetry_generators", broken)
-    with pytest.raises(RuntimeError, match="symmetry_orbits: a symmetry does not preserve"):
-        symmetry_orbits(fan4)
-    with pytest.raises(RuntimeError, match="symmetry_orbits: a symmetry does not preserve"):
-        refinement_census(fan4)
-    monkeypatch.setattr(cli, "enumerate_fan", lambda n: fan4)
+    message = "_symmetry_table: a symmetry does not preserve the fan"
+    with pytest.raises(RuntimeError, match=f"^{message}$"):
+        symmetry_orbits(fan)
+    with pytest.raises(RuntimeError, match=f"^{message}$"):
+        refinement_census(fan)
+    assert fan._symmetry is None
+    monkeypatch.setattr(cli, "enumerate_fan", lambda n: fan)
     assert main(["fan", "4", "--refinement"]) == 3
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("valperm: internal error:")
+    assert capsys.readouterr().err.splitlines() == [f"valperm: internal error: {message}"]
 
 
 def test_phi4_interior_witnesses(fan4):
@@ -840,6 +882,17 @@ def test_phi4_witness_subdivisions_all_gp(fan4):
         cells = subdivide(sample_height(fan4, k))
         assert len(cells) > 1
         assert all(c.is_generalized_permutahedron for c in cells)
+
+
+def test_sample_height_refuses_a_cone_index_out_of_range():
+    # -1 would index the last cone; 3 is past the end of n = 3's three
+    fan = enumerate_fan(3)
+    for k in (-1, 3, len(fan.maximal) + 5):
+        with pytest.raises(ValueError, match="sample_height: no maximal cone"):
+            sample_height(fan, k)
+    assert sample_height(fan, 2).heights == sample_height(fan, 2, (1,)).heights
+    with pytest.raises(ValueError, match="one positive weight per ray"):
+        sample_height(fan, 0, (0,))
 
 
 def test_phi4_round_trip_on_cone_samples(fan4):

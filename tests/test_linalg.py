@@ -28,6 +28,20 @@ def test_scale_to_int():
     assert out == [1, 2] and type(out) is list and all(type(x) is int for x in out)
 
 
+def test_float_rows_are_refused():
+    # a float row is refused with TypeError, not read through a missing
+    # denominator, in the row scaling and in the solvers that call it
+    with pytest.raises(TypeError, match="float 0.5 is not exact"):
+        linalg.scale_to_int([0.5, 1])
+    with pytest.raises(TypeError, match="float 0.5 is not exact"):
+        polyhedra.cone_solve([], [[0.5, 1], [1, 0]], 2)
+    points = [(0, 0), (1, 0), (0, 1)]
+    with pytest.raises(TypeError, match="float 0.5 is not exact"):
+        polyhedra.lower_cells(points, [0.5, 0, 0], "abc")
+    with pytest.raises(TypeError, match="float 1.5 is not exact"):
+        polyhedra.lower_cells([(0, 0), (1.5, 0), (0, 1)], [0, 0, 0], "abc")
+
+
 def random_entry(rng, rational):
     num = rng.randint(-4, 4)
     return Fraction(num, rng.randint(1, 5)) if rational and rng.random() < 0.5 else num

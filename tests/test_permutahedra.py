@@ -16,6 +16,7 @@ from oracles import (
 )
 from valperm.permutahedra import (
     EdgeValues,
+    as_int,
     bruhat_interval,
     bruhat_leq,
     enumerate_two_faces,
@@ -59,6 +60,20 @@ def test_perm_helpers():
     assert perm_str((2, 1, 3, 4)) == "2134"
     with pytest.raises(ValueError):
         parse_perm("1123")
+
+
+def test_fractional_entries_are_refused_not_truncated():
+    # 1.5 is not 1 and 1.9 is not 1: both raise; integral floats and digit
+    # strings read as their ints, as before
+    with pytest.raises(TypeError, match="1.5 is not an integer"):
+        parse_perm((1.5, 2, 3))
+    with pytest.raises(TypeError, match="1.9 is not an integer"):
+        parse_subset([1.9, 3])
+    with pytest.raises(TypeError, match="is not an integer"):
+        parse_perm((Fraction(3, 2), 2, 3))
+    assert parse_perm((1.0, 2, 3)) == parse_perm(("1", "2", "3")) == (1, 2, 3)
+    assert parse_subset([3.0, "1"]) == mask_from([1, 3])
+    assert as_int(7) == 7 and as_int("7") == 7
 
 
 def test_vertex_to_flag_examples():

@@ -132,6 +132,13 @@ def test_float_heights_are_refused():
     assert (w._ints, w._den) == ({(1, 2): 2, (2, 1): 1}, 6)
 
 
+def test_fractional_vertex_keys_are_refused():
+    # (1.5, 2, 3) is not the vertex 123: it is refused, not truncated
+    keys = {(1.5, 2, 3): 0, **{v: 0 for v in permutohedron_vertices(3)[1:]}}
+    with pytest.raises(TypeError, match="1.5 is not an integer"):
+        HeightFunction(3, keys)
+
+
 def test_lattice_point_membership():
     assert is_lattice_point(3, (2, 2, 2))
     assert is_lattice_point(3, (3, 1, 2))

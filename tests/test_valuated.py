@@ -113,6 +113,19 @@ def test_floats_are_refused():
     assert PolyInT([(0, "1/2")]).terms == {0: Fraction(1, 2)}
 
 
+def test_fractional_keys_and_exponents_are_refused():
+    # a mask or an exponent with a fractional part is refused, not
+    # truncated; an integral float reads as its int
+    with pytest.raises(TypeError, match="3.7 is not an integer"):
+        ValuatedMatroid(3, 2, {3.7: 1, 5: 1, 6: 1})
+    with pytest.raises(TypeError, match="1.5 is not an integer"):
+        PolyInT([(1.5, 1)])
+    with pytest.raises(TypeError, match="is not an integer"):
+        PolyInT([(Fraction(1, 2), 1)])
+    assert ValuatedMatroid(3, 2, {3.0: 1, 5: 1, 6: 1}) == ValuatedMatroid(3, 2, {3: 1, 5: 1, 6: 1})
+    assert PolyInT([(2.0, 1)]).terms == {2: 1}
+
+
 # ---------------------------------------------------------------------------
 # three-term checks
 
