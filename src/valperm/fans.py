@@ -6,42 +6,49 @@ with root-parallel edges form a polyhedral fan in R^(n!): on every hexagonal
 attained at least twice, and every square 2-face is balanced.  One closed
 cone per choice of attaining diagonal pair (3 per hexagon) covers the fan.
 
-The enumeration does not solve all 3^H choices in R^(n!).  The base
-equations (sum zero, hexagon alternation, square balance) are the same for
-every choice, so their integer solution basis -- the 2-skeleton space, of
-dimension 4 for n = 3 and 11 for n = 4 -- is computed once, and each
-hexagon's diagonal rows are expressed in it.  Every cone of a choice then
-holds the common lineality L, where the three diagonal sums of every
-hexagon agree (dimension 2 for n = 3 and 3 for n = 4), so the search runs
-modulo L, in the coordinates of a complement of L (dimension 2 for n = 3
-and 8 for n = 4, :func:`_quotient`), and L is added back once to each top
-cone.  A level-by-level search over the hexagons finds each partial
-choice's cone in those coordinates and keeps one partial choice per
-distinct cone: a choice's cone is its prefix's cone cut by one more pair,
-so prefixes with equal cones have equal completions.  Only the first level
-is solved from its system; every later child is cut from its parent's
-generators by :func:`~valperm.polyhedra.cone_cut`.  For n = 4 that is 3
-solves and 1203 cuts.  A cut checks its parent's vectors against its new rows only, since
-they move only along the parent's lineality, on which the parent's rows
-vanish, and checks the rays it makes against the whole system.  The 903
-cuts whose rows vanish on the parent's lineality keep the parent's
-lineality basis and rays as they are; the other 300 bring the new
-lineality to RREF and project the rays off it, each ray keeping its tight
-mask.  No cone is solved again in R^(n!): the
-top-dimensional cones of the last level are mapped from the quotient
-coordinates to R^(n!), with L's image as their lineality, by
+The height fan is one client of a general three-term fan engine,
+:func:`three_term_fan`: a fan cut out by relations of three terms each, the
+largest of which is attained at least twice, on the solutions of base
+equations that hold on the whole fan.  The height fan's relations are the
+hexagons' diagonal sums and its base equations are sum zero, hexagon
+alternation and square balance; the Dressians are three-term fans too,
+with the tropical Plücker relations and no base equations.
+
+The engine does not solve all 3^H choices in R^ambient.  Every cone of a
+choice holds the common lineality L, where the base equations hold and
+the three terms of every relation agree (dimension 2 for n = 3 and 3 for
+n = 4), so the search runs modulo L, in the coordinates of a section of
+the base equations' solutions that complements L (dimension 2 for n = 3
+and 8 for n = 4).  One RREF of the base equations stacked with all term
+differences gives both, in R^ambient (:func:`_quotient`), and L is added
+back once to each top cone.  A level-by-level search over the relations
+finds each partial choice's cone in those coordinates and keeps one
+partial choice per distinct cone: a choice's cone is its prefix's cone cut
+by one more pair, so prefixes with equal cones have equal completions.
+Only the first level is solved from its system; every later child is cut
+from its parent's generators by :func:`~valperm.polyhedra.cone_cut`.  For
+n = 4 that is 3 solves and 1203 cuts.  A cut checks its parent's vectors
+against its new rows only, since they move only along the parent's
+lineality, on which the parent's rows vanish, and checks the rays it makes
+against the whole system.  The 903 cuts whose rows vanish on the parent's
+lineality keep the parent's lineality basis and rays as they are; the
+other 300 bring the new lineality to RREF and project the rays off it,
+each ray keeping its tight mask.  No cone is solved again in R^ambient:
+the top-dimensional cones of the last level are mapped from the section's
+coordinates to R^ambient, with L as their lineality, by
 :func:`~valperm.polyhedra.cone_image`, and they are the maximal cones.
-L's image is brought to RREF, orthogonalized and certified against every
-base equation and diagonal difference once, and the rows of the systems
-are normalized once; each image's rays are mapped, projected off L and
-checked against its ambient defining system.  Their 2-faces come from the
-rays' tight masks, which that check records.
+L is brought to RREF, orthogonalized and certified against every base
+equation and term difference once, and the rows of the systems are
+normalized once; each image's rays are mapped, projected off L and checked
+against its ambient defining system.  Their 2-faces come from the rays'
+tight masks, which that check records.
 
 The search finds the top-dimensional cones, which are all the maximal ones
 exactly when the fan is pure.  Purity is certified on every run: the last
 level holds every distinct cone of the 3^H complete choices, and each must
-lie in a top-dimensional cone.  The exhaustive 3^H sweep stays in the test
-suite as an independent oracle (``tests/oracles.py``).
+lie in a top-dimensional cone.  The exhaustive 3^H sweep of the height fan
+stays in the test suite as an independent oracle (``tests/oracles.py``),
+and so do the closed forms of the rank-two Dressians.
 
 The refinement census samples every maximal cone but solves only one cone
 per symmetry orbit, and one sample per orbit of samples.  The symmetry
@@ -121,46 +128,46 @@ def _diff(a, b):
     return [x - y for x, y in zip(a, b)]
 
 
-def _choice_system(base_eqs, diag_rows, choice):
-    """Equalities and inequalities for one attaining-pair choice per hexagon.
+def _choice_system(base_eqs, relations, choice):
+    """Equalities and inequalities for one attaining-pair choice per
+    relation (per hexagon, for the height fan).
 
-    A partial choice (shorter than ``diag_rows``) constrains only the
-    leading hexagons.
+    A partial choice (shorter than ``relations``) constrains only the
+    leading relations.
     """
     eqs = list(base_eqs)
     ineqs = []
-    for rows, pair in zip(diag_rows, choice):
+    for terms, pair in zip(relations, choice):
         i, j = pair
         (k,) = set(range(3)) - set(pair)
-        eqs.append(_diff(rows[i], rows[j]))
-        ineqs.append(_diff(rows[i], rows[k]))
-        ineqs.append(_diff(rows[j], rows[k]))
+        eqs.append(_diff(terms[i], terms[j]))
+        ineqs.append(_diff(terms[i], terms[k]))
+        ineqs.append(_diff(terms[j], terms[k]))
     return eqs, ineqs
 
 
 _PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
-def _last_level(reduced_rows, dim):
+def _last_level(rows, dim):
     """Every distinct cone of the complete choices, one choice per cone.
 
-    ``reduced_rows`` are the hexagons' diagonal rows in ``dim``
-    coordinates: those of the 2-skeleton space, or of its quotient by the
-    common lineality (:func:`_quotient`).  The search goes level by level,
-    one hexagon at a time, and keeps one child per distinct cone of every
-    kept partial choice.  A child's cone is its parent's cut by one more
+    ``rows`` are the relations' term rows in ``dim`` coordinates, those of
+    the quotient by the common lineality (:func:`_quotient`) or any others.
+    The search goes level by level, one relation at a time, and keeps one
+    child per distinct cone of every kept partial choice.  A child's cone is its parent's cut by one more
     pair (one equation, two inequalities), so two partial choices with equal
     cones have equal completions, and one of them is enough.  The first
     level is solved with :func:`~valperm.polyhedra.cone_solve`, since the
     whole space has no generators to cut; every later child is cut from its
     parent's generators by :func:`~valperm.polyhedra.cone_cut`, with each
-    (hexagon, pair)'s rows built once.  Cones without a ray stay, since
+    (relation, pair)'s rows built once.  Cones without a ray stay, since
     cutting a linear space can still leave a cone with rays.  The kept
     choices come in the order of ``itertools.product(_PAIRS, repeat=H)``,
     so each cone keeps the first choice reaching it.  Returns
-    ``[(choice, reduced cone)]``.
+    ``[(choice, cone in dim coordinates)]``.
     """
-    cuts = [[_choice_system([], [rows], (pair,)) for pair in _PAIRS] for rows in reduced_rows]
+    cuts = [[_choice_system([], [terms], (pair,)) for pair in _PAIRS] for terms in rows]
     level = [((), None)]
     for systems in cuts:
         kept = {}
@@ -175,33 +182,49 @@ def _last_level(reduced_rows, dim):
     return level
 
 
-def _quotient(reduced_rows, dim):
-    """The rows of a three-term search modulo the common lineality L.
+def _quotient(relations, base_eqs, ambient):
+    """The term rows of a three-term search modulo the common lineality L,
+    in one RREF.
 
-    ``reduced_rows`` holds three term rows per relation in R^dim.  Every
-    row of a choice's system is a difference of two terms of one relation,
-    hence a combination of the differences ``rows[0] - rows[k]`` (k = 1, 2)
-    of all relations; let ``red`` be their RREF and ``pivots`` its pivot
-    columns.  L is the nullspace of ``red``, where the three terms of every
-    relation agree.
+    ``relations`` holds three term rows per relation in R^ambient, and
+    ``base_eqs`` the equations that hold on the whole fan.  Every row of a
+    choice's system is a difference of two terms of one relation, hence a
+    combination of the differences ``terms[0] - terms[k]`` (k = 1, 2) of all
+    relations.  L is the space where the base equations hold and the three
+    terms of every relation agree: the nullspace of ``red``, the RREF of the
+    base equations stacked with all term differences, already in R^ambient.
 
-    This is exact.  The vectors supported on the pivot columns form a
-    section S of the quotient by L: ``red`` is diagonal on those columns,
-    so S meets L only in 0, and dim S + dim L = dim.  So R^dim = S + L, a
-    direct sum, and every difference row vanishes on L.  A choice's cone is
-    therefore its cone in S plus L, and in S a difference row reads its
-    pivot entries only.  Cones in S are equal exactly when their cones in
-    R^dim are, so a search over the rows kept on the pivot columns finds
-    the same choices in the same order, with each cone's lineality less L.
+    This is exact.  Adding rows never removes a pivot column, so the pivots
+    of ``red`` are those of the base equations' RREF plus new ones, each a
+    free column of the base.  The base's nullspace vectors have one free
+    column each, where they alone are nonzero among the free columns; the
+    section S is spanned by the vectors at the new pivot columns.  A vector of S that
+    also lies in L vanishes on the free columns of ``red``, which determine
+    a vector of L, so S meets L only in 0, and dim S + dim L is the number
+    of the base's free columns.  So the base's solution space is S + L, a
+    direct sum; that is certified once here by one rank, and a failure
+    raises ``RuntimeError``.  Every difference row vanishes on L, so a
+    choice's cone is its cone in S plus L, and cones in S are equal exactly
+    when their cones in R^ambient are: a search over the term rows in S's
+    coordinates finds the same choices in the same order, with each cone's
+    lineality less L.
 
-    Returns ``(rows, pivots, lineality)``: each term row kept on the pivot
-    columns, in R^len(pivots); the pivot columns; and the nullspace basis
-    of L in R^dim.
+    Returns ``(rows, section, common)``: each term row in S's coordinates
+    (its dot products with the section vectors); the section vectors; and
+    the nullspace basis of L, all in R^ambient but the rows.
     """
-    diffs = [_diff(rows[0], r) for rows in reduced_rows for r in rows[1:]]
-    red, pivots = kernels.rref(diffs, dim)
-    rows = [[[r[p] for p in pivots] for r in terms] for terms in reduced_rows]
-    return rows, pivots, kernels.nullspace(red, dim)
+    base, base_pivots = kernels.rref(base_eqs, ambient)
+    diffs = [_diff(terms[0], t) for terms in relations for t in terms[1:]]
+    red, pivots = kernels.rref(base + diffs, ambient)
+    null = kernels.nullspace(base, ambient)
+    free = [c for c in range(ambient) if c not in base_pivots]
+    section = [v for c, v in zip(free, null) if c in pivots]
+    common = kernels.nullspace(red, ambient)
+    if len(section) + len(common) != len(null) or kernels.rank(section + common, ambient) != len(null):
+        raise RuntimeError("three_term_fan: the quotient section and the common lineality "
+                           "are not a basis of the base equations' solutions")
+    rows = [[[kernels.dot(t, v) for v in section] for t in terms] for terms in relations]
+    return rows, section, common
 
 
 def _inside(cone, other):
@@ -211,7 +234,7 @@ def _inside(cone, other):
             and all(other.contains(v) and other.contains([-x for x in v]) for v in cone.lineality))
 
 
-def _top_dimensional_choices(reduced_rows, dim):
+def _top_dimensional_choices(rows, dim):
     """The complete choices with top-dimensional cones, one per distinct
     cone, certified to be all the maximal cones.
 
@@ -225,9 +248,10 @@ def _top_dimensional_choices(reduced_rows, dim):
     cone with the same lineality does), then against the rest.  Every ray
     of a top cone is also
     certified extremal by rank (:func:`~valperm.polyhedra.check_extremal`).
-    Returns ``[(choice, reduced cone)]`` for the top cones.
+    Returns ``[(choice, cone)]`` for the top cones, as :func:`_last_level`
+    gives them.
     """
-    level = _last_level(reduced_rows, dim)
+    level = _last_level(rows, dim)
     found = [(choice, cone) for choice, cone in level if cone.rays]
     top_dim = max(cone.dim for _, cone in found)
     top = [(choice, cone) for choice, cone in found if cone.dim == top_dim]
@@ -242,10 +266,10 @@ def _top_dimensional_choices(reduced_rows, dim):
         likely = everywhere.intersection(*(holding.get(r, ()) for r in cone.rays))
         order = sorted(likely) + sorted(everywhere - likely)
         if not any(_inside(cone, top[k][1]) for k in order):
-            raise RuntimeError("enumerate_fan: a cone of a complete choice lies in no "
+            raise RuntimeError("three_term_fan: a cone of a complete choice lies in no "
                                "top-dimensional cone, so the fan is not pure")
     for _, cone in top:
-        check_extremal(cone, "enumerate_fan")
+        check_extremal(cone, "three_term_fan")
     return top
 
 
@@ -281,67 +305,54 @@ class Fan:
         return cone.dim - cone.lineality_dim
 
 
-def enumerate_fan(n, processes=1):
-    """All maximal cones of the height fan, with faces, for n in {3, 4}.
+def three_term_fan(relations, base_eqs, ambient):
+    """The maximal cones of a three-term fan in R^ambient, with faces.
 
-    The base equations are solved once, and the hexagons' diagonal rows
-    are expressed in the 2-skeleton space and then taken modulo the common
-    lineality L by :func:`_quotient`.  The level-by-level search of
-    :func:`_top_dimensional_choices` then finds, in those quotient
-    coordinates (dimension 8 for n = 4), one attaining-pair choice per
-    distinct top-dimensional cone (3 solves and 1203 cuts from parent cones
-    for n = 4).  The premise of the quotient is certified once: the
-    2-skeleton vectors of the pivot columns and of L's basis must be
-    independent and span the 2-skeleton space (one rank), and the RREF of
-    L's image in R^(n!) must vanish on every base equation and on every
-    row of every (hexagon, pair) system, which are normalized once.  So L's
-    image lies in every choice's cone, and since each top cone of the
-    quotient search is pointed (:func:`~valperm.polyhedra.cone_image`
-    refuses one that is not), it is the whole lineality of each image.
-    Each top cone is mapped to R^(n!) by
-    :func:`~valperm.polyhedra.cone_image`, with that lineality, its
-    orthogonal basis (computed once) and its choice's ambient system,
-    which every image ray must satisfy; no cone is solved again in
-    R^(n!).  The images need no containment sweep: the
-    cones of two choices meet where both pairs attain on the hexagons they
-    differ on, a face of each.  A top-dimensional cone inside another would
-    be a face of it of full dimension, hence equal to it, and the search
-    keeps distinct cones.
-    The 2-faces of a maximal cone are the ray pairs that
+    ``relations`` holds three term rows per relation, and a point of the fan
+    attains the maximum of every relation's terms at least twice, on the
+    solutions of ``base_eqs``, the equations that hold on the whole fan
+    (none for a Dressian).  One closed cone per choice of attaining pair
+    (one equation, two inequalities) per relation covers the fan.
+
+    The term rows are taken modulo the common lineality L by
+    :func:`_quotient`, which certifies once that its section and L are a
+    basis of the base equations' solutions.  The level-by-level search of
+    :func:`_top_dimensional_choices` then finds, in the section's
+    coordinates, one attaining-pair choice per distinct top-dimensional
+    cone, and certifies that the fan is pure and every ray extremal.  The
+    RREF of L must vanish on every base equation and on every row of every
+    (relation, pair) system, which are normalized once; so L lies in every
+    choice's cone, and since each top cone of the quotient search is
+    pointed (:func:`~valperm.polyhedra.cone_image` refuses one that is
+    not), it is the whole lineality of each image.  Each top cone is mapped
+    to R^ambient by :func:`~valperm.polyhedra.cone_image`, with that
+    lineality, its orthogonal basis (computed once) and its choice's
+    ambient system, which every image ray must satisfy; no cone is solved
+    again in R^ambient.  The images need no containment sweep: the cones of
+    two choices meet where both pairs attain on the relations they differ
+    on, a face of each.  A top-dimensional cone inside another would be a
+    face of it of full dimension, hence equal to it, and the search keeps
+    distinct cones.  The 2-faces of a maximal cone are the ray pairs that
     :func:`~valperm.polyhedra.incidence_edges` accepts from the rays' tight
     masks over the cone's inequalities (:attr:`~valperm.polyhedra.Cone.tight`).
-    The result is the full set of maximal cones because the fan is pure,
-    which the search certifies on every run: every cone of a complete
-    choice lies in a top-dimensional one.  A failed certificate raises
-    ``RuntimeError``.
+    A failed certificate raises ``RuntimeError`` naming ``three_term_fan``.
 
-    ``processes`` must be 1: the search runs in this process.
+    Returns a dict of every :class:`Fan` field but ``n`` and ``ambient``:
+    ``lineality``, ``maximal`` (sorted by key), the global ``rays`` and
+    ``two_faces``, and each maximal cone's ``maximal_rays`` and
+    ``maximal_two_faces`` as indices into them.
     """
-    if n not in FAN_SIZES:
-        raise ValueError(f"fan enumeration supports n in {FAN_SIZES}, got {n}")
-    if processes != 1:
-        raise ValueError(f"fan enumeration runs in one process, got processes={processes}")
-    verts, base_eqs, diag_rows = _context(n)
-    ambient = len(verts)
-    basis = kernels.nullspace(base_eqs, ambient)
-    reduced_rows = [[[kernels.dot(r, b) for b in basis] for r in rows] for rows in diag_rows]
-    quotient_rows, pivots, common = _quotient(reduced_rows, len(basis))
-    section = [basis[p] for p in pivots]
-    common_image = linalg.mat_mul(common, basis)
-    spanning = section + common_image
-    if len(spanning) != len(basis) or kernels.rank(spanning, ambient) != len(basis):
-        raise RuntimeError("enumerate_fan: the quotient section and the common lineality "
-                           "are not a basis of the 2-skeleton space")
-    lineality = tuple(tuple(v) for v in kernels.rref(common_image, ambient)[0])
+    quotient_rows, section, common = _quotient(relations, base_eqs, ambient)
+    lineality = tuple(tuple(v) for v in kernels.rref(common, ambient)[0])
     orth = linalg.orthogonalize(lineality, ambient)
     base = normalize_rows(base_eqs)
-    pair_systems = [{pair: tuple(map(normalize_rows, _choice_system([], [rows], (pair,))))
-                     for pair in _PAIRS} for rows in diag_rows]
+    pair_systems = [{pair: tuple(map(normalize_rows, _choice_system([], [terms], (pair,))))
+                     for pair in _PAIRS} for terms in relations]
     if any(kernels.dot(e, v) for e in base for v in lineality):
-        raise RuntimeError("enumerate_fan: a base equation does not vanish on the common lineality")
+        raise RuntimeError("three_term_fan: a base equation does not vanish on the common lineality")
     if any(kernels.dot(r, v) for systems in pair_systems for eqs, ineqs in systems.values()
            for r in eqs + ineqs for v in lineality):
-        raise RuntimeError("enumerate_fan: a diagonal difference does not vanish on the "
+        raise RuntimeError("three_term_fan: a term difference does not vanish on the "
                            "common lineality")
 
     def image(choice, cone):
@@ -352,7 +363,7 @@ def enumerate_fan(n, processes=1):
         return cone_image(cone, section, eqs, ineqs, lineality, orth)
 
     maximal = tuple(sorted(
-        (image(choice, cone) for choice, cone in _top_dimensional_choices(quotient_rows, len(pivots))),
+        (image(choice, cone) for choice, cone in _top_dimensional_choices(quotient_rows, len(section))),
         key=lambda c: c.key,
     ))
 
@@ -374,16 +385,30 @@ def enumerate_fan(n, processes=1):
     face_index = {pair: k for k, pair in enumerate(two_faces)}
     maximal_two_faces = tuple(tuple(sorted(face_index[p] for p in pairs)) for pairs in pairs_of)
 
-    return Fan(
-        n=n,
-        ambient=ambient,
-        lineality=lineality,
-        maximal=maximal,
-        rays=rays,
-        maximal_rays=maximal_rays,
-        two_faces=two_faces,
-        maximal_two_faces=maximal_two_faces,
-    )
+    return dict(lineality=lineality, maximal=maximal, rays=rays, maximal_rays=maximal_rays,
+                two_faces=two_faces, maximal_two_faces=maximal_two_faces)
+
+
+def enumerate_fan(n, processes=1):
+    """All maximal cones of the height fan, with faces, for n in {3, 4}.
+
+    The height fan is the three-term fan (:func:`three_term_fan`) of the
+    hexagons' diagonal sums on the solutions of the base equations (sum
+    zero, hexagon alternation, square balance) of :func:`_context`.  Its
+    search runs in 8 coordinates for n = 4 (2 for n = 3), modulo a common
+    lineality of dimension 3 (2 for n = 3), with 3 solves and 1203 cuts
+    from parent cones for n = 4.  The result is the full set of maximal
+    cones because the fan is pure, which the search certifies on every
+    run; a failed certificate raises ``RuntimeError``.
+
+    ``processes`` must be 1: the search runs in this process.
+    """
+    if n not in FAN_SIZES:
+        raise ValueError(f"fan enumeration supports n in {FAN_SIZES}, got {n}")
+    if processes != 1:
+        raise ValueError(f"fan enumeration runs in one process, got processes={processes}")
+    verts, base_eqs, diag_rows = _context(n)
+    return Fan(n=n, ambient=len(verts), **three_term_fan(diag_rows, base_eqs, len(verts)))
 
 
 # ---------------------------------------------------------------------------
@@ -581,11 +606,15 @@ def complex_betti(nvertices, edges, walks):
     """Rational Betti numbers (b0, b1, b2) of a 2-complex.
 
     ``edges`` are index pairs; ``walks`` are closed vertex walks bounding the
-    2-cells.  Every consecutive walk pair must be an edge; a malformed
-    complex raises ``ValueError``.
+    2-cells.  Every edge endpoint must lie in ``range(nvertices)`` and every
+    consecutive walk pair must be an edge; a malformed complex raises
+    ``ValueError``.
     """
     edge_index = {}
     for a, b in edges:
+        if a not in range(nvertices) or b not in range(nvertices):
+            raise ValueError(f"complex_betti: edge ({a}, {b}) has an endpoint outside "
+                             f"range({nvertices})")
         if a == b:
             raise ValueError(f"complex_betti: loop edge at vertex {a}")
         edge_index[tuple(sorted((a, b)))] = len(edge_index)

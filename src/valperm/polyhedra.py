@@ -123,6 +123,15 @@ class Cone:
         return all(kernels.dot(a, v) >= 0 for a in self.ineqs)
 
 
+def _require_length(caller, vectors, length, kind):
+    """Refuse with ``ValueError`` any of ``vectors`` whose length is not
+    ``length``: :func:`kernels.dot` zips, so a row or point of another
+    length would be truncated or padded without a word."""
+    for v in vectors:
+        if len(v) != length:
+            raise ValueError(f"{caller}: {kind} of length {len(v)}, not {length}")
+
+
 def normalize_rows(rows):
     """The rows as primitive integer tuples, zero rows dropped: the form in
     which every cone here stores its system."""
@@ -264,6 +273,7 @@ def double_description(rows, dim):
     certifies every ray extremal by rank in the ambient space.
     """
     rows = list(dict.fromkeys(tuple(r) for r in rows))
+    _require_length("double_description", rows, dim, "a row")
     identity = [[int(i == j) for j in range(dim)] for i in range(dim)]
     lin, rays, _, pointed, _ = _cut(identity, [], [], 0, 0, (), rows, dim)
     return Rays([list(r) for r in sorted(rays)], lin, pointed)
@@ -361,8 +371,11 @@ def cone_solve(eqs, ineqs, ambient, *, face=None):
     ``ineqs[h]``: the tight ones must be exactly the keys of ``known`` and
     take its masks, with no other check, and every other ray and every
     lineality vector is certified in full.
+
+    A nonzero row whose length is not ``ambient`` raises ``ValueError``.
     """
     eqs, ineqs = normalize_rows(eqs), normalize_rows(ineqs)
+    _require_length("cone_solve", eqs + ineqs, ambient, "a row")
     null = kernels.nullspace(eqs, ambient)
     k = len(null)
     restricted = []
@@ -462,8 +475,12 @@ def cone_cut(parent, eqs, ineqs):
     tight set inside theirs, so no mask may lie in another.  That keeps a
     redundant ray, which would mislead the adjacency test of the next cut,
     from passing on.
+
+    A nonzero row whose length is not the parent's ambient dimension
+    raises ``ValueError``.
     """
     eqs, ineqs = normalize_rows(eqs), normalize_rows(ineqs)
+    _require_length("cone_cut", eqs + ineqs, parent.ambient, "a row")
     lin, rays, masks, pointed, made = _cut(
         [list(v) for v in parent.lineality], list(parent.rays), list(parent.tight),
         parent.dim - parent.lineality_dim, len(parent.ineqs), eqs, ineqs, parent.ambient)
@@ -550,10 +567,12 @@ def hull_facet_sets(points):
 
     Duplicate input points simply appear in the same incidence sets.  Point
     ``i`` is inequality ``i`` of the polar, so a facet's points are read off
-    its polar ray's tight mask.
+    its polar ray's tight mask.  Points of mixed length raise
+    ``ValueError``.
     """
     if not points:
         raise ValueError("hull_facet_sets needs at least one point")
+    _require_length("hull_facet_sets", points, len(points[0]), "a point")
     gens = _homogenize(points)
     polar = cone_solve([], [[-x for x in g] for g in gens], len(gens[0]))
     facets = set()
@@ -609,10 +628,12 @@ def hull_edges(points, labels, facets=None):
     smallest face of that polyhedron holding some of the points lies inside
     conv(points), so the same tests decide its vertices and edges and no
     hull is solved here.  Without it, the facets are those of conv(points),
-    from one :func:`hull_facet_sets` solve.
+    from one :func:`hull_facet_sets` solve.  Points of mixed length raise
+    ``ValueError``.
     """
     if not points:
         raise ValueError("hull_edges needs at least one point")
+    _require_length("hull_edges", points, len(points[0]), "a point")
     if len(points) != len(labels) or len(set(labels)) != len(labels):
         raise ValueError("hull_edges needs one unique label per point")
     if facets is not None and len(facets) != len(points):
@@ -730,10 +751,11 @@ def lower_cells(points, heights, labels):
     ``(x_i, 1)``, which is the orthogonal complement of their left
     nullspace, so exactly when every dependency ``mu`` has
     ``sum_i mu_i * h_i = 0``.  A point lifted above the lower hull is in no cell.
-    Points must be distinct.
+    Points must be distinct and of one length, or ``ValueError`` is raised.
     """
     if not points:
         raise ValueError("lower_cells needs at least one point")
+    _require_length("lower_cells", points, len(points[0]), "a point")
     if not len(points) == len(heights) == len(labels):
         raise ValueError("lower_cells needs one height and one label per point")
     key = tuple(tuple(p) for p in points)

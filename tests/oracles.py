@@ -17,7 +17,8 @@ row subset, a ray's extremality by the rank of all the rows at once, a
 cone's V-description by the rowspace reduction that ``cone_solve`` ran
 before double description took cones with lineality, and a cone's image
 in the ambient space by the per-cone canonical form ``cone_image`` ran
-before its lineality was certified once.  The three-term checks, the
+before its lineality was certified once, and the quotient of a three-term
+search by the two reductions it ran before one RREF in the ambient space.  The three-term checks, the
 lift and the compression minimum are kept here as they were before the
 package moved them onto integer views: in ``Fraction`` arithmetic on the public values.  So are a few
 small helpers that only tests use, and the minors of a polynomial matrix
@@ -325,6 +326,25 @@ def cone_image_by_canonical(cone, basis, eqs, ineqs, lineality=()):
     return _canonical("cone_image", len(basis[0]), cone.dim - cone.lineality_dim,
                       linalg.mat_mul(cone.lineality, basis) + list(lineality),
                       linalg.mat_mul(cone.rays, basis), normalize_rows(eqs), normalize_rows(ineqs))
+
+
+def quotient_by_two_skeleton_basis(relations, base_eqs, ambient):
+    """``fans._quotient`` as it ran before it took one RREF in R^ambient.
+
+    The term rows are first written in the nullspace basis B of the base
+    equations (the 2-skeleton space, for the height fan); the RREF of their
+    differences in those coordinates gives the pivot columns, the rows kept
+    on them and the section of B's vectors at them; and the nullspace of
+    that RREF is mapped back to R^ambient through B.  Returns ``(rows,
+    section, lineality)``, with the common lineality brought to RREF.
+    """
+    basis = kernels.nullspace(base_eqs, ambient)
+    reduced = [[[kernels.dot(t, b) for b in basis] for t in terms] for terms in relations]
+    diffs = [[x - y for x, y in zip(terms[0], t)] for terms in reduced for t in terms[1:]]
+    red, pivots = kernels.rref(diffs, len(basis))
+    rows = [[[t[p] for p in pivots] for t in terms] for terms in reduced]
+    common = linalg.mat_mul(kernels.nullspace(red, len(basis)), basis)
+    return rows, [basis[p] for p in pivots], kernels.rref(common, ambient)[0]
 
 
 def pair_is_face(cone, i, j):

@@ -337,12 +337,20 @@ def test_subdivide_rejects_n_above_its_bound(tmp_path, capsys):
 
 # sha256 of the full n = 4 report as the flat 3^8 sign-choice sweep wrote it
 FAN4_REPORT_SHA256 = "e27b6972a0ae9183b6cfd88b0915d998fd7af86cb66d63ee30521874ce6e536b"
+FAN3_REPORT_SHA256 = "3c7bb9fde1f13c7d4ed7b4d48a1bb697217c87a6d8b766680c742d3236ab3fe7"
 
 
 def test_fan4_full_report_frozen(tmp_path):
     code, out = run(tmp_path, "fan", "4", "--census", "--homology", "--refinement", "--patterns")
     assert code == 0
     assert hashlib.sha256(out).hexdigest() == FAN4_REPORT_SHA256
+
+
+def test_fan3_full_report_frozen(tmp_path):
+    # fan 3 has no 2-faces, so --homology is refused for it
+    code, out = run(tmp_path, "fan", "3", "--census", "--refinement", "--patterns")
+    assert code == 0
+    assert hashlib.sha256(out).hexdigest() == FAN3_REPORT_SHA256
 
 
 def test_stdout_default(capsys):

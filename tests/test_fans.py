@@ -14,6 +14,7 @@ from oracles import (
     exhaustive_fan_cones,
     incidence_edges_by_pair_scan,
     pair_is_face,
+    quotient_by_two_skeleton_basis,
     ray_tight_masks,
     refinement_census_direct,
     symmetry_group_order,
@@ -269,9 +270,9 @@ def test_a_top_cone_missing_from_the_top_dimension_fails_purity(monkeypatch, cap
         return level[:k] + [(choice, replace(cone, dim=top - 1))] + level[k + 1:]
 
     monkeypatch.setattr(fans, "_last_level", dropped)
-    with pytest.raises(RuntimeError, match="^enumerate_fan: a cone of a complete choice lies in no top"):
+    with pytest.raises(RuntimeError, match="^three_term_fan: a cone of a complete choice lies in no top"):
         enumerate_fan(4)
-    _assert_internal_error(capsys, "enumerate_fan: a cone of a complete choice")
+    _assert_internal_error(capsys, "three_term_fan: a cone of a complete choice")
 
 
 def test_a_redundant_ray_in_a_parent_is_internal(monkeypatch, capsys):
@@ -362,6 +363,27 @@ def _counted_search(rows, dim, monkeypatch):
     return top, (calls["solve"], calls["cut"])
 
 
+def _height_quotient(n):
+    """``fans._quotient`` of the height fan's relations for n."""
+    verts, base_eqs, diag_rows = fans._context(n)
+    return fans._quotient(diag_rows, base_eqs, len(verts))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_the_one_reduction_does_the_arithmetic_of_the_two_step_reduction(n):
+    # one RREF in R^(n!) against the reduction to the 2-skeleton space and
+    # then modulo the common lineality: equal term rows, section vectors and
+    # lineality RREF, so the search runs on the same rows
+    verts, base_eqs, diag_rows = fans._context(n)
+    rows, section, common = _height_quotient(n)
+    want_rows, want_section, want_lineality = quotient_by_two_skeleton_basis(
+        diag_rows, base_eqs, len(verts))
+    assert (len(section), len(common)) == {3: (2, 2), 4: (8, 3)}[n]
+    assert rows == want_rows
+    assert section == want_section
+    assert kernels.rref(common, len(verts))[0] == want_lineality
+
+
 @pytest.mark.parametrize("n, dims, counts", [(3, (2, 2), (3, 0)), (4, (8, 3), (3, 1203))])
 def test_the_quotient_search_finds_the_choices_of_the_unreduced_search(n, dims, counts,
                                                                        monkeypatch, fan4):
@@ -370,16 +392,15 @@ def test_the_quotient_search_finds_the_choices_of_the_unreduced_search(n, dims, 
     # solves and cuts, each cone less the common lineality, and each image
     # in R^(n!) the image of the unreduced cone
     reduced_rows, dim = _reduced_rows(n)
-    quotient_rows, pivots, common = fans._quotient(reduced_rows, dim)
-    assert (len(pivots), len(common)) == dims
+    quotient_rows, section, common = _height_quotient(n)
+    assert (len(section), len(common)) == dims
     unreduced, unreduced_counts = _counted_search(reduced_rows, dim, monkeypatch)
-    quotient, quotient_counts = _counted_search(quotient_rows, len(pivots), monkeypatch)
+    quotient, quotient_counts = _counted_search(quotient_rows, len(section), monkeypatch)
     assert [choice for choice, _ in quotient] == [choice for choice, _ in unreduced]
     assert quotient_counts == unreduced_counts == counts
     verts, base_eqs, diag_rows = fans._context(n)
     basis = kernels.nullspace(base_eqs, len(verts))
-    section = [basis[p] for p in pivots]
-    lineality = kernels.rref(linalg.mat_mul(common, basis), len(verts))[0]
+    lineality = kernels.rref(common, len(verts))[0]
     orth = linalg.orthogonalize(lineality, len(verts))
     images = []
     for (choice, cone), (_, whole) in zip(quotient, unreduced):
@@ -400,16 +421,12 @@ def test_maximal_cones_equal_the_per_cone_canonical_images(n, fan4):
     # each maximal cone, mapped with the lineality certified once, against
     # the image that reduces, orthogonalizes and checks the lineality and
     # normalizes the system for that cone alone
-    reduced_rows, dim = _reduced_rows(n)
-    quotient_rows, pivots, common = fans._quotient(reduced_rows, dim)
+    quotient_rows, section, common = _height_quotient(n)
     verts, base_eqs, diag_rows = fans._context(n)
-    basis = kernels.nullspace(base_eqs, len(verts))
-    common_image = linalg.mat_mul(common, basis)
     want = sorted(
-        (cone_image_by_canonical(cone, [basis[p] for p in pivots],
-                                 *fans._choice_system(base_eqs, diag_rows, choice),
-                                 lineality=common_image)
-         for choice, cone in fans._top_dimensional_choices(quotient_rows, len(pivots))),
+        (cone_image_by_canonical(cone, section, *fans._choice_system(base_eqs, diag_rows, choice),
+                                 lineality=common)
+         for choice, cone in fans._top_dimensional_choices(quotient_rows, len(section))),
         key=lambda c: c.key,
     )
     fan = fan4 if n == 4 else enumerate_fan(3)
@@ -439,7 +456,8 @@ def test_cone_image_refuses_a_quotient_cone_with_lineality(monkeypatch, capsys):
 
 def _dressian_rows(n):
     """The term rows of the three-term Plücker relations of Gr(2, n), one
-    coordinate per 2-subset: each term is the sum of two coordinates."""
+    coordinate per 2-subset (``masks``): each term is the sum of two
+    coordinates."""
     masks, relations = valuated._plucker_table(n, 2)
     index = {m: k for k, m in enumerate(masks)}
 
@@ -449,82 +467,105 @@ def _dressian_rows(n):
         row[index[b]] += 1
         return row
 
-    return [[term(*rel[0:2]), term(*rel[2:4]), term(*rel[4:6])] for rel in relations], len(masks)
+    return [[term(*rel[0:2]), term(*rel[2:4]), term(*rel[4:6])] for rel in relations], masks
 
 
-@pytest.mark.parametrize("n, maximal, rays", [(5, 15, 10), (6, 105, 25)])
+def _split_metrics(n, masks):
+    """One vector per split A|B of [n] with |A|, |B| >= 2: 1 on the pairs
+    (2-subset masks) that the split separates and 0 elsewhere."""
+    splits = []
+    for size in range(2, n - 1):
+        for a in combinations(range(1, n + 1), size):
+            if 1 in a:  # each split once, by the side that holds 1
+                side = sum(1 << (e - 1) for e in a)
+                splits.append([int((m & side).bit_count() == 1) for m in masks])
+    return splits
+
+
+@pytest.mark.parametrize("n, maximal, rays", [(4, 3, 3), (5, 15, 10), (6, 105, 25)])
 def test_the_quotient_search_gives_the_rank_two_dressian(n, maximal, rays):
     # Dr(2, n), the space of phylogenetic trees on n leaves, has (2n - 5)!!
     # maximal cones of dimension n - 3 modulo its lineality of dimension n,
-    # and one ray per split of [n] into two parts of two or more (Speyer
-    # and Sturmfels, "The tropical Grassmannian", 2004)
-    rows, dim = _dressian_rows(n)
-    quotient_rows, pivots, common = fans._quotient(rows, dim)
-    assert (len(common), len(pivots)) == (n, dim - n)
-    top = fans._top_dimensional_choices(quotient_rows, len(pivots))
-    assert len(top) == maximal == prod(range(2 * n - 5, 0, -2))
-    assert len({r for _, cone in top for r in cone.rays}) == rays == 2 ** (n - 1) - n - 1
-    assert {(cone.dim, cone.lineality_dim) for _, cone in top} == {(n - 3, 0)}
+    # and one ray per split of [n] into two parts of two or more, the split
+    # metric projected off the lineality (Speyer and Sturmfels, "The
+    # tropical Grassmannian", 2004); the engine takes no base equations
+    rows, masks = _dressian_rows(n)
+    fan = fans.three_term_fan(rows, [], len(masks))
+    assert len(fan["maximal"]) == maximal == prod(range(2 * n - 5, 0, -2))
+    assert len(fan["rays"]) == rays == 2 ** (n - 1) - n - 1
+    assert len(fan["lineality"]) == n
+    assert {(cone.dim - cone.lineality_dim, cone.lineality) for cone in fan["maximal"]} == {
+        (n - 3, fan["lineality"])}
+    assert all(len(ridx) == n - 3 for ridx in fan["maximal_rays"])
+    if n == 6:
+        assert len(fan["two_faces"]) == 105
+    orth = linalg.orthogonalize(fan["lineality"], len(masks))
+    assert {tuple(linalg.project_off(v, orth)) for v in _split_metrics(n, masks)} == set(fan["rays"])
     if n == 5:
-        whole = fans._top_dimensional_choices(rows, dim)
-        assert [choice for choice, _ in top] == [choice for choice, _ in whole]
+        # the search with no reduction at all, in R^10 with the lineality
+        whole = sorted((cone for _, cone in fans._top_dimensional_choices(rows, len(masks))),
+                       key=lambda c: c.key)
+        assert [(c.key, c.dim, c.eqs, c.ineqs, c.tight) for c in fan["maximal"]] == [
+            (c.key, c.dim, c.eqs, c.ineqs, c.tight) for c in whole]
+
+
+def _altered_common_lineality(monkeypatch, alter):
+    """Have ``fans._quotient`` for n = 4 get ``alter(common, section)`` in
+    place of its nullspace basis of the common lineality: the one nullspace
+    call whose result is that basis is changed, and every other is left as
+    it is."""
+    _, section, common = _height_quotient(4)
+    nullspace = kernels.nullspace
+
+    def altered(rows, ncols):
+        out = nullspace(rows, ncols)
+        return alter(out, section) if out == common else out
+
+    monkeypatch.setattr(kernels, "nullspace", altered)
 
 
 def test_a_dependent_quotient_basis_is_internal(monkeypatch, capsys):
-    # the common lineality's first basis vector swapped for the first pivot
-    # column's unit vector: its image repeats a section row, which the rank
-    # of the map back refuses before the search
-    quotient = fans._quotient
-
-    def dependent(rows, dim):
-        quotient_rows, pivots, common = quotient(rows, dim)
-        unit = [int(k == pivots[0]) for k in range(dim)]
-        return quotient_rows, pivots, [unit] + common[1:]
-
-    monkeypatch.setattr(fans, "_quotient", dependent)
-    with pytest.raises(RuntimeError, match="^enumerate_fan: the quotient section and the common"):
-        enumerate_fan(3)
-    _assert_internal_error(capsys, "enumerate_fan: the quotient section and the common")
+    # the common lineality's first basis vector swapped for the first
+    # section vector: the section and the lineality together are dependent,
+    # which the rank certificate of the quotient refuses before the search
+    _altered_common_lineality(monkeypatch, lambda common, section: [section[0]] + common[1:])
+    search = []
+    monkeypatch.setattr(fans, "_top_dimensional_choices", lambda *args: search.append(args))
+    with pytest.raises(RuntimeError, match="^three_term_fan: the quotient section and the common"):
+        enumerate_fan(4)
+    assert search == []
+    _assert_internal_error(capsys, "three_term_fan: the quotient section and the common")
 
 
 def test_a_common_lineality_off_the_differences_is_internal(monkeypatch, capsys):
-    # the common lineality's first basis vector moved along the first pivot
-    # column: the map back is still a basis, but some diagonal difference
-    # no longer vanishes on it
-    quotient = fans._quotient
-
-    def tilted(rows, dim):
-        quotient_rows, pivots, common = quotient(rows, dim)
-        moved = list(common[0])
-        moved[pivots[0]] += 1
-        return quotient_rows, pivots, [moved] + common[1:]
-
-    monkeypatch.setattr(fans, "_quotient", tilted)
-    with pytest.raises(RuntimeError, match="^enumerate_fan: a diagonal difference does not vanish"):
-        enumerate_fan(3)
-    _assert_internal_error(capsys, "enumerate_fan: a diagonal difference does not vanish")
+    # the common lineality's first basis vector moved along the first
+    # section vector: with the section it is still a basis of the base
+    # equations' solutions, but some term difference no longer vanishes on it
+    _altered_common_lineality(
+        monkeypatch, lambda common, section: [[x + y for x, y in zip(common[0], section[0])]] + common[1:])
+    with pytest.raises(RuntimeError, match="^three_term_fan: a term difference does not vanish"):
+        enumerate_fan(4)
+    _assert_internal_error(capsys, "three_term_fan: a term difference does not vanish")
 
 
 @pytest.mark.parametrize("tilt, message", [
-    ("section", "a diagonal difference does not vanish on the common lineality"),
+    ("section", "a term difference does not vanish on the common lineality"),
     ("unit", "a base equation does not vanish on the common lineality"),
 ], ids=["section", "unit"])
 def test_a_certified_lineality_that_leaves_a_row_is_internal(tilt, message, monkeypatch, capsys):
     # the RREF of the common lineality in R^24 with its first vector moved
     # along a section vector, which stays in the 2-skeleton space but leaves
-    # a diagonal difference, or along a unit vector, which leaves a base
+    # a term difference, or along a unit vector, which leaves a base
     # equation: the certificate made once refuses it before any image is
     # made, so no cone_image relies on it
-    verts, base_eqs, _ = fans._context(4)
-    basis = kernels.nullspace(base_eqs, len(verts))
-    _, pivots, common = fans._quotient(*_reduced_rows(4))
-    common_image = linalg.mat_mul(common, basis)
-    step = basis[pivots[0]] if tilt == "section" else [int(t == 0) for t in range(len(verts))]
+    _, section, common = _height_quotient(4)
+    ambient = len(common[0])
+    step = section[0] if tilt == "section" else [int(t == 0) for t in range(ambient)]
     rref, tilts = kernels.rref, []
 
     def tilted(rows, ncols):
         red, piv = rref(rows, ncols)
-        if [list(r) for r in rows] != common_image:
+        if [list(r) for r in rows] != common:
             return red, piv
         tilts.append(ncols)
         return [[x + y for x, y in zip(red[0], step)]] + red[1:], piv
@@ -532,10 +573,10 @@ def test_a_certified_lineality_that_leaves_a_row_is_internal(tilt, message, monk
     monkeypatch.setattr(kernels, "rref", tilted)
     images = []
     monkeypatch.setattr(fans, "cone_image", lambda *args: images.append(args))
-    with pytest.raises(RuntimeError, match=f"^enumerate_fan: {message}"):
+    with pytest.raises(RuntimeError, match=f"^three_term_fan: {message}"):
         enumerate_fan(4)
-    assert tilts == [len(verts)] and images == []
-    _assert_internal_error(capsys, f"enumerate_fan: {message}")
+    assert tilts == [ambient] and images == []
+    _assert_internal_error(capsys, f"three_term_fan: {message}")
 
 
 def test_fan4_tight_masks_match_dot_products(fan4):
@@ -995,6 +1036,14 @@ def test_betti_sphere_octahedron():
 def test_betti_rejects_walk_off_complex():
     with pytest.raises(ValueError, match="not an edge"):
         complex_betti(3, [(0, 1), (1, 2)], [[0, 1, 2]])
+
+
+@pytest.mark.parametrize("edge", [(0, -1), (-3, 1), (0, 3), (5, 1)])
+def test_betti_rejects_an_endpoint_outside_the_vertices(edge):
+    # a negative index would be read from the end, and one past the last
+    # vertex would raise a bare IndexError
+    with pytest.raises(ValueError, match=r"^complex_betti: edge .* has an endpoint outside range\(3\)"):
+        complex_betti(3, [edge], [])
 
 
 def test_link_homology_fault_is_internal(fan4, monkeypatch, capsys):

@@ -632,6 +632,34 @@ def test_lower_rejects_duplicate_points():
         lower_cells([(0, 0), (0, 0)], [0, 1], ["a", "b"])
 
 
+# kernels.dot zips, so a row or point of another length would be truncated
+# or padded without a word: every entry point refuses it as bad input
+@pytest.mark.parametrize("call, caller", [
+    (lambda: cone_solve([], [[1, 0], [0, 1, 3]], 2), "cone_solve"),
+    (lambda: cone_solve([[1]], [[1, 0]], 2), "cone_solve"),
+    (lambda: cone_cut(cone_solve([], [[1, 0]], 2), [], [[0, 1, 3]]), "cone_cut"),
+    (lambda: cone_cut(cone_solve([], [[1, 0]], 2), [[1]], []), "cone_cut"),
+    (lambda: double_description([[1, 0], [0, 1, 3]], 2), "double_description"),
+], ids=["long-inequality", "short-equation", "cut-long", "cut-short", "double-description"])
+def test_rows_of_the_wrong_length_are_refused(call, caller):
+    with pytest.raises(ValueError, match=f"^{caller}: a row of length"):
+        call()
+
+
+MIXED_POINTS = [(0, 0), (1, 0), (0, 1, 5)]
+
+
+@pytest.mark.parametrize("call, caller", [
+    (lambda: hull_facet_sets(MIXED_POINTS), "hull_facet_sets"),
+    (lambda: hull_edges(MIXED_POINTS, ["a", "b", "c"]), "hull_edges"),
+    (lambda: hull_edges(MIXED_POINTS, ["a", "b", "c"], [1, 1, 1]), "hull_edges"),
+    (lambda: lower_cells(MIXED_POINTS, [0, 0, 1], ["a", "b", "c"]), "lower_cells"),
+], ids=["hull_facet_sets", "hull_edges", "hull_edges-with-facets", "lower_cells"])
+def test_points_of_mixed_length_are_refused(call, caller):
+    with pytest.raises(ValueError, match=f"^{caller}: a point of length 3, not 2"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # the vertical facets of the lifted hull, certified once per point set
 
@@ -1159,10 +1187,8 @@ def test_check_extremal_agrees_with_the_full_rank_oracle_on_the_fan4_top_cones()
     # the 75 top cones of the search in the quotient coordinates, with 8
     # equations in R^8, and their images in R^24, with 23 equations of rank 18
     verts, base_eqs, diag_rows = fans._context(4)
-    basis = kernels.nullspace(base_eqs, len(verts))
-    reduced_rows = [[[kernels.dot(r, b) for b in basis] for r in rows] for rows in diag_rows]
-    quotient_rows, pivots, _ = fans._quotient(reduced_rows, len(basis))
-    quotient = [cone for _, cone in fans._top_dimensional_choices(quotient_rows, len(pivots))]
+    quotient_rows, section, _ = fans._quotient(diag_rows, base_eqs, len(verts))
+    quotient = [cone for _, cone in fans._top_dimensional_choices(quotient_rows, len(section))]
     for cones in (quotient, fans.enumerate_fan(4).maximal):
         assert len(cones) == 75 and all(cone.eqs for cone in cones)
         assert sum(_refusals_agree_with_the_full_rank_oracle(cone, every_bit=False) for cone in cones) > 0
