@@ -344,7 +344,7 @@ def three_term_fan(relations, base_eqs, ambient):
     """
     quotient_rows, section, common = _quotient(relations, base_eqs, ambient)
     lineality = tuple(tuple(v) for v in kernels.rref(common, ambient)[0])
-    orth = linalg.orthogonalize(lineality, ambient)
+    orth = linalg.orthogonalize(lineality)
     base = normalize_rows(base_eqs)
     pair_systems = [{pair: tuple(map(normalize_rows, _choice_system([], [terms], (pair,))))
                      for pair in _PAIRS} for terms in relations]
@@ -425,8 +425,14 @@ class FanCensus:
 
 
 def f_vector_census(fan):
+    """Face counts by dimension modulo the lineality: the rays, the 2-faces
+    and the maximal cones, which are all of a pure fan of dimension at
+    most 3; a higher dimension raises ``ValueError``."""
     dims = [fan.quotient_dim(c) for c in fan.maximal]
     top = max(dims)
+    if top > 3:
+        raise ValueError(f"f_vector_census counts faces up to dimension 3 modulo the "
+                         f"lineality, got a cone of dimension {top}")
     counts = [0] * top
     counts[0] = len(fan.rays)
     if top >= 2:
@@ -663,6 +669,8 @@ def _cell_walk(ray_ids, face_pairs):
     while len(walk) < len(ray_ids):
         nxt = [x for x in neighbors[walk[-1]] if x != walk[-2]]
         walk.append(nxt[0])
+    if len(set(walk)) != len(walk):
+        raise RuntimeError("_cell_walk: a cell boundary is more than one cycle")
     if walk[0] not in neighbors[walk[-1]]:
         raise RuntimeError("_cell_walk: a cell boundary does not close")
     return walk

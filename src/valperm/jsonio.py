@@ -59,7 +59,8 @@ def parse_frac(text, where=""):
 
     Exponent notation is refused: ``Fraction`` would build the whole
     integer, and ``"1e999999999"`` would take minutes and hundreds of
-    megabytes.
+    megabytes.  So are non-ASCII characters and ``_``, which ``Fraction``
+    would read as digits and digit separators.
 
     >>> parse_frac("-3/4"), parse_frac("0.5"), parse_frac(7)
     (Fraction(-3, 4), Fraction(1, 2), Fraction(7, 1))
@@ -67,11 +68,18 @@ def parse_frac(text, where=""):
     Traceback (most recent call last):
     ...
     valperm.jsonio.InputError: values[1]: bad rational '1e999999999' (exponent notation is not accepted)
+    >>> parse_frac("1_000", "values[2]")
+    Traceback (most recent call last):
+    ...
+    valperm.jsonio.InputError: values[2]: bad rational '1_000' (non-ASCII characters and '_' are not accepted)
     """
     if isinstance(text, bool) or not isinstance(text, (str, int)):
         raise InputError(f"{where}: expected a rational string, got {text!r}")
     if isinstance(text, str) and ("e" in text or "E" in text):
         raise InputError(f"{where}: bad rational {text!r} (exponent notation is not accepted)")
+    if isinstance(text, str) and (not text.isascii() or "_" in text):
+        raise InputError(f"{where}: bad rational {text!r} "
+                         "(non-ASCII characters and '_' are not accepted)")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):

@@ -1,10 +1,13 @@
 """Exact integer linear-algebra kernels.
 
-These are the hot inner loops of the whole package: fraction-free row
-reduction, nullspaces and ray combination all operate on plain Python ints,
-so results stay exact at arbitrary precision.  This pure-Python module is the
-only implementation; ``IMPL`` names it, and the perfbench harness records it
-with each run.
+These are the hot inner loops of the whole package: row reduction,
+nullspaces and ray combination all operate on plain Python ints, so results
+stay exact at arbitrary precision.  All row elimination is one
+fraction-free forward pass, :func:`_echelon`: :func:`rank` counts its
+pivots, :func:`rref` is that pass plus back-substitution, and
+:func:`nullspace` is read off the RREF.  This pure-Python module is the only
+implementation; ``IMPL`` names it, and the perfbench harness records it with
+each run.
 """
 
 from math import gcd
@@ -29,84 +32,77 @@ def dot(a, b):
     return sum(map(mul, a, b))
 
 
+def _echelon(rows, ncols):
+    """Fraction-free forward elimination: ``(echelon rows, pivot columns)``.
+
+    Zero rows are dropped, each pivot clears the rows below it, and every
+    changed row is gcd-reduced.  The caller's lists are never mutated: a
+    changed row is a new list.
+    """
+    work = [r for r in rows if any(r)]
+    nrows = len(work)
+    pivots = []
+    for col in range(ncols):
+        row_i = len(pivots)
+        if row_i == nrows:
+            break
+        for i in range(row_i, nrows):
+            if work[i][col]:
+                break
+        else:
+            continue
+        work[row_i], work[i] = work[i], work[row_i]
+        prow = work[row_i]
+        a = prow[col]
+        for i in range(row_i + 1, nrows):
+            q = work[i]
+            b = q[col]
+            if b:
+                work[i] = vec_gcd_reduce([x * a - y * b for x, y in zip(q, prow)])
+        pivots.append(col)
+    return work[:len(pivots)], pivots
+
+
 def rref(rows, ncols):
     """Reduced row echelon form of an integer matrix, kept integral.
 
     Returns ``(reduced, pivots)`` where ``reduced`` holds the nonzero rows,
     each gcd-reduced with a positive pivot entry.  Since the rational RREF of
     a matrix is unique, this integer scaling of it is canonical: two row sets
-    span the same rowspace iff they produce identical output.
+    span the same rowspace iff they produce identical output.  It is the
+    forward pass :func:`_echelon`, then back-substitution from the last
+    pivot up; the rows are gcd-reduced and their signs fixed at the end.
+
+    >>> rref([[2, 4, 6], [1, 3, 5]], 3)
+    ([[1, 0, -1], [0, 1, 2]], [0, 1])
     """
-    work = []
-    for r in rows:
-        if any(r):
-            work.append(vec_gcd_reduce(r))
-    nrows = len(work)
-    pivots = []
-    row_i = 0
-    for col in range(ncols):
-        piv = -1
-        for i in range(row_i, nrows):
-            if work[i][col] != 0:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        work[row_i], work[piv] = work[piv], work[row_i]
-        prow = work[row_i]
+    work, pivots = _echelon(rows, ncols)
+    for k in reversed(range(len(pivots))):
+        prow = work[k]
+        col = pivots[k]
         a = prow[col]
-        for i in range(nrows):
-            if i == row_i:
-                continue
+        for i in range(k):
             q = work[i]
             b = q[col]
-            if b != 0:
-                for j in range(ncols):
-                    q[j] = q[j] * a - prow[j] * b
-                work[i] = vec_gcd_reduce(q)
-        pivots.append(col)
-        row_i += 1
-        if row_i == nrows:
-            break
-    out = []
-    for k in range(row_i):
+            if b:
+                work[i] = vec_gcd_reduce([x * a - y * b for x, y in zip(q, prow)])
+    for k, col in enumerate(pivots):
         r = vec_gcd_reduce(work[k])
-        if r[pivots[k]] < 0:
-            r = [-x for x in r]
-        out.append(r)
-    return out, pivots
+        work[k] = [-x for x in r] if r[col] < 0 else r
+    return work, pivots
 
 
 def rank(rows, ncols):
-    """Rank of an integer matrix, by fraction-free forward elimination.
+    """Rank of an integer matrix: the pivot count of the forward pass.
 
     Only the rows below each pivot are cleared: there is no back-substitution
     and no normalization of the output, which :func:`rref` needs for its
     canonical form but a rank does not.
+
+    >>> rank([[1, 2, 3], [2, 4, 6], [0, 1, 1]], 3)
+    2
     """
-    work = [r for r in rows if any(r)]
-    nrows = len(work)
-    row_i = 0
-    for col in range(ncols):
-        if row_i == nrows:
-            break
-        piv = -1
-        for i in range(row_i, nrows):
-            if work[i][col] != 0:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        work[row_i], work[piv] = work[piv], work[row_i]
-        prow = work[row_i]
-        a = prow[col]
-        for i in range(row_i + 1, nrows):
-            q = work[i]
-            b = q[col]
-            if b != 0:
-                work[i] = vec_gcd_reduce([x * a - y * b for x, y in zip(q, prow)])
-        row_i += 1
-    return row_i
+    return len(_echelon(rows, ncols)[1])
 
 
 def nullspace(rows, ncols):

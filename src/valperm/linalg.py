@@ -2,16 +2,16 @@
 
 Everything here computes on Python ints.  Row reduction, rank and nullspace
 are :mod:`valperm.kernels` functions, called directly on integer rows.
-Fractions are accepted only at the boundary: by :func:`scale_to_int`, which
-callers apply to every rational row before it reaches a kernel, by the
-vector ``v`` of :func:`project_off` and by the rows of :func:`orthogonalize`,
-which are scaled by a positive denominator lcm before any arithmetic.  Such
-scaling preserves rank, nullspace, cone membership and rowspace, all
-scale-invariant notions used here.  Outputs are primitive integer vectors.
-Double description takes no seed from this layer: :mod:`valperm.polyhedra`
-starts each run from the identity basis as the lineality and cuts it by the
-rows one at a time, on any cone: the lineality left at the end is the
-cone's own, so no rowspace reduction comes first.
+Fractions are accepted only by :func:`scale_to_int`, which callers apply to
+every rational row before it reaches a kernel or this layer: it scales a
+row by a positive denominator lcm, which preserves rank, nullspace, cone
+membership and rowspace, all scale-invariant notions used here.
+:func:`orthogonalize` and :func:`project_off` take integer vectors only.
+Outputs are primitive integer vectors.  Double description takes no seed
+from this layer: :mod:`valperm.polyhedra` starts each run from the identity
+basis as the lineality and cuts it by the rows one at a time, on any cone:
+the lineality left at the end is the cone's own, so no rowspace reduction
+comes first.
 """
 
 from math import lcm
@@ -29,23 +29,17 @@ def scale_to_int(row):
     >>> scale_to_int([Fraction(1, 2), Fraction(-3, 4), 0])
     [2, -3, 0]
     """
-    return kernels.vec_gcd_reduce(_clear_denominators(row))
-
-
-def _clear_denominators(row):
-    """``row`` itself when every entry is an int, else its multiple by the lcm
-    of the entries' denominators, as a list of ints."""
     for x in row:
         if type(x) is not int:
             break
     else:
-        return row
+        return kernels.vec_gcd_reduce(row)
     mult = 1
     for x in row:
         if isinstance(x, float):
             raise TypeError(f"float {x!r} is not exact: give an int or a Fraction")
         mult = lcm(mult, x.denominator)
-    return [int(x * mult) for x in row]
+    return kernels.vec_gcd_reduce([int(x * mult) for x in row])
 
 
 def mat_mul(a, b_rows):
@@ -62,7 +56,7 @@ def mat_mul(a, b_rows):
     return out
 
 
-def orthogonalize(rows, ncols):
+def orthogonalize(rows):
     """Gram-Schmidt without normalization; primitive integer output vectors.
 
     Each row is projected off the span of the vectors kept so far with
@@ -81,13 +75,14 @@ def project_off(v, orth_basis):
     """Project v onto the orthogonal complement of span(orth_basis); primitive.
 
     The basis must be pairwise orthogonal integer vectors (as returned by
-    :func:`orthogonalize`); ``v`` may be rational.  Orthogonality makes the
-    projection ``v - sum (v.u / u.u) u`` over the basis, and with ``L`` the
-    lcm of the ``u.u`` whose ``v.u`` is nonzero, ``L v - sum (v.u) (L / u.u) u``
-    is a positive integer multiple of it with the same primitive form.  The
-    zero vector comes back when v lies in the span.
+    :func:`orthogonalize`) and ``v`` an integer vector: a Fraction entry
+    raises TypeError, so a rational ``v`` goes through :func:`scale_to_int`
+    first.  Orthogonality makes the projection ``v - sum (v.u / u.u) u`` over
+    the basis, and with ``L`` the lcm of the ``u.u`` whose ``v.u`` is
+    nonzero, ``L v - sum (v.u) (L / u.u) u`` is a positive integer multiple
+    of it with the same primitive form.  The zero vector comes back when v
+    lies in the span.
     """
-    v = _clear_denominators(v)
     terms = []
     mult = 1
     for u in orth_basis:

@@ -106,10 +106,14 @@ def mask_indicator(mask: int, n: int) -> tuple[int, ...]:
 
 
 def parse_subset(text) -> int:
+    """Subset mask from a list of elements or a string of ASCII digits."""
     if isinstance(text, (list, tuple)):
         elems = [as_int(e) for e in text]
     else:
-        elems = [int(c) for c in str(text)]
+        digits = str(text)
+        if not all("0" <= c <= "9" for c in digits):
+            raise ValueError(f"not a valid subset: {text!r}")
+        elems = [int(c) for c in digits]
     if len(set(elems)) != len(elems) or any(e < 1 for e in elems):
         raise ValueError(f"not a valid subset: {text!r}")
     return mask_from(elems)

@@ -339,7 +339,7 @@ def _canonical(caller, ambient, pointed_dim, lineality, rays, eqs, ineqs, face=N
     """
     lin_rows, _ = kernels.rref(lineality, ambient)
     if rays:
-        orth = linalg.orthogonalize(lin_rows, ambient)
+        orth = linalg.orthogonalize(lin_rows)
         rays = sorted(set(tuple(linalg.project_off(x, orth)) for x in rays))
     if face is None:
         tight = _ray_masks(caller, rays, eqs, ineqs)
@@ -490,7 +490,7 @@ def cone_cut(parent, eqs, ineqs):
         lin, _ = kernels.rref(lin, parent.ambient)
         lineality = tuple(tuple(v) for v in lin)
         if rays:
-            orth = linalg.orthogonalize(lin, parent.ambient)
+            orth = linalg.orthogonalize(lin)
             projected = [tuple(linalg.project_off(r, orth)) for r in rays]
             made = {p for r, p in zip(rays, projected) if r in made}
             pairs = sorted(zip(projected, masks))

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 
 from valperm import kernels
 from valperm.cli import main
+from valperm.jsonio import InputError, parse_frac
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -171,6 +173,24 @@ def test_non_ascii_digit_keys_exit_2(tmp_path, capsys):
         assert main(["subdivide", write(tmp_path, obj, f"vertex{k}.json")]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("valperm: error: ") and "not a permutation" in err[0]
+
+
+def test_parse_frac_takes_ascii_digits_only():
+    # Fraction reads Arabic-Indic digits as ASCII ones and "_" as a digit
+    # separator; signs, p/q and decimals read as before
+    for text in ["\u0661/\u0662", "\u0663", "1_000", "\uff11"]:
+        with pytest.raises(InputError, match="non-ASCII characters and '_' are not accepted"):
+            parse_frac(text, "values[1]")
+    assert [parse_frac(t) for t in ["-3/4", "+0.5", " 7 ", "2/6"]] == [
+        Fraction(-3, 4), Fraction(1, 2), Fraction(7), Fraction(1, 3)]
+
+
+def test_non_ascii_digit_values_exit_2(tmp_path, capsys):
+    for k, value in enumerate(["\u0661", "1_000"]):
+        vm = {"n": 3, "d": 1, "values": {"1": value, "2": "0", "3": "0"}}
+        assert main(["check", "plucker", write(tmp_path, vm, f"value{k}.json")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("valperm: error: ") and "'_'" in err[0]
 
 
 def test_numbers_too_large_to_read_exit_2(tmp_path, capsys):

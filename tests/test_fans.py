@@ -401,7 +401,7 @@ def test_the_quotient_search_finds_the_choices_of_the_unreduced_search(n, dims, 
     verts, base_eqs, diag_rows = fans._context(n)
     basis = kernels.nullspace(base_eqs, len(verts))
     lineality = kernels.rref(common, len(verts))[0]
-    orth = linalg.orthogonalize(lineality, len(verts))
+    orth = linalg.orthogonalize(lineality)
     images = []
     for (choice, cone), (_, whole) in zip(quotient, unreduced):
         assert (cone.dim, cone.lineality_dim) == (whole.dim - len(common),
@@ -499,7 +499,7 @@ def test_the_quotient_search_gives_the_rank_two_dressian(n, maximal, rays):
     assert all(len(ridx) == n - 3 for ridx in fan["maximal_rays"])
     if n == 6:
         assert len(fan["two_faces"]) == 105
-    orth = linalg.orthogonalize(fan["lineality"], len(masks))
+    orth = linalg.orthogonalize(fan["lineality"])
     assert {tuple(linalg.project_off(v, orth)) for v in _split_metrics(n, masks)} == set(fan["rays"])
     if n == 5:
         # the search with no reduction at all, in R^10 with the lineality
@@ -1044,6 +1044,28 @@ def test_betti_rejects_an_endpoint_outside_the_vertices(edge):
     # vertex would raise a bare IndexError
     with pytest.raises(ValueError, match=r"^complex_betti: edge .* has an endpoint outside range\(3\)"):
         complex_betti(3, [edge], [])
+
+
+def test_cell_walk_refuses_a_boundary_of_two_cycles():
+    # each ray has two neighbours, but the walk from ray 0 closes after
+    # three rays: the other triangle would be walked as a second lap
+    with pytest.raises(RuntimeError, match="^_cell_walk: a cell boundary is more than one cycle"):
+        fans._cell_walk([0, 1, 2, 3, 4, 5], [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    assert fans._cell_walk([0, 1, 2, 3], [(0, 1), (2, 3), (1, 2), (3, 0)]) == [0, 1, 2, 3]
+
+
+def test_f_vector_census_refuses_a_fan_above_dimension_three():
+    # the product of four tropical lines has 12 rays, 54 2-faces, 108
+    # 3-faces and 81 maximal cones of dimension 4; the census counts no
+    # 3-faces, so it refuses the fan instead of writing 0 for them
+    def e(i):
+        return [1 if j == i else 0 for j in range(12)]
+
+    product = fans.Fan(n=4, ambient=12, **fans.three_term_fan(
+        [[e(3 * r), e(3 * r + 1), e(3 * r + 2)] for r in range(4)], [], 12))
+    assert (len(product.rays), len(product.two_faces), len(product.maximal)) == (12, 54, 81)
+    with pytest.raises(ValueError, match="up to dimension 3 .* dimension 4"):
+        f_vector_census(product)
 
 
 def test_link_homology_fault_is_internal(fan4, monkeypatch, capsys):

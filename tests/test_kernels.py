@@ -132,16 +132,50 @@ def random_cases():
     return cases
 
 
+def large_entry_cases():
+    """Seeded int matrices with entries up to +-10^6, some rows integer
+    combinations of others, so that elimination grows the entries."""
+    rng = random.Random(10**6)
+    cases = []
+    for _ in range(60):
+        nrows = rng.randint(1, 7)
+        ncols = rng.randint(1, 7)
+        mat = random_matrix(rng, nrows, ncols, -10**6, 10**6)
+        for _ in range(rng.randint(0, 2)):
+            a, b = rng.choice(mat), rng.choice(mat)
+            ca, cb = rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)
+            mat.append([ca * x + cb * y for x, y in zip(a, b)])
+        rng.shuffle(mat)
+        cases.append((mat, ncols))
+    return cases
+
+
+def assert_elimination_matches_oracle(mat, ncols):
+    """``rref`` and ``rank``, which share one forward pass, against the
+    Fraction Gauss-Jordan oracle, leaving their input as it was."""
+    expected = rref_oracle(mat, ncols)
+    copy = [list(r) for r in mat]
+    assert kernels.rref(copy, ncols) == expected, (mat, ncols)
+    assert copy == mat
+    assert kernels.rank(copy, ncols) == len(expected[0]), (mat, ncols)
+    assert copy == mat
+    return len(expected[0])
+
+
 def test_rank_matches_rref():
-    """The forward-only rank against the length of the canonical RREF."""
+    """The rank and the RREF of every random case against the oracle."""
     shapes = set()
     for mat, ncols in random_cases():
-        expected = len(kernels.rref([list(r) for r in mat], ncols)[0])
-        copy = [list(r) for r in mat]
-        assert kernels.rank(copy, ncols) == expected, (mat, ncols)
-        assert copy == mat
-        shapes.add((len(mat) > ncols, len(mat) < ncols, expected < min(len(mat), ncols)))
+        rank = assert_elimination_matches_oracle(mat, ncols)
+        shapes.add((len(mat) > ncols, len(mat) < ncols, rank < min(len(mat), ncols)))
     assert {(True, False, False), (False, True, False), (True, False, True), (False, True, True)} <= shapes
+
+
+def test_elimination_with_large_entries_matches_oracle():
+    deficient = 0
+    for mat, ncols in large_entry_cases():
+        deficient += assert_elimination_matches_oracle(mat, ncols) < min(len(mat), ncols)
+    assert deficient >= 10
 
 
 @pytest.mark.parametrize("ncols", range(5))

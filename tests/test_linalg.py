@@ -63,29 +63,45 @@ def random_rows(rng, count, ncols, rational):
     return rows
 
 
+def has_fraction(row):
+    return any(isinstance(x, Fraction) for x in row)
+
+
 @pytest.mark.parametrize("rational", [False, True])
 @pytest.mark.parametrize("seed", range(40))
 def test_orthogonalize_and_project_off_match_fraction_oracle(seed, rational):
+    """Rational rows go through ``scale_to_int`` first, and the integer
+    results match the Fraction oracles on the rows as drawn; a Fraction
+    entry given to the integer functions raises TypeError."""
     rng = random.Random(seed)
     ncols = rng.randint(1, 6)
     rows = random_rows(rng, rng.randint(0, 5), ncols, rational)
-    basis = linalg.orthogonalize(rows, ncols)
+    basis = linalg.orthogonalize([linalg.scale_to_int(r) for r in rows])
     assert basis == orthogonalize_fraction(rows)
     for a in range(len(basis)):
         for b in range(a + 1, len(basis)):
             assert sum(x * y for x, y in zip(basis[a], basis[b])) == 0
+    if any(map(has_fraction, rows)):
+        with pytest.raises(TypeError):
+            linalg.orthogonalize(rows)
     for v in random_rows(rng, 6, ncols, rational) + rows:
         for b in (basis, []):
-            got = linalg.project_off(v, b)
+            got = linalg.project_off(linalg.scale_to_int(v), b)
             assert got == project_off_fraction(v, b)
             assert all(type(x) is int for x in got)
+            if has_fraction(v):
+                with pytest.raises(TypeError):
+                    linalg.project_off(v, b)
 
 
 def test_project_off_inside_the_span_is_zero():
-    basis = linalg.orthogonalize([[1, 1, 0], [1, 0, 1]], 3)
+    basis = linalg.orthogonalize([[1, 1, 0], [1, 0, 1]])
     assert linalg.project_off([3, 1, 2], basis) == [0, 0, 0]
     assert linalg.project_off([0, 0, 0], []) == [0, 0, 0]
-    assert linalg.project_off([Fraction(1, 2), Fraction(-1, 2), Fraction(1, 2)], basis) == [1, -1, -1]
+    half = [Fraction(1, 2), Fraction(-1, 2), Fraction(1, 2)]
+    assert linalg.project_off(linalg.scale_to_int(half), basis) == [1, -1, -1]
+    with pytest.raises(TypeError):
+        linalg.project_off(half, basis)
 
 
 def random_pointed_cone(rng):

@@ -1,5 +1,6 @@
 """The source distribution ships the library modules and nothing test-only."""
 
+import ast
 import shutil
 import tarfile
 from pathlib import Path
@@ -40,3 +41,14 @@ def test_sdist_ships_exactly_the_library_modules(tmp_path, monkeypatch):
     package_files = {n for n in names if Path(n).parent.name == "valperm"}
     assert py_files == package_files
     assert {Path(n).name for n in package_files} == {m + ".py" for m in MODULES}
+
+
+def test_no_library_check_is_an_assert_statement():
+    # python -O strips assert statements, so a check made with one would
+    # vanish; every library check raises explicitly instead
+    found = []
+    for path in sorted((ROOT / "src" / "valperm").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found

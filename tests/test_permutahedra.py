@@ -55,6 +55,15 @@ def test_mask_helpers():
     ]
 
 
+def test_subset_strings_take_ascii_digits_only():
+    # int() reads Arabic-Indic digits as ASCII ones, and " 13" and "1-3"
+    # failed with int()'s own message
+    for text in ["\u0661\u0663", " 13", "1-3", "\uff11"]:
+        with pytest.raises(ValueError, match="^not a valid subset: "):
+            parse_subset(text)
+    assert parse_subset("13") == mask_from([1, 3]) and parse_subset("") == 0
+
+
 def test_perm_helpers():
     assert parse_perm("2134") == (2, 1, 3, 4)
     assert perm_str((2, 1, 3, 4)) == "2134"

@@ -185,7 +185,7 @@ def _image_modulo_common_lineality(eqs, ineqs, ambient):
     eqs, ineqs = polyhedra.normalize_rows(eqs), polyhedra.normalize_rows(ineqs)
     assert not any(kernels.dot(r, v) for r in eqs + ineqs for v in lineality)
     return cone_image(quotient, [basis[p] for p in pivots], eqs, ineqs,
-                      lineality, linalg.orthogonalize(lineality, ambient))
+                      lineality, linalg.orthogonalize(lineality))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -1040,7 +1040,7 @@ def test_cone_cut_equals_a_fresh_solve_of_the_full_system():
 
         parent = cone_solve([row() for _ in range(rng.randint(0, 1))],
                             [row() for _ in range(rng.randint(0, 5))], ambient)
-        orth = linalg.orthogonalize(parent.lineality, ambient)
+        orth = linalg.orthogonalize(parent.lineality)
 
         def cut_row():
             r = [rng.randint(-2, 2) for _ in range(ambient)]
