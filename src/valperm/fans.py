@@ -37,11 +37,16 @@ each ray keeping its tight mask.  No cone is solved again in R^ambient:
 the top-dimensional cones of the last level are mapped from the section's
 coordinates to R^ambient, with L as their lineality, by
 :func:`~valperm.polyhedra.cone_image`, and they are the maximal cones.
-L is brought to RREF, orthogonalized and certified against every base
-equation and term difference once, and the rows of the systems are
-normalized once; each image's rays are mapped, projected off L and checked
-against its ambient defining system.  Their 2-faces come from the rays'
-tight masks, which that check records.
+L is brought to RREF and certified against every base equation and term
+difference once, the section vectors are projected off L once, all by one
+factor, and certified against every base equation once, and the rows of
+the systems are normalized once, for the search and for the images.  An
+image ray is a combination of the projected section vectors, so it is
+orthogonal to L and every base equation vanishes on it: each image's rays
+are mapped and checked against its choice's own rows only (8 of the 23
+equations and all 16 inequalities for n = 4), and the image stores the
+whole system.  Their 2-faces come from the rays' tight masks, which that
+check records.
 
 The search finds the top-dimensional cones, which are all the maximal ones
 exactly when the fan is pure.  Purity is certified on every run: the last
@@ -147,6 +152,7 @@ def _choice_system(base_eqs, relations, choice):
 
 
 _PAIRS = ((0, 1), (0, 2), (1, 2))
+_RAYLESS = "three_term_fan: the fan has no ray: every cone is the common lineality"
 
 
 def _last_level(rows, dim):
@@ -161,13 +167,15 @@ def _last_level(rows, dim):
     level is solved with :func:`~valperm.polyhedra.cone_solve`, since the
     whole space has no generators to cut; every later child is cut from its
     parent's generators by :func:`~valperm.polyhedra.cone_cut`, with each
-    (relation, pair)'s rows built once.  Cones without a ray stay, since
-    cutting a linear space can still leave a cone with rays.  The kept
+    (relation, pair)'s rows built and normalized once, as ``cone_cut``
+    takes them.  Cones without a ray stay, since cutting a linear space can
+    still leave a cone with rays.  The kept
     choices come in the order of ``itertools.product(_PAIRS, repeat=H)``,
     so each cone keeps the first choice reaching it.  Returns
     ``[(choice, cone in dim coordinates)]``.
     """
-    cuts = [[_choice_system([], [terms], (pair,)) for pair in _PAIRS] for terms in rows]
+    cuts = [[tuple(map(normalize_rows, _choice_system([], [terms], (pair,)))) for pair in _PAIRS]
+            for terms in rows]
     level = [((), None)]
     for systems in cuts:
         kept = {}
@@ -229,8 +237,10 @@ def _quotient(relations, base_eqs, ambient):
 
 def _inside(cone, other):
     """Whether ``cone`` lies in ``other``: its rays and both signs of its
-    lineality vectors do."""
-    return (all(other.contains(r) for r in cone.rays)
+    lineality vectors do.  A ray that is also one of ``other``'s needs no
+    dot product: ``other``'s rays were checked against its system when it
+    was made."""
+    return (all(r in other.rays or other.contains(r) for r in cone.rays)
             and all(other.contains(v) and other.contains([-x for x in v]) for v in cone.lineality))
 
 
@@ -253,6 +263,8 @@ def _top_dimensional_choices(rows, dim):
     """
     level = _last_level(rows, dim)
     found = [(choice, cone) for choice, cone in level if cone.rays]
+    if not found:
+        raise ValueError(_RAYLESS)
     top_dim = max(cone.dim for _, cone in found)
     top = [(choice, cone) for choice, cone in found if cone.dim == top_dim]
     holding = {}  # ray -> indices of the top cones that have it as a ray
@@ -305,6 +317,26 @@ class Fan:
         return cone.dim - cone.lineality_dim
 
 
+def _refuse_malformed(relations, base_eqs, ambient):
+    """Refuse the input of :func:`three_term_fan` that its engine cannot
+    read: a relation without three terms, a row of another length than
+    ``ambient`` or an entry that is not an int; and no relations at all,
+    which leaves the fan one linear space with no ray."""
+    if not relations:
+        raise ValueError(_RAYLESS)
+    for terms in relations:
+        if len(terms) != 3:
+            raise ValueError(f"three_term_fan: a relation of {len(terms)} terms, not 3")
+    for kind, rows in [("a term row", [t for terms in relations for t in terms]),
+                       ("a base equation", base_eqs)]:
+        for row in rows:
+            if len(row) != ambient:
+                raise ValueError(f"three_term_fan: {kind} of length {len(row)}, not {ambient}")
+            for x in row:
+                if type(x) is not int:
+                    raise TypeError(f"three_term_fan: {x!r} in {kind} is not an int")
+
+
 def three_term_fan(relations, base_eqs, ambient):
     """The maximal cones of a three-term fan in R^ambient, with faces.
 
@@ -324,10 +356,16 @@ def three_term_fan(relations, base_eqs, ambient):
     (relation, pair) system, which are normalized once; so L lies in every
     choice's cone, and since each top cone of the quotient search is
     pointed (:func:`~valperm.polyhedra.cone_image` refuses one that is
-    not), it is the whole lineality of each image.  Each top cone is mapped
-    to R^ambient by :func:`~valperm.polyhedra.cone_image`, with that
-    lineality, its orthogonal basis (computed once) and its choice's
-    ambient system, which every image ray must satisfy; no cone is solved
+    not), it is the whole lineality of each image.  The section vectors
+    are projected off L once, all by one positive factor
+    (:func:`~valperm.linalg.project_rows_off`), so a combination of them
+    projects to the same combination of the projected vectors; every base
+    equation must vanish on those, which is certified once, so it vanishes
+    on every image ray.  Each top cone is mapped to R^ambient by
+    :func:`~valperm.polyhedra.cone_image` through the projected section,
+    with that lineality and its choice's ambient system, which the image
+    stores whole; every image ray is checked against its choice's own
+    rows, the base equations being certified already.  No cone is solved
     again in R^ambient.  The images need no containment sweep: the cones of
     two choices meet where both pairs attain on the relations they differ
     on, a face of each.  A top-dimensional cone inside another would be a
@@ -341,26 +379,35 @@ def three_term_fan(relations, base_eqs, ambient):
     ``lineality``, ``maximal`` (sorted by key), the global ``rays`` and
     ``two_faces``, and each maximal cone's ``maximal_rays`` and
     ``maximal_two_faces`` as indices into them.
+
+    Malformed input is refused before any work: ``ValueError`` for a
+    relation that does not have three terms, a term row or base equation
+    whose length is not ``ambient``, and a fan with no ray (no relations,
+    or every cone equal to the common lineality); ``TypeError`` for an
+    entry that is not an int.
     """
+    _refuse_malformed(relations, base_eqs, ambient)
     quotient_rows, section, common = _quotient(relations, base_eqs, ambient)
     lineality = tuple(tuple(v) for v in kernels.rref(common, ambient)[0])
-    orth = linalg.orthogonalize(lineality)
+    projected = linalg.project_rows_off(section, linalg.orthogonalize(lineality))
     base = normalize_rows(base_eqs)
     pair_systems = [{pair: tuple(map(normalize_rows, _choice_system([], [terms], (pair,))))
                      for pair in _PAIRS} for terms in relations]
     if any(kernels.dot(e, v) for e in base for v in lineality):
         raise RuntimeError("three_term_fan: a base equation does not vanish on the common lineality")
+    if any(kernels.dot(e, v) for e in base for v in projected):
+        raise RuntimeError("three_term_fan: a base equation does not vanish on the quotient section")
     if any(kernels.dot(r, v) for systems in pair_systems for eqs, ineqs in systems.values()
            for r in eqs + ineqs for v in lineality):
         raise RuntimeError("three_term_fan: a term difference does not vanish on the "
                            "common lineality")
 
     def image(choice, cone):
-        eqs, ineqs = base, ()
+        eqs, ineqs = (), ()
         for systems, pair in zip(pair_systems, choice):
             eqs += systems[pair][0]
             ineqs += systems[pair][1]
-        return cone_image(cone, section, eqs, ineqs, lineality, orth)
+        return cone_image(cone, projected, base, eqs, ineqs, lineality)
 
     maximal = tuple(sorted(
         (image(choice, cone) for choice, cone in _top_dimensional_choices(quotient_rows, len(section))),

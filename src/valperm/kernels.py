@@ -5,9 +5,11 @@ nullspaces and ray combination all operate on plain Python ints, so results
 stay exact at arbitrary precision.  All row elimination is one
 fraction-free forward pass, :func:`_echelon`: :func:`rank` counts its
 pivots, :func:`rref` is that pass plus back-substitution, and
-:func:`nullspace` is read off the RREF.  This pure-Python module is the only
-implementation; ``IMPL`` names it, and the perfbench harness records it with
-each run.
+:func:`nullspace` is read off the RREF.  A rank asked only up to a bound
+that it cannot exceed, as the extremality certificate of
+:mod:`valperm.polyhedra` asks it, stops the pass at that many pivots.
+This pure-Python module is the only implementation; ``IMPL`` names it, and
+the perfbench harness records it with each run.
 """
 
 from math import gcd
@@ -32,19 +34,21 @@ def dot(a, b):
     return sum(map(mul, a, b))
 
 
-def _echelon(rows, ncols):
+def _echelon(rows, ncols, stop=None):
     """Fraction-free forward elimination: ``(echelon rows, pivot columns)``.
 
     Zero rows are dropped, each pivot clears the rows below it, and every
     changed row is gcd-reduced.  The caller's lists are never mutated: a
-    changed row is a new list.
+    changed row is a new list.  With ``stop`` the pass ends at that many
+    pivots, leaving the rows below the last one as they are.
     """
     work = [r for r in rows if any(r)]
     nrows = len(work)
+    last = nrows if stop is None else min(nrows, stop)
     pivots = []
     for col in range(ncols):
         row_i = len(pivots)
-        if row_i == nrows:
+        if row_i == last:
             break
         for i in range(row_i, nrows):
             if work[i][col]:
@@ -52,6 +56,9 @@ def _echelon(rows, ncols):
         else:
             continue
         work[row_i], work[i] = work[i], work[row_i]
+        pivots.append(col)
+        if row_i + 1 == last:
+            break
         prow = work[row_i]
         a = prow[col]
         for i in range(row_i + 1, nrows):
@@ -59,7 +66,6 @@ def _echelon(rows, ncols):
             b = q[col]
             if b:
                 work[i] = vec_gcd_reduce([x * a - y * b for x, y in zip(q, prow)])
-        pivots.append(col)
     return work[:len(pivots)], pivots
 
 
@@ -92,17 +98,23 @@ def rref(rows, ncols):
     return work, pivots
 
 
-def rank(rows, ncols):
+def rank(rows, ncols, stop=None):
     """Rank of an integer matrix: the pivot count of the forward pass.
 
     Only the rows below each pivot are cleared: there is no back-substitution
     and no normalization of the output, which :func:`rref` needs for its
-    canonical form but a rank does not.
+    canonical form but a rank does not.  With ``stop`` the pass ends at
+    that many pivots, so the result is ``min(rank, stop)``: a caller that
+    only asks whether the rank reaches a bound it cannot exceed stops there.
 
     >>> rank([[1, 2, 3], [2, 4, 6], [0, 1, 1]], 3)
     2
+    >>> rank([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3, stop=2)
+    2
+    >>> rank([[1, 2, 3], [2, 4, 6]], 3, stop=2)
+    1
     """
-    return len(_echelon(rows, ncols)[1])
+    return len(_echelon(rows, ncols, stop)[1])
 
 
 def nullspace(rows, ncols):

@@ -6,12 +6,14 @@ Fractions are accepted only by :func:`scale_to_int`, which callers apply to
 every rational row before it reaches a kernel or this layer: it scales a
 row by a positive denominator lcm, which preserves rank, nullspace, cone
 membership and rowspace, all scale-invariant notions used here.
-:func:`orthogonalize` and :func:`project_off` take integer vectors only.
-Outputs are primitive integer vectors.  Double description takes no seed
-from this layer: :mod:`valperm.polyhedra` starts each run from the identity
-basis as the lineality and cuts it by the rows one at a time, on any cone:
-the lineality left at the end is the cone's own, so no rowspace reduction
-comes first.
+:func:`orthogonalize`, :func:`project_off` and :func:`project_rows_off`
+take integer vectors only.  Outputs are primitive integer vectors, but for
+:func:`project_rows_off`, which scales a family of rows by one factor so
+that combinations of them project as combinations.  Double description
+takes no seed from this layer: :mod:`valperm.polyhedra` starts each run
+from the identity basis as the lineality and cuts it by the rows one at a
+time, on any cone: the lineality left at the end is the cone's own, so no
+rowspace reduction comes first.
 """
 
 from math import lcm
@@ -100,3 +102,27 @@ def project_off(v, orth_basis):
             if x:
                 w[j] -= c * x
     return kernels.vec_gcd_reduce(w)
+
+
+def project_rows_off(rows, orth_basis):
+    """Project each row onto the orthogonal complement of span(orth_basis),
+    all by one positive integer factor.
+
+    The basis and rows are as for :func:`project_off`.  With ``L`` the lcm
+    of every ``u.u``, each row ``v`` gives ``L v - sum (v.u) (L / u.u) u``,
+    its projection times ``L``, and no row is made primitive: so a
+    combination of ``rows`` projects to the same combination of the output
+    rows, over ``L``.  :func:`project_off` takes a factor of its own per
+    row instead, and returns it primitive.
+    """
+    norms = [kernels.dot(u, u) for u in orth_basis]
+    mult = lcm(*norms)
+    out = []
+    for v in rows:
+        w = [x * mult for x in v]
+        for u, uu in zip(orth_basis, norms):
+            c = kernels.dot(v, u) * (mult // uu)
+            if c:
+                w = [x - c * y for x, y in zip(w, u)]
+        out.append(w)
+    return out

@@ -28,9 +28,11 @@ The canonical form (RREF lineality basis, primitive rays orthogonal to the
 lineality, sorted) makes cone equality a tuple comparison, which the fan
 enumeration relies on for dedup.  :func:`cone_image` puts a pointed cone
 solved in the coordinates of a subspace basis into the same canonical form
-in the ambient space without solving it again: it maps, projects and checks
-the rays as step 4 does, and takes a lineality space that its caller
-brought to canonical form and certified once for all its images.
+in the ambient space without solving it again: it maps the rays through a
+basis that its caller projected off the lineality once, and checks them as
+step 4 does; it takes a lineality space that its caller brought to
+canonical form and certified once for all its images, and equations that
+its caller certified once to hold on every image.
 :func:`cone_cut` cuts a canonical cone by a few more rows straight from its
 generators and tight masks, and certifies the result irredundant from the
 masks.  Step 2 and the cut run one row loop, :func:`_cut`: double
@@ -44,7 +46,9 @@ rows only, by the dot products it takes anyway, and checks the few rays
 its double description steps made against the whole system.  When a row
 is nonzero on the lineality, the cut also puts the moved generators back
 in canonical form: the RREF of the new lineality and the rays projected
-off it, each carrying its mask.
+off it, each carrying its mask.  :func:`cone_image` and :func:`cone_cut`
+take their rows as :func:`normalize_rows` gives them, so a caller that
+passes the same rows many times normalizes them once.
 
 The check of step 4 computes every ``a . r`` of an inequality ``a`` and a
 ray ``r``, and keeps the zeros as the ray's tight mask (:attr:`Cone.tight`).
@@ -391,36 +395,41 @@ def cone_solve(eqs, ineqs, ambient, *, face=None):
     return cone
 
 
-def cone_image(cone, basis, eqs, ineqs, lineality, orth):
+def cone_image(cone, basis, shared, eqs, ineqs, lineality):
     """The canonical cone of R^ambient that the pointed ``cone`` is in the
     coordinates of ``basis``, plus a certified lineality space.
 
     ``cone`` is stated in the coordinates of the ambient rows ``basis``:
     ``y`` stands for ``y . basis``.  ``lineality`` is the RREF basis of the
-    image's lineality space, which the image keeps, and ``orth`` an
-    orthogonal basis of the same space (:func:`linalg.orthogonalize`).  The
-    rows of ``basis`` and ``lineality`` must be independent together; then
-    the map is injective, the image's dimension is ``cone``'s plus
-    ``len(lineality)``, and its rays are the images of ``cone``'s rays,
-    projected off ``orth``.  ``eqs``/``ineqs`` are the ambient system the
-    image solves, given as :func:`normalize_rows` gives them, and stored on
-    it as they are.  Every image ray is checked against that system, which
-    records its tight mask.
+    image's lineality space, which the image keeps.  The rows of ``basis``
+    must be orthogonal to ``lineality`` (:func:`linalg.project_rows_off`
+    makes them so, once for all images) and independent; then the map is
+    injective, the image's dimension is ``cone``'s plus ``len(lineality)``,
+    and its rays are the images of ``cone``'s rays, made primitive, already
+    orthogonal to the lineality as the canonical form asks.  The image
+    solves the ambient system of the equations ``shared + eqs`` and the
+    inequalities ``ineqs``, given as :func:`normalize_rows` gives them, and
+    stores it as it is.  Every image ray is checked against ``eqs`` and
+    ``ineqs``, which records its tight mask; ``shared`` holds the equations
+    that every image of the caller solves, which vanish on every row of
+    ``basis`` and of ``lineality``, so on every image ray, a combination of
+    those rows.
 
     Nothing that many images share is done per image: the caller brings
-    the lineality to RREF, orthogonalizes it and normalizes the rows once,
-    and certifies once that every lineality vector vanishes on every row
-    of every system it passes here, and that the rows of ``basis`` and
+    the lineality to RREF, projects ``basis`` off it and normalizes the rows
+    once, and certifies once that every lineality vector vanishes on every
+    row of every system it passes here, that every row of ``shared``
+    vanishes on every row of ``basis``, and that the rows of ``basis`` and
     ``lineality`` are independent.  No cone is solved here.  A failed
     check, or a ``cone`` with lineality of its own, which the image would
     lose, raises ``RuntimeError``.
     """
     if cone.lineality:
         raise RuntimeError("cone_image: the cone is not pointed")
-    rays = sorted(set(tuple(linalg.project_off(x, orth)) for x in linalg.mat_mul(cone.rays, basis)))
+    rays = sorted(set(tuple(kernels.vec_gcd_reduce(x)) for x in linalg.mat_mul(cone.rays, basis)))
     tight = _ray_masks("cone_image", rays, eqs, ineqs)
     return Cone(len(basis[0]), len(lineality) + cone.dim, len(lineality),
-                tuple(tuple(v) for v in lineality), tuple(rays), eqs, ineqs, tuple(tight))
+                tuple(tuple(v) for v in lineality), tuple(rays), shared + eqs, ineqs, tuple(tight))
 
 
 def cone_cut(parent, eqs, ineqs):
@@ -476,10 +485,13 @@ def cone_cut(parent, eqs, ineqs):
     redundant ray, which would mislead the adjacency test of the next cut,
     from passing on.
 
-    A nonzero row whose length is not the parent's ambient dimension
-    raises ``ValueError``.
+    ``eqs`` and ``ineqs`` are given as :func:`normalize_rows` gives them
+    (tuples of primitive integer tuples, no zero row), and stored on the
+    result as they are: a caller that cuts many cones by the same rows,
+    as the level search of :mod:`valperm.fans` does, normalizes them once.
+    A row whose length is not the parent's ambient dimension raises
+    ``ValueError``.
     """
-    eqs, ineqs = normalize_rows(eqs), normalize_rows(ineqs)
     _require_length("cone_cut", eqs + ineqs, parent.ambient, "a row")
     lin, rays, masks, pointed, made = _cut(
         [list(v) for v in parent.lineality], list(parent.rays), list(parent.tight),
@@ -532,11 +544,24 @@ def check_extremal(cone, caller, certified=(), null=None):
     it); otherwise it is computed here.  A cone with no equations ranks its
     tight rows as they are.  Rays in ``certified`` were certified extremal
     before and are skipped, and a cone with no other ray eliminates
-    nothing.  A failure raises ``RuntimeError`` naming ``caller``.
+    nothing.
+
+    The rank stops at the wanted one (:func:`kernels.rank` with ``stop``),
+    since it can never exceed it.  Every row of E and T vanishes on the
+    ray, whose tight mask the dot-check of its system recorded, and on the
+    lineality space, which is certified against the whole system.  A
+    nonzero ray orthogonal to the lineality space (a canonical ray is) lies
+    outside it, so those rows vanish on a space of dimension
+    ``lineality_dim + 1``, and their rank is at most the wanted
+    ``ambient - lineality_dim - 1``.  That argument needs the ray to be
+    nonzero, so a zero ray is refused.  A failure raises ``RuntimeError``
+    naming ``caller``.
     """
     masks = [mask for ray, mask in zip(cone.rays, cone.tight) if ray not in certified]
     if not masks:
         return
+    if not all(map(any, cone.rays)):
+        raise RuntimeError(f"{caller}: a ray of a cone is zero")
     want, ineqs, dim = cone.ambient - cone.lineality_dim - 1, cone.ineqs, cone.ambient
     if cone.eqs:
         if null is None:
@@ -546,7 +571,7 @@ def check_extremal(cone, caller, certified=(), null=None):
         dim = len(null)
     for mask in masks:
         rows = [a for h, a in enumerate(ineqs) if mask >> h & 1]
-        if kernels.rank(rows, dim) != want:
+        if kernels.rank(rows, dim, want) != want:
             raise RuntimeError(f"{caller}: a ray of a cone is not extremal")
 
 

@@ -401,13 +401,13 @@ def test_the_quotient_search_finds_the_choices_of_the_unreduced_search(n, dims, 
     verts, base_eqs, diag_rows = fans._context(n)
     basis = kernels.nullspace(base_eqs, len(verts))
     lineality = kernels.rref(common, len(verts))[0]
-    orth = linalg.orthogonalize(lineality)
+    projected = linalg.project_rows_off(section, linalg.orthogonalize(lineality))
     images = []
     for (choice, cone), (_, whole) in zip(quotient, unreduced):
         assert (cone.dim, cone.lineality_dim) == (whole.dim - len(common),
                                                   whole.lineality_dim - len(common))
         eqs, ineqs = map(polyhedra.normalize_rows, fans._choice_system(base_eqs, diag_rows, choice))
-        image = polyhedra.cone_image(cone, section, eqs, ineqs, lineality, orth)
+        image = polyhedra.cone_image(cone, projected, (), eqs, ineqs, lineality)
         want = cone_image_by_canonical(whole, basis, eqs, ineqs)
         assert (image.key, image.dim, image.lineality_dim) == (want.key, want.dim, want.lineality_dim)
         assert (image.eqs, image.ineqs, image.tight) == (want.eqs, want.ineqs, want.tight)
@@ -577,6 +577,69 @@ def test_a_certified_lineality_that_leaves_a_row_is_internal(tilt, message, monk
         enumerate_fan(4)
     assert tilts == [ambient] and images == []
     _assert_internal_error(capsys, f"three_term_fan: {message}")
+
+
+def test_a_quotient_section_off_a_base_equation_is_internal(monkeypatch, capsys):
+    # the first section vector moved along a unit vector, which leaves a
+    # base equation: the image rays are checked against their choice's own
+    # rows only, so the certificate made once refuses it before any image
+    quotient = fans._quotient
+
+    def tilted(relations, base_eqs, ambient):
+        rows, section, common = quotient(relations, base_eqs, ambient)
+        step = [int(t == 0) for t in range(ambient)]
+        return rows, [[x + y for x, y in zip(section[0], step)]] + section[1:], common
+
+    monkeypatch.setattr(fans, "_quotient", tilted)
+    images = []
+    monkeypatch.setattr(fans, "cone_image", lambda *args: images.append(args))
+    with pytest.raises(RuntimeError, match="^three_term_fan: a base equation does not vanish on the "
+                                           "quotient section"):
+        enumerate_fan(4)
+    assert images == []
+    _assert_internal_error(capsys, "three_term_fan: a base equation does not vanish on the quotient")
+
+
+def test_the_search_normalizes_each_pair_system_once(monkeypatch):
+    # cone_cut takes its rows as normalize_rows gives them, so the 1203
+    # cuts normalize nothing: two systems per (hexagon, pair), once in the
+    # quotient coordinates for the search and once in R^24 for the images,
+    # the base equations once and the three first-level solves' two
+    # systems each, 2 * 24 + 2 * 24 + 1 + 3 * 2 = 103 calls (2461 when
+    # every cut normalized its rows)
+    normalize, cut = polyhedra.normalize_rows, fans.cone_cut
+    calls = Counter()
+
+    def counted(rows):
+        calls["normalize_rows"] += 1
+        return normalize(rows)
+
+    def checked_cut(parent, eqs, ineqs):
+        calls["cone_cut"] += 1
+        assert (eqs, ineqs) == (normalize(eqs), normalize(ineqs))
+        return cut(parent, eqs, ineqs)
+
+    monkeypatch.setattr(polyhedra, "normalize_rows", counted)
+    monkeypatch.setattr(fans, "normalize_rows", counted)
+    monkeypatch.setattr(fans, "cone_cut", checked_cut)
+    enumerate_fan(4)
+    assert calls == {"normalize_rows": 103, "cone_cut": 1203}
+
+
+@pytest.mark.parametrize("relations, base_eqs, error, message", [
+    ([], [], ValueError, "the fan has no ray"),
+    ([[[1, 0, 0], [0, 1, 0]]], [], ValueError, "a relation of 2 terms, not 3"),
+    ([[[1, 0], [0, 1, 0], [0, 0, 1]]], [], ValueError, "a term row of length 2, not 3"),
+    ([[[1, 0, 0], [0, 1, 0], [0, 0, 1]]], [[1, 1]], ValueError, "a base equation of length 2, not 3"),
+    ([[[0.5, 0, 0], [0, 1, 0], [0, 0, 1]]], [], TypeError, r"0\.5 in a term row is not an int"),
+    ([[[1, 0, 0], [0, 1, 0], [0, 0, 1]]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], ValueError,
+     "the fan has no ray"),
+], ids=["no-relations", "two-terms", "short-term", "short-base-equation", "float", "rayless"])
+def test_three_term_fan_refuses_malformed_input(relations, base_eqs, error, message):
+    # each used to fail deep inside the engine (AttributeError, IndexError,
+    # a TypeError of math.gcd, or max() of an empty sequence)
+    with pytest.raises(error, match=f"^three_term_fan: {message}"):
+        fans.three_term_fan(relations, base_eqs, 3)
 
 
 def test_fan4_tight_masks_match_dot_products(fan4):

@@ -195,3 +195,19 @@ def test_nullspace_depends_only_on_the_rowspace():
         rows = [list(r) for r in mat]
         assert kernels.nullspace(kernels.rref(rows, ncols)[0], ncols) == kernels.nullspace(rows, ncols)
         assert rows == mat
+
+
+@pytest.mark.parametrize("cases", [random_cases, large_entry_cases], ids=["random", "large"])
+def test_rank_with_a_stop_is_the_least_of_the_rank_and_the_stop(cases):
+    """A rank that stops at ``stop`` pivots reads ``min(rank, stop)`` for a
+    stop below, at and above the oracle's rank, and leaves its input as it
+    was."""
+    stopped = 0
+    for mat, ncols in cases():
+        true = len(rref_oracle(mat, ncols)[0])
+        for stop in {max(true - 1, 0), true, true + 1, ncols}:
+            copy = [list(r) for r in mat]
+            assert kernels.rank(copy, ncols, stop) == min(true, stop), (mat, ncols, stop)
+            assert copy == mat
+            stopped += stop < true
+    assert stopped >= 50

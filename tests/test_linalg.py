@@ -94,6 +94,37 @@ def test_orthogonalize_and_project_off_match_fraction_oracle(seed, rational):
                     linalg.project_off(v, b)
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_project_rows_off_scales_every_row_by_one_factor(seed):
+    """Each output row is the Fraction projection of its row times one
+    positive integer common to all rows, so a combination of the rows
+    projects to the same combination of the output rows."""
+    rng = random.Random(500 + seed)
+    ncols = rng.randint(1, 6)
+    basis = linalg.orthogonalize([linalg.scale_to_int(r)
+                                  for r in random_rows(rng, rng.randint(0, 4), ncols, False)])
+    rows = random_rows(rng, rng.randint(1, 5), ncols, False)
+    out = linalg.project_rows_off(rows, basis)
+    assert len(out) == len(rows) and all(type(x) is int for row in out for x in row)
+    factors = set()
+    for v, w in zip(rows, out):
+        exact = [Fraction(x) for x in v]
+        for u in basis:
+            coef = Fraction(sum(a * b for a, b in zip(v, u)), sum(x * x for x in u))
+            exact = [a - coef * b for a, b in zip(exact, u)]
+        k = next((j for j, x in enumerate(exact) if x), None)
+        if k is None:
+            assert not any(w)
+        else:
+            factors.add(w[k] / exact[k])
+            assert w == [w[k] / exact[k] * x for x in exact]
+    assert len(factors) <= 1 and all(f > 0 and f.denominator == 1 for f in factors)
+    coefs = [rng.randint(-3, 3) for _ in rows]
+    combined = [sum(c * r[j] for c, r in zip(coefs, rows)) for j in range(ncols)]
+    assert linalg.project_off(combined, basis) == kernels.vec_gcd_reduce(
+        [sum(c * w[j] for c, w in zip(coefs, out)) for j in range(ncols)])
+
+
 def test_project_off_inside_the_span_is_zero():
     basis = linalg.orthogonalize([[1, 1, 0], [1, 0, 1]])
     assert linalg.project_off([3, 1, 2], basis) == [0, 0, 0]

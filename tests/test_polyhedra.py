@@ -27,6 +27,7 @@ from valperm.polyhedra import (
     hull_facet_sets,
     incidence_edges,
     lower_cells,
+    normalize_rows,
 )
 
 from oracles import (
@@ -172,8 +173,9 @@ def _image_modulo_common_lineality(eqs, ineqs, ambient):
     """``cone_image`` of the cone ``eqs = 0, ineqs >= 0`` solved in the
     coordinates of the equations' nullspace modulo the common lineality L
     of the restricted inequalities, on the pivot columns of their RREF,
-    where it is pointed; L's image is brought to RREF, orthogonalized and
-    checked against the system once, as ``enumerate_fan`` does."""
+    where it is pointed; L's image is brought to RREF and checked against
+    the system once, and the pivot columns' basis vectors are projected off
+    it once, as ``three_term_fan`` does."""
     basis = kernels.nullspace(eqs, ambient)
     reduced = [[kernels.dot(a, b) for b in basis] for a in ineqs]
     red, pivots = kernels.rref(reduced, len(basis))
@@ -184,8 +186,8 @@ def _image_modulo_common_lineality(eqs, ineqs, ambient):
     lineality = kernels.rref(linalg.mat_mul(common, basis), ambient)[0]
     eqs, ineqs = polyhedra.normalize_rows(eqs), polyhedra.normalize_rows(ineqs)
     assert not any(kernels.dot(r, v) for r in eqs + ineqs for v in lineality)
-    return cone_image(quotient, [basis[p] for p in pivots], eqs, ineqs,
-                      lineality, linalg.orthogonalize(lineality))
+    section = linalg.project_rows_off([basis[p] for p in pivots], linalg.orthogonalize(lineality))
+    return cone_image(quotient, section, (), eqs, ineqs, lineality)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -240,9 +242,9 @@ def test_cone_image_refuses_a_ray_off_the_system():
     quadrant = cone_solve([], [[1, 0], [0, 1]], 2)
     flipped = replace(quadrant, rays=((-1, 0), (0, 1)))
     system = ((0, 0, 1),), ((1, 0, 0), (0, 1, 0))
-    assert cone_image(quadrant, basis, *system, (), []).rays == ((0, 1, 0), (1, 0, 0))
+    assert cone_image(quadrant, basis, (), *system, ()).rays == ((0, 1, 0), (1, 0, 0))
     with pytest.raises(RuntimeError, match="cone_image: a ray violates its own defining system"):
-        cone_image(flipped, basis, *system, (), [])
+        cone_image(flipped, basis, (), *system, ())
 
 
 def test_cone_image_refuses_a_cone_with_lineality():
@@ -251,7 +253,7 @@ def test_cone_image_refuses_a_cone_with_lineality():
     half = cone_solve([], [[1, 0]], 2)
     assert half.lineality_dim == 1
     with pytest.raises(RuntimeError, match="^cone_image: the cone is not pointed"):
-        cone_image(half, [[1, 0, 0], [0, 1, 0]], ((0, 0, 1),), ((1, 0, 0),), (), [])
+        cone_image(half, [[1, 0, 0], [0, 1, 0]], (), ((0, 0, 1),), ((1, 0, 0),), ())
 
 
 def assert_solves_like_the_rowspace_reduction(eqs, ineqs, ambient, find_rays=double_description):
@@ -637,8 +639,8 @@ def test_lower_rejects_duplicate_points():
 @pytest.mark.parametrize("call, caller", [
     (lambda: cone_solve([], [[1, 0], [0, 1, 3]], 2), "cone_solve"),
     (lambda: cone_solve([[1]], [[1, 0]], 2), "cone_solve"),
-    (lambda: cone_cut(cone_solve([], [[1, 0]], 2), [], [[0, 1, 3]]), "cone_cut"),
-    (lambda: cone_cut(cone_solve([], [[1, 0]], 2), [[1]], []), "cone_cut"),
+    (lambda: cone_cut(cone_solve([], [[1, 0]], 2), (), ((0, 1, 3),)), "cone_cut"),
+    (lambda: cone_cut(cone_solve([], [[1, 0]], 2), ((1,),), ()), "cone_cut"),
     (lambda: double_description([[1, 0], [0, 1, 3]], 2), "double_description"),
 ], ids=["long-inequality", "short-equation", "cut-long", "cut-short", "double-description"])
 def test_rows_of_the_wrong_length_are_refused(call, caller):
@@ -1046,10 +1048,10 @@ def test_cone_cut_equals_a_fresh_solve_of_the_full_system():
             r = [rng.randint(-2, 2) for _ in range(ambient)]
             return linalg.project_off(r, orth) if k % 2 else r
 
-        eqs = [cut_row() for _ in range(rng.randint(0, 2))]
-        ineqs = [cut_row() for _ in range(rng.randint(0, 3))]
+        eqs = normalize_rows([cut_row() for _ in range(rng.randint(0, 2))])
+        ineqs = normalize_rows([cut_row() for _ in range(rng.randint(0, 3))])
         cut = cone_cut(parent, eqs, ineqs)
-        want = cone_solve(list(parent.eqs) + eqs, list(parent.ineqs) + ineqs, ambient)
+        want = cone_solve(parent.eqs + eqs, parent.ineqs + ineqs, ambient)
         assert (cut.key, cut.dim, cut.lineality_dim) == (want.key, want.dim, want.lineality_dim)
         assert (cut.eqs, cut.ineqs, cut.tight) == (want.eqs, want.ineqs, want.tight)
         shapes.add((parent.lineality_dim > cut.lineality_dim, len(cut.rays) > len(parent.rays),
@@ -1067,10 +1069,10 @@ def test_cone_cut_equals_a_fresh_solve_of_the_full_system():
 def test_cone_cut_of_a_square_cone():
     # the cone over a square cut by a plane through two opposite rays
     square = cone_solve([], [[1, 1, 0], [1, -1, 0], [1, 0, 1], [1, 0, -1]], 3)
-    cut = cone_cut(square, [[0, 1, -1]], [])
+    cut = cone_cut(square, ((0, 1, -1),), ())
     assert cut.rays == ((1, -1, -1), (1, 1, 1))
     assert (cut.dim, cut.lineality_dim) == (2, 0)
-    half = cone_cut(square, [], [[0, 1, 0]])
+    half = cone_cut(square, (), ((0, 1, 0),))
     assert half.rays == ((1, 0, -1), (1, 0, 1), (1, 1, -1), (1, 1, 1))
     assert half.tight == tuple(ray_tight_masks(half))
 
@@ -1081,7 +1083,7 @@ def test_cone_cut_refuses_a_made_ray_off_the_system(monkeypatch):
     # against the whole system, so a combine_ray that returns the opposite
     # ray is caught
     prism = cone_solve([], [[1, 1, 0, 0], [1, -1, 0, 0], [1, 0, 1, 0], [1, 0, -1, 0]], 4)
-    half = cone_cut(prism, [], [[0, 1, 0, 0]])
+    half = cone_cut(prism, (), ((0, 1, 0, 0),))
     assert half.lineality == prism.lineality == ((0, 0, 0, 1),)
     assert set(half.rays) - set(prism.rays) == {(1, 0, -1, 0), (1, 0, 1, 0)}
     assert half.tight == tuple(ray_tight_masks(half))
@@ -1091,7 +1093,7 @@ def test_cone_cut_refuses_a_made_ray_off_the_system(monkeypatch):
 
     monkeypatch.setattr(kernels, "combine_ray", wrong_combine_ray)
     with pytest.raises(RuntimeError, match="^cone_cut: a ray violates its own defining system"):
-        cone_cut(prism, [], [[0, 1, 0, 0]])
+        cone_cut(prism, (), ((0, 1, 0, 0),))
 
 
 def test_cone_cut_checks_a_made_ray_that_a_later_row_moves(monkeypatch):
@@ -1100,9 +1102,9 @@ def test_cone_cut_checks_a_made_ray_that_a_later_row_moves(monkeypatch):
     # and leaves no lineality: the moved rays are still known as made, so
     # a combine_ray that returns the opposite ray is caught
     prism = cone_solve([], [[1, 1, 0, 0], [1, -1, 0, 0], [1, 0, 1, 0], [1, 0, -1, 0]], 4)
-    rows = [[0, 1, 0, 0], [0, 0, 1, 1]]
-    cut = cone_cut(prism, [], rows)
-    want = cone_solve([], list(prism.ineqs) + rows, 4)
+    rows = ((0, 1, 0, 0), (0, 0, 1, 1))
+    cut = cone_cut(prism, (), rows)
+    want = cone_solve([], prism.ineqs + rows, 4)
     assert (cut.key, cut.dim, cut.lineality_dim) == (want.key, want.dim, want.lineality_dim)
     assert cut.lineality == () and cut.tight == want.tight
 
@@ -1111,7 +1113,7 @@ def test_cone_cut_checks_a_made_ray_that_a_later_row_moves(monkeypatch):
 
     monkeypatch.setattr(kernels, "combine_ray", wrong_combine_ray)
     with pytest.raises(RuntimeError, match="^cone_cut: a ray violates its own defining system"):
-        cone_cut(prism, [], rows)
+        cone_cut(prism, (), rows)
 
 
 def test_cone_cut_rechecks_a_made_ray_equal_to_an_old_one(monkeypatch):
@@ -1120,7 +1122,7 @@ def test_cone_cut_rechecks_a_made_ray_equal_to_an_old_one(monkeypatch):
     # their masks come from the check, not from the step
     prism = cone_solve([], [[1, 1, 0, 0], [1, -1, 0, 0], [1, 0, 1, 0], [1, 0, -1, 0]], 4)
     monkeypatch.setattr(kernels, "combine_ray", lambda pos_ray, neg_ray, wpos, wneg: list(pos_ray))
-    half = cone_cut(prism, [], [[0, 1, 0, 0]])
+    half = cone_cut(prism, (), ((0, 1, 0, 0),))
     assert half.rays == ((1, 1, -1, 0), (1, 1, 1, 0))
     assert half.tight == tuple(ray_tight_masks(half))
 
@@ -1131,9 +1133,9 @@ def test_cone_cut_refuses_a_redundant_ray():
     quadrant = cone_solve([], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3)
     planted = replace(quadrant, rays=quadrant.rays + ((1, 1, 0),),
                       tight=quadrant.tight + (quadrant.tight[1] & quadrant.tight[2],))
-    assert cone_cut(quadrant, [], [[1, 1, 1]]).rays == quadrant.rays
+    assert cone_cut(quadrant, (), ((1, 1, 1),)).rays == quadrant.rays
     with pytest.raises(RuntimeError, match="^cone_cut: a ray is redundant"):
-        cone_cut(planted, [], [[1, 1, 1]])
+        cone_cut(planted, (), ((1, 1, 1),))
 
 
 def test_check_extremal_refuses_a_non_extremal_ray():
@@ -1142,6 +1144,24 @@ def test_check_extremal_refuses_a_non_extremal_ray():
     inner = replace(quadrant, tight=quadrant.tight[:2] + (quadrant.tight[0] & quadrant.tight[1],))
     with pytest.raises(RuntimeError, match="^test: a ray of a cone is not extremal"):
         check_extremal(inner, "test")
+
+
+def test_check_extremal_refuses_a_zero_ray_and_a_ray_short_of_a_tight_row():
+    # the simplicial cone x0, x1, x2 >= 0 on the plane x0 + x1 + x2 + x3 = 0:
+    # the rank stops at the wanted one, which a nonzero ray's tight rows
+    # cannot exceed.  A planted zero ray, tight on every row, would reach it
+    # too, so it is refused by name; a ray whose mask lost one of its tight
+    # rows falls short of it
+    cone = cone_solve([[1, 1, 1, 1]], [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], 4)
+    assert len(cone.rays) == 3 and all(m.bit_count() == 2 for m in cone.tight)
+    check_extremal(cone, "test")
+    zero = replace(cone, rays=((0, 0, 0, 0),) + cone.rays[1:], tight=(0b111,) + cone.tight[1:])
+    with pytest.raises(RuntimeError, match="^test: a ray of a cone is zero$"):
+        check_extremal(zero, "test")
+    mask = cone.tight[0]
+    short = replace(cone, tight=(mask & (mask - 1),) + cone.tight[1:])
+    with pytest.raises(RuntimeError, match="^test: a ray of a cone is not extremal$"):
+        check_extremal(short, "test")
 
 
 def _refusals_agree_with_the_full_rank_oracle(cone, every_bit=True):
