@@ -25,35 +25,43 @@ back once to each top cone.  A level-by-level search over the relations
 finds each partial choice's cone in those coordinates and keeps one
 partial choice per distinct cone: a choice's cone is its prefix's cone cut
 by one more pair, so prefixes with equal cones have equal completions.
+
+Each level then drops every cone that lies in another cone of the level,
+whose completions cover its own; :func:`_last_level` gives the fan
+argument that makes this exact and finds every containment.  For n = 4 the
+levels are 3, 9, 13, 15, 45, 65, 75 and 75 cones wide (20, 22, 66, 134,
+147 and 172 from the third level on, unpruned).
+
 Only the first level is solved from its system; every later child is cut
 from its parent's generators by :func:`~valperm.polyhedra.cone_cut`.  For
-n = 4 that is 3 solves and 1203 cuts.  A cut checks its parent's vectors
+n = 4 that is 3 solves and 675 cuts.  A cut checks its parent's vectors
 against its new rows only, since they move only along the parent's
 lineality, on which the parent's rows vanish, and checks the rays it makes
-against the whole system.  The 903 cuts whose rows vanish on the parent's
+against the whole system.  The 459 cuts whose rows vanish on the parent's
 lineality keep the parent's lineality basis and rays as they are; the
-other 300 bring the new lineality to RREF and project the rays off it,
+other 216 bring the new lineality to RREF and project the rays off it,
 each ray keeping its tight mask.  No cone is solved again in R^ambient:
-the top-dimensional cones of the last level are mapped from the section's
-coordinates to R^ambient, with L as their lineality, by
+the cones of the last level are mapped from the section's coordinates to
+R^ambient, with L as their lineality, by
 :func:`~valperm.polyhedra.cone_image`, and they are the maximal cones.
 L is brought to RREF and certified against every base equation and term
 difference once, the section vectors are projected off L once, all by one
 factor, and certified against every base equation once, and the rows of
 the systems are normalized once, for the search and for the images.  An
 image ray is a combination of the projected section vectors, so it is
-orthogonal to L and every base equation vanishes on it: each image's rays
-are mapped and checked against its choice's own rows only (8 of the 23
-equations and all 16 inequalities for n = 4), and the image stores the
-whole system.  Their 2-faces come from the rays' tight masks, which that
-check records.
+orthogonal to L and every base equation vanishes on it: each distinct ray
+is mapped once (20 for the 75 cones of n = 4), each image's rays are
+checked against its choice's own rows only (8 of the 23 equations and all
+16 inequalities for n = 4), and the image stores the whole system.  Their
+2-faces come from the rays' tight masks, which that check records.
 
-The search finds the top-dimensional cones, which are all the maximal ones
-exactly when the fan is pure.  Purity is certified on every run: the last
-level holds every distinct cone of the 3^H complete choices, and each must
-lie in a top-dimensional cone.  The exhaustive 3^H sweep of the height fan
-stays in the test suite as an independent oracle (``tests/oracles.py``),
-and so do the closed forms of the rank-two Dressians.
+The search finds the maximal cones of the complete choices, which are the
+top-dimensional ones exactly when the fan is pure.  Purity is certified on
+every run: every cone of the 3^H complete choices lies in a cone of the
+last level, so each of those must have a ray and the top dimension.  The
+exhaustive 3^H sweep of the height fan and the search that prunes nothing
+stay in the test suite as independent oracles (``tests/oracles.py``), and
+so do the closed forms of the rank-two Dressians.
 
 The refinement census samples every maximal cone but solves only one cone
 per symmetry orbit, and one sample per orbit of samples.  The symmetry
@@ -156,23 +164,33 @@ _RAYLESS = "three_term_fan: the fan has no ray: every cone is the common lineali
 
 
 def _last_level(rows, dim):
-    """Every distinct cone of the complete choices, one choice per cone.
+    """The cones of the complete choices that lie in no other, one choice
+    per cone.
 
     ``rows`` are the relations' term rows in ``dim`` coordinates, those of
     the quotient by the common lineality (:func:`_quotient`) or any others.
-    The search goes level by level, one relation at a time, and keeps one
-    child per distinct cone of every kept partial choice.  A child's cone is its parent's cut by one more
-    pair (one equation, two inequalities), so two partial choices with equal
-    cones have equal completions, and one of them is enough.  The first
-    level is solved with :func:`~valperm.polyhedra.cone_solve`, since the
-    whole space has no generators to cut; every later child is cut from its
-    parent's generators by :func:`~valperm.polyhedra.cone_cut`, with each
-    (relation, pair)'s rows built and normalized once, as ``cone_cut``
-    takes them.  Cones without a ray stay, since cutting a linear space can
-    still leave a cone with rays.  The kept
-    choices come in the order of ``itertools.product(_PAIRS, repeat=H)``,
-    so each cone keeps the first choice reaching it.  Returns
-    ``[(choice, cone in dim coordinates)]``.
+    The search goes level by level, one relation at a time.  A child's cone
+    is its parent's cut by one more pair (one equation, two inequalities).
+    The first level is solved with :func:`~valperm.polyhedra.cone_solve`,
+    since the whole space has no generators to cut; every later child is
+    cut from its parent's generators by :func:`~valperm.polyhedra.cone_cut`,
+    with each (relation, pair)'s rows built and normalized once, as
+    ``cone_cut`` takes them.
+
+    Each level keeps one partial choice per distinct cone, since equal
+    cones have equal completions, and then drops every cone that lies in
+    another cone of the level (:func:`_inside`).  The cones of one level
+    are the cones of a fan, the common refinement of each relation's three
+    pair pieces, so they all share one lineality, and a cone C inside a
+    cone D is a face of D.  Every completion X then gives C ∩ X ⊆ D ∩ X, so
+    D's completions cover C's, and dropping C loses no maximal cone of the
+    complete choices.  The same fan argument finds every containment: C's
+    rays are rays of D and D has a greater dimension, so D is sought only
+    among the cones that hold all of C's rays, starting from the cones
+    that hold its rarest one, and a cone without a ray, a face of every
+    cone, among all of them.  The choices come in the order of
+    ``itertools.product(_PAIRS, repeat=H)``, each cone keeping the first
+    choice reaching it.  Returns ``[(choice, cone in dim coordinates)]``.
     """
     cuts = [[tuple(map(normalize_rows, _choice_system([], [terms], (pair,)))) for pair in _PAIRS]
             for terms in rows]
@@ -186,7 +204,18 @@ def _last_level(rows, dim):
                 else:
                     cone = cone_cut(parent, eqs, ineqs)
                 kept.setdefault(cone.key, (choice + (pair,), cone))
-        level = list(kept.values())
+        cones = [cone for _, cone in kept.values()]
+        holding = {}  # ray -> indices of the kept cones that have it as a ray
+        for k, cone in enumerate(cones):
+            for r in cone.rays:
+                holding.setdefault(r, set()).add(k)
+
+        def covered(cone):
+            held = sorted((holding[r] for r in cone.rays), key=len)
+            candidates = held[0].intersection(*held[1:]) if held else range(len(cones))
+            return any(cones[j].dim > cone.dim and _inside(cone, cones[j]) for j in candidates)
+
+        level = [(choice, cone) for choice, cone in kept.values() if not covered(cone)]
     return level
 
 
@@ -237,9 +266,11 @@ def _quotient(relations, base_eqs, ambient):
 
 def _inside(cone, other):
     """Whether ``cone`` lies in ``other``: its rays and both signs of its
-    lineality vectors do.  A ray that is also one of ``other``'s needs no
-    dot product: ``other``'s rays were checked against its system when it
-    was made."""
+    lineality vectors do, checked by dot products with ``other``'s system.
+    A ray that is also one of ``other``'s needs none: ``other``'s rays were
+    checked against its system when it was made.  The level search of
+    :func:`_last_level` seeks ``other`` among the cones that have all of
+    ``cone``'s rays, so only the lineality takes dot products there."""
     return (all(r in other.rays or other.contains(r) for r in cone.rays)
             and all(other.contains(v) and other.contains([-x for x in v]) for v in cone.lineality))
 
@@ -248,38 +279,22 @@ def _top_dimensional_choices(rows, dim):
     """The complete choices with top-dimensional cones, one per distinct
     cone, certified to be all the maximal cones.
 
-    The last level of :func:`_last_level` holds every distinct cone of all
-    3^H complete choices: dedup merges only equal cones, and equal cones
-    have equal completions.  Each of them must lie in one of the
-    top-dimensional cones (those with a ray and the greatest dimension), or
-    ``RuntimeError`` is raised: so the fan is pure and the top cones are its
-    maximal cones, certified on every run.  A cone is tried first against
-    the top cones that have all of its rays as rays (as a face of a top
-    cone with the same lineality does), then against the rest.  Every ray
-    of a top cone is also
-    certified extremal by rank (:func:`~valperm.polyhedra.check_extremal`).
-    Returns ``[(choice, cone)]`` for the top cones, as :func:`_last_level`
-    gives them.
+    Every cone of a complete choice lies in a cone of the last level of
+    :func:`_last_level`, and no cone of that level lies in another.  So the
+    fan is pure exactly when every cone of the last level has a ray and the
+    greatest dimension, and then they are its maximal cones; otherwise
+    ``RuntimeError`` is raised, so this is certified on every run.  Every
+    ray of a top cone is also certified extremal by rank
+    (:func:`~valperm.polyhedra.check_extremal`).  Returns ``[(choice,
+    cone)]`` for the top cones, as :func:`_last_level` gives them.
     """
-    level = _last_level(rows, dim)
-    found = [(choice, cone) for choice, cone in level if cone.rays]
-    if not found:
+    top = _last_level(rows, dim)
+    if not any(cone.rays for _, cone in top):
         raise ValueError(_RAYLESS)
-    top_dim = max(cone.dim for _, cone in found)
-    top = [(choice, cone) for choice, cone in found if cone.dim == top_dim]
-    holding = {}  # ray -> indices of the top cones that have it as a ray
-    for k, (_, other) in enumerate(top):
-        for r in other.rays:
-            holding.setdefault(r, set()).add(k)
-    everywhere = set(range(len(top)))
-    for _, cone in level:
-        if cone.dim == top_dim:
-            continue
-        likely = everywhere.intersection(*(holding.get(r, ()) for r in cone.rays))
-        order = sorted(likely) + sorted(everywhere - likely)
-        if not any(_inside(cone, top[k][1]) for k in order):
-            raise RuntimeError("three_term_fan: a cone of a complete choice lies in no "
-                               "top-dimensional cone, so the fan is not pure")
+    top_dim = max(cone.dim for _, cone in top)
+    if not all(cone.rays and cone.dim == top_dim for _, cone in top):
+        raise RuntimeError("three_term_fan: a cone of a complete choice lies in no "
+                           "top-dimensional cone, so the fan is not pure")
     for _, cone in top:
         check_extremal(cone, "three_term_fan")
     return top
@@ -361,18 +376,17 @@ def three_term_fan(relations, base_eqs, ambient):
     (:func:`~valperm.linalg.project_rows_off`), so a combination of them
     projects to the same combination of the projected vectors; every base
     equation must vanish on those, which is certified once, so it vanishes
-    on every image ray.  Each top cone is mapped to R^ambient by
-    :func:`~valperm.polyhedra.cone_image` through the projected section,
-    with that lineality and its choice's ambient system, which the image
-    stores whole; every image ray is checked against its choice's own
-    rows, the base equations being certified already.  No cone is solved
-    again in R^ambient.  The images need no containment sweep: the cones of
-    two choices meet where both pairs attain on the relations they differ
-    on, a face of each.  A top-dimensional cone inside another would be a
-    face of it of full dimension, hence equal to it, and the search keeps
-    distinct cones.  The 2-faces of a maximal cone are the ray pairs that
-    :func:`~valperm.polyhedra.incidence_edges` accepts from the rays' tight
-    masks over the cone's inequalities (:attr:`~valperm.polyhedra.Cone.tight`).
+    on every image ray.  Each distinct ray of the top cones is mapped
+    through the projected section once, and each top cone becomes a cone
+    of R^ambient by :func:`~valperm.polyhedra.cone_image` from its mapped
+    rays, that lineality and its choice's ambient system, which the image
+    stores whole; every image ray is checked against its choice's own rows,
+    the base equations being certified already.  No cone is solved again in
+    R^ambient.  The images need no containment sweep: the search keeps no
+    cone that lies in another.  The 2-faces of a maximal cone are the ray
+    pairs that :func:`~valperm.polyhedra.incidence_edges` accepts from the
+    rays' tight masks over the cone's inequalities
+    (:attr:`~valperm.polyhedra.Cone.tight`).
     A failed certificate raises ``RuntimeError`` naming ``three_term_fan``.
 
     Returns a dict of every :class:`Fan` field but ``n`` and ``ambient``:
@@ -402,17 +416,19 @@ def three_term_fan(relations, base_eqs, ambient):
         raise RuntimeError("three_term_fan: a term difference does not vanish on the "
                            "common lineality")
 
+    top = _top_dimensional_choices(quotient_rows, len(section))
+    distinct = list(dict.fromkeys(r for _, cone in top for r in cone.rays))
+    mapped = {r: tuple(kernels.vec_gcd_reduce(x))
+              for r, x in zip(distinct, linalg.mat_mul(distinct, projected))}
+
     def image(choice, cone):
         eqs, ineqs = (), ()
         for systems, pair in zip(pair_systems, choice):
             eqs += systems[pair][0]
             ineqs += systems[pair][1]
-        return cone_image(cone, projected, base, eqs, ineqs, lineality)
+        return cone_image(cone, [mapped[r] for r in cone.rays], ambient, base, eqs, ineqs, lineality)
 
-    maximal = tuple(sorted(
-        (image(choice, cone) for choice, cone in _top_dimensional_choices(quotient_rows, len(section))),
-        key=lambda c: c.key,
-    ))
+    maximal = tuple(sorted((image(choice, cone) for choice, cone in top), key=lambda c: c.key))
 
     ray_index = {}
     for c in maximal:
@@ -443,10 +459,11 @@ def enumerate_fan(n, processes=1):
     hexagons' diagonal sums on the solutions of the base equations (sum
     zero, hexagon alternation, square balance) of :func:`_context`.  Its
     search runs in 8 coordinates for n = 4 (2 for n = 3), modulo a common
-    lineality of dimension 3 (2 for n = 3), with 3 solves and 1203 cuts
-    from parent cones for n = 4.  The result is the full set of maximal
-    cones because the fan is pure, which the search certifies on every
-    run; a failed certificate raises ``RuntimeError``.
+    lineality of dimension 3 (2 for n = 3), with 3 solves and 675 cuts
+    from parent cones for n = 4: each level drops the cones that lie in
+    another cone of the level, which are faces of it.  The result is the
+    full set of maximal cones because the fan is pure, which the search
+    certifies on every run; a failed certificate raises ``RuntimeError``.
 
     ``processes`` must be 1: the search runs in this process.
     """

@@ -395,40 +395,41 @@ def cone_solve(eqs, ineqs, ambient, *, face=None):
     return cone
 
 
-def cone_image(cone, basis, shared, eqs, ineqs, lineality):
+def cone_image(cone, rays, ambient, shared, eqs, ineqs, lineality):
     """The canonical cone of R^ambient that the pointed ``cone`` is in the
-    coordinates of ``basis``, plus a certified lineality space.
+    coordinates of some rows, plus a certified lineality space.
 
-    ``cone`` is stated in the coordinates of the ambient rows ``basis``:
-    ``y`` stands for ``y . basis``.  ``lineality`` is the RREF basis of the
-    image's lineality space, which the image keeps.  The rows of ``basis``
-    must be orthogonal to ``lineality`` (:func:`linalg.project_rows_off`
-    makes them so, once for all images) and independent; then the map is
-    injective, the image's dimension is ``cone``'s plus ``len(lineality)``,
-    and its rays are the images of ``cone``'s rays, made primitive, already
-    orthogonal to the lineality as the canonical form asks.  The image
-    solves the ambient system of the equations ``shared + eqs`` and the
-    inequalities ``ineqs``, given as :func:`normalize_rows` gives them, and
-    stores it as it is.  Every image ray is checked against ``eqs`` and
-    ``ineqs``, which records its tight mask; ``shared`` holds the equations
-    that every image of the caller solves, which vanish on every row of
-    ``basis`` and of ``lineality``, so on every image ray, a combination of
-    those rows.
+    ``cone`` is stated in the coordinates of ambient rows B: ``y`` stands
+    for ``y . B``.  ``rays`` are the images ``r . B`` in R^ambient of
+    ``cone``'s rays, made primitive; the caller maps them, once for all the
+    cones that share a ray.  ``lineality`` is the RREF basis of the image's
+    lineality space, which the image keeps.  The rows of B must be
+    orthogonal to ``lineality`` (:func:`linalg.project_rows_off` makes them
+    so, once for all images) and independent; then the map is injective,
+    the image's dimension is ``cone``'s plus ``len(lineality)``, and its
+    rays are ``rays``, already orthogonal to the lineality as the canonical
+    form asks.  The image solves the ambient system of the equations ``shared +
+    eqs`` and the inequalities ``ineqs``, given as :func:`normalize_rows`
+    gives them, and stores it as it is.  Every image ray is checked against
+    ``eqs`` and ``ineqs``, which records its tight mask; ``shared`` holds
+    the equations that every image of the caller solves, which vanish on
+    every row of B and of ``lineality``, so on every image ray, a
+    combination of those rows.
 
     Nothing that many images share is done per image: the caller brings
-    the lineality to RREF, projects ``basis`` off it and normalizes the rows
-    once, and certifies once that every lineality vector vanishes on every
-    row of every system it passes here, that every row of ``shared``
-    vanishes on every row of ``basis``, and that the rows of ``basis`` and
+    the lineality to RREF, projects B off it, maps the rays and normalizes
+    the rows once, and certifies once that every lineality vector vanishes
+    on every row of every system it passes here, that every row of
+    ``shared`` vanishes on every row of B, and that the rows of B and
     ``lineality`` are independent.  No cone is solved here.  A failed
     check, or a ``cone`` with lineality of its own, which the image would
     lose, raises ``RuntimeError``.
     """
     if cone.lineality:
         raise RuntimeError("cone_image: the cone is not pointed")
-    rays = sorted(set(tuple(kernels.vec_gcd_reduce(x)) for x in linalg.mat_mul(cone.rays, basis)))
+    rays = sorted(set(rays))
     tight = _ray_masks("cone_image", rays, eqs, ineqs)
-    return Cone(len(basis[0]), len(lineality) + cone.dim, len(lineality),
+    return Cone(ambient, len(lineality) + cone.dim, len(lineality),
                 tuple(tuple(v) for v in lineality), tuple(rays), shared + eqs, ineqs, tuple(tight))
 
 

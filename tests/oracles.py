@@ -6,7 +6,8 @@ pairwise scan for the minimal and maximal elements in that order (and the
 interval between two given ends by testing every vertex), hull
 membership by LP separation, lower cells by trying every support set, a
 cell's edges by intersecting the facet sets of a hull solved for the cell
-alone, the fan by solving every sign choice in full, the refinement census
+alone, the fan by solving every sign choice in full, the last level of the
+three-term search by the search that kept every cone, the refinement census
 by solving every sample in its own cone, a ray's tight inequalities by one
 dot product each, 2-faces of a cone by the sign of the other rays against
 the hyperplane a ray pair spans, the edges of a face lattice from facet
@@ -247,28 +248,63 @@ def exhaustive_fan_cones(n):
     """Every distinct nonempty cone of the height fan's sign-choice systems,
     and the maximal ones among them, by the flat 3^H sweep.
 
-    Each complete choice of attaining diagonal pair per hexagon is solved in
-    all n! coordinates together with the base equations: no reduced basis,
-    no pruning.  Cones without a ray (the lineality space alone) are
-    dropped, the first choice reaching each canonical key is kept, and a
-    cone is maximal when no other cone contains all its rays.  Returns
-    ``(cones, maximal)``, both sorted by key.
+    Each complete choice of attaining diagonal pair per hexagon is solved
+    on its own rows in the coordinates of a nullspace basis B of the base
+    equations: no common lineality taken out, no pruning, no cut.  The map
+    ``y -> y . B`` is injective, so two choices have equal cones there
+    exactly when they have equal cones in all n! coordinates.  The first
+    choice reaching each distinct cone with a ray is then solved again in
+    all n! coordinates together with the base equations; cones without a
+    ray (the lineality space alone) are dropped.  A cone is maximal when
+    no other cone contains all its rays.  Returns ``(cones, maximal)``,
+    both sorted by key.
     """
     from valperm.fans import _choice_system, _context
     from valperm.polyhedra import cone_solve
 
     verts, base_eqs, diag_rows = _context(n)
-    by_key = {}
+    basis = kernels.nullspace(base_eqs, len(verts))
+    reduced = [[[kernels.dot(t, b) for b in basis] for t in terms] for terms in diag_rows]
+    first = {}
     for choice in product(((0, 1), (0, 2), (1, 2)), repeat=len(diag_rows)):
-        cone = cone_solve(*_choice_system(base_eqs, diag_rows, choice), len(verts))
+        cone = cone_solve(*_choice_system([], reduced, choice), len(basis))
         if cone.rays:
-            by_key.setdefault(cone.key, cone)
+            first.setdefault(cone.key, choice)
+    by_key = {}
+    for choice in first.values():
+        cone = cone_solve(*_choice_system(base_eqs, diag_rows, choice), len(verts))
+        by_key[cone.key] = cone
     cones = [by_key[k] for k in sorted(by_key)]
     maximal = [
         c for c in cones
         if not any(o is not c and all(o.contains(r) for r in c.rays) for o in cones)
     ]
     return cones, maximal
+
+
+def last_level_unpruned(rows, dim):
+    """``fans._last_level`` as it ran before each level dropped the cones
+    that lie in another cone of the level: every distinct cone of the
+    complete choices, one choice per cone, the first in
+    ``itertools.product`` order.  The first level is solved and every later
+    child cut from its parent, as there."""
+    from valperm.fans import _PAIRS, _choice_system
+    from valperm.polyhedra import cone_cut, cone_solve
+
+    cuts = [[tuple(map(normalize_rows, _choice_system([], [terms], (pair,)))) for pair in _PAIRS]
+            for terms in rows]
+    level = [((), None)]
+    for systems in cuts:
+        kept = {}
+        for choice, parent in level:
+            for pair, (eqs, ineqs) in zip(_PAIRS, systems):
+                if parent is None:
+                    cone = cone_solve(eqs, ineqs, dim)
+                else:
+                    cone = cone_cut(parent, eqs, ineqs)
+                kept.setdefault(cone.key, (choice + (pair,), cone))
+        level = list(kept.values())
+    return level
 
 
 def refinement_census_direct(fan):

@@ -13,6 +13,7 @@ from oracles import (
     cone_image_by_canonical,
     exhaustive_fan_cones,
     incidence_edges_by_pair_scan,
+    last_level_unpruned,
     pair_is_face,
     quotient_by_two_skeleton_basis,
     ray_tight_masks,
@@ -128,11 +129,13 @@ def test_maximal_cones_equal_fresh_ambient_solves(n, fan4):
         assert (cone.eqs, cone.ineqs, cone.tight) == (want.eqs, want.ineqs, want.tight)
 
 
-@pytest.mark.parametrize("n, solved, cut", [(3, 3, 0), (4, 3, 1203)])
+@pytest.mark.parametrize("n, solved, cut", [(3, 3, 0), (4, 3, 675)])
 def test_enumerate_fan_solves_each_cone_once(n, solved, cut, monkeypatch):
     # the first hexagon's three systems are solved and every later child is
     # cut from its parent, three per kept partial choice, and nothing else:
-    # the maximal cones are lifted, not solved again in R^(n!)
+    # a cone inside another cone of its level is not cut again (1203 cuts
+    # when every distinct cone was), and the maximal cones are lifted, not
+    # solved again in R^(n!)
     solves, cuts = [], []
     solve, cone_cut = polyhedra.cone_solve, polyhedra.cone_cut
 
@@ -151,7 +154,7 @@ def test_enumerate_fan_solves_each_cone_once(n, solved, cut, monkeypatch):
     assert (len(solves), len(cuts)) == (solved, cut)
 
 
-@pytest.mark.parametrize("n, kept, hit", [(3, 0, 0), (4, 903, 300)])
+@pytest.mark.parametrize("n, kept, hit", [(3, 0, 0), (4, 459, 216)])
 def test_cuts_that_keep_the_lineality_skip_the_canonical_form(n, kept, hit, monkeypatch):
     # a cut whose rows all vanish on its parent's lineality runs no RREF, no
     # Gram-Schmidt and no step 4 of cone_solve; a cut that hits the
@@ -192,7 +195,7 @@ def _reduced_rows(n):
     return [[[kernels.dot(r, b) for b in basis] for r in rows] for rows in diag_rows], len(basis)
 
 
-@pytest.mark.parametrize("n, children", [(3, 3), (4, 1206)])
+@pytest.mark.parametrize("n, children", [(3, 3), (4, 678)])
 def test_every_search_child_equals_a_fresh_solve_of_its_choice(n, children, monkeypatch):
     # each child of the level search, solved or cut, against its complete
     # prefix's system solved anew in the reduced coordinates; a child's
@@ -238,13 +241,57 @@ def test_top_dimensional_choices_are_frozen(n):
     assert hashlib.sha256(repr(got).encode()).hexdigest() == TOP_CHOICE_DIGESTS[n]
 
 
+def _holds(other, cone):
+    """Whether ``cone`` lies in ``other``, by a dot product of each of its
+    rays and both signs of its lineality vectors with ``other``'s rows."""
+    return (all(other.contains(r) for r in cone.rays)
+            and all(other.contains(v) and other.contains([-x for x in v]) for v in cone.lineality))
+
+
+def _assert_the_kept_cones_hold_the_unpruned_level(rows, dim):
+    """The last level of the search against the search that kept every
+    cone: each cone of the unpruned level lies in a kept cone, and the
+    kept cones are its top-dimensional cones, with the same choices in the
+    same order.  Returns the unpruned level's size."""
+    kept = fans._last_level(rows, dim)
+    every = last_level_unpruned(rows, dim)
+    top = max(cone.dim for _, cone in every)
+    assert [(choice, cone.key) for choice, cone in kept] == [
+        (choice, cone.key) for choice, cone in every if cone.dim == top]
+    for _, cone in every:
+        assert any(_holds(other, cone) for _, other in kept)
+    return len(every)
+
+
 def test_last_level_holds_every_cone_of_the_complete_choices():
-    # 75 top cones, 96 lower-dimensional ones and one without a ray, each
-    # lower one inside a top one
-    level = fans._last_level(*_reduced_rows(4))
-    dims = sorted(cone.dim for _, cone in level)
-    assert len(level) == 172 and dims.count(dims[-1]) == 75
-    assert sum(1 for _, cone in level if not cone.rays) == 1
+    # the unpruned last level has 75 top cones, 96 lower-dimensional ones
+    # and one without a ray; the search keeps the 75, and each of the 172
+    # lies in one of them
+    rows, section, _ = _height_quotient(4)
+    assert _assert_the_kept_cones_hold_the_unpruned_level(rows, len(section)) == 172
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_the_rank_two_dressian_last_level_holds_every_cone_of_the_complete_choices(n):
+    # the same on the quotient rows three_term_fan searches for Dr(2, n):
+    # 26 cones in the 15 kept for n = 5, 236 in the 105 kept for n = 6
+    rows, masks = _dressian_rows(n)
+    quotient_rows, section, _ = fans._quotient(rows, [], len(masks))
+    assert _assert_the_kept_cones_hold_the_unpruned_level(quotient_rows, len(section)) == {
+        5: 26, 6: 236}[n]
+
+
+def test_each_level_keeps_only_the_cones_inside_no_other():
+    # the search on the first k hexagons stops at level k; pruned, the
+    # levels are 3, 9, 13, 15, 45, 65, 75 and 75 cones wide, unpruned 3, 9,
+    # 20, 22, 66, 134, 147 and 172, and no kept cone lies in another
+    rows, section, _ = _height_quotient(4)
+    levels = [fans._last_level(rows[:k], len(section)) for k in range(1, len(rows) + 1)]
+    assert [len(level) for level in levels] == [3, 9, 13, 15, 45, 65, 75, 75]
+    assert [len(last_level_unpruned(rows[:k], len(section))) for k in range(1, len(rows) + 1)] == [
+        3, 9, 20, 22, 66, 134, 147, 172]
+    for level in levels:
+        assert not any(_holds(a, b) or _holds(b, a) for (_, a), (_, b) in combinations(level, 2))
 
 
 def _assert_internal_error(capsys, prefix):
@@ -270,6 +317,16 @@ def test_a_top_cone_missing_from_the_top_dimension_fails_purity(monkeypatch, cap
         return level[:k] + [(choice, replace(cone, dim=top - 1))] + level[k + 1:]
 
     monkeypatch.setattr(fans, "_last_level", dropped)
+    with pytest.raises(RuntimeError, match="^three_term_fan: a cone of a complete choice lies in no top"):
+        enumerate_fan(4)
+    _assert_internal_error(capsys, "three_term_fan: a cone of a complete choice")
+
+
+def test_a_search_that_finds_no_containment_fails_purity(monkeypatch, capsys):
+    # an _inside that refuses every containment prunes nothing: the last
+    # level keeps every distinct cone of the complete choices, the lower
+    # ones among them, which the purity certificate refuses
+    monkeypatch.setattr(fans, "_inside", lambda cone, other: False)
     with pytest.raises(RuntimeError, match="^three_term_fan: a cone of a complete choice lies in no top"):
         enumerate_fan(4)
     _assert_internal_error(capsys, "three_term_fan: a cone of a complete choice")
@@ -384,7 +441,7 @@ def test_the_one_reduction_does_the_arithmetic_of_the_two_step_reduction(n):
     assert kernels.rref(common, len(verts))[0] == want_lineality
 
 
-@pytest.mark.parametrize("n, dims, counts", [(3, (2, 2), (3, 0)), (4, (8, 3), (3, 1203))])
+@pytest.mark.parametrize("n, dims, counts", [(3, (2, 2), (3, 0)), (4, (8, 3), (3, 675))])
 def test_the_quotient_search_finds_the_choices_of_the_unreduced_search(n, dims, counts,
                                                                        monkeypatch, fan4):
     # the search modulo the common lineality against the search in the
@@ -407,7 +464,8 @@ def test_the_quotient_search_finds_the_choices_of_the_unreduced_search(n, dims, 
         assert (cone.dim, cone.lineality_dim) == (whole.dim - len(common),
                                                   whole.lineality_dim - len(common))
         eqs, ineqs = map(polyhedra.normalize_rows, fans._choice_system(base_eqs, diag_rows, choice))
-        image = polyhedra.cone_image(cone, projected, (), eqs, ineqs, lineality)
+        rays = [tuple(kernels.vec_gcd_reduce(x)) for x in linalg.mat_mul(cone.rays, projected)]
+        image = polyhedra.cone_image(cone, rays, len(verts), (), eqs, ineqs, lineality)
         want = cone_image_by_canonical(whole, basis, eqs, ineqs)
         assert (image.key, image.dim, image.lineality_dim) == (want.key, want.dim, want.lineality_dim)
         assert (image.eqs, image.ineqs, image.tight) == (want.eqs, want.ineqs, want.tight)
@@ -601,7 +659,7 @@ def test_a_quotient_section_off_a_base_equation_is_internal(monkeypatch, capsys)
 
 
 def test_the_search_normalizes_each_pair_system_once(monkeypatch):
-    # cone_cut takes its rows as normalize_rows gives them, so the 1203
+    # cone_cut takes its rows as normalize_rows gives them, so the 675
     # cuts normalize nothing: two systems per (hexagon, pair), once in the
     # quotient coordinates for the search and once in R^24 for the images,
     # the base equations once and the three first-level solves' two
@@ -623,7 +681,7 @@ def test_the_search_normalizes_each_pair_system_once(monkeypatch):
     monkeypatch.setattr(fans, "normalize_rows", counted)
     monkeypatch.setattr(fans, "cone_cut", checked_cut)
     enumerate_fan(4)
-    assert calls == {"normalize_rows": 103, "cone_cut": 1203}
+    assert calls == {"normalize_rows": 103, "cone_cut": 675}
 
 
 @pytest.mark.parametrize("relations, base_eqs, error, message", [

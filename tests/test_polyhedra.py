@@ -169,6 +169,12 @@ def test_cone_contains_generated_points(seed):
         assert cone.contains(pt)
 
 
+def _mapped(rays, basis):
+    """The primitive images ``r . basis`` of ``rays``, as ``cone_image``
+    takes them."""
+    return [tuple(kernels.vec_gcd_reduce(x)) for x in linalg.mat_mul(rays, basis)]
+
+
 def _image_modulo_common_lineality(eqs, ineqs, ambient):
     """``cone_image`` of the cone ``eqs = 0, ineqs >= 0`` solved in the
     coordinates of the equations' nullspace modulo the common lineality L
@@ -187,7 +193,7 @@ def _image_modulo_common_lineality(eqs, ineqs, ambient):
     eqs, ineqs = polyhedra.normalize_rows(eqs), polyhedra.normalize_rows(ineqs)
     assert not any(kernels.dot(r, v) for r in eqs + ineqs for v in lineality)
     section = linalg.project_rows_off([basis[p] for p in pivots], linalg.orthogonalize(lineality))
-    return cone_image(quotient, section, (), eqs, ineqs, lineality)
+    return cone_image(quotient, _mapped(quotient.rays, section), ambient, (), eqs, ineqs, lineality)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -242,9 +248,10 @@ def test_cone_image_refuses_a_ray_off_the_system():
     quadrant = cone_solve([], [[1, 0], [0, 1]], 2)
     flipped = replace(quadrant, rays=((-1, 0), (0, 1)))
     system = ((0, 0, 1),), ((1, 0, 0), (0, 1, 0))
-    assert cone_image(quadrant, basis, (), *system, ()).rays == ((0, 1, 0), (1, 0, 0))
+    assert cone_image(quadrant, _mapped(quadrant.rays, basis), 3, (), *system, ()).rays == (
+        (0, 1, 0), (1, 0, 0))
     with pytest.raises(RuntimeError, match="cone_image: a ray violates its own defining system"):
-        cone_image(flipped, basis, (), *system, ())
+        cone_image(flipped, _mapped(flipped.rays, basis), 3, (), *system, ())
 
 
 def test_cone_image_refuses_a_cone_with_lineality():
@@ -253,7 +260,7 @@ def test_cone_image_refuses_a_cone_with_lineality():
     half = cone_solve([], [[1, 0]], 2)
     assert half.lineality_dim == 1
     with pytest.raises(RuntimeError, match="^cone_image: the cone is not pointed"):
-        cone_image(half, [[1, 0, 0], [0, 1, 0]], (), ((0, 0, 1),), ((1, 0, 0),), ())
+        cone_image(half, _mapped(half.rays, [[1, 0, 0], [0, 1, 0]]), 3, (), ((0, 0, 1),), ((1, 0, 0),), ())
 
 
 def assert_solves_like_the_rowspace_reduction(eqs, ineqs, ambient, find_rays=double_description):
