@@ -75,8 +75,18 @@ n = 4, 12 for n = 3) into one table, stored on the fan
 representative and the coset of elements that map the representative onto
 it.  A sample of a cone is therefore pulled back along its coset to the
 representative, brought to its least image there, solved once, and its
-cells pushed forward through the vertex map: 24 lifted hulls instead of
-231 for n = 4.  The orbits are read from the same table.
+cells pushed forward through the vertex map: 24 samples to solve instead
+of 231 for n = 4.  The orbits are read from the same table.
+
+Most of those samples induce a subdivision already found on their
+representative, and that is certified with no hull (:func:`_induces`): a
+height induces a given tiling of the permutohedron by cells exactly when
+it is affine on each cell and every other vertex lies strictly above the
+cell's affine extension, the folding criterion for regular subdivisions
+(De Loera, Rambau and Santos, *Triangulations*, 2010, ch. 2 and 5).  A
+sample takes a lifted hull only when no subdivision found so far passes:
+for n = 4, 6 hulls and 18 passing certificates (of 19 tested); for n = 3,
+1 hull and 1 certificate.
 
 Everything is exact.  Heights are normalized to sum zero over all vertices,
 which leaves a lineality space of dimension n - 1 (linear functionals modulo
@@ -536,6 +546,70 @@ def _subdivision_key(w):
     return frozenset(c.vertices for c in subdivide(w))
 
 
+def _affine_frames(key):
+    """Per cell of a subdivision key, ``(basis, den, checks)``: what
+    :func:`_induces` reads to test a height against the key with no hull.
+
+    ``basis`` is an affine basis of the cell, drawn from its vertices.
+    Every other vertex u of the permutohedron is the affine combination
+    ``coeff / den`` of it, and ``checks`` lists ``(u, in_cell, coeff)``.
+    One RREF gives them all: its columns are the points (u, 1), the cell's
+    first, its pivot columns are the basis, and column u holds u's
+    coordinates in it.  A cell whose points do not span the permutohedron's
+    affine hull raises ``RuntimeError``: no subdivision has one.
+    """
+    n = len(next(iter(key))[0])
+    verts = permutohedron_vertices(n)
+    frames = []
+    for cell in key:
+        inside = set(cell)
+        order = list(cell) + [u for u in verts if u not in inside]
+        red, pivots = kernels.rref([[u[c] for u in order] for c in range(n)] + [[1] * len(order)],
+                                   len(order))
+        if len(pivots) != n or pivots[-1] >= len(cell):
+            raise RuntimeError("_affine_frames: a cell is not full-dimensional")
+        den = 1  # a common multiple of the pivot entries
+        for row, p in zip(red, pivots):
+            den *= row[p]
+        scale = [den // row[p] for row, p in zip(red, pivots)]
+        skip = set(pivots)
+        checks = [(u, j < len(cell), [row[j] * s for row, s in zip(red, scale)])
+                  for j, u in enumerate(order) if j not in skip]
+        frames.append((tuple(order[p] for p in pivots), den, checks))
+    return frames
+
+
+def _induces(w, frames):
+    """Whether the height w induces exactly the subdivision K of the given
+    frames (:func:`_affine_frames`), certified with no hull.
+
+    For every cell C of K: (a) w is affine on C, that is, each vertex of C
+    has the height that the affine interpolant of w from C's basis gives
+    it, so the lifted points of C have the rank of the unlifted ones; and
+    (b) every vertex outside C lies strictly above that interpolant.  Then
+    the lifted C is a lower facet of the lifted hull whose points are
+    exactly C.  K must tile the permutohedron, as the subdivision of a
+    height computed by a hull does, so it leaves no room for any other
+    lower facet, and w induces K: the folding criterion for regular
+    subdivisions (De Loera, Rambau and Santos, *Triangulations*, 2010,
+    ch. 2 and 5).  Strictness in (b) is essential: the barycentre of a
+    four-ray cone lies on the interior wall between its two fine
+    subdivisions, is affine on each of their cells and lies weakly above
+    every interpolant, and only the vertices outside a cell on which that
+    cell's interpolant is tight reject them.  The test reads the integer
+    view of w, which has the same lower faces, with one integer dot
+    product per vertex and cell.
+    """
+    h = w._ints
+    for basis, den, checks in frames:
+        base = [h[b] for b in basis]
+        for u, in_cell, coeff in checks:
+            gap = den * h[u] - kernels.dot(coeff, base)
+            if gap < 0 or (gap == 0) != in_cell:
+                return False
+    return True
+
+
 def _proper_coarsening(a, b):
     """Whether subdivision a is a strict coarsening of subdivision b."""
     if a == b:
@@ -590,8 +664,15 @@ def _sample_keys(fan):
     and the least of those tuples is taken.  That sample of ``rep`` is
     solved once per distinct least tuple, and its cells are pushed forward
     through the element that gave it.
+
+    A sample is solved by testing it, with the exact certificate of
+    :func:`_induces`, against each subdivision already found on ``rep``, in
+    the order found; a lifted hull is solved only when none passes.  For
+    n = 4 the 24 samples take 6 hulls and 19 certificates, 18 of which
+    pass; for n = 3 the 2 samples take 1 hull and 1 certificate.
     """
     solved = {}  # (rep, least pulled weights) -> subdivision key of rep's sample
+    found = {}  # rep -> [(key, frames)] of the subdivisions found on it, in order
     out = []
     for k, (ridx, (rep, coset)) in enumerate(zip(fan.maximal_rays, _symmetry_table(fan))):
         local = {a: i for i, a in enumerate(ridx)}
@@ -600,7 +681,13 @@ def _sample_keys(fan):
             weights, h = min(((tuple(wts[local[g[1][a]]] for a in fan.maximal_rays[rep]), g)
                               for g in coset), key=lambda pulled: pulled[0])
             if (rep, weights) not in solved:
-                solved[rep, weights] = _subdivision_key(sample_height(fan, rep, weights))
+                w = sample_height(fan, rep, weights)
+                candidates = found.setdefault(rep, [])
+                key = next((key for key, frames in candidates if _induces(w, frames)), None)
+                if key is None:
+                    key = _subdivision_key(w)
+                    candidates.append((key, _affine_frames(key)))
+                solved[rep, weights] = key
             keys.append(frozenset(
                 tuple(sorted(h[0][v] for v in cell)) for cell in solved[rep, weights]
             ))
@@ -629,7 +716,10 @@ def refinement_census(fan):
     sample with the weights pulled back along it, and its cells are the
     images of that sample's cells.  Taking the element with the least
     pulled weights gives one sample of the representative per orbit of
-    samples, whichever cone and element it was reached from.
+    samples, whichever cone and element it was reached from.  A sample
+    whose subdivision was already found on the representative is certified
+    by :func:`_induces` instead of solved: 6 lifted hulls and 18
+    certificates for n = 4.
     """
     per_cone = []
     discrepancies = []

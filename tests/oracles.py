@@ -307,26 +307,41 @@ def last_level_unpruned(rows, dim):
     return level
 
 
+_DIRECT_KEYS = {}  # (n, sorted heights) -> subdivision key from a lifted hull
+
+
+def direct_sample_key(fan, k, weights):
+    """The subdivision key of cone k's sample with these weights, from a
+    lifted hull solved in cone k itself, with no symmetry and no
+    certificate.
+
+    Kept per sample height for the whole session, so the tests that compare
+    the census with direct solves share the 231 hulls of the n = 4 fan.
+    """
+    from valperm.fans import _subdivision_key, sample_height
+
+    w = sample_height(fan, k, weights)
+    heights = (w.n, tuple(sorted(w.heights.items())))
+    if heights not in _DIRECT_KEYS:
+        _DIRECT_KEYS[heights] = _subdivision_key(w)
+    return _DIRECT_KEYS[heights]
+
+
 def refinement_census_direct(fan):
     """``refinement_census`` with every sample of every cone solved directly.
 
     No symmetry is used: each sample of ``fans._cone_samples`` is solved
-    with ``subdivide`` in its own cone, 231 solves on the n = 4 fan.
+    with ``subdivide`` in its own cone (:func:`direct_sample_key`), 231
+    solves on the n = 4 fan.
     """
-    from valperm.fans import (
-        RefinementReport,
-        _cone_samples,
-        _proper_coarsening,
-        _subdivision_key,
-        sample_height,
-    )
+    from valperm.fans import RefinementReport, _cone_samples, _proper_coarsening
 
     per_cone = []
     discrepancies = []
     for k, ridx in enumerate(fan.maximal_rays):
         seen = []
         for wts in _cone_samples(fan, k):
-            key = _subdivision_key(sample_height(fan, k, wts))
+            key = direct_sample_key(fan, k, wts)
             if key not in seen:
                 seen.append(key)
         fine = [s for s in seen if not any(_proper_coarsening(s, o) for o in seen)]

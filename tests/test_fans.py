@@ -11,6 +11,7 @@ import pytest
 from lp import lp_feasible
 from oracles import (
     cone_image_by_canonical,
+    direct_sample_key,
     exhaustive_fan_cones,
     incidence_edges_by_pair_scan,
     last_level_unpruned,
@@ -952,7 +953,7 @@ def test_transported_sample_keys_match_direct_solves(fan_n):
                 pulled = [wts[ridx.index(rmap[a])] for a in fan_n.maximal_rays[rep]]
                 base = sample_height(fan_n, rep, pulled).heights
                 assert {vmap[v]: h for v, h in base.items()} == direct.heights
-            assert key == _subdivision_key(direct)
+            assert key == direct_sample_key(fan_n, k, wts)
             pairs += 1
     assert pairs == {3: 9, 4: 231}[fan_n.n]
 
@@ -984,18 +985,109 @@ def test_symmetry_table_is_built_once_per_fan(fan_n, monkeypatch):
 def test_refinement_census_solves_once_per_orbit_sample(fan_n, monkeypatch):
     # for n = 4, the samples brought to their least images under the
     # stabilizers: 5 on the orbit of cone 0, 7 on that of cone 1, 5 on each
-    # of the orbits of cones 26 and 27 and 2 on the four-ray one; for n = 3
-    # the samples (1,) and (5,)
-    calls = []
-    solve = fans.subdivide
+    # of the orbits of cones 26 and 27 and 2 on the four-ray one, 24 in all;
+    # for n = 3 the samples (1,) and (5,).  Each representative's first
+    # sample takes a lifted hull and every later one is first tested
+    # against the subdivisions found on it: for n = 4, 19 certificates, of
+    # which only the four-ray cone's 2-face sample against its barycentre's
+    # coarse subdivision fails, so 6 hulls; for n = 3 one hull and one
+    # certificate that passes
+    calls, tests = [], []
+    solve, induces = fans.subdivide, fans._induces
 
     def counted(w):
         calls.append(w)
         return solve(w)
 
+    def certified(w, frames):
+        tests.append(induces(w, frames))
+        return tests[-1]
+
     monkeypatch.setattr(fans, "subdivide", counted)
+    monkeypatch.setattr(fans, "_induces", certified)
     refinement_census(fan_n)
-    assert len(calls) == {3: 2, 4: 24}[fan_n.n]
+    assert len(calls) == {3: 1, 4: 6}[fan_n.n]
+    assert (len(tests), sum(tests)) == {3: (1, 1), 4: (19, 18)}[fan_n.n]
+
+
+def _orbit_samples(fan, monkeypatch):
+    """The (representative, weights) samples the census solves, in its
+    order, read from its calls of ``sample_height``."""
+    samples = []
+    height = fans.sample_height
+
+    def recorded(fan, k, weights=None):
+        samples.append((k, weights))
+        return height(fan, k, weights)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fans, "sample_height", recorded)
+        fans._sample_keys(fan)
+    return samples
+
+
+def _gaps(w, frames):
+    """The scaled heights of w above each cell's affine interpolant, over
+    all cells of the frames: at the cell's own vertices, and at the others."""
+    inside, outside = [], []
+    for basis, den, checks in frames:
+        base = [w._ints[b] for b in basis]
+        for u, in_cell, coeff in checks:
+            gap = den * w._ints[u] - kernels.dot(coeff, base)
+            (inside if in_cell else outside).append(gap)
+    return inside, outside
+
+
+def test_the_certificate_agrees_with_the_hull_on_every_census_sample(fan_n, monkeypatch):
+    # every sample the census solves, against every subdivision found on its
+    # representative: the certificate passes exactly when the sample's own
+    # hull gives that subdivision; each of the 6 subdivisions for n = 4 (1
+    # for n = 3) passes for every height that produced it
+    samples = _orbit_samples(fan_n, monkeypatch)
+    assert len(samples) == {3: 2, 4: 24}[fan_n.n]
+    found = {}
+    for rep, weights in samples:
+        found.setdefault(rep, set()).add(direct_sample_key(fan_n, rep, weights))
+    assert sum(len(keys) for keys in found.values()) == {3: 1, 4: 6}[fan_n.n]
+    frames = {key: fans._affine_frames(key) for keys in found.values() for key in keys}
+    for rep, weights in samples:
+        w = sample_height(fan_n, rep, weights)
+        own = direct_sample_key(fan_n, rep, weights)
+        for key in found[rep]:
+            assert fans._induces(w, frames[key]) == (key == own)
+
+
+def test_the_certificate_needs_strictness_and_affinity(fan4):
+    # a four-ray cone's barycentre lies on its interior wall and induces the
+    # coarse subdivision; its 2-face samples induce the two fine ones.
+    # Against either fine subdivision the barycentre is affine on every
+    # cell and never below an interpolant, but tight on a vertex outside a
+    # cell, so only strictness rejects it; against the coarse one a fine
+    # sample is not affine on a cell
+    k = next(k for k, ridx in enumerate(fan4.maximal_rays) if len(ridx) == 4)
+    samples = fans._cone_samples(fan4, k)
+    barycentre = sample_height(fan4, k, samples[0])
+    coarse = direct_sample_key(fan4, k, samples[0])
+    fine = {direct_sample_key(fan4, k, wts): wts for wts in samples[1:]}
+    assert len(fine) == 2 and coarse not in fine
+    coarse_frames = fans._affine_frames(coarse)
+    assert fans._induces(barycentre, coarse_frames)
+    for key, wts in fine.items():
+        w, frames = sample_height(fan4, k, wts), fans._affine_frames(key)
+        assert fans._induces(w, frames)
+        inside, outside = _gaps(barycentre, frames)
+        assert set(inside) == {0} and min(outside) == 0
+        assert not fans._induces(barycentre, frames)
+        inside, _ = _gaps(w, coarse_frames)
+        assert set(inside) != {0}
+        assert not fans._induces(w, coarse_frames)
+
+
+def test_affine_frames_refuse_a_cell_that_is_not_full_dimensional():
+    # two vertices of the hexagon are a cell of no subdivision of it
+    pair = tuple(permutohedron_vertices(3)[:2])
+    with pytest.raises(RuntimeError, match="^_affine_frames: a cell is not full-dimensional$"):
+        fans._affine_frames(frozenset([pair]))
 
 
 def test_symmetry_that_breaks_the_fan_is_internal(monkeypatch, capsys):
