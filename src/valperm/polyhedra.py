@@ -56,12 +56,12 @@ Callers read ray-inequality incidence from that mask: the hull facets, the
 cells of :func:`lower_cells` and the 2-faces of the height fan's cones take
 no dot products of their own.
 
-Convex hulls are handled through polarity: the facet normals of
-conv(points) are the extremal rays of the polar of the cone spanned by the
-homogenized points, and vertex/edge/cell questions reduce to intersecting
-facet incidence sets.  Rays of the polar are reported modulo its lineality
-space, which is orthogonal to every generator, so incidence sets are not
-affected by that normalization.  One incidence rule,
+Convex hulls are handled through duality: the inner facet normals of
+conv(points) are the extremal rays of the dual ``{y : y . g >= 0}`` of the
+cone spanned by the homogenized points ``g``, and vertex/edge/cell
+questions reduce to intersecting facet incidence sets.  Rays of the dual
+cone are reported modulo its lineality space, which is orthogonal to every
+generator, so incidence sets are not affected by that normalization.  One incidence rule,
 :func:`incidence_edges`, decides every edge question: the edges of a hull
 here, and the 2-faces of the height fan's maximal cones in
 :mod:`valperm.fans`, from the rays' tight masks over the cone's own
@@ -70,17 +70,24 @@ inequalities.
 A regular subdivision needs one hull, not one per cell.  :func:`lower_cells`
 lifts the points by their heights and adds the upward direction as a
 generator, so the lifted polyhedron has only lower facets (the cells) and
-vertical ones (over the boundary).  Each cell is a face of it, and a face of
-a face is a face: the smallest face holding two points of a cell lies inside
-the cell, so the cell's vertices and edges follow from its points' masks of
-lifted facets by the same incidence rule (:func:`hull_edges` with
-``facets``).  The vertical facets lie over the boundary of conv(points) and
-do not depend on the heights, so they are solved and certified once per
-point set, and each lifted hull certifies only its lower facets.  The
-upward row comes first, so double description cuts the whole space to the
-lower half before any point row and never builds an upper facet.  Whether
-the heights are affine is read from a basis of the points' affine
-dependencies, also built once per point set (:func:`_affine_dependencies`).
+vertical ones (over the boundary).  It solves that hull in coordinates of
+the points' affine hull, chosen and certified by rank once per point set
+(:func:`_affine_coordinates`): an affine isomorphism of the points keeps
+their regular subdivisions, and there the points span the space, so the
+lifted cone's dual, whose rays are the facets' inner normals, is pointed.
+For the permutohedron, which spans a hyperplane, that is one coordinate
+fewer than its own, and no lineality to carry.  Each cell is a face of the
+lifted polyhedron, and a face of a face is a face: the smallest face
+holding two points of a cell lies inside the cell, so the cell's vertices
+and edges follow from its points' masks of lifted facets by the same
+incidence rule (:func:`hull_edges` with ``facets``).  The vertical facets
+lie over the boundary of conv(points) and do not depend on the heights, so
+they are solved and certified once per point set, and each lifted hull
+certifies only its lower facets.  The upward row comes first, so double
+description cuts the whole space to the lower half before any point row
+and never builds an upper facet.  Whether the heights are affine is read
+from a basis of the points' affine dependencies, also built once per point
+set (:func:`_affine_dependencies`).
 """
 
 from dataclasses import dataclass, field
@@ -577,32 +584,26 @@ def check_extremal(cone, caller, certified=(), null=None):
 
 
 # ---------------------------------------------------------------------------
-# convex hulls via polarity
+# convex hulls via duality
 
 
-def _homogenize(points, extra=None):
-    gens = []
-    for i, p in enumerate(points):
-        row = list(p) + ([extra[i]] if extra is not None else []) + [1]
-        gens.append(linalg.scale_to_int(row))
-    return gens
+def _homogenize(points):
+    return [linalg.scale_to_int(list(p) + [1]) for p in points]
 
 
 def hull_facet_sets(points):
     """Facets of conv(points) as frozensets of point indices.
 
     Duplicate input points simply appear in the same incidence sets.  Point
-    ``i`` is inequality ``i`` of the polar, so a facet's points are read off
-    its polar ray's tight mask.  Points of mixed length raise
-    ``ValueError``.
+    ``i`` is inequality ``i`` of the dual cone, so a facet's points are read
+    off its ray's tight mask.  Points of mixed length raise ``ValueError``.
     """
     if not points:
         raise ValueError("hull_facet_sets needs at least one point")
     _require_length("hull_facet_sets", points, len(points[0]), "a point")
-    gens = _homogenize(points)
-    polar = cone_solve([], [[-x for x in g] for g in gens], len(gens[0]))
+    dual = cone_solve([], [(*p, 1) for p in points], len(points[0]) + 1)
     facets = set()
-    for mask in polar.tight:
+    for mask in dual.tight:
         tight = frozenset(i for i in range(len(points)) if mask >> i & 1)
         if tight and len(tight) < len(points):
             facets.add(tight)
@@ -689,43 +690,73 @@ def hull_edges(points, labels, facets=None):
 
 
 @lru_cache(maxsize=16)
+def _affine_coordinates(points):
+    """``points``, a tuple of point tuples in R^m, restricted to coordinates
+    of their affine hull, chosen and certified once per point set.
+
+    The coordinates ``S`` are picked greedily by index: coordinate ``j`` is
+    kept when its column raises the rank of the constant column and the
+    columns kept before it, so ``S`` is the pivot columns past the constant
+    of the rows ``(1, x_i)`` (:func:`kernels.rref`).  The choice is
+    certified by exact rank: the rows ``(1, x_S)`` must have full column
+    rank, equal to the rank of the rows ``(1, x)``, or ``RuntimeError`` is
+    raised.  Each row is scaled to integers by a positive factor first,
+    which keeps the rank of every set of columns.
+
+    Equal ranks mean that every coordinate is an affine function of ``x_S``
+    on the points, so the restriction to ``S`` is an affine isomorphism of
+    the point configuration onto one that spans R^|S| affinely.  Regular
+    subdivisions are unchanged under an affine isomorphism of the point
+    configuration (De Loera, Rambau and Santos, *Triangulations*, 2010,
+    ch. 2): the map ``(x, h) -> (x_S, h)`` takes each lifted hull of
+    :func:`lower_cells` onto the one over the restricted points, with the
+    upward direction onto the upward direction, so they have the same
+    facets, each on the same points.  For the n! vertices of the
+    permutohedron, which span a hyperplane of R^n, it drops the last
+    coordinate.
+    """
+    m = len(points[0])
+    rows = [linalg.scale_to_int([1, *p]) for p in points]
+    kept = [j - 1 for j in kernels.rref(rows, m + 1)[1] if j]
+    reduced_rows = [[r[0]] + [r[j + 1] for j in kept] for r in rows]
+    if not kernels.rank(reduced_rows, len(kept) + 1) == len(kept) + 1 == kernels.rank(rows, m + 1):
+        raise RuntimeError("_affine_coordinates: the coordinates do not span the affine hull")
+    return tuple(tuple(p[j] for j in kept) for p in points)
+
+
+@lru_cache(maxsize=16)
 def _vertical_facets(points):
     """The vertical facets of every lifted hull over ``points``, a tuple of
-    distinct point tuples in R^m, certified once per point set.
+    distinct point tuples in R^m that span R^m affinely, as
+    :func:`_affine_coordinates` gives them, certified once per point set.
 
-    Returns ``(lineality, facets)``: the lineality basis of the polar of
-    conv(points), which :func:`cone_solve` certifies in full, and a
-    read-only map from each of its rays to its tight mask, both with a 0
+    Returns a read-only map from each ray of the dual cone of conv(points),
+    which :func:`cone_solve` certifies in full, to its tight mask, with a 0
     height coordinate inserted at index m.  The masks are over the rows of
-    the lifted polar of :func:`lower_cells`, upward row first: bit 0 is the
-    upward row, which every vertical ray is tight on, and bit ``i + 1`` is
-    point ``i``.
+    the lifted dual cone of :func:`lower_cells`, upward row first: bit 0 is
+    the upward row, which every vertical ray is tight on, and bit ``i + 1``
+    is point ``i``.
 
-    These are exactly the lineality and the vertical rays of the lifted
-    polar of :func:`lower_cells`, with their masks, for any heights.  A
-    vector ``y`` with ``y_m = 0`` has the same dot product with the lifted
-    row ``(x_i, h_i, 1)`` as with ``(x_i, 1)`` (up to the positive factor
-    that makes each row a primitive integer row), so it satisfies the
-    lifted system exactly when its unlifted part satisfies the unlifted one,
-    with the same tight point rows, and it is tight on the upward row
-    ``e_m`` too.  The upward row is an inequality, so every lifted
-    lineality vector has ``y_m = 0``: the lifted lineality is the embedded
-    unlifted one.  The rays with ``y_m = 0`` span the face on the upward
-    row, which is the embedded unlifted polar, so they are the embedded
-    unlifted rays, canonical as they are: orthogonal to the same lineality
-    and primitive.  Their tight rows have rank one higher than unlifted,
+    These are exactly the vertical rays of the lifted dual cone of
+    :func:`lower_cells`, with their masks, for any heights.  A vector ``y``
+    with ``y_m = 0`` has the same dot product with the lifted row
+    ``(x_i, h_i, 1)`` as with ``(x_i, 1)`` (up to the positive factor that
+    makes each row a primitive integer row), so it satisfies the lifted
+    system exactly when its unlifted part satisfies the unlifted one, with
+    the same tight point rows, and it is tight on the upward row ``e_m``
+    too.  The rays with ``y_m = 0`` span the face on the upward row, which
+    is the embedded unlifted dual cone, so they are the embedded unlifted
+    rays.  The reduced configuration is full-dimensional, so both dual
+    cones are pointed and the embedded rays are canonical as they are:
+    primitive.  Their tight rows have rank one higher than unlifted,
     because ``e_m`` spans the height axis the point rows add, and the
     ambient space is one dimension larger, so each stays certified
     extremal.
     """
     m = len(points[0])
-    polar = cone_solve([], [[-x for x in g] for g in _homogenize(points)], m + 1)
-
-    def lift(v):
-        return v[:m] + (0,) + v[m:]
-
-    return (tuple(lift(v) for v in polar.lineality),
-            MappingProxyType({lift(r): mask << 1 | 1 for r, mask in zip(polar.rays, polar.tight)}))
+    dual = cone_solve([], [(*p, 1) for p in points], m + 1)
+    return MappingProxyType({r[:m] + (0,) + r[m:]: mask << 1 | 1
+                             for r, mask in zip(dual.rays, dual.tight)})
 
 
 @lru_cache(maxsize=16)
@@ -760,51 +791,59 @@ def lower_cells(points, heights, labels):
     facet: the lower facets, which are the cells, and the vertical ones over
     the boundary of conv(points).  Each cell is a face of that hull, so its
     points' masks are the ``facets`` that :func:`hull_edges` reads its
-    vertices and edges from.  The hull is solved once, with the upward
-    direction ``(0, ..., 0, 1)`` as one more generator, so it has no upper
-    facets.  The upward generator is row 0 of that polar cone and point
-    ``i`` is row ``i + 1``, so which points lie on a facet is read off the
-    facet ray's :attr:`Cone.tight` mask.  Double description takes the rows
-    in that order, so the upward row cuts the cone first and no
-    intermediate cone holds an upper facet.  The vertical facets do not
-    depend on the heights: :func:`_vertical_facets` certifies them once per
-    point set, with their masks in this layout, and :func:`cone_solve` takes
-    them as a certified face on the upward row, so it checks and
-    rank-certifies only the lower rays of each hull.  The heights are
-    affine exactly when one cell holds every point, and that cell count is
-    certified against the affine dependencies of :func:`_affine_dependencies`:
-    ``h`` is affine exactly when it lies in the column space of the rows
-    ``(x_i, 1)``, which is the orthogonal complement of their left
-    nullspace, so exactly when every dependency ``mu`` has
-    ``sum_i mu_i * h_i = 0``.  A point lifted above the lower hull is in no cell.
-    Points must be distinct and of one length, or ``ValueError`` is raised.
+    vertices and edges from.
+
+    The hull is solved once, in coordinates of the points' affine hull
+    (:func:`_affine_coordinates`), which give it the same facets on the
+    same points, with the upward direction ``(0, ..., 0, 1)`` as one more
+    generator, so it has no upper facets.  Its facets are the rays of the
+    dual of the cone that the lifted points and the upward direction span,
+    their inner normals; a lower facet's normal has a positive height
+    coordinate.  The reduced configuration is full-dimensional, so that
+    dual cone is pointed, and one with a lineality is refused with
+    ``RuntimeError``.  The upward generator is row 0 of the dual cone and
+    point ``i`` is row ``i + 1``, so which points lie on a facet is read off
+    the facet ray's :attr:`Cone.tight` mask.  The rows go to
+    :func:`cone_solve` as they are, which makes them primitive.  Double
+    description takes them in that order, so the upward row cuts the cone
+    first and no intermediate cone holds an upper facet.  The vertical
+    facets do not depend on the heights: :func:`_vertical_facets` certifies
+    them once per point set, with their masks in this layout, and
+    :func:`cone_solve` takes them as a certified face on the upward row, so
+    it checks and rank-certifies only the lower rays of each hull.  The heights are affine exactly when one
+    cell holds every point, and that cell count is certified against the
+    affine dependencies of :func:`_affine_dependencies`: ``h`` is affine
+    exactly when it lies in the column space of the rows ``(x_i, 1)``, which
+    is the orthogonal complement of their left nullspace, so exactly when
+    every dependency ``mu`` has ``sum_i mu_i * h_i = 0``.  A point lifted
+    above the lower hull is in no cell.  Points must be distinct and of one
+    length, and labels unique, or ``ValueError`` is raised.
     """
     if not points:
         raise ValueError("lower_cells needs at least one point")
     _require_length("lower_cells", points, len(points[0]), "a point")
     if not len(points) == len(heights) == len(labels):
         raise ValueError("lower_cells needs one height and one label per point")
+    if len(set(labels)) != len(labels):
+        raise ValueError("lower_cells needs one unique label per point")
     key = tuple(tuple(p) for p in points)
     if len(set(key)) != len(points):
         raise ValueError("lower_cells: points must be distinct")
-    lifted = _homogenize(points, extra=list(heights))
-    m = len(points[0])
-    up = [0] * m + [1, 0]
-    lineality, vertical = _vertical_facets(key)
-    # cone_solve checks that every lineality vector is tight on the upward
-    # generator, so a ray's height coordinate has a well-defined sign
-    polar = cone_solve([], [[-x for x in g] for g in [up] + lifted], m + 2, face=(0, vertical))
-    if polar.lineality != lineality:
-        raise RuntimeError("lower_cells: the lifted lineality is not the boundary's")
+    reduced = _affine_coordinates(key)
+    m = len(reduced[0])
+    rows = [[0] * m + [1, 0]] + [[*p, h, 1] for p, h in zip(reduced, heights)]
+    dual = cone_solve([], rows, m + 2, face=(0, _vertical_facets(reduced)))
+    if dual.lineality:
+        raise RuntimeError("lower_cells: the lifted dual cone is not pointed")
     tight = [0] * len(points)
     cells = set()
-    for f, (ray, mask) in enumerate(zip(polar.rays, polar.tight)):
+    for f, (ray, mask) in enumerate(zip(dual.rays, dual.tight)):
         on = [i for i in range(len(points)) if mask >> (i + 1) & 1]
         for i in on:
             tight[i] |= 1 << f
-        if ray[m] < 0:
+        if ray[m] > 0:
             cells.add(tuple(sorted(labels[i] for i in on)))
-    affine = not any(sum(c * heights[i] for i, c in mu) for mu in _affine_dependencies(key))
+    affine = not any(sum(c * heights[i] for i, c in mu) for mu in _affine_dependencies(reduced))
     if (len(cells) == 1 and len(next(iter(cells))) == len(points)) != affine:
         kind = "affine" if affine else "non-affine"
         raise RuntimeError(f"lower_cells: {kind} heights gave {len(cells)} cells")

@@ -4,7 +4,9 @@ Everything in here deliberately avoids the code paths under test: Bruhat
 order is decided by subwords of a reduced word, Bruhat intervals by a
 pairwise scan for the minimal and maximal elements in that order (and the
 interval between two given ends by testing every vertex), hull
-membership by LP separation, lower cells by trying every support set, a
+membership by LP separation, lower cells by trying every support set and
+by the lifted hull in the points' ambient coordinates, which the package
+solved before it restricted them to coordinates of their affine hull, a
 cell's edges by intersecting the facet sets of a hull solved for the cell
 alone, the fan by solving every sign choice in full, the last level of the
 three-term search by the search that kept every cone, the refinement census
@@ -45,7 +47,14 @@ from valperm.permutahedra import (
     subsets_of_size,
     symmetry_generators,
 )
-from valperm.polyhedra import _canonical, check_extremal, double_description, hull_facet_sets, normalize_rows
+from valperm.polyhedra import (
+    _canonical,
+    check_extremal,
+    cone_solve,
+    double_description,
+    hull_facet_sets,
+    normalize_rows,
+)
 from valperm.valuated import Matroid, PolyInT, ValuatedMatroid, Violation, is_quotient
 
 
@@ -221,6 +230,31 @@ def lower_cells_by_support_search(points, heights, labels):
     return sorted(tuple(sorted(labels[i] for i in s)) for s in cells)
 
 
+def lower_cells_in_ambient_coordinates(points, heights, labels):
+    """``(cells, tight)`` as ``polyhedra.lower_cells`` gives them, from the
+    lifted hull in the points' own coordinates of R^m.
+
+    The polar of the cone spanned by the upward direction and the lifted
+    points ``(x_i, h_i, 1)`` is solved in R^(m + 2) by a plain
+    ``cone_solve`` that certifies every ray, with the points' lineality
+    when they do not span R^m affinely.  Row 0 is the upward row and row
+    ``i + 1`` point ``i``; a ray with a negative height coordinate is the
+    outer normal of a lower facet, whose points are a cell.
+    """
+    m = len(points[0])
+    rows = [[0] * m + [1, 0]] + [[*p, h, 1] for p, h in zip(points, heights)]
+    polar = cone_solve([], [[-x for x in row] for row in rows], m + 2)
+    tight = [0] * len(points)
+    cells = set()
+    for f, (ray, mask) in enumerate(zip(polar.rays, polar.tight)):
+        on = [i for i in range(len(points)) if mask >> (i + 1) & 1]
+        for i in on:
+            tight[i] |= 1 << f
+        if ray[m] < 0:
+            cells.add(tuple(sorted(labels[i] for i in on)))
+    return sorted(cells), tight
+
+
 def cell_edges_by_own_hull(cell):
     """Edges of conv(cell), as sorted vertex pairs, from the cell's own hull.
 
@@ -260,7 +294,6 @@ def exhaustive_fan_cones(n):
     both sorted by key.
     """
     from valperm.fans import _choice_system, _context
-    from valperm.polyhedra import cone_solve
 
     verts, base_eqs, diag_rows = _context(n)
     basis = kernels.nullspace(base_eqs, len(verts))
@@ -289,7 +322,7 @@ def last_level_unpruned(rows, dim):
     ``itertools.product`` order.  The first level is solved and every later
     child cut from its parent, as there."""
     from valperm.fans import _PAIRS, _choice_system
-    from valperm.polyhedra import cone_cut, cone_solve
+    from valperm.polyhedra import cone_cut
 
     cuts = [[tuple(map(normalize_rows, _choice_system([], [terms], (pair,)))) for pair in _PAIRS]
             for terms in rows]

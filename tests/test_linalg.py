@@ -262,12 +262,11 @@ def test_double_description_rank_deficient_after_many_rows(monkeypatch):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_double_description_on_lifted_polar_systems(seed, monkeypatch):
-    """The 25-row, dimension-6 systems that ``lower_cells`` hands the double
+    """The 25-row, dimension-5 systems that ``lower_cells`` hands the double
     description for n = 4 heights, where most positive/negative pairs share
     fewer than dim - 2 tight rows and are dropped before the adjacency scan.
-    The permutohedron spans a hyperplane, so each cone has a lineality line;
-    projected off it, the rays equal the brute-force rays of the pointed
-    cone in the coordinates of the rows' rowspace."""
+    The hull is solved in affine coordinates of the permutohedron, so each
+    cone is pointed, and its rays equal the brute-force rays of the cone."""
     systems = []
     solve = polyhedra.double_description
 
@@ -277,12 +276,14 @@ def test_double_description_on_lifted_polar_systems(seed, monkeypatch):
 
     rng = random.Random(seed)
     verts = permutohedron_vertices(4)
-    polyhedra._vertical_facets(tuple(verts))  # the point set's own solve is not captured
+    polyhedra._vertical_facets(polyhedra._affine_coordinates(tuple(verts)))  # not captured
     monkeypatch.setattr(polyhedra, "double_description", captured)
     polyhedra.lower_cells(verts, [rng.randint(0, 4 + 8 * seed) for _ in verts], verts)
     ((rows, dim),) = systems
-    assert (len(rows), dim) == (25, 6)
-    assert rays_modulo_lineality(rows, dim, solve(rows, dim)) == subset_oracle_rays(rows, dim)
+    assert (len(rows), dim) == (25, 5)
+    rays = solve(rows, dim)
+    assert rays.lineality == [] and rays.pointed == dim
+    assert rays == extremal_rays_by_subsets(rows, dim)
 
 
 def subset_oracle_rays(rows, dim):

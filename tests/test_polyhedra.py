@@ -38,9 +38,9 @@ from oracles import (
     hull_vertices_and_edges_by_lp,
     incidence_edges_by_pair_scan,
     lower_cells_by_support_search,
+    lower_cells_in_ambient_coordinates,
     pair_is_face,
     ray_tight_masks,
-    rays_modulo_lineality,
 )
 
 
@@ -312,10 +312,12 @@ def test_cone_solve_matches_the_rowspace_reduction_on_the_fan4_first_level():
 
 
 def test_cone_solve_matches_the_rowspace_reduction_on_every_flags4_seed1_hull():
+    # the lifted system in all four coordinates of the permutohedron, which
+    # spans a hyperplane, so the cone has a lineality line
     verts = permutohedron_vertices(4)
     count = 0
     for heights in flags4_heights(1):
-        eqs, ineqs, ambient, _ = lifted_polar_system(verts, heights)
+        eqs, ineqs, ambient, _ = lifted_dual_system(verts, heights)
         assert assert_solves_like_the_rowspace_reduction(eqs, ineqs, ambient).lineality_dim == 1
         count += 1
     assert count == 480
@@ -641,6 +643,13 @@ def test_lower_rejects_duplicate_points():
         lower_cells([(0, 0), (0, 0)], [0, 1], ["a", "b"])
 
 
+def test_lower_rejects_duplicate_labels():
+    # two points of one label would merge into one in a cell, as hull_edges
+    # refuses them too
+    with pytest.raises(ValueError, match="^lower_cells needs one unique label per point$"):
+        lower_cells([(0, 0), (1, 0), (0, 1), (1, 1)], [0, 0, 0, 1], ["a", "a", "b", "c"])
+
+
 # kernels.dot zips, so a row or point of another length would be truncated
 # or padded without a word: every entry point refuses it as bad input
 @pytest.mark.parametrize("call, caller", [
@@ -674,23 +683,23 @@ def test_points_of_mixed_length_are_refused(call, caller):
 
 
 def lower_cells_with_and_without_face(points, heights, labels):
-    """``lower_cells`` as it is, and with its lifted polar solved by a plain
-    ``cone_solve`` that certifies every ray; both results and both polars
+    """``lower_cells`` as it is, and with its lifted dual cone solved by a
+    plain ``cone_solve`` that certifies every ray; both results and both cones
     must be equal, tight masks included.  Returns the result."""
     real = polyhedra.cone_solve
-    results, polars = [], []
+    results, cones = [], []
     for keep_face in (True, False):
         def solve(eqs, ineqs, ambient, face=None):
             if face is None:
                 return real(eqs, ineqs, ambient)
             cone = real(eqs, ineqs, ambient, face=face if keep_face else None)
-            polars.append(cone)
+            cones.append(cone)
             return cone
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(polyhedra, "cone_solve", solve)
             results.append(lower_cells(points, heights, labels))
-    with_face, plain = polars
+    with_face, plain = cones
     assert with_face == plain
     assert (with_face.tight, with_face.ineqs) == (plain.tight, plain.ineqs)
     assert results[0] == results[1]
@@ -784,13 +793,14 @@ def test_face_is_exact_on_random_point_sets(dim, seed):
     [(0, 0, 1), (1, 0, 1), (0, 2, 1), (1, 1, 1), (3, 1, 1)],
 ], ids=["collinear-in-R2", "coplanar-in-R3"])
 def test_face_is_exact_on_point_sets_with_lineality(pts):
-    """Points spanning a proper affine subspace give the polar a lineality,
-    which the lifted polar shares."""
+    """Points spanning a proper affine subspace would give the dual cone a
+    lineality; in coordinates of their affine hull they span the space,
+    and the hull is solved there."""
     heights = [(3 * i) % 4 for i in range(len(pts))]
     labels = list(range(len(pts)))
     cells, _ = lower_cells_with_and_without_face(pts, heights, labels)
     assert cells == lower_cells_by_support_search(pts, heights, labels)
-    assert polyhedra._vertical_facets(tuple(pts))[0]
+    assert len(polyhedra._affine_coordinates(tuple(pts))[0]) == len(pts[0]) - 1
 
 
 def test_lower_one_cell_that_misses_a_point_is_not_affine():
@@ -798,7 +808,7 @@ def test_lower_one_cell_that_misses_a_point_is_not_affine():
     # last, so the one cell holds two of the four points; each end also lies
     # on its vertical facet
     pts = [(0, 0), (1, 1), (2, 2), (4, 4)]
-    assert lower_cells(pts, [0, 3, 2, 1], "abcd") == ([("a", "d")], [3, 0, 0, 6])
+    assert lower_cells(pts, [0, 3, 2, 1], "abcd") == ([("a", "d")], [6, 0, 0, 3])
 
 
 def test_face_is_exact_on_a_single_point():
@@ -812,6 +822,7 @@ def test_vertical_facets_are_certified_once_per_point_set(monkeypatch):
     real = polyhedra.cone_solve
     monkeypatch.setattr(polyhedra, "cone_solve",
                         lambda *args, **kwargs: solves.append(kwargs.get("face")) or real(*args, **kwargs))
+    polyhedra._affine_coordinates.cache_clear()
     polyhedra._vertical_facets.cache_clear()
     polyhedra._affine_dependencies.cache_clear()
     verts = permutohedron_vertices(3)
@@ -821,39 +832,48 @@ def test_vertical_facets_are_certified_once_per_point_set(monkeypatch):
     # upward row, which is row 0
     assert solves[0] is None and all(f is not None and f[0] == 0 for f in solves[1:])
     assert len(solves) == 4
-    # the affine dependencies are built once for the point set too
+    # the affine coordinates and dependencies are built once for the point
+    # set too
+    assert polyhedra._affine_coordinates.cache_info()[:2] == (2, 1)
     assert polyhedra._affine_dependencies.cache_info()[:2] == (2, 1)
     lower_cells(verts[:4], [0, 1, 1, 0], verts[:4])
     assert len(solves) == 6
+    assert polyhedra._affine_coordinates.cache_info()[:2] == (2, 2)
     assert polyhedra._affine_dependencies.cache_info()[:2] == (2, 2)
 
 
 def test_vertical_facet_masks_put_the_upward_row_at_bit_0():
     # bit 0 is the upward row, on which every vertical ray is tight, and bit
-    # i + 1 is point i, tight when the ray's unlifted part is tight on it
+    # i + 1 is point i, tight when the ray's unlifted part is tight on it;
+    # the permutohedron's first three coordinates span its affine hull
     verts = permutohedron_vertices(4)
-    lineality, facets = polyhedra._vertical_facets(tuple(verts))
-    assert len(facets) == 14 and len(lineality) == 1
+    reduced = polyhedra._affine_coordinates(tuple(verts))
+    assert reduced == tuple(v[:3] for v in verts)
+    facets = polyhedra._vertical_facets(reduced)
+    assert len(facets) == 14
     for ray, mask in facets.items():
-        assert ray[4] == 0
-        unlifted = ray[:4] + ray[5:]
-        want = sum(1 << (i + 1) for i, v in enumerate(verts) if kernels.dot(unlifted, v + (1,)) == 0)
+        assert len(ray) == 5 and ray[3] == 0
+        unlifted = ray[:3] + ray[4:]
+        want = sum(1 << (i + 1) for i, v in enumerate(reduced) if kernels.dot(unlifted, v + (1,)) == 0)
         assert mask == want | 1
 
 
-def lifted_polar_system(points, heights):
-    """The system of ``lower_cells``'s lifted polar, upward row first, and
-    the index of that row."""
+def lifted_dual_system(points, heights):
+    """The system of the lifted dual cone over ``points`` in their own
+    coordinates, upward row first, as ``lower_cells`` hands it to
+    ``cone_solve`` for the points in affine coordinates, and the index of
+    that row."""
     m = len(points[0])
-    rows = [[0] * m + [1, 0]] + polyhedra._homogenize(points, extra=list(heights))
-    return [], [[-x for x in g] for g in rows], m + 2, 0
+    rows = [[0] * m + [1, 0]] + [[*p, h, 1] for p, h in zip(points, heights)]
+    return [], rows, m + 2, 0
 
 
 @pytest.mark.parametrize("mutation", ["missing", "extra", "upward-row-last", "bit-past-the-rows"])
 def test_cone_solve_refuses_a_face_that_is_not_exact(mutation):
-    verts = sorted(HEXAGON_HEIGHTS)
-    eqs, ineqs, ambient, up = lifted_polar_system(verts, [HEXAGON_HEIGHTS[v] for v in verts])
-    facets = dict(polyhedra._vertical_facets(tuple(verts))[1])
+    heights = [HEXAGON_HEIGHTS[v] for v in sorted(HEXAGON_HEIGHTS)]
+    verts = polyhedra._affine_coordinates(tuple(sorted(HEXAGON_HEIGHTS)))
+    eqs, ineqs, ambient, up = lifted_dual_system(verts, heights)
+    facets = dict(polyhedra._vertical_facets(verts))
     with_face = cone_solve(eqs, ineqs, ambient, face=(up, facets))
     assert len(with_face.rays) == 8
     assert with_face.tight == cone_solve(eqs, ineqs, ambient).tight
@@ -872,12 +892,97 @@ def test_cone_solve_refuses_a_face_that_is_not_exact(mutation):
         cone_solve(eqs, ineqs, ambient, face=(up, facets))
 
 
-def test_lower_cells_refuses_a_face_whose_lineality_differs(monkeypatch):
+def test_lower_cells_refuses_a_lifted_dual_cone_with_a_lineality(monkeypatch):
+    # the hexagon spans a plane of R^3: solved in all three coordinates,
+    # its vertical facets match the lifted cone's, lineality and all, and
+    # only the certificate that the cone is pointed refuses it
     verts = sorted(HEXAGON_HEIGHTS)
-    real = polyhedra._vertical_facets
-    monkeypatch.setattr(polyhedra, "_vertical_facets", lambda pts: ((), real(pts)[1]))
-    with pytest.raises(RuntimeError, match="^lower_cells: the lifted lineality"):
+    monkeypatch.setattr(polyhedra, "_affine_coordinates", lambda pts: pts)
+    with pytest.raises(RuntimeError, match="^lower_cells: the lifted dual cone is not pointed"):
         lower_cells(verts, [HEXAGON_HEIGHTS[v] for v in verts], verts)
+
+
+# ---------------------------------------------------------------------------
+# the hull in coordinates of the points' affine hull, against the hull in
+# their own coordinates
+
+
+def facet_point_sets(tight):
+    """The facets of a lifted hull as the sorted list of the point sets on
+    them, read from the points' masks: the same for any numbering of the
+    facets."""
+    width = max(tight).bit_length()
+    return sorted(sorted(i for i, t in enumerate(tight) if t >> f & 1) for f in range(width))
+
+
+def assert_lower_cells_match_the_ambient_hull(points, heights, labels):
+    """``lower_cells`` and the hull it solved in the points' own
+    coordinates give the same cells and the same facets on the same
+    points; returns the cells."""
+    cells, tight = lower_cells(points, heights, labels)
+    ambient_cells, ambient_tight = lower_cells_in_ambient_coordinates(points, heights, labels)
+    assert cells == ambient_cells
+    assert facet_point_sets(tight) == facet_point_sets(ambient_tight)
+    return cells
+
+
+AFFINE_COORDINATE_CASES = {
+    # the points, and the coordinates that span their affine hull
+    "constant-x0-in-R3": ([(5, 0, 0), (5, 1, 0), (5, 0, 1), (5, 1, 1), (5, 2, 1), (5, 1, 3)], (1, 2)),
+    "plane-x0+x1=4-in-R3": ([(0, 4, 0), (1, 3, 0), (4, 0, 1), (2, 2, 2), (3, 1, 0), (1, 3, 3)], (0, 2)),
+    "collinear-in-R4": ([(t, 2 * t + 1, 3, -t) for t in (-2, 0, 1, 3, 4)], (0,)),
+    "one-point": ([(2, -1, 7)], ()),
+    "two-points": ([(1, 1, 0), (1, 4, 2)], (1,)),
+}
+
+
+@pytest.mark.parametrize("name", list(AFFINE_COORDINATE_CASES))
+def test_affine_coordinates_keep_the_first_coordinates_that_span(name):
+    pts, kept = AFFINE_COORDINATE_CASES[name]
+    assert polyhedra._affine_coordinates(tuple(pts)) == tuple(tuple(p[j] for j in kept) for p in pts)
+    rng = random.Random(f"affine-coordinates/{name}")
+    labels = list(range(len(pts)))
+    for rational in (False, True):
+        for _ in range(3):
+            heights = [rng.randint(0, 4) for _ in pts]
+            if rational:
+                heights = [Fraction(h, rng.randint(1, 3)) for h in heights]
+            cells, _ = lower_cells_with_and_without_face(pts, heights, labels)
+            assert cells == lower_cells_by_support_search(pts, heights, labels)
+            assert cells == assert_lower_cells_match_the_ambient_hull(pts, heights, labels)
+
+
+@pytest.mark.parametrize("mutation", ["a-pivot-dropped", "a-dependent-column-kept"])
+def test_affine_coordinates_certify_the_choice_by_rank(mutation, monkeypatch):
+    # the hexagon's columns 1, x0 and x1 span its affine functions and x2
+    # is one of them: a choice without x1, or with x2 as well, is refused
+    real = kernels.rref
+
+    def rref(rows, ncols):
+        red, pivots = real(rows, ncols)
+        return red, pivots[:-1] if mutation == "a-pivot-dropped" else pivots + [ncols - 1]
+
+    monkeypatch.setattr(kernels, "rref", rref)
+    polyhedra._affine_coordinates.cache_clear()
+    with pytest.raises(RuntimeError, match="^_affine_coordinates: the coordinates do not span"):
+        polyhedra._affine_coordinates(tuple(sorted(HEXAGON_HEIGHTS)))
+
+
+def test_lower_cells_match_the_ambient_hull_on_every_flags4_seed1_flag():
+    verts = permutohedron_vertices(4)
+    count = 0
+    for heights in flags4_heights(1):
+        assert assert_lower_cells_match_the_ambient_hull(verts, heights, verts)
+        count += 1
+    assert count == 480
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_lower_cells_match_the_ambient_hull_on_seeded_n5_heights(seed):
+    rng = random.Random(f"ambient/5/{seed}")
+    verts = permutohedron_vertices(5)
+    heights = [rng.randint(0, 9) for _ in verts]
+    assert len(assert_lower_cells_match_the_ambient_hull(verts, heights, verts)) > 1
 
 
 # ---------------------------------------------------------------------------
@@ -889,7 +994,7 @@ def test_lower_cells_refuses_a_face_whose_lineality_differs(monkeypatch):
 def lifted_dd_systems(points, heights_list):
     """The row systems that ``lower_cells`` hands the double description,
     one per height list, upward row first."""
-    polyhedra._vertical_facets(tuple(points))  # the point set's own solve is not captured
+    polyhedra._vertical_facets(polyhedra._affine_coordinates(tuple(points)))  # not captured
     systems = []
     real = polyhedra.double_description
 
@@ -907,17 +1012,18 @@ def lifted_dd_systems(points, heights_list):
 
 def test_double_description_gives_the_same_rays_with_the_upward_row_last():
     # on the 480 seed-1 flags4 hulls: the rows as lower_cells passes them,
-    # the upward row moved last, the old sorted order and one shuffle.  The
-    # permutohedron spans a hyperplane, so each cone has a lineality line,
-    # and the rays are compared modulo it
+    # the upward row moved last, the old sorted order and one shuffle.  In
+    # affine coordinates of the permutohedron each cone is pointed, so its
+    # extremal rays do not depend on the order
     rng = random.Random(480)
     count = 0
     for rows, dim in lifted_dd_systems(permutohedron_vertices(4), list(flags4_heights(1))):
-        assert (len(rows), dim) == (25, 6)
-        assert len(kernels.nullspace(rows, dim)) == 1
-        want = rays_modulo_lineality(rows, dim, double_description(rows, dim))
+        assert (len(rows), dim) == (25, 5)
+        assert kernels.nullspace(rows, dim) == []
+        want = double_description(rows, dim)
+        assert want.lineality == [] and want.pointed == dim
         for order in (rows[1:] + rows[:1], sorted(rows), rng.sample(rows, len(rows))):
-            assert rays_modulo_lineality(rows, dim, double_description(order, dim)) == want
+            assert double_description(order, dim) == want
         count += 1
     assert count == 480
 

@@ -274,5 +274,6 @@ def test_importing_the_package_builds_no_table():
     assert {"valperm.valuated._plucker_table", "valperm.valuated._incidence_table",
             "valperm.subdivisions._gap_table", "valperm.subdivisions._vertex_keys",
             "valperm.permutahedra.vertex_lengths", "valperm.permutahedra.hypersimplex_graph",
-            "valperm.polyhedra._vertical_facets", "valperm.polyhedra._affine_dependencies"} <= set(sizes)
+            "valperm.polyhedra._affine_coordinates", "valperm.polyhedra._vertical_facets",
+            "valperm.polyhedra._affine_dependencies"} <= set(sizes)
     assert {name: size for name, size in sizes.items() if size} == {}
