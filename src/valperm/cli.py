@@ -3,10 +3,10 @@
 Exit codes: 0 when the requested check or computation succeeds, 1 when a
 mathematical failure is found (a violated relation, a failing certificate, a
 vanishing minor block), 2 on malformed input or unmet preconditions, 3 when an
-internal consistency check fails (a bug, never a verdict on the input).  Every
-report carries the package version and the sha256 digest of its input (for
-``fan``, of the canonical parameter encoding).  Reports are deterministic
-unless ``--timing`` is given.
+internal consistency check fails or any other exception escapes (a bug, never
+a verdict on the input).  Every report carries the package version and the
+sha256 digest of its input (for ``fan``, of the canonical parameter
+encoding).  Reports are deterministic unless ``--timing`` is given.
 """
 
 import argparse
@@ -255,7 +255,7 @@ def cmd_fan(args, _obj):
             "lineality_dim": census.lineality_dim,
         }
     if args.homology:
-        report = _wrap_precondition(link_homology, fan)
+        report = link_homology(fan)
         payload["homology"] = {"betti": list(report.betti), "euler": report.euler}
     if args.refinement:
         report = refinement_census(fan)
@@ -355,6 +355,9 @@ def main(argv=None) -> int:
         return 2
     except RuntimeError as exc:
         print(f"valperm: internal error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # any other escape is a bug too, never a verdict
+        print(f"valperm: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     report = {"version": __version__, "command": args.command, "input_sha256": digest}
     report.update(payload)

@@ -88,12 +88,24 @@ sample takes a lifted hull only when no subdivision found so far passes:
 for n = 4, 6 hulls and 18 passing certificates (of 19 tested); for n = 3,
 1 hull and 1 certificate.
 
+The census and the link homology read one face lattice per maximal cone
+(:func:`_faces`), in every dimension.  A simplicial cone has every subset
+of its rays as a face, which covers 72 of the 75 cones for n = 4 with no
+lattice to build; any other cone's faces are the closed sets of its rays'
+tight masks (Kaibel and Pfetsch, "Computing the face lattice of a polytope
+from its vertex-facet incidences", 2002).  The homology triangulates each
+non-simplicial face by pulling its lowest ray in one global order, which
+agrees on shared faces, and ranks the simplicial boundary matrices
+exactly.  So any three-term fan, the Dressians and products of fans with
+cones of dimension 4 and more included, gets its census and homology.
+
 Everything is exact.  Heights are normalized to sum zero over all vertices,
 which leaves a lineality space of dimension n - 1 (linear functionals modulo
 the all-ones direction).
 """
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from valperm import kernels, linalg
 from valperm.permutahedra import (
@@ -498,24 +510,62 @@ class FanCensus:
     lineality_dim: int
 
 
+def _faces(fan):
+    """Every face of the fan modulo its lineality, as ``{rays: dim}``: the
+    face's sorted global ray indices (those of ``fan.maximal_rays``, in the
+    order of each cone's ``rays``) and its dimension, the apex ``()`` of
+    dimension 0 included.  A face shared by several maximal cones is one
+    entry, since a cone of a fan is the span of its rays and the lineality.
+
+    A simplicial cone, with as many rays as its dimension, has every subset
+    of its rays as a face, of the subset's size; that covers 72 of the 75
+    cones for n = 4 with no lattice to build.  Any other cone's faces are
+    the closed sets of its tight masks (:attr:`~valperm.polyhedra.Cone.tight`):
+    the intersections of the sets of rays tight on each of its
+    inequalities, the apex included.  Every face of a pointed cone is an
+    intersection of facets, each facet is cut out by one of the
+    inequalities, and each inequality cuts out a face (Kaibel and Pfetsch,
+    "Computing the face lattice of a polytope from its vertex-facet
+    incidences", 2002).  The face lattice is graded, so a face's dimension
+    is the length of its longest chain of faces below it.  Each such cone
+    is certified: every single ray must be a closed set, and the whole
+    cone's chain dimension must be its dimension modulo the lineality;
+    otherwise ``RuntimeError`` is raised.
+    """
+    faces = {}
+    for cone, ridx in zip(fan.maximal, fan.maximal_rays):
+        if len(ridx) == fan.quotient_dim(cone):
+            for k in range(len(ridx) + 1):
+                faces.update(dict.fromkeys(combinations(ridx, k), k))
+            continue
+        full = (1 << len(ridx)) - 1
+        closed = {full, 0}
+        for h in range(len(cone.ineqs)):
+            on = sum(1 << i for i, m in enumerate(cone.tight) if m >> h & 1)
+            closed |= {c & on for c in closed}
+        dim = {}
+        for c in sorted(closed, key=int.bit_count):
+            dim[c] = max((d + 1 for b, d in dim.items() if b & c == b), default=0)
+        if any(1 << i not in dim for i in range(len(ridx))):
+            raise RuntimeError("_faces: a ray of a maximal cone is not a face of it")
+        if dim[full] != fan.quotient_dim(cone):
+            raise RuntimeError("_faces: the face lattice of a maximal cone does not have its dimension")
+        for c, d in dim.items():
+            faces[tuple(g for i, g in enumerate(ridx) if c >> i & 1)] = d
+    return faces
+
+
 def f_vector_census(fan):
-    """Face counts by dimension modulo the lineality: the rays, the 2-faces
-    and the maximal cones, which are all of a pure fan of dimension at
-    most 3; a higher dimension raises ``ValueError``."""
-    dims = [fan.quotient_dim(c) for c in fan.maximal]
-    top = max(dims)
-    if top > 3:
-        raise ValueError(f"f_vector_census counts faces up to dimension 3 modulo the "
-                         f"lineality, got a cone of dimension {top}")
-    counts = [0] * top
-    counts[0] = len(fan.rays)
-    if top >= 2:
-        counts[1] = len(fan.two_faces)
-    counts[top - 1] = len(fan.maximal)
+    """Face counts by dimension modulo the lineality, from dimension 1 (the
+    rays) to the maximal cones, read from the face lattice of
+    :func:`_faces`; with the maximal cones' counts by number of rays and
+    the lineality dimension."""
+    dims = list(_faces(fan).values())
     ray_counts = {}
     for ridx in fan.maximal_rays:
         ray_counts[len(ridx)] = ray_counts.get(len(ridx), 0) + 1
-    return FanCensus(tuple(counts), ray_counts, len(fan.lineality))
+    return FanCensus(tuple(dims.count(d) for d in range(1, max(dims) + 1)), ray_counts,
+                     len(fan.lineality))
 
 
 # ---------------------------------------------------------------------------
@@ -762,46 +812,32 @@ def pattern_signature(w):
 # homology of the link complex
 
 
-def complex_betti(nvertices, edges, walks):
-    """Rational Betti numbers (b0, b1, b2) of a 2-complex.
+def _betti(simplices):
+    """Rational Betti numbers (b0, b1, ...) of the simplicial complex of the
+    given vertex tuples and all their subsets, one per dimension up to the
+    largest simplex's.
 
-    ``edges`` are index pairs; ``walks`` are closed vertex walks bounding the
-    2-cells.  Every edge endpoint must lie in ``range(nvertices)`` and every
-    consecutive walk pair must be an edge; a malformed complex raises
-    ``ValueError``.
+    The boundary of a simplex (v0 < ... < vk) is the alternating sum of its
+    facets, each boundary matrix is ranked exactly by
+    :func:`~valperm.kernels.rank`, and b_k is the number of k-simplices
+    less the ranks of the boundary maps out of them and into them.
     """
-    edge_index = {}
-    for a, b in edges:
-        if a not in range(nvertices) or b not in range(nvertices):
-            raise ValueError(f"complex_betti: edge ({a}, {b}) has an endpoint outside "
-                             f"range({nvertices})")
-        if a == b:
-            raise ValueError(f"complex_betti: loop edge at vertex {a}")
-        edge_index[tuple(sorted((a, b)))] = len(edge_index)
-    if len(edge_index) != len(edges):
-        raise ValueError("complex_betti: duplicate edges")
-    d1 = []
-    for a, b in sorted(edge_index, key=edge_index.get):
-        r = [0] * nvertices
-        r[a], r[b] = -1, 1
-        d1.append(r)
-    d2 = []
-    for walk in walks:
-        r = [0] * len(edge_index)
-        for a, b in zip(walk, walk[1:] + walk[:1]):
-            key = tuple(sorted((a, b)))
-            if key not in edge_index:
-                raise ValueError(f"complex_betti: walk step {a}-{b} is not an edge")
-            r[edge_index[key]] += 1 if a < b else -1
-        if not any(r):
-            raise ValueError("complex_betti: degenerate boundary walk")
-        d2.append(r)
-    rank1 = kernels.rank(d1, nvertices)
-    rank2 = kernels.rank(d2, len(edge_index))
-    b0 = nvertices - rank1
-    b1 = len(edge_index) - rank1 - rank2
-    b2 = len(walks) - rank2
-    return b0, b1, b2
+    by_size = {}
+    for s in simplices:
+        for k in range(1, len(s) + 1):
+            by_size.setdefault(k, set()).update(combinations(sorted(s), k))
+    index = {k: {s: j for j, s in enumerate(sorted(group))} for k, group in by_size.items()}
+    top = max(index)
+    ranks = {1: 0, top + 1: 0}  # size k -> rank of the boundary map out of the k-sets
+    for k in range(2, top + 1):
+        rows = []
+        for s in index[k]:
+            row = [0] * len(index[k - 1])
+            for i in range(k):
+                row[index[k - 1][s[:i] + s[i + 1:]]] = (-1) ** i
+            rows.append(row)
+        ranks[k] = kernels.rank(rows, len(index[k - 1]))
+    return tuple(len(index[k]) - ranks[k] - ranks[k + 1] for k in range(1, top + 1))
 
 
 @dataclass(frozen=True)
@@ -810,44 +846,37 @@ class HomologyReport:
     euler: int
 
 
-def _cell_walk(ray_ids, face_pairs):
-    """Cyclic vertex order of a polygonal cell from its boundary edges."""
-    neighbors = {r: [] for r in ray_ids}
-    for a, b in face_pairs:
-        neighbors[a].append(b)
-        neighbors[b].append(a)
-    if any(len(v) != 2 for v in neighbors.values()):
-        raise RuntimeError("_cell_walk: a cell boundary is not a cycle")
-    start = min(ray_ids)
-    walk = [start, min(neighbors[start])]
-    while len(walk) < len(ray_ids):
-        nxt = [x for x in neighbors[walk[-1]] if x != walk[-2]]
-        walk.append(nxt[0])
-    if len(set(walk)) != len(walk):
-        raise RuntimeError("_cell_walk: a cell boundary is more than one cycle")
-    if walk[0] not in neighbors[walk[-1]]:
-        raise RuntimeError("_cell_walk: a cell boundary does not close")
-    return walk
-
-
 def link_homology(fan):
-    """Betti numbers of the 2-dimensional link complex of the fan: rays are
-    vertices, 2-dimensional cones are edges, maximal cones are polygonal
-    2-cells.  Requires a pure 2-dimensional link (n = 4)."""
-    if any(fan.quotient_dim(c) != 3 for c in fan.maximal):
-        raise ValueError("link complex needs all maximal cones of dimension 3 mod lineality")
-    walks = []
-    for ridx, fidx in zip(fan.maximal_rays, fan.maximal_two_faces):
-        walks.append(_cell_walk(ridx, [fan.two_faces[f] for f in fidx]))
-    try:
-        b0, b1, b2 = complex_betti(len(fan.rays), list(fan.two_faces), walks)
-    except ValueError as exc:
-        # the complex is built from the fan, not from input
-        raise RuntimeError(f"link_homology: {exc}") from exc
-    euler = len(fan.rays) - len(fan.two_faces) + len(fan.maximal)
-    if euler != b0 - b1 + b2:
+    """Rational Betti numbers of the link complex of the fan, in every
+    dimension: rays are vertices, and each face of dimension d modulo the
+    lineality is a cell of dimension d - 1, from the faces of :func:`_faces`.
+
+    Each non-simplicial face is triangulated by pulling its lowest global
+    ray: the simplices of its pulled facets that miss that ray, each joined
+    with it.  Pulling in one global order restricts to the same
+    triangulation on every shared face, so the simplices of the maximal
+    cones form one simplicial complex with the homology of the link, whose
+    boundary matrices :func:`_betti` ranks.  The Euler characteristic, the
+    alternating sum of the fan's f-vector, must equal the alternating sum
+    of the Betti numbers; a mismatch raises ``RuntimeError``.
+    """
+    faces = _faces(fan)
+    pulled = {}
+
+    def triangulate(face):
+        if len(face) == faces[face]:
+            return [face]
+        if face not in pulled:
+            facets = [g for g, d in faces.items()
+                      if d == faces[face] - 1 and face[0] not in g and set(g) <= set(face)]
+            pulled[face] = [face[:1] + t for g in facets for t in triangulate(g)]
+        return pulled[face]
+
+    betti = _betti([t for ridx in fan.maximal_rays for t in triangulate(ridx)])
+    euler = sum((-1) ** (d - 1) for d in faces.values() if d)
+    if euler != sum((-1) ** k * b for k, b in enumerate(betti)):
         raise RuntimeError("link_homology: Euler characteristic does not match the Betti numbers")
-    return HomologyReport((b0, b1, b2), euler)
+    return HomologyReport(betti, euler)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from valperm import kernels
+from valperm import cli, kernels
 from valperm.cli import main
 from valperm.jsonio import InputError, parse_frac
 
@@ -341,7 +341,9 @@ def test_fan_cli(tmp_path):
     ]
     assert report["link_dot"].startswith("graph link_3 {")
     assert main(["fan", "5"]) == 2
-    assert main(["fan", "3", "--homology"]) == 2
+    code, out = run(tmp_path, "fan", "3", "--homology", name="homology.json")
+    assert code == 0
+    assert json.loads(out)["homology"] == {"betti": [3], "euler": 3}
 
 
 def test_subdivide_rejects_n_above_its_bound(tmp_path, capsys):
@@ -367,7 +369,6 @@ def test_fan4_full_report_frozen(tmp_path):
 
 
 def test_fan3_full_report_frozen(tmp_path):
-    # fan 3 has no 2-faces, so --homology is refused for it
     code, out = run(tmp_path, "fan", "3", "--census", "--refinement", "--patterns")
     assert code == 0
     assert hashlib.sha256(out).hexdigest() == FAN3_REPORT_SHA256
@@ -428,6 +429,19 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     assert captured.out == ""
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("valperm: internal error: ")
+
+
+def test_unexpected_exception_exits_3(monkeypatch, capsys):
+    # an exception other than an input error or a failed certificate is a
+    # bug as well: one stderr line and exit 3, not a traceback and exit 1
+    def broken(fan):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(cli, "f_vector_census", broken)
+    assert main(["fan", "3", "--census"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["valperm: internal error: KeyError: 'lost'"]
 
 
 def test_timing_opt_in(tmp_path):

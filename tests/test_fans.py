@@ -24,7 +24,6 @@ from oracles import (
 from valperm import cli, fans, kernels, linalg, polyhedra, valuated
 from valperm.cli import main
 from valperm.fans import (
-    complex_betti,
     enumerate_fan,
     f_vector_census,
     link_dot,
@@ -727,11 +726,6 @@ def test_phi3_link_dot():
     assert "--" not in text
 
 
-def test_phi3_link_is_not_two_dimensional():
-    with pytest.raises(ValueError):
-        link_homology(enumerate_fan(3))
-
-
 def test_unsupported_sizes_rejected():
     with pytest.raises(ValueError):
         enumerate_fan(2)
@@ -1225,72 +1219,101 @@ def test_pattern_signature_frozen_examples():
 
 
 def test_betti_filled_triangle():
-    assert complex_betti(3, [(0, 1), (0, 2), (1, 2)], [[0, 1, 2]]) == (1, 0, 0)
+    assert fans._betti([(0, 1, 2)]) == (1, 0, 0)
 
 
 def test_betti_triangle_boundary():
-    assert complex_betti(3, [(0, 1), (0, 2), (1, 2)], []) == (1, 1, 0)
+    assert fans._betti([(0, 1), (0, 2), (1, 2)]) == (1, 1)
 
 
 def test_betti_two_points():
-    assert complex_betti(2, [], []) == (2, 0, 0)
+    assert fans._betti([(0,), (1,)]) == (2,)
 
 
 def test_betti_sphere_octahedron():
-    edges = [(a, b) for a in range(6) for b in range(a + 1, 6)
-             if {a, b} not in ({0, 5}, {1, 4}, {2, 3})]
-    walks = [
-        [0, 1, 2], [0, 2, 4], [0, 4, 3], [0, 3, 1],
-        [5, 2, 1], [5, 4, 2], [5, 3, 4], [5, 1, 3],
+    triangles = [
+        (0, 1, 2), (0, 2, 4), (0, 4, 3), (0, 3, 1),
+        (5, 2, 1), (5, 4, 2), (5, 3, 4), (5, 1, 3),
     ]
-    assert complex_betti(6, edges, walks) == (1, 0, 1)
+    assert fans._betti(triangles) == (1, 0, 1)
 
 
-def test_betti_rejects_walk_off_complex():
-    with pytest.raises(ValueError, match="not an edge"):
-        complex_betti(3, [(0, 1), (1, 2)], [[0, 1, 2]])
+# ---------------------------------------------------------------------------
+# faces and link homology in every dimension, against independent answers
 
 
-@pytest.mark.parametrize("edge", [(0, -1), (-3, 1), (0, 3), (5, 1)])
-def test_betti_rejects_an_endpoint_outside_the_vertices(edge):
-    # a negative index would be read from the end, and one past the last
-    # vertex would raise a bare IndexError
-    with pytest.raises(ValueError, match=r"^complex_betti: edge .* has an endpoint outside range\(3\)"):
-        complex_betti(3, [edge], [])
+def _tropical_line(k, m):
+    """The three terms of a tropical line on coordinates 3k..3k+2 of R^m."""
+    return [[int(j == i) for j in range(m)] for i in range(3 * k, 3 * k + 3)]
 
 
-def test_cell_walk_refuses_a_boundary_of_two_cycles():
-    # each ray has two neighbours, but the walk from ray 0 closes after
-    # three rays: the other triangle would be walked as a second lap
-    with pytest.raises(RuntimeError, match="^_cell_walk: a cell boundary is more than one cycle"):
-        fans._cell_walk([0, 1, 2, 3, 4, 5], [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    assert fans._cell_walk([0, 1, 2, 3], [(0, 1), (2, 3), (1, 2), (3, 0)]) == [0, 1, 2, 3]
+def _faces_and_homology(fan):
+    """The census's f-vector, the link's Betti numbers, and a check that the
+    face lattice's 2-ray faces are the fan's 2-faces."""
+    two = sorted(face for face, d in fans._faces(fan).items() if d == 2)
+    assert two == list(fan.two_faces)
+    census, report = f_vector_census(fan), link_homology(fan)
+    assert report.euler == sum((-1) ** k * f for k, f in enumerate(census.f_vector))
+    return census.f_vector, report.betti
 
 
-def test_f_vector_census_refuses_a_fan_above_dimension_three():
-    # the product of four tropical lines has 12 rays, 54 2-faces, 108
-    # 3-faces and 81 maximal cones of dimension 4; the census counts no
-    # 3-faces, so it refuses the fan instead of writing 0 for them
-    def e(i):
-        return [1 if j == i else 0 for j in range(12)]
+def test_phi3_faces_and_homology():
+    # the link is three points
+    assert _faces_and_homology(enumerate_fan(3)) == ((3,), (3,))
 
-    product = fans.Fan(n=4, ambient=12, **fans.three_term_fan(
-        [[e(3 * r), e(3 * r + 1), e(3 * r + 2)] for r in range(4)], [], 12))
-    assert (len(product.rays), len(product.two_faces), len(product.maximal)) == (12, 54, 81)
-    with pytest.raises(ValueError, match="up to dimension 3 .* dimension 4"):
-        f_vector_census(product)
+
+def test_rank_two_dressian_link_is_a_wedge_of_spheres():
+    # the link of Dr(2, 6), the space of phylogenetic trees on 6 leaves, is
+    # a wedge of (n - 2)! = 24 two-spheres (Robinson and Whitehouse, "The
+    # tree representation of Σ_{n+1}", 1996)
+    rows, masks = _dressian_rows(6)
+    fan = fans.Fan(n=4, ambient=len(masks), **fans.three_term_fan(rows, [], len(masks)))
+    assert _faces_and_homology(fan) == ((25, 105, 105), (1, 0, 24))
+
+
+def test_four_tropical_lines_link_is_a_join_of_point_triples():
+    # the product of four tropical lines has cones of dimension 4, and its
+    # link is the join of four triples of points: a wedge of 2^4 3-spheres
+    fan = fans.Fan(n=4, ambient=12, **fans.three_term_fan(
+        [_tropical_line(k, 12) for k in range(4)], [], 12))
+    assert _faces_and_homology(fan) == ((12, 54, 108, 81), (1, 0, 0, 16))
+
+
+def test_fan4_times_a_tropical_line_pulls_non_simplicial_cones_in_dimension_four():
+    # the link of the product is the join of fan4's link (f-vector
+    # (20, 76, 75), Betti (1, 0, 18)) with three points: its faces are
+    # f_k + 3 f_(k-1), and its reduced homology is 18 * 2 = 36 in degree 3;
+    # the 9 cones over fan4's four-ray cones have 5 rays in dimension 4
+    _, base_eqs, diag_rows = fans._context(4)
+    relations = [[row + [0, 0, 0] for row in terms] for terms in diag_rows]
+    fan = fans.Fan(n=4, ambient=27, **fans.three_term_fan(
+        relations + [_tropical_line(8, 27)], [row + [0, 0, 0] for row in base_eqs], 27))
+    assert sum(len(ridx) == 5 for ridx in fan.maximal_rays) == 9
+    assert _faces_and_homology(fan) == ((23, 136, 303, 225), (1, 0, 0, 36))
 
 
 def test_link_homology_fault_is_internal(fan4, monkeypatch, capsys):
-    # a walk step off the complex built from the fan is an internal error
-    # (exit 3), not an input error (exit 2)
-    monkeypatch.setattr(fans, "_cell_walk", lambda ridx, pairs: [ridx[0], ridx[0], ridx[1]])
-    with pytest.raises(RuntimeError, match="link_homology: complex_betti: walk step"):
-        link_homology(fan4)
-    monkeypatch.setattr(cli, "enumerate_fan", lambda n: fan4)
+    # one tight bit added to a four-ray cone puts a third ray on an
+    # inequality whose tight rays are two adjacent rays, which makes a chain
+    # of faces longer than the cone's dimension; the face certificate
+    # refuses it, and the fault is internal (exit 3), not an input error
+    k = next(k for k, ridx in enumerate(fan4.maximal_rays) if len(ridx) == 4)
+    cone = fan4.maximal[k]
+    h = next(h for h in range(len(cone.ineqs)) if sum(m >> h & 1 for m in cone.tight) == 2)
+    i = next(i for i, m in enumerate(cone.tight) if not m >> h & 1)
+    tight = tuple(m | 1 << h if j == i else m for j, m in enumerate(cone.tight))
+    flipped = replace(fan4, maximal=fan4.maximal[:k] + (replace(cone, tight=tight),)
+                      + fan4.maximal[k + 1:])
+    with pytest.raises(RuntimeError, match="^_faces: "):
+        f_vector_census(flipped)
+    with pytest.raises(RuntimeError, match="^_faces: "):
+        link_homology(flipped)
+    monkeypatch.setattr(cli, "enumerate_fan", lambda n: flipped)
     assert main(["fan", "4", "--homology"]) == 3
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("valperm: internal error: link_homology")
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("valperm: internal error: _faces: ")
 
 
 def test_link_dot_phi4(fan4):
