@@ -8,10 +8,14 @@ V-description: a lineality basis plus extremal rays.  The pipeline is
 2. run double description on the restricted inequalities: start from the
    whole space and take the rows one at a time, in the caller's order,
    each row nonzero on the lineality left turning one lineality vector into
-   a ray and each other row cutting the rays by one incremental step,
+   a ray and each other row cutting the rays by one incremental step; with
+   a certified :class:`Face`, the rays on the face at each row are those
+   its recorded run had there, and the steps carry, test and combine only
+   the other rays against them,
 3. read off the run: the lineality left at the end is the cone's lineality
-   space, the rays come out modulo it, and the run has kept the cone's
-   dimension modulo it; map the rays and the lineality back,
+   space, the rays (the face's last ones included) come out modulo it, and
+   the run has kept the cone's dimension modulo it; map the rays and the
+   lineality back,
 4. project the rays off the lineality space, normalize, and check every
    ray and lineality vector against the defining system; then certify by
    rank that every ray is extremal (:func:`check_extremal`).
@@ -20,9 +24,10 @@ Each fact is certified once.  Double description itself checks nothing
 after its run: its rays are checked in the ambient space by step 4, whose
 dot products record the tight masks the rank certificate reads.  A fact that
 many cones share is certified once for all of them: :func:`cone_solve` takes
-a certified face, whose rays it matches exactly and does not check again.
-The vertical facets of the lifted hulls of :func:`lower_cells` are such a
-face, certified once per point set (:func:`_vertical_facets`).
+a certified face, whose rays it matches exactly and does not check again,
+and whose run of double description it does not repeat.  The vertical
+facets of the lifted hulls of :func:`lower_cells` are such a face,
+certified and run once per point set (:func:`_vertical_facets`).
 
 The canonical form (RREF lineality basis, primitive rays orthogonal to the
 lineality, sorted) makes cone equality a tuple comparison, which the fan
@@ -85,7 +90,16 @@ lie over the boundary of conv(points) and do not depend on the heights, so
 they are solved and certified once per point set, and each lifted hull
 certifies only its lower facets.  The upward row comes first, so double
 description cuts the whole space to the lower half before any point row
-and never builds an upper facet.  Whether the heights are affine is read
+and never builds an upper facet.  Nor does it depend on the heights how
+double description reaches the vertical facets: a vertical vector takes
+each lifted row's value up to the row's positive factor, two vertical
+rays combine to a vertical ray, and a lower ray never blocks the
+adjacency of two vertical ones, since they share the upward row and it
+is not on it.  So the vertical rays, their masks, their values on each
+row and the lineality before each row are those of the heights 0.  That
+run is recorded once per point set with the facets, and each hull's
+double description carries, tests and combines only its lower rays
+against it (:func:`double_description` with a :class:`Face`).  Whether the heights are affine is read
 from a basis of the points' affine dependencies, also built once per point
 set (:func:`_affine_dependencies`).
 """
@@ -154,7 +168,38 @@ def normalize_rows(rows):
     return tuple(out)
 
 
-def _insert_row(rays, masks, vals, bit, dim, keep_positive=True):
+@dataclass(frozen=True)
+class Face:
+    """A face of a cone, certified before, and the double description run
+    that reaches it, for :func:`cone_solve` to take as given.
+
+    The face is the part of the cone on its first inequality, the unit row
+    ``e_axis``.  ``rays`` maps each ray of the face, canonical as
+    :func:`cone_solve` makes it, to its tight mask over the cone's
+    inequalities; each ray was certified against them and extremal.
+    ``rows`` are the rows of the run, ``rows[0] = e_axis`` and every other
+    row 0 at ``axis``, and ``steps[j]`` is the run's face before row ``j``:
+    the tuple of its rays, the tuple of their masks over the rows before,
+    the tuple of their values on row ``j``, and the indices of the positive
+    and of the negative values (:func:`_face_step`); ``steps[-1]`` is the
+    face after the last row, with no values.  A cone whose rows are these rows
+    up to a positive factor each and any entry at ``axis`` (other than the
+    first row's) has the same face before each row, since every vector on
+    ``e_axis``'s hyperplane takes the row's value up to that factor
+    (:func:`double_description`).  :func:`_vertical_facets` builds the
+    face of every lifted hull over a point set once.
+    """
+
+    rays: MappingProxyType
+    rows: tuple
+    axis: int
+    steps: tuple
+
+
+_NO_FACE = ((), (), (), (), ())
+
+
+def _insert_row(rays, masks, vals, bit, dim, keep_positive=True, face=_NO_FACE):
     """One double description step of :func:`_cut`: cut a cone by a row ``h``.
 
     ``rays`` are the extremal rays (tuples) of a cone of dimension
@@ -171,16 +216,27 @@ def _insert_row(rays, masks, vals, bit, dim, keep_positive=True):
     ``dim - 2`` tight rows, so a pair with fewer is dropped at once, and
     otherwise the pair is adjacent when no other ray is tight on all the
     rows they share.  ``dim`` may be a lower bound, never an upper one.
+
+    ``face`` holds the other rays of the cone, those of a :class:`Face`
+    carried by its run: their tuples, masks and values on ``h``, and the
+    indices of its positive and its negative values.  The step returns
+    ``rays``' part of the cut only.  It tests the pairs that hold at least
+    one of ``rays``, and scans the masks of every ray of the cone for their
+    adjacency; the pairs within the face are the run's.
     """
-    neg = [i for i, v in enumerate(vals) if v < 0]
-    if not neg and keep_positive:
+    frays, fmasks, fvals, fpos, fneg = face
+    f = len(frays)
+    neg = [i for i, v in enumerate(vals, f) if v < 0]
+    if not neg and not fneg and keep_positive:
         return rays, [m | bit if v == 0 else m for m, v in zip(masks, vals)], set()
-    pos = [i for i, v in enumerate(vals) if v > 0]
+    pos = [i for i, v in enumerate(vals, f) if v > 0]
     table = {rays[i]: masks[i] | bit if v == 0 else masks[i]
              for i, v in enumerate(vals) if v == 0 or (v > 0 and keep_positive)}
+    rays, masks, vals = [*frays, *rays], [*fmasks, *masks], [*fvals, *vals]
+    every_neg = [*fneg, *neg]
     made = set()
-    for p in pos:
-        for q in neg:
+    for p in [*fpos, *pos]:
+        for q in neg if p < f else every_neg:
             common = masks[p] & masks[q]
             if common.bit_count() < dim - 2:
                 continue
@@ -197,7 +253,7 @@ def _insert_row(rays, masks, vals, bit, dim, keep_positive=True):
     return rays, [table[r] for r in rays], made
 
 
-def _cut(lin, rays, masks, pointed, done, eqs, ineqs, ambient):
+def _cut(lin, rays, masks, pointed, done, eqs, ineqs, ambient, faces=None):
     """Cut a cone by ``eqs = 0`` and ``ineqs >= 0``, one row at a time.
 
     The cone is given by a basis ``lin`` of its lineality space, its
@@ -213,9 +269,21 @@ def _cut(lin, rays, masks, pointed, done, eqs, ineqs, ambient):
     of ``ineqs`` sets bit ``done + i`` of the masks.  Returns the new
     ``(lin, rays, masks, pointed, made)``, where ``made`` is the set of the
     rays that the double description steps made, as later rows moved them.
+
+    ``faces``, when given, are the :attr:`Face.steps` of a run, one more
+    than the rows, with each row's values in its own scale: the cone's
+    other rays, which the run carries.  ``rays`` and ``masks`` are then the
+    rest, and each row moves, tests and combines only those, against the
+    run's face before it, and takes the run's face after it as it is; a ray
+    that a row turns out of the lineality stays with the rest unless it is
+    on that face.  The result is the run's last face plus the rest.
+    Without ``faces`` the face is empty at every row.
     """
+    steps = [(e, False) for e in eqs] + [(a, True) for a in ineqs]
+    if faces is None:
+        faces = [_NO_FACE] * (len(steps) + 1)
     made = set()
-    for row, is_ineq in [(e, False) for e in eqs] + [(a, True) for a in ineqs]:
+    for (row, is_ineq), face, after in zip(steps, faces, faces[1:]):
         bit = 1 << done if is_ineq else 0
         on_lin = [kernels.dot(row, v) for v in lin]
         k = next((i for i, x in enumerate(on_lin) if x), None)
@@ -233,21 +301,24 @@ def _cut(lin, rays, masks, pointed, done, eqs, ineqs, ambient):
             rays = moved
             masks = [m | bit for m in masks]
             if is_ineq:
-                rays.append(tuple(l))
-                masks.append((1 << done) - 1)
+                if tuple(l) not in after[0]:
+                    rays.append(tuple(l))
+                    masks.append((1 << done) - 1)
                 pointed += 1
-        elif rays:
+        elif rays or face[0]:
             vals = [kernels.dot(row, r) for r in rays]
-            rays, masks, new = _insert_row(rays, masks, vals, bit, pointed, keep_positive=is_ineq)
+            rays, masks, new = _insert_row(rays, masks, vals, bit, pointed, is_ineq, face)
             made |= new
-            pos, neg = any(v > 0 for v in vals), any(v < 0 for v in vals)
+            pos = bool(face[3]) or max(vals, default=0) > 0
+            neg = bool(face[4]) or min(vals, default=0) < 0
             if pos and neg and not is_ineq:
                 pointed -= 1  # the hyperplane meets the relative interior
             elif (neg and not pos) or (pos and not neg and not is_ineq):
                 # the row cuts out a proper face, whose dimension the signs do not tell
-                pointed = kernels.rank(lin + [list(r) for r in rays], ambient) - len(lin)
+                pointed = kernels.rank(lin + [list(r) for r in after[0] + tuple(rays)], ambient) - len(lin)
         done += is_ineq
-    return lin, rays, masks, pointed, made
+    last_rays, last_masks = faces[-1][:2]
+    return lin, [*last_rays, *rays], [*last_masks, *masks], pointed, made
 
 
 class Rays(list):
@@ -260,7 +331,33 @@ class Rays(list):
         self.lineality, self.pointed = lineality, pointed
 
 
-def double_description(rows, dim):
+def _run_faces(face, rows, dim):
+    """The steps of ``face``'s run in the scale of ``rows``, which must fit it.
+
+    Row ``j`` fits the run's row ``v`` when it is ``v`` itself, for the
+    first row ``e_axis``, and otherwise agrees with ``lam * v`` for some
+    ``lam > 0`` at every coordinate but ``axis``: then it takes ``lam``
+    times the run's value on every vector of the face's hyperplane.  Rows
+    that differ from ``v`` only at ``axis`` have ``lam = 1`` and take the
+    run's steps as they are.  A row that does not fit, or another number of
+    rows or length of row than the run's, raises ``RuntimeError``.
+    """
+    a, steps = face.axis, list(face.steps)
+    if len(rows) != len(face.rows) or dim != len(face.rows[0]):
+        raise RuntimeError("double_description: the rows do not fit the run of the face")
+    for j, (r, v) in enumerate(zip(rows, face.rows)):
+        if r[:a] == v[:a] and r[a + 1:] == v[a + 1:] and (r[a] == v[a] or not v[a]):
+            continue
+        k = next((i for i, y in enumerate(v) if y and i != a), None)
+        if v[a] or k is None or r[k] * v[k] <= 0 or any(
+                x * v[k] != y * r[k] for i, (x, y) in enumerate(zip(r, v)) if i != a):
+            raise RuntimeError(f"double_description: row {j} does not fit the run of the face")
+        frays, fmasks, fvals, fpos, fneg = steps[j]
+        steps[j] = frays, fmasks, tuple(x * r[k] // v[k] for x in fvals), fpos, fneg
+    return steps
+
+
+def double_description(rows, dim, face=None):
     """Extremal rays of the cone ``{z : row.z >= 0 for all rows}`` in R^dim,
     modulo its lineality space.
 
@@ -282,11 +379,25 @@ def double_description(rows, dim):
     checked here: :func:`cone_solve` projects the rays off the lineality,
     checks every ray and lineality vector against its defining system and
     certifies every ray extremal by rank in the ambient space.
+
+    With a :class:`Face`, whose run the rows must fit (:func:`_run_faces`),
+    the loop carries only the rays off the face and takes the face from the
+    run.  That is exact.  The first row ``e_axis`` turns the one lineality
+    vector off its hyperplane into a ray and leaves the rest of the
+    lineality on it.  From then on, every lineality vector and face ray
+    lies on that hyperplane, where each row takes its run row's value up
+    to the row's positive factor: so a row moves, tests and combines them
+    as the run did.  Two face rays combine to a face ray, and a combination
+    with a ray off the face is off it, with a positive coefficient on that
+    ray.  A ray off the face never blocks the adjacency of two face rays:
+    their common mask holds the first row, which it is not tight on.  So
+    the face, its masks and the lineality before each row are the run's.
     """
     rows = list(dict.fromkeys(tuple(r) for r in rows))
     _require_length("double_description", rows, dim, "a row")
+    faces = None if face is None else _run_faces(face, rows, dim)
     identity = [[int(i == j) for j in range(dim)] for i in range(dim)]
-    lin, rays, _, pointed, _ = _cut(identity, [], [], 0, 0, (), rows, dim)
+    lin, rays, _, pointed, _ = _cut(identity, [], [], 0, 0, (), rows, dim, faces)
     return Rays([list(r) for r in sorted(rays)], lin, pointed)
 
 
@@ -310,23 +421,23 @@ def _ray_masks(caller, rays, eqs, ineqs):
 
 
 def _face_masks(caller, rays, eqs, ineqs, face):
-    """The masks of :func:`_ray_masks` when the face ``(h, known)`` is
-    certified: ``known`` maps each ray tight on ``ineqs[h]`` to its tight
-    mask.  One dot product with ``ineqs[h]`` sorts each ray; a tight ray
-    must be one of ``known`` and takes its mask, and every other ray is
-    checked by :func:`_ray_masks`.  The tight rays must be all of ``known``,
-    and each mask taken must have bit ``h`` and no bit at or past
-    ``len(ineqs)``, so a face built for another row layout is refused.  A
-    failed check raises ``RuntimeError`` naming ``caller``.
+    """The masks of :func:`_ray_masks` when the :class:`Face` ``face`` on
+    ``ineqs[0]`` is certified: ``face.rays`` maps each ray tight on it to
+    its tight mask.  One dot product with ``ineqs[0]`` sorts each ray; a
+    tight ray must be one of ``face.rays`` and takes its mask, and every
+    other ray is checked by :func:`_ray_masks`.  The tight rays must be all
+    of ``face.rays``, and each mask taken must have bit 0 and no bit at or
+    past ``len(ineqs)``, so a face built for another row layout is refused.
+    A failed check raises ``RuntimeError`` naming ``caller``.
     """
-    h, known = face
+    known = face.rays
     tight, on_face = [], 0
     for r in rays:
-        if kernels.dot(ineqs[h], r) == 0:
+        if kernels.dot(ineqs[0], r) == 0:
             if r not in known:
                 raise RuntimeError(f"{caller}: a ray on the certified face is not one of its rays")
             mask = known[r]
-            if not mask >> h & 1 or mask >> len(ineqs):
+            if not mask & 1 or mask >> len(ineqs):
                 raise RuntimeError(f"{caller}: a mask of the certified face does not fit the system")
             tight.append(mask)
             on_face += 1
@@ -344,8 +455,8 @@ def _canonical(caller, ambient, pointed_dim, lineality, rays, eqs, ineqs, face=N
     ``lineality`` spans the lineality space, ``rays`` hold one generator per
     extremal ray and ``pointed_dim`` is the dimension modulo the lineality.
     The check of each ray against the inequalities (:func:`_ray_masks`)
-    also records its tight mask; the rays of a certified ``face`` take
-    theirs from it instead (:func:`_face_masks`).  A failed check raises
+    also records its tight mask; the rays of a certified :class:`Face`
+    take theirs from it instead (:func:`_face_masks`).  A failed check raises
     ``RuntimeError`` naming ``caller``.
     """
     lin_rows, _ = kernels.rref(lineality, ambient)
@@ -374,14 +485,16 @@ def cone_solve(eqs, ineqs, ambient, *, face=None):
     masks, and every ray extremal by the rank of its tight rows
     (:func:`check_extremal`).  A failure raises ``RuntimeError``.
 
-    ``face = (h, known)`` states a fact certified before: the rays of the
-    cone tight on inequality ``h`` (an index into the normalized ``ineqs``,
-    from which zero rows are dropped) are exactly the keys of ``known``,
-    canonical as here, each satisfying the system with the tight mask it
-    maps to and extremal.  Each ray then takes one dot product with
-    ``ineqs[h]``: the tight ones must be exactly the keys of ``known`` and
-    take its masks, with no other check, and every other ray and every
-    lineality vector is certified in full.
+    ``face``, a :class:`Face`, states a fact certified before: the rays of
+    the cone tight on its first inequality (the first of the normalized
+    ``ineqs``, from which zero rows are dropped) are exactly the keys of
+    ``face.rays``, canonical as here, each satisfying the system with the
+    tight mask it maps to and extremal.  Double description then takes the
+    face from its run and carries only the other rays; the rows must fit
+    the run, or ``RuntimeError`` is raised.  Each ray takes one dot product
+    with ``ineqs[0]``: the tight ones must be exactly the keys of
+    ``face.rays`` and take its masks, with no other check, and every other
+    ray and every lineality vector is certified in full.
 
     A nonzero row whose length is not ``ambient`` raises ``ValueError``.
     """
@@ -395,10 +508,10 @@ def cone_solve(eqs, ineqs, ambient, *, face=None):
         if any(row):
             restricted.append(kernels.vec_gcd_reduce(row))
 
-    rays_z = double_description(restricted, k)
+    rays_z = double_description(restricted, k, face)
     cone = _canonical("cone_solve", ambient, rays_z.pointed, linalg.mat_mul(rays_z.lineality, null),
                       linalg.mat_mul(rays_z, null), eqs, ineqs, face)
-    check_extremal(cone, "cone_solve", face[1] if face is not None else (), null)
+    check_extremal(cone, "cone_solve", face.rays if face is not None else (), null)
     return cone
 
 
@@ -728,14 +841,16 @@ def _affine_coordinates(points):
 def _vertical_facets(points):
     """The vertical facets of every lifted hull over ``points``, a tuple of
     distinct point tuples in R^m that span R^m affinely, as
-    :func:`_affine_coordinates` gives them, certified once per point set.
+    :func:`_affine_coordinates` gives them, and the double description run
+    that builds them, certified and recorded once per point set.
 
-    Returns a read-only map from each ray of the dual cone of conv(points),
-    which :func:`cone_solve` certifies in full, to its tight mask, with a 0
-    height coordinate inserted at index m.  The masks are over the rows of
-    the lifted dual cone of :func:`lower_cells`, upward row first: bit 0 is
-    the upward row, which every vertical ray is tight on, and bit ``i + 1``
-    is point ``i``.
+    Returns a :class:`Face` of the lifted dual cone of :func:`lower_cells`
+    on its upward row ``e_m``, row 0.  Its ``rays`` map each ray of the dual
+    cone of conv(points), which :func:`cone_solve` certifies in full, to
+    its tight mask, with a 0 height coordinate inserted at index m.  The
+    masks are over the rows of the lifted dual cone, upward row first: bit
+    0 is the upward row, which every vertical ray is tight on, and bit
+    ``i + 1`` is point ``i``.
 
     These are exactly the vertical rays of the lifted dual cone of
     :func:`lower_cells`, with their masks, for any heights.  A vector ``y``
@@ -752,11 +867,43 @@ def _vertical_facets(points):
     because ``e_m`` spans the height axis the point rows add, and the
     ambient space is one dimension larger, so each stays certified
     extremal.
+
+    The run is the lifted double description of the heights 0, rows
+    ``e_m`` and ``(x_i, 0, 1)`` made primitive, taken row by row by
+    :func:`_cut`; before each row it records the vertical rays, the rays
+    tight on row 0, with their masks and their values on the row.  The
+    vertical part of a lifted row ``(x_i, h_i, 1)`` is ``(x_i, 0, 1)``, up
+    to the row's positive factor, so every lifted hull over the points fits
+    the run, and :func:`double_description` takes its vertical rays from it
+    (see there why that is exact).  The run's last face, projected off the
+    lineality its run left (none, for points that span), must be the
+    certified rays with their masks, or ``RuntimeError`` is raised.
     """
     m = len(points[0])
     dual = cone_solve([], [(*p, 1) for p in points], m + 1)
-    return MappingProxyType({r[:m] + (0,) + r[m:]: mask << 1 | 1
-                             for r, mask in zip(dual.rays, dual.tight)})
+    facets = {r[:m] + (0,) + r[m:]: mask << 1 | 1 for r, mask in zip(dual.rays, dual.tight)}
+    rows = normalize_rows([[0] * m + [1, 0]] + [[*p, 0, 1] for p in points])
+    lin = [[int(i == j) for j in range(m + 2)] for i in range(m + 2)]
+    rays, masks, pointed, steps = [], [], 0, []
+    for j, row in enumerate(rows):
+        steps.append(_face_step(rays, masks, row))
+        lin, rays, masks, pointed, _ = _cut(lin, rays, masks, pointed, j, (), (row,), m + 2)
+    steps.append(_face_step(rays, masks, None))
+    orth = linalg.orthogonalize(kernels.rref(lin, m + 2)[0])
+    last = {tuple(linalg.project_off(r, orth)): mask for r, mask in zip(*steps[-1][:2])}
+    if last != facets:
+        raise RuntimeError("_vertical_facets: the run's last face is not the certified vertical facets")
+    return Face(MappingProxyType(facets), rows, m, tuple(steps))
+
+
+def _face_step(rays, masks, row):
+    """One :attr:`Face.steps` entry: the rays tight on row 0, their masks,
+    their values on ``row`` (none when ``row`` is None) and the indices of
+    the positive and of the negative values."""
+    face = [(r, mask) for r, mask in zip(rays, masks) if mask & 1]
+    vals = () if row is None else tuple(kernels.dot(row, r) for r, _ in face)
+    return (tuple(r for r, _ in face), tuple(mask for _, mask in face), vals,
+            tuple(i for i, v in enumerate(vals) if v > 0), tuple(i for i, v in enumerate(vals) if v < 0))
 
 
 @lru_cache(maxsize=16)
@@ -808,9 +955,14 @@ def lower_cells(points, heights, labels):
     description takes them in that order, so the upward row cuts the cone
     first and no intermediate cone holds an upper facet.  The vertical
     facets do not depend on the heights: :func:`_vertical_facets` certifies
-    them once per point set, with their masks in this layout, and
-    :func:`cone_solve` takes them as a certified face on the upward row, so
-    it checks and rank-certifies only the lower rays of each hull.  The heights are affine exactly when one
+    them once per point set, with their masks in this layout, and records
+    the run of double description that builds them, which is the same for
+    every height.  :func:`cone_solve` takes them as a certified
+    :class:`Face` on the upward row: its double description carries and
+    combines only the lower rays of each hull, against the run's vertical
+    rays, and it checks and rank-certifies only the lower rays.  The rows
+    of every hull fit the run, since each differs from the run's row only
+    by its positive factor and its height.  The heights are affine exactly when one
     cell holds every point, and that cell count is certified against the
     affine dependencies of :func:`_affine_dependencies`: ``h`` is affine
     exactly when it lies in the column space of the rows ``(x_i, 1)``, which
@@ -832,7 +984,7 @@ def lower_cells(points, heights, labels):
     reduced = _affine_coordinates(key)
     m = len(reduced[0])
     rows = [[0] * m + [1, 0]] + [[*p, h, 1] for p, h in zip(reduced, heights)]
-    dual = cone_solve([], rows, m + 2, face=(0, _vertical_facets(reduced)))
+    dual = cone_solve([], rows, m + 2, face=_vertical_facets(reduced))
     if dual.lineality:
         raise RuntimeError("lower_cells: the lifted dual cone is not pointed")
     tight = [0] * len(points)

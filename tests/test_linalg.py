@@ -167,9 +167,9 @@ def dd_row_events(rows, dim, monkeypatch):
     steps, recomputed = {}, set()
     insert_row, rank = polyhedra._insert_row, kernels.rank
 
-    def spied_insert_row(rays, masks, vals, bit, dim, keep_positive=True):
+    def spied_insert_row(rays, masks, vals, bit, dim, keep_positive=True, face=polyhedra._NO_FACE):
         steps[bit.bit_length() - 1] = None
-        return insert_row(rays, masks, vals, bit, dim, keep_positive)
+        return insert_row(rays, masks, vals, bit, dim, keep_positive, face)
 
     def spied_rank(matrix, ncols):
         recomputed.add(max(steps))
@@ -270,9 +270,9 @@ def test_double_description_on_lifted_polar_systems(seed, monkeypatch):
     systems = []
     solve = polyhedra.double_description
 
-    def captured(rows, dim):
+    def captured(rows, dim, face=None):
         systems.append((rows, dim))
-        return solve(rows, dim)
+        return solve(rows, dim, face)
 
     rng = random.Random(seed)
     verts = permutohedron_vertices(4)

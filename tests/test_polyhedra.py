@@ -5,6 +5,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
@@ -122,8 +123,8 @@ def test_cone_solve_refuses_a_ray_that_is_not_extremal(monkeypatch):
     # the ambient cone can refuse it
     solve = polyhedra.double_description
 
-    def padded(rows, dim):
-        rays = solve(rows, dim)
+    def padded(rows, dim, face=None):
+        rays = solve(rows, dim, face)
         rays.append([x + y for x, y in zip(rays[0], rays[1])])
         return rays
 
@@ -317,7 +318,7 @@ def test_cone_solve_matches_the_rowspace_reduction_on_every_flags4_seed1_hull():
     verts = permutohedron_vertices(4)
     count = 0
     for heights in flags4_heights(1):
-        eqs, ineqs, ambient, _ = lifted_dual_system(verts, heights)
+        eqs, ineqs, ambient = lifted_dual_system(verts, heights)
         assert assert_solves_like_the_rowspace_reduction(eqs, ineqs, ambient).lineality_dim == 1
         count += 1
     assert count == 480
@@ -682,10 +683,26 @@ def test_points_of_mixed_length_are_refused(call, caller):
 # the vertical facets of the lifted hull, certified once per point set
 
 
+def assert_the_run_is_the_plain_loop(rows, dim, face):
+    """The double description row loop with the face's run and without it:
+    the same rays with the same masks, the same lineality and the same
+    pointed dimension."""
+    rows = [tuple(r) for r in rows]
+
+    def loop(faces):
+        identity = [[int(i == j) for j in range(dim)] for i in range(dim)]
+        lin, rays, masks, pointed, _ = polyhedra._cut(identity, [], [], 0, 0, (), rows, dim, faces)
+        assert len(set(rays)) == len(rays)
+        return lin, dict(zip(rays, masks)), pointed
+
+    assert loop(polyhedra._run_faces(face, rows, dim)) == loop(None)
+
+
 def lower_cells_with_and_without_face(points, heights, labels):
     """``lower_cells`` as it is, and with its lifted dual cone solved by a
     plain ``cone_solve`` that certifies every ray; both results and both cones
-    must be equal, tight masks included.  Returns the result."""
+    must be equal, tight masks included, and the row loop must give the same
+    rays and masks with the face's run as without.  Returns the result."""
     real = polyhedra.cone_solve
     results, cones = [], []
     for keep_face in (True, False):
@@ -693,6 +710,8 @@ def lower_cells_with_and_without_face(points, heights, labels):
             if face is None:
                 return real(eqs, ineqs, ambient)
             cone = real(eqs, ineqs, ambient, face=face if keep_face else None)
+            if keep_face:
+                assert_the_run_is_the_plain_loop(cone.ineqs, ambient, face)
             cones.append(cone)
             return cone
 
@@ -775,6 +794,17 @@ def test_face_is_exact_on_affine_heights(n):
     assert lower_cells_with_and_without_face(verts, heights, verts)[0] == [tuple(verts)]
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_face_is_exact_on_mixed_denominator_heights(n):
+    # each lifted row is scaled by its own denominator, so its vertical part
+    # is a multiple of the run's row, not the row itself
+    rng = random.Random(f"vertical/mixed/{n}")
+    verts = permutohedron_vertices(n)
+    for _ in range(4):
+        heights = [Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 5, 6))) for _ in verts]
+        assert lower_cells_with_and_without_face(verts, heights, verts)[0]
+
+
 @pytest.mark.parametrize("dim,seed", [(2, s) for s in range(5)] + [(3, s) for s in range(5)])
 def test_face_is_exact_on_random_point_sets(dim, seed):
     rng = random.Random(f"vertical/points/{dim}/{seed}")
@@ -828,9 +858,10 @@ def test_vertical_facets_are_certified_once_per_point_set(monkeypatch):
     verts = permutohedron_vertices(3)
     for heights in ([0, 1, 2, 3, 4, 5], [5, 0, 2, 1, 3, 1], [v[0] for v in verts]):
         lower_cells(verts, heights, verts)
-    # the point set once, without a face, then each hull with one on its
-    # upward row, which is row 0
-    assert solves[0] is None and all(f is not None and f[0] == 0 for f in solves[1:])
+    # the point set once, without a face, then each hull with the face on
+    # its upward row, the same face for every hull
+    assert solves[0] is None and all(f is solves[1] for f in solves[1:])
+    assert isinstance(solves[1], polyhedra.Face) and solves[1].rows[0] == (0, 0, 1, 0)
     assert len(solves) == 4
     # the affine coordinates and dependencies are built once for the point
     # set too
@@ -849,7 +880,7 @@ def test_vertical_facet_masks_put_the_upward_row_at_bit_0():
     verts = permutohedron_vertices(4)
     reduced = polyhedra._affine_coordinates(tuple(verts))
     assert reduced == tuple(v[:3] for v in verts)
-    facets = polyhedra._vertical_facets(reduced)
+    facets = polyhedra._vertical_facets(reduced).rays
     assert len(facets) == 14
     for ray, mask in facets.items():
         assert len(ray) == 5 and ray[3] == 0
@@ -861,22 +892,22 @@ def test_vertical_facet_masks_put_the_upward_row_at_bit_0():
 def lifted_dual_system(points, heights):
     """The system of the lifted dual cone over ``points`` in their own
     coordinates, upward row first, as ``lower_cells`` hands it to
-    ``cone_solve`` for the points in affine coordinates, and the index of
-    that row."""
+    ``cone_solve`` for the points in affine coordinates."""
     m = len(points[0])
     rows = [[0] * m + [1, 0]] + [[*p, h, 1] for p, h in zip(points, heights)]
-    return [], rows, m + 2, 0
+    return [], rows, m + 2
 
 
 @pytest.mark.parametrize("mutation", ["missing", "extra", "upward-row-last", "bit-past-the-rows"])
 def test_cone_solve_refuses_a_face_that_is_not_exact(mutation):
     heights = [HEXAGON_HEIGHTS[v] for v in sorted(HEXAGON_HEIGHTS)]
     verts = polyhedra._affine_coordinates(tuple(sorted(HEXAGON_HEIGHTS)))
-    eqs, ineqs, ambient, up = lifted_dual_system(verts, heights)
-    facets = dict(polyhedra._vertical_facets(verts))
-    with_face = cone_solve(eqs, ineqs, ambient, face=(up, facets))
+    eqs, ineqs, ambient = lifted_dual_system(verts, heights)
+    face = polyhedra._vertical_facets(verts)
+    with_face = cone_solve(eqs, ineqs, ambient, face=face)
     assert len(with_face.rays) == 8
     assert with_face.tight == cone_solve(eqs, ineqs, ambient).tight
+    facets, refusal = dict(face.rays), "^cone_solve: .*certified face"
     if mutation == "missing":
         del facets[min(facets)]
     elif mutation == "extra":
@@ -884,22 +915,75 @@ def test_cone_solve_refuses_a_face_that_is_not_exact(mutation):
         facets[lower[0]] = 0
     elif mutation == "upward-row-last":
         # the vertical rays are still exactly the rays tight on the upward
-        # row, but their upward-first masks have no bit for it there
-        ineqs, up = ineqs[1:] + ineqs[:1], len(ineqs) - 1
+        # row, but the run took that row first, and its masks too
+        ineqs, refusal = ineqs[1:] + ineqs[:1], "^double_description: row 0 does not fit the run"
     else:
         facets = {r: m | 1 << len(ineqs) for r, m in facets.items()}
-    with pytest.raises(RuntimeError, match="^cone_solve: .*certified face"):
-        cone_solve(eqs, ineqs, ambient, face=(up, facets))
+    with pytest.raises(RuntimeError, match=refusal):
+        cone_solve(eqs, ineqs, ambient, face=replace(face, rays=MappingProxyType(facets)))
+
+
+@pytest.mark.parametrize("mutation", ["a-point-moved", "a-row-negated", "a-point-dropped",
+                                      "another-dimension"])
+def test_double_description_refuses_rows_that_do_not_fit_the_run(mutation):
+    # the run holds for rows that differ from its own by a positive factor
+    # and a height; any other row, order or shape of system is refused
+    heights = [HEXAGON_HEIGHTS[v] for v in sorted(HEXAGON_HEIGHTS)]
+    verts = polyhedra._affine_coordinates(tuple(sorted(HEXAGON_HEIGHTS)))
+    face = polyhedra._vertical_facets(verts)
+    _, rows, dim = lifted_dual_system(verts, heights)
+    rows = [tuple(r) for r in normalize_rows(rows)]
+    assert double_description(rows, dim, face) == double_description(rows, dim)
+    if mutation == "a-point-moved":
+        rows[3] = (rows[3][0] + 1, *rows[3][1:])
+    elif mutation == "a-row-negated":
+        rows[3] = tuple(-x for x in rows[3])
+    elif mutation == "a-point-dropped":
+        rows = rows[:-1]
+    else:
+        rows, dim = [r + (0,) for r in rows], dim + 1
+    with pytest.raises(RuntimeError, match="^double_description: .* fit the run of the face"):
+        double_description(rows, dim, face)
 
 
 def test_lower_cells_refuses_a_lifted_dual_cone_with_a_lineality(monkeypatch):
     # the hexagon spans a plane of R^3: solved in all three coordinates,
-    # its vertical facets match the lifted cone's, lineality and all, and
-    # only the certificate that the cone is pointed refuses it
+    # its vertical facets match the lifted cone's, lineality and all, the
+    # run with them is the plain loop, and only the certificate that the
+    # cone is pointed refuses it
     verts = sorted(HEXAGON_HEIGHTS)
+    heights = [HEXAGON_HEIGHTS[v] for v in verts]
     monkeypatch.setattr(polyhedra, "_affine_coordinates", lambda pts: pts)
     with pytest.raises(RuntimeError, match="^lower_cells: the lifted dual cone is not pointed"):
-        lower_cells(verts, [HEXAGON_HEIGHTS[v] for v in verts], verts)
+        lower_cells(verts, heights, verts)
+    _, rows, dim = lifted_dual_system(verts, heights)
+    assert_the_run_is_the_plain_loop(normalize_rows(rows), dim, polyhedra._vertical_facets(tuple(verts)))
+    assert double_description(normalize_rows(rows), dim).lineality
+
+
+@pytest.mark.parametrize("mutation", ["a-face-ray-dropped", "a-mask-bit-flipped"])
+def test_vertical_facets_refuse_a_run_that_misses_the_certified_face(mutation, monkeypatch):
+    # the run's loop, broken at its last row, must leave the certified
+    # vertical facets, rays and masks, or the run is refused
+    verts = polyhedra._affine_coordinates(tuple(sorted(HEXAGON_HEIGHTS)))
+    real = polyhedra._cut
+
+    def broken(lin, rays, masks, pointed, done, eqs, ineqs, ambient, faces=None):
+        lin, rays, masks, pointed, made = real(lin, rays, masks, pointed, done, eqs, ineqs, ambient, faces)
+        if done == len(verts):  # the run's last row
+            i = next(i for i, mask in enumerate(masks) if mask & 1)
+            if mutation == "a-face-ray-dropped":
+                del rays[i], masks[i]
+            else:
+                masks[i] ^= 1 << done
+        return lin, rays, masks, pointed, made
+
+    monkeypatch.setattr(polyhedra, "_cut", broken)
+    polyhedra._vertical_facets.cache_clear()
+    with pytest.raises(RuntimeError, match="^_vertical_facets: the run's last face is not the certified"):
+        polyhedra._vertical_facets(verts)
+    monkeypatch.undo()
+    assert len(polyhedra._vertical_facets(verts).rays) == 6
 
 
 # ---------------------------------------------------------------------------
@@ -998,9 +1082,9 @@ def lifted_dd_systems(points, heights_list):
     systems = []
     real = polyhedra.double_description
 
-    def captured(rows, dim):
+    def captured(rows, dim, face=None):
         systems.append((rows, dim))
-        return real(rows, dim)
+        return real(rows, dim, face)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(polyhedra, "double_description", captured)
