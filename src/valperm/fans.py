@@ -106,6 +106,7 @@ the all-ones direction).
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from types import MappingProxyType
 
 from valperm import kernels, linalg
 from valperm.permutahedra import (
@@ -329,9 +330,10 @@ class Fan:
     ``rays``/``two_faces`` are global and deduplicated; ``maximal_rays`` and
     ``maximal_two_faces`` give each maximal cone's faces as indices into
     them.  For n = 3 the maximal cones are single rays and ``two_faces`` is
-    empty.  The symmetry table of :func:`_symmetry_table` is stored on the
-    fan when first used; equality, hashing, ``repr`` and
-    ``dataclasses.replace`` ignore it, so a replaced fan starts without one.
+    empty.  The symmetry table of :func:`_symmetry_table` and the face
+    lattice of :func:`_faces` are stored on the fan when first used;
+    equality, hashing, ``repr`` and ``dataclasses.replace`` ignore them, so
+    a replaced fan starts without either.
     """
 
     n: int
@@ -344,6 +346,8 @@ class Fan:
     maximal_two_faces: tuple
     # the symmetry table, built on first use by _symmetry_table
     _symmetry: tuple = field(default=None, init=False, compare=False, repr=False)
+    # the read-only face lattice, built on first use by _faces
+    _lattice: MappingProxyType = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def lineality_dim(self):
@@ -530,8 +534,11 @@ def _faces(fan):
     is the length of its longest chain of faces below it.  Each such cone
     is certified: every single ray must be a closed set, and the whole
     cone's chain dimension must be its dimension modulo the lineality;
-    otherwise ``RuntimeError`` is raised.
+    otherwise ``RuntimeError`` is raised.  The lattice is built once per
+    fan and stored on it as a read-only mapping.
     """
+    if fan._lattice is not None:
+        return fan._lattice
     faces = {}
     for cone, ridx in zip(fan.maximal, fan.maximal_rays):
         if len(ridx) == fan.quotient_dim(cone):
@@ -552,7 +559,8 @@ def _faces(fan):
             raise RuntimeError("_faces: the face lattice of a maximal cone does not have its dimension")
         for c, d in dim.items():
             faces[tuple(g for i, g in enumerate(ridx) if c >> i & 1)] = d
-    return faces
+    object.__setattr__(fan, "_lattice", MappingProxyType(faces))
+    return fan._lattice
 
 
 def f_vector_census(fan):

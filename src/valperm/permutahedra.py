@@ -15,17 +15,16 @@ Conventions used everywhere in this package:
 * An edge exchanges two consecutive *values*; a 2-face is the orbit of a
   vertex under two such value swaps (a hexagon when the values overlap, a
   square otherwise), walked by alternating the swaps.  The 2-faces and the
-  edge graph do not change for a given n, so :func:`enumerate_two_faces`,
-  :func:`permutohedron_graph` and :func:`vertex_lengths` build them once per
-  n, and :func:`hypersimplex_graph` once per (d, n), and return the same
-  immutable object on every later call.
+  vertices' lengths do not change for a given n, so
+  :func:`enumerate_two_faces` and :func:`vertex_lengths` build them once per
+  n and return the same immutable object on every later call.
 
 Everything is capped at n <= 7; the library is meant for exact desk-scale
 computations, not asymptotics.
 """
 
 from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, permutations
 from types import MappingProxyType
@@ -336,122 +335,6 @@ def enumerate_two_faces(n: int) -> tuple[TwoFace, ...]:
             keyed.append(((face.kind != "hexagon", face.flag_data, pos), face))
     keyed.sort(key=lambda item: item[0])
     return tuple(face for _, face in keyed)
-
-
-# ---------------------------------------------------------------------------
-# skeleton graphs
-
-
-class EdgeValues:
-    """Antisymmetric rational values on directed edges: value(v,u) = -value(u,v)."""
-
-    def __init__(self):
-        self._data = {}
-
-    def set(self, u, v, value):
-        if (u, v) in self._data and self._data[(u, v)] != value:
-            raise ValueError(f"conflicting value on edge {u} -> {v}")
-        self._data[(u, v)] = value
-        self._data[(v, u)] = -value
-
-    def get(self, u, v):
-        return self._data[(u, v)]
-
-    def has(self, u, v):
-        return (u, v) in self._data
-
-    def __len__(self):
-        return len(self._data) // 2
-
-
-@dataclass(frozen=True)
-class SkeletonGraph:
-    """Vertex-edge graph of a polytope together with its 2-face cycles.
-
-    ``edge_tags`` (permutohedron only) maps a directed edge (u, v) to
-    (level, A, B): the level-d constituents in which the two endpoint flags
-    differ.  Both mappings are read-only, because each graph is shared by
-    every caller of :func:`permutohedron_graph` or :func:`hypersimplex_graph`.
-    """
-
-    name: str
-    vertices: tuple
-    edges: tuple
-    two_face_cycles: tuple
-    edge_tags: dict = field(default_factory=dict)
-    neighbors: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        neighbors = self.neighbors
-        if not neighbors:
-            nb = {v: [] for v in self.vertices}
-            for u, v in self.edges:
-                nb[u].append(v)
-                nb[v].append(u)
-            neighbors = {v: tuple(sorted(ws)) for v, ws in nb.items()}
-        object.__setattr__(self, "neighbors", MappingProxyType(neighbors))
-        object.__setattr__(self, "edge_tags", MappingProxyType(self.edge_tags))
-
-
-@cache
-def permutohedron_graph(n: int) -> SkeletonGraph:
-    """Edge graph of the permutohedron, built once per n; edges swap two
-    consecutive values."""
-    _check_n(n)
-    verts = permutohedron_vertices(n)
-    edges = set()
-    tags = {}
-    for v in verts:
-        flag_v = vertex_to_flag(v)
-        for c in range(1, n):
-            w = _swap_values(v, c)
-            edges.add((min(v, w), max(v, w)))
-            d = n - c
-            tags[(v, w)] = (d, flag_v[d - 1], vertex_to_flag(w)[d - 1])
-    cycles = tuple(f.vertices for f in enumerate_two_faces(n))
-    return SkeletonGraph(
-        name=f"permutohedron-{n}",
-        vertices=tuple(verts),
-        edges=tuple(sorted(edges)),
-        two_face_cycles=cycles,
-        edge_tags=tags,
-    )
-
-
-@cache
-def hypersimplex_graph(d: int, n: int) -> SkeletonGraph:
-    """Edge graph of the d-th hypersimplex on {1..n}, built once per (d, n);
-    2-faces are triangles."""
-    _check_n(n)
-    if not 1 <= d <= n:
-        raise ValueError(f"need 1 <= d <= n, got d={d}")
-    verts = sorted(subsets_of_size(n, d))
-    vset = set(verts)
-    edges = sorted(
-        (a, b) for a, b in combinations(verts, 2) if mask_size(a ^ b) == 2
-    )
-    cycles = []
-    for s in subsets_of_size(n, d - 1):
-        outside = [e for e in range(1, n + 1) if not s & (1 << (e - 1))]
-        for i, j, k in combinations(outside, 3):
-            cycles.append(tuple(s | mask_from([x]) for x in (i, j, k)))
-    if d >= 2:
-        for s in subsets_of_size(n, d - 2):
-            outside = [e for e in range(1, n + 1) if not s & (1 << (e - 1))]
-            for i, j, k in combinations(outside, 3):
-                tri = (
-                    s | mask_from([i, j]),
-                    s | mask_from([i, k]),
-                    s | mask_from([j, k]),
-                )
-                cycles.append(tri)
-    cycles = [c for c in cycles if all(v in vset for v in c)]
-    return SkeletonGraph(
-        name=f"hypersimplex-{d}-{n}",
-        vertices=tuple(verts),
-        edges=tuple(edges),
-        two_face_cycles=tuple(cycles),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -23,16 +23,12 @@ from types import MappingProxyType
 
 from valperm.permutahedra import (
     N_MAX,
-    EdgeValues,
     bruhat_interval,
     enumerate_two_faces,
-    hypersimplex_graph,
     mask_elems,
-    mask_from,
     mask_size,
     parse_perm,
     perm_str,
-    permutohedron_graph,
     permutohedron_vertices,
     subset_str,
     subsets_of_size,
@@ -462,37 +458,37 @@ def check_two_skeleton(w):
 # potentials and height decomposition
 
 
-def reconstruct_potential(graph, values, root, f0):
-    """The vertex map f with f(v) - f(u) = values(v, u) on edges, f(root) = f0.
-
-    f is computed in the arithmetic of ``f0`` and the values: integers in
-    give integers out.
-
-    Requires the value of every directed cycle bounding a 2-face to vanish;
-    a nonzero one is rejected with the offending face.  f is built along a
-    breadth-first tree and every non-tree edge is checked afterwards (the
-    2-face cycles generate all cycles of a polytope skeleton, so a mismatch
-    there is an internal error, not an input error).
-    """
-    for cycle in graph.two_face_cycles:
-        total = sum(
-            values.get(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))
-        )
-        if total != 0:
-            raise ValueError(f"cycle sum {total} on 2-face {cycle} of {graph.name}")
-    f = {root: f0}
-    queue = [root]
-    for u in queue:
-        for v in graph.neighbors[u]:
-            if v not in f:
-                f[v] = f[u] - values.get(u, v)
-                queue.append(v)
-    if len(f) != len(graph.vertices):
-        raise RuntimeError(f"reconstruct_potential: {graph.name} is not connected")
-    for u, v in graph.edges:
-        if f[u] - f[v] != values.get(u, v):
-            raise RuntimeError("reconstruct_potential: a non-tree edge value is inconsistent")
-    return f
+@lru_cache(maxsize=8)
+def _exchange_tree(n):
+    """One spanning tree of the d-sets of [n] for each level d < n, as its
+    edges ``(A, B, v, u)`` in breadth-first order from the identity's
+    level-d set, each A's exchange neighbours B = A - a + b in increasing
+    mask order.  v -> u is the permutohedron edge that swaps the values
+    n - d + 1 and n - d: v holds A at level d and u holds B, and their
+    flags agree at every other level (A & B at level d - 1, A | B at
+    level d + 1), so w(v) - w(u) is the difference of the level-d values
+    at A and B."""
+    identity = vertex_to_flag(tuple(range(1, n + 1)))
+    tree = []
+    for d in range(1, n):
+        root = identity[d - 1]
+        queue, seen, edges = [root], {root}, []
+        for a_set in queue:
+            ins = [p for p in range(n) if a_set >> p & 1]
+            outs = [p for p in range(n) if not a_set >> p & 1]
+            for b_set, a, b in sorted((a_set ^ 1 << a ^ 1 << b, a, b) for a in ins for b in outs):
+                if b_set in seen:
+                    continue
+                seen.add(b_set)
+                queue.append(b_set)
+                shared = [p for p in ins if p != a]
+                rest = [p for p in outs if p != b]
+                # the positions of the values n, n - 1, ..., 1 at v and at u
+                at_v, at_u = shared + [a, b] + rest, shared + [b, a] + rest
+                v, u = (tuple(n - at.index(p) for p in range(n)) for at in (at_v, at_u))
+                edges.append((a_set, b_set, v, u))
+        tree.append(tuple(edges))
+    return tuple(tree)
 
 
 def decompose_height(w):
@@ -504,6 +500,12 @@ def decompose_height(w):
     at the super-level set of the identity permutation is 0 for d < n, and
     the full-set value is w(identity), so the values along the identity's
     flag sum to w(identity).
+
+    Each level's values are read off the heights along the edges of
+    :func:`_exchange_tree`, on the integer view: p_d(B) = p_d(A) - w(v) +
+    w(u).  The potentials are certified by the round trip: at every vertex
+    they must sum, along its flag, to its height, or ``RuntimeError`` is
+    raised.
 
     The result is returned without the incidence validation: it is a valid
     flag exactly when w also satisfies the diagonal-max condition, which this
@@ -525,24 +527,21 @@ def decompose_height(w):
                 f"{subset_str(lo) or '{}'} < {subset_str(hi)}"
             )
     h, den = w._ints, w._den
-    graph = permutohedron_graph(n)
-    transfers = {d: EdgeValues() for d in range(1, n)}
-    for u, v in graph.edges:
-        d, a, b = graph.edge_tags[(u, v)]
-        # parallel edges carry the same difference once the square condition
-        # holds (same-tag edges are connected through squares), so no
-        # conflicting .set can occur here
-        transfers[d].set(a, b, h[u] - h[v])
-    components = []
-    identity_flag = vertex_to_flag(tuple(range(1, n + 1)))
-    for d in range(1, n):
-        potential = reconstruct_potential(
-            hypersimplex_graph(d, n), transfers[d], identity_flag[d - 1], 0
-        )
-        values = {m: Fraction(t, den) for m, t in potential.items()}
-        components.append(ValuatedMatroid(n, d, values))
-    full = mask_from(range(1, n + 1))
-    components.append(ValuatedMatroid(n, n, {full: w[tuple(range(1, n + 1))]}))
+    identity = tuple(range(1, n + 1))
+    top = vertex_to_flag(identity)
+    levels = [{m: 0} for m in top[:-1]] + [{top[-1]: h[identity]}]
+    for level, edges in zip(levels, _exchange_tree(n)):
+        for a, b, v, u in edges:
+            level[b] = level[a] - h[v] + h[u]
+    for v, vflag in vertex_flags(n):
+        if sum(level[m] for level, m in zip(levels, vflag)) != h[v]:
+            raise RuntimeError(
+                f"decompose_height: the potentials do not sum to the height at {perm_str(v)}"
+            )
+    components = [
+        ValuatedMatroid(n, d, {m: Fraction(t, den) for m, t in level.items()})
+        for d, level in enumerate(levels, start=1)
+    ]
     return ValuatedFlagMatroid(components, check=False)
 
 

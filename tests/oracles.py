@@ -27,6 +27,9 @@ package moved them onto integer views: in ``Fraction`` arithmetic on the public 
 small helpers that only tests use, and the minors of a polynomial matrix
 by the Leibniz formula: the vertex of a complete flag, the
 permutation of a word, and the order of the symmetry group by closure.
+The edges of the permutohedron are listed by swapping two consecutive
+values at every vertex, and those of a hypersimplex as the pairs of d-sets
+that differ in one exchange; the package keeps neither edge list.
 """
 
 from fractions import Fraction
@@ -71,6 +74,28 @@ def flag_to_vertex(flag):
         v[p - 1] = n - d + 1
         prev = m
     return tuple(v)
+
+
+def permutohedron_edges(n):
+    """The edges of the permutohedron as sorted vertex pairs (u, v) with
+    u < v: each vertex is joined to the vertex that exchanges the positions
+    of two consecutive values c and c + 1."""
+    edges = set()
+    for v in permutohedron_vertices(n):
+        for c in range(1, n):
+            w = list(v)
+            i, j = v.index(c), v.index(c + 1)
+            w[i], w[j] = c + 1, c
+            edges.add(tuple(sorted((v, tuple(w)))))
+    return sorted(edges)
+
+
+def hypersimplex_edges(d, n):
+    """The edges of the d-th hypersimplex on {1..n} as pairs (a, b) of
+    d-set masks with a < b that differ in one exchange: their symmetric
+    difference has two elements."""
+    return [(a, b) for a, b in combinations(sorted(subsets_of_size(n, d)), 2)
+            if mask_size(a ^ b) == 2]
 
 
 def word_to_perm(word, n):

@@ -976,6 +976,35 @@ def test_symmetry_table_is_built_once_per_fan(fan_n, monkeypatch):
     assert "_symmetry" not in repr(fan)
 
 
+def test_face_lattice_is_built_once_per_fan(fan_n, monkeypatch):
+    # census plus homology on one fan read one face lattice: building it asks
+    # every maximal cone its dimension, and homology asks none again; the
+    # lattice is stored read-only on the fan, which a replaced fan does not
+    # inherit, and equality, hashing and repr ignore it
+    calls = []
+    quotient_dim = fans.Fan.quotient_dim
+
+    def counted(fan, cone):
+        calls.append(cone)
+        return quotient_dim(fan, cone)
+
+    monkeypatch.setattr(fans.Fan, "quotient_dim", counted)
+    fan = replace(fan_n)
+    assert fan._lattice is None
+    f_vector_census(fan)
+    built = len(calls)
+    assert built >= len(fan.maximal)
+    link_homology(fan)
+    assert len(calls) == built
+    assert fans._faces(fan) is fan._lattice is not None
+    with pytest.raises(TypeError):
+        fan._lattice[()] = 1
+    copy = replace(fan, two_faces=fan.two_faces)
+    assert copy._lattice is None
+    assert copy == fan and hash(copy) == hash(fan) and repr(copy) == repr(fan)
+    assert "_lattice" not in repr(fan)
+
+
 def test_refinement_census_solves_once_per_orbit_sample(fan_n, monkeypatch):
     # for n = 4, the samples brought to their least images under the
     # stabilizers: 5 on the orbit of cone 0, 7 on that of cone 1, 5 on each

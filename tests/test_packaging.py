@@ -52,3 +52,19 @@ def test_no_library_check_is_an_assert_statement():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found
+
+
+def test_every_module_level_import_is_used():
+    # a deletion that leaves an import behind leaves a dead name; every name
+    # a library module imports at module level must be read in that module
+    unused = []
+    for path in sorted((ROOT / "src" / "valperm").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unused.append(f"{path.name}:{node.lineno}: {name}")
+    assert not unused

@@ -1,4 +1,4 @@
-"""Permutohedron combinatorics: flags, Bruhat order, 2-faces, graphs, symmetry."""
+"""Permutohedron combinatorics: flags, Bruhat order, 2-faces, edges, symmetry."""
 
 import hashlib
 from dataclasses import FrozenInstanceError
@@ -11,16 +11,15 @@ from oracles import (
     bruhat_leq_subword,
     bruhat_lower_set,
     flag_to_vertex,
+    permutohedron_edges,
     symmetry_group_order,
     word_to_perm,
 )
 from valperm.permutahedra import (
-    EdgeValues,
     as_int,
     bruhat_interval,
     bruhat_leq,
     enumerate_two_faces,
-    hypersimplex_graph,
     inversions,
     mask_elems,
     mask_from,
@@ -28,7 +27,6 @@ from valperm.permutahedra import (
     parse_perm,
     parse_subset,
     perm_str,
-    permutohedron_graph,
     permutohedron_vertices,
     reduced_word,
     reverse_complement,
@@ -38,6 +36,7 @@ from valperm.permutahedra import (
     vertex_flags,
     vertex_to_flag,
 )
+from valperm import subdivisions
 from valperm.subdivisions import HeightFunction, check_two_skeleton
 
 
@@ -206,8 +205,7 @@ def test_two_faces_n4_census():
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_two_faces_are_closed_walks(n):
-    graph = permutohedron_graph(n)
-    edge_set = set(graph.edges)
+    edge_set = set(permutohedron_edges(n))
 
     def is_edge(u, v):
         return (min(u, v), max(u, v)) in edge_set
@@ -253,12 +251,10 @@ def test_two_faces_and_graph_are_built_once_and_immutable():
     faces = enumerate_two_faces(4)
     assert faces is enumerate_two_faces(4)
     assert isinstance(faces, tuple)
-    graph = permutohedron_graph(4)
-    assert graph is permutohedron_graph(4)
-    with pytest.raises(FrozenInstanceError):
-        graph.name = "changed"
-    with pytest.raises(TypeError):
-        graph.neighbors[graph.vertices[0]] = ()
+    # the exchange trees that decompose_height walks are shared tuples too
+    tree = subdivisions._exchange_tree(4)
+    assert tree is subdivisions._exchange_tree(4)
+    assert all(isinstance(level, tuple) for level in tree)
     with pytest.raises(FrozenInstanceError):
         faces[0].kind = "square"
 
@@ -281,57 +277,6 @@ def test_hexagons_are_bruhat_intervals(n):
         maxs = [v for v in vs if all(bruhat_leq(w, v) for w in vs)]
         assert len(mins) == 1 and len(maxs) == 1
         assert sorted(bruhat_interval(mins[0], maxs[0], n)) == sorted(vs)
-
-
-def test_permutohedron_graph_n4():
-    g = permutohedron_graph(4)
-    assert len(g.vertices) == 24
-    for v in g.vertices:
-        assert len(g.neighbors[v]) == 3
-    # edge tags: constituents differ by a single exchange
-    for (u, v), (d, a, b) in g.edge_tags.items():
-        assert mask_size(a) == mask_size(b) == d
-        assert mask_size(a ^ b) == 2
-        assert g.edge_tags[(v, u)] == (d, b, a)
-
-
-@pytest.mark.parametrize("n", [3, 4])
-def test_same_tag_edges_share_a_face(n):
-    g = permutohedron_graph(n)
-    by_tag = {}
-    for (u, v), tag in g.edge_tags.items():
-        by_tag.setdefault(tag, []).append((u, v))
-    for (d, a, b), edges in by_tag.items():
-        lower, upper = a & b, a | b
-        for u, v in edges:
-            fu, fv = vertex_to_flag(u), vertex_to_flag(v)
-            assert (lower == 0 or lower in fu) and upper in fu
-            assert (lower == 0 or lower in fv) and upper in fv
-
-
-def test_hypersimplex_graphs():
-    g = hypersimplex_graph(1, 4)
-    assert len(g.vertices) == 4
-    assert len(g.edges) == 6  # complete graph
-    assert len(g.two_face_cycles) == 4
-
-    g = hypersimplex_graph(2, 4)
-    assert len(g.vertices) == 6
-    assert len(g.edges) == 12  # octahedron
-    assert len(g.two_face_cycles) == 8
-    for cyc in g.two_face_cycles:
-        assert len(cyc) == 3
-        for i in range(3):
-            assert mask_size(cyc[i] ^ cyc[(i + 1) % 3]) == 2
-
-
-def test_edge_values_antisymmetry():
-    ev = EdgeValues()
-    ev.set("a", "b", 3)
-    assert ev.get("b", "a") == -3
-    ev.set("a", "b", 3)  # consistent re-set is fine
-    with pytest.raises(ValueError):
-        ev.set("b", "a", 5)
 
 
 @pytest.mark.parametrize("n,order", [(3, 12), (4, 48), (5, 240)])

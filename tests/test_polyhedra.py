@@ -12,9 +12,7 @@ import pytest
 from valperm import fans, kernels, linalg, polyhedra, subdivisions, valuated
 from valperm.permutahedra import (
     enumerate_two_faces,
-    hypersimplex_graph,
     mask_indicator,
-    permutohedron_graph,
     permutohedron_vertices,
     subsets_of_size,
 )
@@ -37,10 +35,12 @@ from oracles import (
     extremal_rays_by_subsets,
     heights_are_affine_by_rank,
     hull_vertices_and_edges_by_lp,
+    hypersimplex_edges,
     incidence_edges_by_pair_scan,
     lower_cells_by_support_search,
     lower_cells_in_ambient_coordinates,
     pair_is_face,
+    permutohedron_edges,
     ray_tight_masks,
 )
 
@@ -467,19 +467,19 @@ def test_hull_cube():
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_hull_matches_permutohedron_graph(n):
-    g = permutohedron_graph(n)
-    pts = list(g.vertices)
+    pts = permutohedron_vertices(n)
     verts, edges = hull_edges(pts, pts)
-    assert verts == sorted(g.vertices)
-    assert tuple(edges) == g.edges
+    assert verts == pts
+    assert edges == permutohedron_edges(n)
 
 
 def test_hull_matches_hypersimplex_graph():
-    g = hypersimplex_graph(2, 4)
-    pts = [mask_indicator(m, 4) for m in g.vertices]
-    verts, edges = hull_edges(pts, list(g.vertices))
-    assert verts == sorted(g.vertices)
-    assert tuple(edges) == g.edges
+    masks = sorted(subsets_of_size(4, 2))
+    pts = [mask_indicator(m, 4) for m in masks]
+    verts, edges = hull_edges(pts, masks)
+    assert verts == masks
+    assert edges == hypersimplex_edges(2, 4)
+    assert len(edges) == 12  # the octahedron
 
 
 @pytest.mark.parametrize("seed", range(6))

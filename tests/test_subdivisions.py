@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 from dataclasses import replace
@@ -5,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from valperm import polyhedra, subdivisions
+from valperm import cli, polyhedra, subdivisions
 from valperm.permutahedra import (
     bruhat_interval,
     mask_from,
@@ -27,7 +28,6 @@ from valperm.subdivisions import (
     is_generalized_permutahedron,
     is_lattice_point,
     lift_to_grassmannian,
-    reconstruct_potential,
     subdivide,
 )
 from valperm.valuated import (
@@ -367,42 +367,7 @@ def test_skeleton_missing_min_diagonal():
 
 
 # ---------------------------------------------------------------------------
-# potentials and decomposition
-
-
-def test_potential_triangle():
-    from valperm.permutahedra import EdgeValues, hypersimplex_graph
-
-    graph = hypersimplex_graph(1, 3)
-    values = EdgeValues()
-    values.set(1, 2, Fraction(1))
-    values.set(2, 4, Fraction(0))
-    values.set(4, 1, Fraction(-1))
-    assert reconstruct_potential(graph, values, 2, 0) == {1: 1, 2: 0, 4: 0}
-    assert reconstruct_potential(graph, values, 2, 5) == {1: 6, 2: 5, 4: 5}
-    bad = EdgeValues()
-    bad.set(1, 2, Fraction(1))
-    bad.set(2, 4, Fraction(0))
-    bad.set(4, 1, Fraction(1))
-    with pytest.raises(ValueError, match="cycle sum"):
-        reconstruct_potential(graph, bad, 2, 0)
-
-
-def test_potential_zero_and_gradient():
-    from valperm.permutahedra import EdgeValues, permutohedron_graph
-
-    graph = permutohedron_graph(3)
-    zero = EdgeValues()
-    for u, v in graph.edges:
-        zero.set(u, v, Fraction(0))
-    f = reconstruct_potential(graph, zero, (1, 2, 3), 9)
-    assert set(f.values()) == {Fraction(9)}
-
-    grad = EdgeValues()
-    for u, v in graph.edges:
-        grad.set(u, v, Fraction(u[0] - v[0]))
-    f = reconstruct_potential(graph, grad, (1, 2, 3), 1)
-    assert f == {v: Fraction(v[0]) for v in graph.vertices}
+# decomposition
 
 
 def test_decompose_example_heights():
@@ -462,6 +427,46 @@ def test_decompose_errors():
     w4[(1, 2, 3, 4)] = 1
     with pytest.raises(ValueError, match="opposite sums differ on the square"):
         decompose_height(HeightFunction(4, w4))
+
+
+@pytest.mark.parametrize("n,trials", [(5, 4), (6, 2)])
+def test_decompose_recovers_the_compressed_flag(n, trials):
+    # a flag's compression decomposes back into it, up to one constant per
+    # rank; the anchors fix those constants: 0 at the identity's d-set for
+    # d < n, and the full set carries the identity's height
+    rng = random.Random(31 * n)
+    identity = vertex_to_flag(tuple(range(1, n + 1)))
+    for _ in range(trials):
+        flag = random_tropical_flag(rng, n)
+        w = compress_on_vertices(flag)
+        got = decompose_height(w)
+        anchors = [0] * (n - 1) + [w[tuple(range(1, n + 1))]]
+        for mine, want, top, anchor in zip(got, flag, identity, anchors):
+            assert mine.value(top) == anchor
+            shift = want.value(top) - anchor
+            assert mine.support == want.support
+            assert all(mine.value(m) == want.value(m) - shift for m in want.support)
+
+
+def test_decompose_certificate_fault_is_internal(monkeypatch, tmp_path, capsys):
+    # one exchange edge walked backwards reads the wrong sign of its height
+    # difference, so the potentials miss the heights and the round trip
+    # refuses them: an internal error (exit 3), not a failed verdict
+    tree = subdivisions._exchange_tree(3)
+    (a, b, v, u), *rest = tree[0]
+    w = HeightFunction(3, EXAMPLE_HEIGHTS)
+    assert w[v] != w[u]
+    bad = ((a, b, u, v), *rest), *tree[1:]
+    monkeypatch.setattr(subdivisions, "_exchange_tree", lambda n: bad)
+    with pytest.raises(RuntimeError, match="^decompose_height: "):
+        decompose_height(w)
+    path = tmp_path / "heights.json"
+    path.write_text(json.dumps({"n": 3, "heights": {k: str(h) for k, h in EXAMPLE_HEIGHTS.items()}}))
+    assert cli.main(["decompose", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("valperm: internal error: decompose_height: ")
 
 
 # ---------------------------------------------------------------------------

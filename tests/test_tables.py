@@ -2,7 +2,7 @@
 
 The three-term checks read one relation table per kind and (n, d), the lift
 one gap table per n, the Bruhat tests one length table per n, and the
-potentials of a height function one shared hypersimplex graph per (d, n).
+potentials of a height function one shared exchange tree per n.
 These tests compare the tables' readers with the oracles, pin the
 +infinity rule on hand-built value maps with absent values, and check that
 importing the package builds none of the tables.
@@ -13,7 +13,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -22,6 +21,7 @@ import pytest
 
 from oracles import (
     bruhat_interval_full_scan,
+    hypersimplex_edges,
     check_incidence_fraction,
     check_plucker_fraction,
     check_positive_incidence_fraction,
@@ -30,14 +30,16 @@ from oracles import (
 from valperm.permutahedra import (
     bruhat_interval,
     bruhat_leq,
-    hypersimplex_graph,
     inversions,
     mask_from,
     permutohedron_vertices,
+    subsets_of_size,
     vertex_lengths,
+    vertex_to_flag,
 )
 from valperm.subdivisions import (
     HeightFunction,
+    _exchange_tree,
     compress_on_vertices,
     decompose_height,
 )
@@ -190,29 +192,31 @@ def test_bruhat_interval_tests_only_the_length_window():
 
 
 # ---------------------------------------------------------------------------
-# shared hypersimplex graphs
+# shared exchange trees
 
 
-def test_hypersimplex_graphs_are_shared_and_immutable():
-    for n in (3, 4, 5):
-        for d in range(1, n + 1):
-            graph = hypersimplex_graph(d, n)
-            assert graph is hypersimplex_graph(d, n)
-            assert graph == hypersimplex_graph.__wrapped__(d, n)
-    graph = hypersimplex_graph(2, 4)
-    with pytest.raises(FrozenInstanceError):
-        graph.name = "changed"
-    with pytest.raises(TypeError):
-        graph.neighbors[graph.vertices[0]] = ()
-    with pytest.raises(TypeError):
-        graph.edge_tags[graph.edges[0]] = ()
-
-
-@pytest.mark.parametrize("d, n", [(0, 4), (5, 4), (2, 0), (2, 8)])
-def test_bad_hypersimplex_shapes_raise_on_every_call(d, n):
-    for _ in range(2):
-        with pytest.raises(ValueError):
-            hypersimplex_graph(d, n)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_exchange_trees_span_each_level_along_one_value_swap(n):
+    tree = _exchange_tree(n)
+    assert len(tree) == n - 1
+    identity = vertex_to_flag(tuple(range(1, n + 1)))
+    for d, edges in enumerate(tree, start=1):
+        # a spanning tree of the hypersimplex's edges, grown from the
+        # identity's d-set: every edge reaches a new set from a known one
+        reached, exchanges = [identity[d - 1]], set(hypersimplex_edges(d, n))
+        for a, b, _, _ in edges:
+            assert a in reached and b not in reached
+            assert (min(a, b), max(a, b)) in exchanges
+            reached.append(b)
+        assert sorted(reached) == sorted(subsets_of_size(n, d))
+        for a, b, v, u in edges:
+            # u is v with the values n - d + 1 and n - d swapped, and the two
+            # flags differ at level d only, from a to b
+            assert u == tuple({n - d + 1: n - d, n - d: n - d + 1}.get(x, x) for x in v)
+            fv, fu = vertex_to_flag(v), vertex_to_flag(u)
+            assert (fv[d - 1], fu[d - 1]) == (a, b)
+            assert fv[:d - 1] == fu[:d - 1] and fv[d:] == fu[d:]
+            assert fv[d - 2:d - 1] in ((), (a & b,)) and fv[d:d + 1] == (a | b,)
 
 
 def test_decompose_round_trip_leaves_the_shared_graphs_unchanged():
@@ -223,8 +227,7 @@ def test_decompose_round_trip_leaves_the_shared_graphs_unchanged():
         coeffs = [rng.randint(-3, 3) for _ in range(4)]
         w = HeightFunction(4, {v: sum(c * x for c, x in zip(coeffs, v)) for v in verts})
         assert compress_on_vertices(decompose_height(w)) == w
-    for d in range(1, 5):
-        assert hypersimplex_graph(d, 4) == hypersimplex_graph.__wrapped__(d, 4)
+    assert _exchange_tree(4) == _exchange_tree.__wrapped__(4)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +276,7 @@ def test_importing_the_package_builds_no_table():
     # the caches named here are a floor, so a scan that finds none fails
     assert {"valperm.valuated._plucker_table", "valperm.valuated._incidence_table",
             "valperm.subdivisions._gap_table", "valperm.subdivisions._vertex_keys",
-            "valperm.permutahedra.vertex_lengths", "valperm.permutahedra.hypersimplex_graph",
+            "valperm.permutahedra.vertex_lengths", "valperm.subdivisions._exchange_tree",
             "valperm.polyhedra._affine_coordinates", "valperm.polyhedra._vertical_facets",
             "valperm.polyhedra._affine_dependencies"} <= set(sizes)
     assert {name: size for name, size in sizes.items() if size} == {}
